@@ -7,6 +7,7 @@ import (
 
 	"pgpub/internal/dataset"
 	"pgpub/internal/hierarchy"
+	"pgpub/internal/sal"
 )
 
 // The benchmarks in this file pit the grouping engine against test-only
@@ -176,6 +177,29 @@ func BenchmarkLatticeMinSize(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSearchFullDomainGreedy measures the full-domain search as PG's
+// Phase 2 runs it: k-anonymity with k=6 on 20k SAL rows, whose 8-attribute
+// lattice is far past MaxExhaustive, so the greedy level-raising walk runs.
+func BenchmarkSearchFullDomainGreedy(b *testing.B) {
+	tbl, err := sal.Generate(20_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hiers := sal.Hierarchies(tbl.Schema)
+	cfg := FullDomainConfig{Principle: KAnonymity{K: 6}, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := SearchFullDomain(tbl, hiers, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Exhausted {
+			b.Fatal("SAL lattice searched exhaustively; want the greedy walk")
+		}
+	}
 }
 
 // legacyTDS is the pre-engine TDS inner loop: a full-table GroupBy after

@@ -26,7 +26,6 @@ package generalize
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"pgpub/internal/dataset"
@@ -39,11 +38,12 @@ import (
 // packing is injective whenever the widths sum to at most 64.
 type keyPacker struct {
 	shift []uint
+	mask  []uint64 // mask[j] covers attribute j's field once shifted down
 	fits  bool
 }
 
 func newKeyPacker(hiers []*hierarchy.Hierarchy) keyPacker {
-	p := keyPacker{shift: make([]uint, len(hiers))}
+	p := keyPacker{shift: make([]uint, len(hiers)), mask: make([]uint64, len(hiers))}
 	total := uint(0)
 	for j, h := range hiers {
 		w := uint(bits.Len(uint(h.NumNodes() - 1)))
@@ -51,6 +51,7 @@ func newKeyPacker(hiers []*hierarchy.Hierarchy) keyPacker {
 			w = 1
 		}
 		p.shift[j] = total
+		p.mask[j] = 1<<w - 1
 		total += w
 	}
 	p.fits = total <= 64
@@ -212,6 +213,12 @@ func groupByBytes(t *dataset.Table, r *Recoding) *Groups {
 // merging groups whose lifted keys coincide (LeFevre et al.'s frequency-set
 // roll-up, generalized to a whole level vector). All hierarchies must be
 // uniform and every queried vector must dominate the base component-wise.
+//
+// Lattice nodes are scored from (packed key, size) pairs alone: the minimum
+// group size and the discernibility need no row lists, so only the node a
+// search finally returns — or one whose principle reads rows — is
+// materialized by GroupsAt. The scoring reuses one map and one pair buffer,
+// so an evaluator is not safe for concurrent use.
 type LatticeEvaluator struct {
 	t       *dataset.Table
 	hiers   []*hierarchy.Hierarchy
@@ -232,6 +239,18 @@ type LatticeEvaluator struct {
 	lift [][][]int32
 	// cuts memoizes hierarchy.LevelCut per attribute and level.
 	cuts [][]*hierarchy.Cut
+
+	// idx and pairs are the scoring scratch: the packed-key → pair-index map
+	// that merges coinciding keys, and the pair buffer MinSizeAt fills.
+	idx   map[uint64]int32
+	pairs []sizedGroup
+}
+
+// sizedGroup is a QI-group reduced to what lattice scoring reads: its packed
+// generalized key and its cardinality.
+type sizedGroup struct {
+	key  uint64
+	size int
 }
 
 // NewLatticeEvaluator groups the table at baseLevels (the evaluator's one
@@ -240,6 +259,9 @@ func NewLatticeEvaluator(t *dataset.Table, hiers []*hierarchy.Hierarchy, baseLev
 	if len(hiers) != t.Schema.D() || len(baseLevels) != len(hiers) {
 		return nil, fmt.Errorf("generalize: %d hierarchies, %d base levels for %d QI attributes",
 			len(hiers), len(baseLevels), t.Schema.D())
+	}
+	if !newKeyPacker(hiers).fits {
+		return nil, fmt.Errorf("generalize: QI node IDs need more than 64 key bits; lattice roll-up needs packed keys")
 	}
 	for j, h := range hiers {
 		if !h.Uniform() {
@@ -302,6 +324,7 @@ func NewLatticeEvaluator(t *dataset.Table, hiers []*hierarchy.Hierarchy, baseLev
 		}
 		e.keyIdx[g] = ki
 	}
+	e.idx = make(map[uint64]int32, len(e.base.Keys))
 	return e, nil
 }
 
@@ -327,27 +350,73 @@ func (e *LatticeEvaluator) checkLevels(levels []int) error {
 // level vector, in O(#base-groups · d) without materializing row lists —
 // the k-anonymity check Incognito's lattice walk performs per node.
 func (e *LatticeEvaluator) MinSizeAt(levels []int) (int, error) {
+	min, _, err := e.scoreAt(levels)
+	return min, err
+}
+
+// scoreAt rolls the base groups up to the level vector and returns the
+// grouping's smallest group size and its discernibility, from sizes alone.
+func (e *LatticeEvaluator) scoreAt(levels []int) (min int, loss float64, err error) {
 	if err := e.checkLevels(levels); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	sizes := make(map[uint64]int, len(e.base.Keys))
+	e.pairs = e.sizesAt(levels, e.pairs[:0])
+	min, loss = sizeScore(e.pairs)
+	return min, loss, nil
+}
+
+// sizesAt appends the (packed key, size) pairs of the grouping at the level
+// vector to dst, in first-appearance order of the merged base groups.
+func (e *LatticeEvaluator) sizesAt(levels []int, dst []sizedGroup) []sizedGroup {
+	clear(e.idx)
 	for g, ki := range e.keyIdx {
 		var pk uint64
 		for j, l := range levels {
 			pk |= uint64(uint32(e.lift[j][l-e.baseLev[j]][ki[j]])) << e.packer.shift[j]
 		}
-		sizes[pk] += len(e.base.Rows[g])
+		dst = e.merge(dst, pk, len(e.base.Rows[g]))
 	}
-	min := math.MaxInt
-	for _, s := range sizes {
-		if s < min {
-			min = s
+	return dst
+}
+
+// raise appends to dst the pairs of src's grouping with attribute j lifted
+// one level: each key's j-field is replaced by its hierarchy parent, and
+// pairs whose keys then coincide are merged. Attribute j must be below its
+// hierarchy's top in src. dst must not share storage with src.
+func (e *LatticeEvaluator) raise(src []sizedGroup, j int, dst []sizedGroup) []sizedGroup {
+	clear(e.idx)
+	h, shift, mask := e.hiers[j], e.packer.shift[j], e.packer.mask[j]
+	for _, g := range src {
+		parent := h.Parent(int32(g.key >> shift & mask))
+		dst = e.merge(dst, g.key&^(mask<<shift)|uint64(uint32(parent))<<shift, g.size)
+	}
+	return dst
+}
+
+// merge adds size to the pair keyed pk in dst, appending the pair on its
+// first appearance since the last clear of e.idx.
+func (e *LatticeEvaluator) merge(dst []sizedGroup, pk uint64, size int) []sizedGroup {
+	if i, ok := e.idx[pk]; ok {
+		dst[i].size += size
+		return dst
+	}
+	e.idx[pk] = int32(len(dst))
+	return append(dst, sizedGroup{pk, size})
+}
+
+// sizeScore returns the smallest size among the pairs (0 for none) and their
+// discernibility Σ|G|². The squares are summed exactly in int64, so the
+// result equals Discernibility of the materialized groups bit for bit
+// whenever that float sum is exact — any table under 2^26 rows.
+func sizeScore(pairs []sizedGroup) (min int, loss float64) {
+	var sum int64
+	for i, g := range pairs {
+		if i == 0 || g.size < min {
+			min = g.size
 		}
+		sum += int64(g.size) * int64(g.size)
 	}
-	if min == math.MaxInt {
-		min = 0
-	}
-	return min, nil
+	return min, float64(sum)
 }
 
 // GroupsAt materializes the grouping at the level vector. The result is

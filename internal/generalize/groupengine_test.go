@@ -1,6 +1,7 @@
 package generalize
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -168,8 +169,9 @@ func TestTDSIncrementalMatchesRescan(t *testing.T) {
 }
 
 // Property: every lattice node's rolled-up grouping equals a from-scratch
-// GroupBy under the node's recoding, and MinSizeAt agrees with the
-// materialized minimum — for random base level vectors.
+// GroupBy under the node's recoding, and MinSizeAt and the size-based
+// discernibility agree with the materialized groups — for random base
+// level vectors.
 func TestLatticeRollupMatchesGroupBy(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -199,6 +201,9 @@ func TestLatticeRollupMatchesGroupBy(t *testing.T) {
 			}
 			min, err := eval.MinSizeAt(levels)
 			if err != nil || min != want.MinSize() {
+				return false
+			}
+			if _, loss, err := eval.scoreAt(levels); err != nil || loss != Discernibility(want) {
 				return false
 			}
 			j := 0
@@ -236,5 +241,21 @@ func TestLatticeEvaluatorLevelBounds(t *testing.T) {
 	}
 	if _, err := eval.GroupsAt([]int{1, 1}); err == nil {
 		t.Fatal("GroupsAt with short vector: want error")
+	}
+}
+
+// Lattice scoring reads node IDs back out of packed keys, so a schema whose
+// node IDs need more than 64 key bits is refused rather than merged wrongly.
+func TestLatticeEvaluatorWideKeys(t *testing.T) {
+	attrs := make([]*dataset.Attribute, 9)
+	hiers := make([]*hierarchy.Hierarchy, 9)
+	for j := range attrs {
+		attrs[j] = dataset.MustIntAttribute(fmt.Sprintf("A%d", j), 0, 254)
+		hiers[j] = hierarchy.MustFlat(255) // 256 nodes: 8 key bits each
+	}
+	tbl := dataset.NewTable(dataset.MustSchema(attrs, dataset.MustAttribute("S", "x", "y")))
+	tbl.MustAppend([]int32{0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	if _, err := NewLatticeEvaluator(tbl, hiers, make([]int, 9), 1); err == nil {
+		t.Fatal("72 key bits: want error")
 	}
 }

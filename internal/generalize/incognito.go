@@ -15,15 +15,12 @@ import (
 type IncognitoConfig struct {
 	// K is the group-size floor.
 	K int
-	// Loss ranks minimal satisfying vectors; lower is better. Defaults to
-	// discernibility.
-	Loss func(t *dataset.Table, g *Groups) float64
 	// Workers bounds the goroutines of the single sharded table scan at the
 	// lattice bottom. 0 means GOMAXPROCS; the result is identical for every
 	// value.
 	Workers int
 
-	// Metrics optionally receives search diagnostics: lattice nodes grouped
+	// Metrics optionally receives search diagnostics: lattice nodes scored
 	// versus skipped by roll-up pruning (generalize.lattice.nodes_evaluated
 	// / nodes_pruned) and rows scanned (generalize.groupby.rows_scanned).
 	// nil disables. The same numbers remain available as IncognitoResult
@@ -40,14 +37,15 @@ type IncognitoResult struct {
 	// Minimal lists every minimal satisfying level vector (no satisfying
 	// strict specialization exists).
 	Minimal [][]int
-	// Evaluated counts the lattice nodes that were actually grouped — the
+	// Evaluated counts the lattice nodes that were actually scored — the
 	// pruning wins over the full lattice size.
 	Evaluated   int
 	LatticeSize int
 }
 
 // Incognito finds all minimal full-domain recodings satisfying k-anonymity
-// and returns the loss-best one. Two prunings keep evaluations down:
+// and returns the one of least discernibility (the first on ties). Two
+// prunings keep evaluations down:
 //
 //   - the subset property at |S| = 1: joint QI-groups refine every single
 //     attribute's marginal grouping, so a level at which one attribute's
@@ -72,9 +70,6 @@ func Incognito(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg IncognitoConf
 	}
 	if t.Len() < cfg.K {
 		return nil, fmt.Errorf("generalize: table has %d rows, cannot be %d-anonymous", t.Len(), cfg.K)
-	}
-	if cfg.Loss == nil {
-		cfg.Loss = func(_ *dataset.Table, g *Groups) float64 { return Discernibility(g) }
 	}
 	d := len(hiers)
 	if d != t.Schema.D() {
@@ -187,29 +182,27 @@ func Incognito(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg IncognitoConf
 		return nil, fmt.Errorf("generalize: no full-domain recoding is %d-anonymous", cfg.K)
 	}
 
-	// Pick the loss-best minimal vector.
+	// Pick the loss-best minimal vector from group sizes; only the winner
+	// is materialized.
 	best := -1
 	var bestLoss float64
-	var bestRec *Recoding
-	var bestGroups *Groups
 	for i, v := range res.Minimal {
-		rec, err := eval.RecodingAt(v)
+		_, loss, err := eval.scoreAt(v)
 		if err != nil {
 			return nil, err
 		}
-		g, err := eval.GroupsAt(v)
-		if err != nil {
-			return nil, err
-		}
-		loss := cfg.Loss(t, g)
 		if best < 0 || loss < bestLoss {
-			best, bestLoss, bestRec, bestGroups = i, loss, rec, g
+			best, bestLoss = i, loss
 		}
 	}
 	res.Levels = res.Minimal[best]
 	res.Loss = bestLoss
-	res.Recoding = bestRec
-	res.Groups = bestGroups
+	if res.Recoding, err = eval.RecodingAt(res.Levels); err != nil {
+		return nil, err
+	}
+	if res.Groups, err = eval.GroupsAt(res.Levels); err != nil {
+		return nil, err
+	}
 	met := cfg.Metrics
 	met.Counter("generalize.groupby.rows_scanned").Add(int64(t.Len()))
 	met.Counter("generalize.lattice.nodes_evaluated").Add(int64(res.Evaluated))

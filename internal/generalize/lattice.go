@@ -11,25 +11,26 @@ import (
 // FullDomainConfig parameterizes the full-domain recoding search in the
 // spirit of Incognito [13]: every QI attribute is generalized uniformly to
 // one level of its (uniform) hierarchy, and we search the lattice of level
-// vectors for the cheapest one satisfying a generalization principle.
+// vectors for the satisfying one of least discernibility (Σ|G|², the fixed
+// loss: it needs only group sizes, so candidates are scored without
+// materializing rows).
 type FullDomainConfig struct {
 	// Principle is the constraint to satisfy; defaults to KAnonymity{2}.
+	// KAnonymity is decided from group sizes; any other principle is checked
+	// on materialized groups.
 	Principle Principle
 	// MaxExhaustive bounds the lattice size for exhaustive search (which
 	// finds the global loss optimum). Larger lattices fall back to a greedy
 	// level-raising heuristic. Default 4096.
 	MaxExhaustive int
-	// Loss ranks satisfying recodings; lower is better. Defaults to the
-	// discernibility metric.
-	Loss func(t *dataset.Table, g *Groups) float64
 	// Workers bounds the goroutines of the single sharded table scan at the
 	// lattice bottom. 0 means GOMAXPROCS; the result is identical for every
 	// value.
 	Workers int
 
-	// Metrics optionally receives search diagnostics: lattice nodes grouped
-	// and scored (generalize.lattice.nodes_evaluated) and rows scanned by
-	// the one base grouping (generalize.groupby.rows_scanned). nil disables.
+	// Metrics optionally receives search diagnostics: lattice nodes scored
+	// (generalize.lattice.nodes_evaluated) and rows scanned by the one base
+	// grouping (generalize.groupby.rows_scanned). nil disables.
 	Metrics *obs.Registry
 }
 
@@ -47,8 +48,10 @@ type FullDomainResult struct {
 // suppressed table violates the principle.
 //
 // The table is scanned only once, at the lattice bottom (the identity
-// recoding); every level vector the search visits is grouped by rolling that
-// base grouping up through the hierarchies (see LatticeEvaluator).
+// recoding); every level vector the search visits is scored by rolling that
+// base grouping's (key, size) pairs up through the hierarchies (see
+// LatticeEvaluator). Rows are materialized for the returned vector, and per
+// visited node only when the principle reads them.
 func SearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg FullDomainConfig) (*FullDomainResult, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("generalize: full-domain search on an empty table")
@@ -58,9 +61,6 @@ func SearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg FullDo
 	}
 	if cfg.MaxExhaustive <= 0 {
 		cfg.MaxExhaustive = 4096
-	}
-	if cfg.Loss == nil {
-		cfg.Loss = func(_ *dataset.Table, g *Groups) float64 { return Discernibility(g) }
 	}
 	heights := make([]int, len(hiers))
 	latticeSize := 1
@@ -79,66 +79,112 @@ func SearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg FullDo
 		return nil, err
 	}
 	cfg.Metrics.Counter("generalize.groupby.rows_scanned").Add(int64(t.Len()))
-	evaluated := cfg.Metrics.Counter("generalize.lattice.nodes_evaluated")
-	evalLevels := func(levels []int) (*Recoding, *Groups, error) {
-		evaluated.Inc()
-		rec, err := eval.RecodingAt(levels)
-		if err != nil {
-			return nil, nil, err
-		}
-		g, err := eval.GroupsAt(levels)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rec, g, nil
+	s := &fullDomainSearch{
+		t: t, principle: cfg.Principle, eval: eval, heights: heights,
+		scored: cfg.Metrics.Counter("generalize.lattice.nodes_evaluated"),
 	}
+	s.kAnon, s.sizesOnly = cfg.Principle.(KAnonymity)
 
 	// The top of the lattice must satisfy the principle, or nothing does
 	// (principles satisfied by merging groups are monotone up the lattice;
 	// for non-monotone principles this is still the only cheap certificate).
-	top := make([]int, len(hiers))
-	copy(top, heights)
-	topRec, topGroups, err := evalLevels(top)
+	s.scored.Inc()
+	topMin, _, err := eval.scoreAt(heights)
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.Principle.Satisfied(t, topGroups) {
+	ok, _, err := s.satisfied(heights, topMin)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
 		return nil, fmt.Errorf("generalize: even full suppression violates %s", cfg.Principle)
 	}
 
 	if latticeSize <= cfg.MaxExhaustive {
-		return searchExhaustive(t, hiers, cfg, heights, evalLevels)
+		return s.exhaustive()
 	}
-	return searchGreedy(t, cfg, heights, evalLevels, top, topRec, topGroups)
+	return s.greedy()
 }
 
-// searchExhaustive enumerates every level vector and keeps the satisfying
-// one with minimum loss.
-func searchExhaustive(t *dataset.Table, _ []*hierarchy.Hierarchy, cfg FullDomainConfig, heights []int,
-	eval func([]int) (*Recoding, *Groups, error)) (*FullDomainResult, error) {
+// fullDomainSearch is the state both lattice walks share: the roll-up
+// evaluator, the principle, and the counter of scored nodes.
+type fullDomainSearch struct {
+	t         *dataset.Table
+	principle Principle
+	kAnon     KAnonymity
+	sizesOnly bool // the principle is k-anonymity, decided by the minimum size
+	eval      *LatticeEvaluator
+	heights   []int
+	scored    *obs.Counter
 
-	levels := make([]int, len(heights))
-	var best *FullDomainResult
+	// next and scratch are bestRaise's pair buffers: the best candidate so
+	// far and the one being scored.
+	next, scratch []sizedGroup
+}
+
+// satisfied checks the principle at a scored node whose smallest group has
+// minSize rows. Only a principle that reads rows materializes the node; its
+// groups are returned so a winning node need not be grouped again.
+func (s *fullDomainSearch) satisfied(levels []int, minSize int) (bool, *Groups, error) {
+	if s.sizesOnly {
+		return minSize >= s.kAnon.K, nil, nil
+	}
+	g, err := s.eval.GroupsAt(levels)
+	if err != nil {
+		return false, nil, err
+	}
+	return s.principle.Satisfied(s.t, g), g, nil
+}
+
+// result materializes the chosen level vector: its recoding, and its groups
+// unless the principle check already grouped it.
+func (s *fullDomainSearch) result(levels []int, groups *Groups, loss float64, exhausted bool) (*FullDomainResult, error) {
+	rec, err := s.eval.RecodingAt(levels)
+	if err != nil {
+		return nil, err
+	}
+	if groups == nil {
+		if groups, err = s.eval.GroupsAt(levels); err != nil {
+			return nil, err
+		}
+	}
+	return &FullDomainResult{
+		Recoding: rec, Groups: groups,
+		Levels: append([]int(nil), levels...),
+		Loss:   loss, Exhausted: exhausted,
+	}, nil
+}
+
+// exhaustive enumerates every level vector and keeps the satisfying one with
+// minimum loss (the first one on ties). A node's loss is scored first, so
+// the principle is checked only on nodes that would win.
+func (s *fullDomainSearch) exhaustive() (*FullDomainResult, error) {
+	levels := make([]int, len(s.heights))
+	var bestLevels []int
+	var bestGroups *Groups
+	var bestLoss float64
 	for {
-		rec, groups, err := eval(levels)
+		s.scored.Inc()
+		minSize, loss, err := s.eval.scoreAt(levels)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Principle.Satisfied(t, groups) {
-			loss := cfg.Loss(t, groups)
-			if best == nil || loss < best.Loss {
-				best = &FullDomainResult{
-					Recoding: rec, Groups: groups,
-					Levels: append([]int(nil), levels...),
-					Loss:   loss, Exhausted: true,
-				}
+		if bestLevels == nil || loss < bestLoss {
+			ok, g, err := s.satisfied(levels, minSize)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				bestLevels = append(bestLevels[:0], levels...)
+				bestGroups, bestLoss = g, loss
 			}
 		}
 		// Advance the mixed-radix counter.
 		j := 0
 		for ; j < len(levels); j++ {
 			levels[j]++
-			if levels[j] <= heights[j] {
+			if levels[j] <= s.heights[j] {
 				break
 			}
 			levels[j] = 0
@@ -147,57 +193,56 @@ func searchExhaustive(t *dataset.Table, _ []*hierarchy.Hierarchy, cfg FullDomain
 			break
 		}
 	}
-	if best == nil {
-		return nil, fmt.Errorf("generalize: no level vector satisfies %s", cfg.Principle)
+	if bestLevels == nil {
+		return nil, fmt.Errorf("generalize: no level vector satisfies %s", s.principle)
 	}
-	return best, nil
+	return s.result(bestLevels, bestGroups, bestLoss, true)
 }
 
-// searchGreedy raises one attribute level at a time, choosing the raise that
+// greedy raises one attribute level at a time, choosing the raise that
 // maximizes the principle's progress (approximated by minimum group size)
 // and, among ties, minimizes loss.
-func searchGreedy(t *dataset.Table, cfg FullDomainConfig, heights []int,
-	eval func([]int) (*Recoding, *Groups, error),
-	top []int, topRec *Recoding, topGroups *Groups) (*FullDomainResult, error) {
+func (s *fullDomainSearch) greedy() (*FullDomainResult, error) {
+	levels := make([]int, len(s.heights))
+	s.scored.Inc()
+	cur := s.eval.sizesAt(levels, nil)
+	for {
+		minSize, loss := sizeScore(cur)
+		ok, groups, err := s.satisfied(levels, minSize)
+		if err != nil {
+			return nil, err
+		}
+		j := -1
+		if !ok {
+			j = s.bestRaise(levels, cur)
+		}
+		if j < 0 {
+			// Satisfied, or every attribute at its top (known to satisfy).
+			return s.result(levels, groups, loss, false)
+		}
+		levels[j]++
+		cur, s.next = s.next, cur
+	}
+}
 
-	levels := make([]int, len(heights))
-	rec, groups, err := eval(levels)
-	if err != nil {
-		return nil, err
-	}
-	for !cfg.Principle.Satisfied(t, groups) {
-		bestJ := -1
-		var bestRec *Recoding
-		var bestGroups *Groups
-		bestMin, bestLoss := -1, 0.0
-		for j := range levels {
-			if levels[j] >= heights[j] {
-				continue
-			}
-			levels[j]++
-			r, g, err := eval(levels)
-			levels[j]--
-			if err != nil {
-				return nil, err
-			}
-			min, loss := g.MinSize(), cfg.Loss(t, g)
-			if min > bestMin || (min == bestMin && loss < bestLoss) {
-				bestJ, bestRec, bestGroups, bestMin, bestLoss = j, r, g, min, loss
-			}
+// bestRaise scores every one-level raise of the node at levels, whose pairs
+// are cur, from group sizes alone. It returns the winning attribute — the
+// largest minimum group size, then the least loss, then the lowest index —
+// and leaves its pairs in s.next; -1 means every attribute is at its top.
+// Once the buffers have grown to the base group count it allocates nothing.
+func (s *fullDomainSearch) bestRaise(levels []int, cur []sizedGroup) int {
+	bestJ, bestMin, bestLoss := -1, -1, 0.0
+	for j := range levels {
+		if levels[j] >= s.heights[j] {
+			continue
 		}
-		if bestJ < 0 {
-			// All levels maxed; fall back to the top (known to satisfy).
-			return &FullDomainResult{
-				Recoding: topRec, Groups: topGroups,
-				Levels: top, Loss: cfg.Loss(t, topGroups),
-			}, nil
+		s.scored.Inc()
+		s.scratch = s.eval.raise(cur, j, s.scratch[:0])
+		minSize, loss := sizeScore(s.scratch)
+		if minSize > bestMin || (minSize == bestMin && loss < bestLoss) {
+			bestJ, bestMin, bestLoss = j, minSize, loss
+			s.next, s.scratch = s.scratch, s.next
 		}
-		levels[bestJ]++
-		rec, groups = bestRec, bestGroups
 	}
-	return &FullDomainResult{
-		Recoding: rec, Groups: groups,
-		Levels: append([]int(nil), levels...),
-		Loss:   cfg.Loss(t, groups),
-	}, nil
+	return bestJ
 }
