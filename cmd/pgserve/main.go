@@ -19,10 +19,12 @@
 //
 // With -coordinator the process holds no data at all: it loads the shard
 // manifest (pgpublish -shards -manifest), validates each shard server
-// against it over HTTP, and serves the same /v1 API by fanning queries out
-// to the shards with per-shard timeouts and p95-triggered hedged requests,
-// merging answers (count/naive/sum additively, avg from per-shard
-// sum/weight pairs). A dead shard turns into a 502 naming it.
+// against it over HTTP, and serves the same /v1 API — the same server, with
+// its admission limit, result cache, DP mode and reload, at their defaults
+// — by fanning queries out to the shards with per-shard timeouts and
+// p95-triggered hedged requests, merging answers (count/naive/sum
+// additively, avg from per-shard sum/weight pairs). A dead shard turns into
+// a 502 naming it.
 // See docs/SERVING.md for the API reference and a worked session.
 package main
 
@@ -120,7 +122,17 @@ func main() {
 		if *snap != "" || *in != "" {
 			fail(fmt.Errorf("-coordinator holds no data; drop -snapshot/-in"))
 		}
-		man, err := snapshot.LoadManifest(*manifestPath)
+		// The manifest and its file CRC — the release identity DP noise is
+		// keyed on — are read together, at start and on every reload.
+		loadManifest := func() (*snapshot.Manifest, uint32, error) {
+			man, err := snapshot.LoadManifest(*manifestPath)
+			if err != nil {
+				return nil, 0, err
+			}
+			crc, err := snapshot.FileCRC(*manifestPath)
+			return man, crc, err
+		}
+		man, manCRC, err := loadManifest()
 		if err != nil {
 			fail(err)
 		}
@@ -128,20 +140,15 @@ func main() {
 		for i := range urls {
 			urls[i] = strings.TrimSuffix(strings.TrimSpace(urls[i]), "/")
 		}
-		manCRC, err := snapshot.FileCRC(*manifestPath)
-		if err != nil {
-			fail(err)
-		}
 		coord, err := serve.NewCoordinator(serve.CoordConfig{
 			Manifest:       man,
 			ShardURLs:      urls,
 			ShardTimeout:   *shardTimeout,
 			HedgeAfter:     *hedge,
 			Metrics:        reg,
-			ManifestSource: func() (*snapshot.Manifest, error) { return snapshot.LoadManifest(*manifestPath) },
+			ManifestSource: loadManifest,
 			DP:             dpCfg,
 			CRC:            manCRC,
-			CRCSource:      func() (uint32, error) { return snapshot.FileCRC(*manifestPath) },
 		})
 		if err != nil {
 			fail(err)
@@ -158,11 +165,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "pgserve: coordinating %d shards (%d rows total) on http://%s (POST /v1/query, POST /v1/batch, GET /v1/metadata, GET /v1/shards)\n",
 			len(man.Shards), man.SourceRows, hs.Addr)
-		waitAndDrain(hs, *drain, func() (*serve.ReloadResult, error) {
-			ctx, cancel := context.WithTimeout(context.Background(), *shardTimeout+5*time.Second)
-			defer cancel()
-			return coord.Reload(ctx)
-		}, fail)
+		waitAndDrain(hs, *drain, coord.Reload, fail)
 		return
 	}
 	if *manifestPath != "" || *shardURLs != "" {
@@ -191,9 +194,6 @@ func main() {
 		}
 		source = serve.SnapshotSource(*snap, *mmapSnap)
 		if *mmapSnap {
-			if v, verr := snapshot.FileVersion(*snap); verr == nil && v == 1 {
-				fail(fmt.Errorf("snapshot %s is format v1, which has no mappable layout; upgrade it by re-saving with a current pgpublish -snapshot (a v2 re-save is byte-stable), or serve it without -mmap", *snap))
-			}
 			m, err := snapshot.OpenMappedObserved(*snap, reg)
 			if err != nil {
 				fail(err)

@@ -94,6 +94,9 @@ func TestDocCatalogCoversMetrics(t *testing.T) {
 		"serve.reload.latency", "serve.release",
 		"coord.reload.attempts", "coord.reload.swapped",
 		"coord.reload.rejected", "coord.reload.errors", "coord.release",
+		"coord.reload.latency", "coord.shed", "coord.timeouts",
+		"coord.cache.hits", "coord.cache.misses", "coord.cache.evictions",
+		"coord.coalesced", "coord.latency.query", "coord.latency.batch",
 		"dp.queries", "dp.rejected", "dp.spend", "dp.exhausted",
 		"dp.remaining.",
 	} {

@@ -8,7 +8,7 @@ import (
 
 // This file holds the two concurrency primitives the serving layer is built
 // on: a sharded LRU result cache and a singleflight group. Both are keyed on
-// the canonical query encoding (see queryKey in serve.go), so two
+// the canonical query encoding (see QueryKey in serve.go), so two
 // syntactically different requests describing the same query share one cache
 // slot and one in-flight computation.
 
@@ -20,7 +20,8 @@ const cacheShards = 16
 // resultCache is a sharded LRU from canonical query keys to answers. Each
 // shard holds its own lock, map and recency list; a key's shard is fixed by
 // its FNV-1a hash, so capacity bounds hold per shard (total capacity is
-// split evenly and never exceeded).
+// split as evenly as it divides, the shard caps summing to exactly the
+// total, and never exceeded).
 type resultCache struct {
 	shards [cacheShards]cacheShard
 }
@@ -55,12 +56,14 @@ func newResultCache(entries int) *resultCache {
 	if entries <= 0 {
 		return nil
 	}
-	per := entries / cacheShards
-	if per < 1 {
-		per = 1
-	}
 	c := &resultCache{}
 	for i := range c.shards {
+		// The first entries%cacheShards shards take one entry more; below
+		// cacheShards entries the rest hold none.
+		per := entries / cacheShards
+		if i < entries%cacheShards {
+			per++
+		}
 		c.shards[i] = cacheShard{cap: per, m: make(map[string]*list.Element), ll: list.New()}
 	}
 	return c
@@ -89,7 +92,8 @@ func (c *resultCache) get(key string) (answerVal, bool) {
 }
 
 // put stores an answer, evicting the shard's least-recently-used entry when
-// the shard is full. It reports whether an entry was evicted.
+// the shard is full; a shard of capacity 0 stores nothing. It reports
+// whether an entry was evicted.
 func (c *resultCache) put(key string, val answerVal) (evicted bool) {
 	if c == nil {
 		return false
@@ -100,6 +104,9 @@ func (c *resultCache) put(key string, val answerVal) (evicted bool) {
 	if el, ok := s.m[key]; ok {
 		el.Value.(*cacheEntry).val = val
 		s.ll.MoveToFront(el)
+		return false
+	}
+	if s.cap == 0 {
 		return false
 	}
 	if s.ll.Len() >= s.cap {

@@ -3,44 +3,47 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pgpub/internal/dp"
+	"pgpub/internal/dataset"
 	"pgpub/internal/obs"
+	"pgpub/internal/query"
 	"pgpub/internal/snapshot"
 )
 
-// This file is the fan-out coordinator: the front of a sharded release.
-// Where a Server answers from one snapshot, a Coordinator holds no data at
-// all — it loads the shard manifest, validates each shard server against it
-// over HTTP at startup, and answers /v1/query and /v1/batch by fanning the
-// request out to every shard concurrently and merging:
+// This file is the fan-out coordinator: the front of a sharded release. A
+// Coordinator is a Server whose backend is a remoteGroup — the release's
+// shard servers, reached over HTTP. Decoding, admission, the result cache,
+// singleflight, the request deadline, DP charging and noise, the
+// X-PG-Release header and reload are the Server's one code path; what this
+// file adds is the transport:
 //
-//   - count, naive, sum: additive — the merged answer is the shard-order sum
-//     of per-shard estimates, the same arithmetic as shard.Group, so the
-//     coordinator and the in-process composition agree bit for bit.
-//   - avg: not additive. The coordinator fans an avg out as sum (whose
+//   - merge: count, naive and sum are additive — the merged answer is the
+//     shard-order sum of per-shard estimates, the same arithmetic as
+//     shard.Group, so the coordinator and the in-process composition agree
+//     bit for bit. avg is not additive: AvgParts fans out as sum (whose
 //     response carries the (inverted sum, weight) compose pair even for an
-//     empty region, where a per-shard avg would error) and answers
-//     Σ sums / Σ weights, erroring only when the whole region is empty.
-//
-// Tail control: every shard call runs under a per-shard timeout, and a
-// hedged duplicate is launched when the first attempt outlives the shard's
-// observed p95 latency (first response wins, the loser is abandoned to the
-// shared context). Partial failure is loud: if any shard fails after
-// retries and hedges, the coordinator returns 502 naming that shard rather
-// than a silently-partial aggregate.
+//     empty region, where a per-shard avg would error) and the Server
+//     answers Σ sums / Σ weights.
+//   - tail control: every shard call runs under a per-shard timeout, and a
+//     hedged duplicate is launched when the first attempt outlives the
+//     shard's observed p95 latency (first response wins, the loser is
+//     abandoned to the shared context).
+//   - loud partial failure: if any shard fails after retries and hedges,
+//     the query fails naming that shard (shardFailure) rather than
+//     answering a silently-partial aggregate.
+//   - fleet validation: Start and every reload check each shard's
+//     /v1/metadata against the manifest and decode the schema the Server
+//     parses queries against.
 
 // CoordConfig parameterizes a Coordinator.
 type CoordConfig struct {
@@ -60,62 +63,44 @@ type CoordConfig struct {
 	Client *http.Client
 	// Metrics optionally receives the coord.* instrumentation. nil disables.
 	Metrics *obs.Registry
-	// ManifestSource re-reads the shard manifest (the -manifest path, in
-	// pgserve). Reload calls it when the sharded release has been
-	// re-published and every shard has hot-swapped: the coordinator adopts
-	// the new manifest and re-validates the fleet against it. nil disables
-	// reloading.
-	ManifestSource func() (*snapshot.Manifest, error)
+	// ManifestSource re-reads the shard manifest and its file CRC (the
+	// -manifest path, in pgserve). Reload calls it when the sharded release
+	// has been re-published and every shard has hot-swapped: the
+	// coordinator adopts the new manifest and re-validates the fleet
+	// against it. nil disables reloading.
+	ManifestSource func() (*snapshot.Manifest, uint32, error)
 	// DP enables the differential-privacy serving mode at the coordinator
 	// (docs/DP.md). The budget is charged once per client query — never per
-	// shard — and the noise is added once, to the merged answer; validate
+	// shard — and the noise is added once, to the merged answer; Start
 	// refuses shards that are themselves in DP mode. nil serves exact merged
-	// answers, byte for byte as before.
+	// answers.
 	DP *DPConfig
-	// CRC identifies the sharded release for DP noise keying: the manifest
-	// file's CRC (snapshot.FileCRC). 0 leaves answers keyed to release 0.
+	// CRC identifies the sharded release for DP noise keying and the
+	// X-PG-Release header: the manifest file's CRC (snapshot.FileCRC). 0
+	// leaves answers keyed to release 0.
 	CRC uint32
-	// CRCSource recomputes CRC on reload, alongside ManifestSource. nil
-	// keeps the configured CRC across reloads.
-	CRCSource func() (uint32, error)
 }
 
-// Coordinator fans queries out to shard servers and merges their answers.
+// Coordinator is a Server over the shard servers of a sharded release.
 // Build with NewCoordinator, then call Start to validate the fleet before
-// exposing Handler.
+// exposing Handler: the Server's API plus GET /v1/shards, per-shard health.
 type Coordinator struct {
-	shards     []*coordShard
-	timeout    time.Duration
-	hedgeAfter time.Duration
-	hc         *http.Client
-	manSource  func() (*snapshot.Manifest, error)
-	crcSource  func() (uint32, error)
-	reloadMu   sync.Mutex // serializes Reload; the query path never takes it
-	// dp lives on the Coordinator, like Server.dp: a manifest reload re-keys
-	// the noise (via crc) but never refunds spent ε.
-	dp *serverDP
+	*Server
 
-	mu   sync.RWMutex
-	man  *snapshot.Manifest
-	meta MetadataResponse // merged, filled by Start and replaced by Reload
-	crc  uint32           // manifest file CRC — the DP release identity
+	man          *snapshot.Manifest // what Start validates against
+	crc          uint32
+	source       func() (*snapshot.Manifest, uint32, error)
+	shards       []*coordShard
+	shardTimeout time.Duration
+	hedgeAfter   time.Duration
+	hc           *http.Client
 
 	met struct {
-		reqQuery    *obs.Counter
-		reqBatch    *obs.Counter
-		reqMetadata *obs.Counter
-		errors      *obs.Counter
 		fanout      *obs.Histogram
 		hedgeFired  *obs.Counter
 		hedgeWon    *obs.Counter
 		shardErrors *obs.Counter
 		shardTO     *obs.Counter
-
-		reloadAttempts *obs.Counter
-		reloadSwapped  *obs.Counter
-		reloadRejected *obs.Counter
-		reloadErrors   *obs.Counter
-		releaseGauge   *obs.Gauge
 	}
 }
 
@@ -139,21 +124,21 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		return nil, fmt.Errorf("serve: %d shard URLs for a %d-shard manifest",
 			len(cfg.ShardURLs), len(cfg.Manifest.Shards))
 	}
-	c := &Coordinator{
-		man:        cfg.Manifest,
-		timeout:    cfg.ShardTimeout,
-		hedgeAfter: cfg.HedgeAfter,
-		hc:         cfg.Client,
-		manSource:  cfg.ManifestSource,
-		crcSource:  cfg.CRCSource,
-		crc:        cfg.CRC,
-	}
-	var err error
-	if c.dp, err = newServerDP(cfg.DP, cfg.Metrics); err != nil {
+	srv, err := newServer(Config{Metrics: cfg.Metrics, DP: cfg.DP, prefix: "coord"})
+	if err != nil {
 		return nil, err
 	}
-	if c.timeout <= 0 {
-		c.timeout = 5 * time.Second
+	c := &Coordinator{
+		Server:       srv,
+		man:          cfg.Manifest,
+		crc:          cfg.CRC,
+		source:       cfg.ManifestSource,
+		shardTimeout: cfg.ShardTimeout,
+		hedgeAfter:   cfg.HedgeAfter,
+		hc:           cfg.Client,
+	}
+	if c.shardTimeout <= 0 {
+		c.shardTimeout = 5 * time.Second
 	}
 	if c.hedgeAfter == 0 {
 		c.hedgeAfter = 25 * time.Millisecond
@@ -167,61 +152,60 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		}
 		c.shards = append(c.shards, &coordShard{index: i, url: u})
 	}
+	srv.load = c.loadFleet
+	srv.routes = map[string]http.HandlerFunc{"/v1/shards": c.handleShards}
 	reg := cfg.Metrics
-	c.met.reqQuery = reg.Counter("coord.requests.query")
-	c.met.reqBatch = reg.Counter("coord.requests.batch")
-	c.met.reqMetadata = reg.Counter("coord.requests.metadata")
-	c.met.errors = reg.Counter("coord.errors")
 	c.met.fanout = reg.Histogram("coord.fanout.latency", "ns")
 	c.met.hedgeFired = reg.Counter("coord.hedge.fired")
 	c.met.hedgeWon = reg.Counter("coord.hedge.won")
 	c.met.shardErrors = reg.Counter("coord.shard.errors")
 	c.met.shardTO = reg.Counter("coord.shard.timeouts")
-	c.met.reloadAttempts = reg.Counter("coord.reload.attempts")
-	c.met.reloadSwapped = reg.Counter("coord.reload.swapped")
-	c.met.reloadRejected = reg.Counter("coord.reload.rejected")
-	c.met.reloadErrors = reg.Counter("coord.reload.errors")
-	c.met.releaseGauge = reg.Gauge("coord.release")
-	c.met.releaseGauge.Set(-1)
 	return c, nil
 }
 
-// manifest returns the manifest currently coordinated against.
-func (c *Coordinator) manifest() *snapshot.Manifest {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.man
-}
-
-// releaseCRC returns the serving release's DP noise identity.
-func (c *Coordinator) releaseCRC() uint32 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.crc
-}
-
-// Start validates every shard server against the manifest over HTTP: each
-// /v1/metadata must report the manifest's parameters and its shard's row
-// count, and must not itself be a coordinator. On success the merged
-// /v1/metadata document (rows and groups summed, Shards set) is assembled
-// and the coordinator is ready to serve.
+// Start validates every shard server against the manifest over HTTP (see
+// validate) and installs the merged release: the coordinator is then ready
+// to serve.
 func (c *Coordinator) Start(ctx context.Context) error {
-	merged, err := c.validate(ctx, c.manifest())
+	rel, err := c.validate(ctx, c.man, c.crc)
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.meta = merged
-	c.mu.Unlock()
-	c.setReleaseGauge(merged)
+	c.install(rel)
 	return nil
 }
 
+// loadFleet is the coordinator's reload loader — its half of a rolling
+// hot-swap: re-publish the sharded release, reload every shard server, then
+// reload the coordinator. It re-reads the manifest and re-validates the
+// whole fleet against it, so the swap is all-or-nothing: any failure leaves
+// the coordinator serving the old release. Rejections (no ManifestSource, a
+// manifest whose shard count no longer matches the configured URLs, a
+// fleet still mid-rollout) return ErrReloadRejected.
+func (c *Coordinator) loadFleet(ctx context.Context, _ *release) (*release, error) {
+	if c.source == nil {
+		return nil, rejectf("this coordinator has no manifest path to reload from")
+	}
+	man, crc, err := c.source()
+	if err != nil {
+		return nil, fmt.Errorf("serve: reloading manifest: %w", err)
+	}
+	if err := man.Validate(); err != nil {
+		return nil, rejectf("%v", err)
+	}
+	if len(man.Shards) != len(c.shards) {
+		return nil, rejectf("the new manifest has %d shards, this coordinator fans out to %d fixed shard URLs",
+			len(man.Shards), len(c.shards))
+	}
+	return c.validate(ctx, man, crc)
+}
+
 // validate probes every shard's /v1/metadata and checks the fleet against
-// man: parameters, per-shard row counts, and — when the shards serve
-// chained releases — that every shard is on the same release. It returns
-// the merged metadata document without installing it.
-func (c *Coordinator) validate(ctx context.Context, man *snapshot.Manifest) (MetadataResponse, error) {
+// man: parameters, per-shard row counts, one schema, and — when the shards
+// serve chained releases — one common release. It returns the release the
+// fleet serves, merged: rows and groups summed, shard 0's schema and chain
+// block, crc as its identity.
+func (c *Coordinator) validate(ctx context.Context, man *snapshot.Manifest, crc uint32) (*release, error) {
 	type shardMeta struct {
 		md  MetadataResponse
 		err error
@@ -237,39 +221,71 @@ func (c *Coordinator) validate(ctx context.Context, man *snapshot.Manifest) (Met
 	}
 	wg.Wait()
 
-	merged := MetadataResponse{Shards: len(c.shards)}
+	var (
+		md0    = metas[0].md
+		schema *dataset.Schema
+		rows   int
+		groups int
+	)
 	for i := range metas {
+		url := c.shards[i].url
 		if metas[i].err != nil {
-			return merged, fmt.Errorf("serve: shard %d (%s): %w", i, c.shards[i].url, metas[i].err)
+			return nil, fmt.Errorf("serve: shard %d (%s): %w", i, url, metas[i].err)
 		}
 		md := metas[i].md
 		if md.Shards != 0 {
-			return merged, fmt.Errorf("serve: shard %d (%s) is itself a coordinator", i, c.shards[i].url)
+			return nil, fmt.Errorf("serve: shard %d (%s) is itself a coordinator", i, url)
 		}
 		if md.DP != nil {
-			return merged, fmt.Errorf("serve: shard %d (%s) is itself in DP mode — noise is added exactly once, at the coordinator; run shard servers exact", i, c.shards[i].url)
+			return nil, fmt.Errorf("serve: shard %d (%s) is itself in DP mode — noise is added exactly once, at the coordinator; run shard servers exact", i, url)
 		}
 		if md.P != man.P || md.K != man.K || md.Algorithm != man.Algorithm {
-			return merged, fmt.Errorf("serve: shard %d (%s) serves (%s, p=%v, k=%d), manifest says (%s, p=%v, k=%d)",
-				i, c.shards[i].url, md.Algorithm, md.P, md.K, man.Algorithm, man.P, man.K)
+			return nil, fmt.Errorf("serve: shard %d (%s) serves (%s, p=%v, k=%d), manifest says (%s, p=%v, k=%d)",
+				i, url, md.Algorithm, md.P, md.K, man.Algorithm, man.P, man.K)
 		}
 		if md.Rows != man.Shards[i].Rows {
-			return merged, fmt.Errorf("serve: shard %d (%s) serves %d rows, manifest records %d",
-				i, c.shards[i].url, md.Rows, man.Shards[i].Rows)
+			return nil, fmt.Errorf("serve: shard %d (%s) serves %d rows, manifest records %d",
+				i, url, md.Rows, man.Shards[i].Rows)
+		}
+		if md.Schema == nil {
+			return nil, fmt.Errorf("serve: shard %d (%s) serves no schema block", i, url)
 		}
 		if i == 0 {
-			merged.P, merged.K, merged.Algorithm = md.P, md.K, md.Algorithm
-			merged.Guarantee = md.Guarantee
-			merged.Release = md.Release
-		} else if rel0, rel := merged.Release, md.Release; (rel0 == nil) != (rel == nil) ||
-			(rel != nil && rel.Release != rel0.Release) {
-			return merged, fmt.Errorf("%w: shard %d (%s) serves release %s, shard 0 serves %s — the fleet is mid-rollout; reload again once every shard has swapped",
-				ErrReloadRejected, i, c.shards[i].url, releaseLabel(rel), releaseLabel(rel0))
+			var err error
+			if schema, err = md.Schema.schema(); err != nil {
+				return nil, fmt.Errorf("serve: shard 0 (%s): %w", url, err)
+			}
+		} else if !reflect.DeepEqual(md.Schema, md0.Schema) {
+			return nil, fmt.Errorf("serve: shard %d (%s) serves a different schema than shard 0", i, url)
 		}
-		merged.Rows += md.Rows
-		merged.Groups += md.Groups
+		if rel0, rel := md0.Release, md.Release; (rel0 == nil) != (rel == nil) ||
+			(rel != nil && rel.Release != rel0.Release) {
+			return nil, rejectf("shard %d (%s) serves release %s, shard 0 serves %s — the fleet is mid-rollout; reload again once every shard has swapped",
+				i, url, releaseLabel(rel), releaseLabel(rel0))
+		}
+		rows += md.Rows
+		groups += md.Groups
 	}
-	return merged, nil
+
+	rel := &release{
+		answer:   &remoteGroup{c: c, schema: schema, shards: c.shards, man: man},
+		pins:     make([]Answerer, len(c.shards)),
+		computed: "merged",
+		schema:   schema,
+		meta:     md0.Metadata,
+		groups:   groups,
+		number:   -1,
+		crc:      crc,
+		chain:    md0.Release,
+	}
+	rel.meta.Rows = rows
+	for i, sh := range c.shards {
+		rel.pins[i] = &remoteGroup{c: c, schema: schema, shards: []*coordShard{sh}}
+	}
+	if rel.chain != nil {
+		rel.number = rel.chain.Release
+	}
+	return rel, nil
 }
 
 func releaseLabel(ch *snapshot.ChainMetadata) string {
@@ -279,96 +295,10 @@ func releaseLabel(ch *snapshot.ChainMetadata) string {
 	return fmt.Sprintf("%d", ch.Release)
 }
 
-func (c *Coordinator) setReleaseGauge(md MetadataResponse) {
-	if md.Release != nil {
-		c.met.releaseGauge.Set(int64(md.Release.Release))
-	} else {
-		c.met.releaseGauge.Set(-1)
-	}
-}
-
-// Reload re-reads the shard manifest and re-validates the whole fleet
-// against it — the coordinator's half of a rolling hot-swap: re-publish the
-// sharded release, reload every shard server, then reload the coordinator.
-// The swap is all-or-nothing: only after every shard answers with the new
-// manifest's rows (and, for chained releases, one common release number)
-// are the manifest and merged metadata replaced; any failure leaves the
-// coordinator serving against the old manifest. Rejections (no
-// ManifestSource, a manifest whose shard count no longer matches the
-// configured URLs, a fleet still mid-rollout) return ErrReloadRejected.
-func (c *Coordinator) Reload(ctx context.Context) (*ReloadResult, error) {
-	c.reloadMu.Lock()
-	defer c.reloadMu.Unlock()
-	c.met.reloadAttempts.Inc()
-	res, err := c.reload(ctx)
-	switch {
-	case errors.Is(err, ErrReloadRejected):
-		c.met.reloadRejected.Inc()
-	case err != nil:
-		c.met.reloadErrors.Inc()
-	default:
-		c.met.reloadSwapped.Inc()
-	}
-	return res, err
-}
-
-func (c *Coordinator) reload(ctx context.Context) (*ReloadResult, error) {
-	if c.manSource == nil {
-		return nil, fmt.Errorf("%w: this coordinator has no manifest path to reload from", ErrReloadRejected)
-	}
-	man, err := c.manSource()
-	if err != nil {
-		return nil, fmt.Errorf("serve: reloading manifest: %w", err)
-	}
-	if err := man.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrReloadRejected, err)
-	}
-	if len(man.Shards) != len(c.shards) {
-		return nil, fmt.Errorf("%w: the new manifest has %d shards, this coordinator fans out to %d fixed shard URLs",
-			ErrReloadRejected, len(man.Shards), len(c.shards))
-	}
-	merged, err := c.validate(ctx, man)
-	if err != nil {
-		return nil, err
-	}
-	crc := c.releaseCRC()
-	if c.crcSource != nil {
-		if crc, err = c.crcSource(); err != nil {
-			return nil, fmt.Errorf("serve: reloading manifest CRC: %w", err)
-		}
-	}
-	c.mu.Lock()
-	c.man, c.meta, c.crc = man, merged, crc
-	c.mu.Unlock()
-	c.setReleaseGauge(merged)
-	res := &ReloadResult{Release: -1, Rows: merged.Rows}
-	if merged.Release != nil {
-		res.Release = merged.Release.Release
-	}
-	return res, nil
-}
-
-// handleReload is POST /v1/admin/reload at the coordinator (Server
-// semantics: 200 swapped, 409 rejected, 500 failed).
-func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		c.met.errors.Inc()
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
-		return
-	}
-	res, err := c.Reload(r.Context())
-	switch {
-	case errors.Is(err, ErrReloadRejected):
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
-	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusOK, res)
-	}
-}
-
 func (c *Coordinator) fetchMetadata(ctx context.Context, sh *coordShard) (MetadataResponse, error) {
 	var md MetadataResponse
+	ctx, cancel := context.WithTimeout(ctx, c.shardTimeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.url+"/v1/metadata", nil)
 	if err != nil {
 		return md, err
@@ -387,53 +317,6 @@ func (c *Coordinator) fetchMetadata(ctx context.Context, sh *coordShard) (Metada
 	return md, nil
 }
 
-// Handler returns the coordinator's API mux: the same surface a Server
-// exposes, plus GET /v1/shards reporting per-shard health.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/query", c.handleQuery)
-	mux.HandleFunc("/v1/batch", c.handleBatch)
-	mux.HandleFunc("/v1/metadata", c.handleMetadata)
-	mux.HandleFunc("/v1/shards", c.handleShards)
-	mux.HandleFunc("/v1/admin/reload", c.handleReload)
-	if c.dp != nil {
-		mux.HandleFunc("/v1/dp/budget", c.dp.handleBudget)
-	}
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	return mux
-}
-
-// Serve starts the coordinator on addr (Server.Serve semantics).
-func (c *Coordinator) Serve(addr string) (*HTTPServer, error) {
-	return serveHandler(addr, c.Handler())
-}
-
-func (c *Coordinator) clientError(w http.ResponseWriter, err error) {
-	c.met.errors.Inc()
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-}
-
-// shardError reports a failed shard call: 502, naming the dead shard —
-// never a silently-partial aggregate.
-func (c *Coordinator) shardError(w http.ResponseWriter, shard int, err error) {
-	c.met.errors.Inc()
-	writeJSON(w, http.StatusBadGateway, errorResponse{
-		Error: fmt.Sprintf("shard %d (%s): %v", shard, c.shards[shard].url, err),
-	})
-}
-
-func (c *Coordinator) handleMetadata(w http.ResponseWriter, _ *http.Request) {
-	c.met.reqMetadata.Inc()
-	c.mu.RLock()
-	md := c.meta
-	c.mu.RUnlock()
-	md.DP = c.dp.metadata()
-	writeJSON(w, http.StatusOK, md)
-}
-
 // ShardStatus is one entry of the GET /v1/shards document.
 type ShardStatus struct {
 	Shard   int    `json:"shard"`
@@ -447,7 +330,7 @@ type ShardStatus struct {
 // handleShards live-probes every shard's /healthz and reports per-shard
 // status: the coordinator's operational view of the fleet.
 func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
-	man := c.manifest()
+	man := c.rel.Load().answer.(*remoteGroup).man
 	out := make([]ShardStatus, len(c.shards))
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
@@ -469,7 +352,7 @@ func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) probeHealth(ctx context.Context, sh *coordShard) bool {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
+	ctx, cancel := context.WithTimeout(ctx, c.shardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.url+"/healthz", nil)
 	if err != nil {
@@ -484,324 +367,237 @@ func (c *Coordinator) probeHealth(ctx context.Context, sh *coordShard) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Query fan-out
+// The remote backend
 
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	c.met.reqQuery.Inc()
-	if r.Method != http.MethodPost {
-		c.met.errors.Inc()
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
-		return
-	}
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		c.clientError(w, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	op := req.Op
-	if op == "" {
-		op = "count"
-	}
-	switch op {
-	case "count", "naive", "sum", "avg":
-	default:
-		c.clientError(w, fmt.Errorf("unknown op %q (want count, naive, sum or avg)", op))
-		return
-	}
-	crc := c.releaseCRC()
-	setReleaseHeader(w, crc)
-	var budget *dp.Budget
-	if c.dp != nil {
-		var ok bool
-		if budget, ok = c.dp.authorize(w, r); !ok {
-			return
-		}
-	}
-
-	// Pinned: answer from one shard alone, verbatim. The coordinator does
-	// not validate the query body — the shard server owns the schema.
-	if req.Shard != nil {
-		s := *req.Shard
-		if s < 0 || s >= len(c.shards) {
-			c.clientError(w, fmt.Errorf("shard %d outside [0,%d]", s, len(c.shards)-1))
-			return
-		}
-		req.Shard = nil
-		fanOp := op
-		if c.dp != nil && op == "avg" {
-			// In DP mode a pinned avg travels as sum, like the fan-out path:
-			// the exact shard returns its compose pair even for an empty
-			// region, and only the noised quotient — computed after the charge
-			// — decides emptiness.
-			fanOp = "sum"
-		}
-		req.Op = fanOp
-		body, err := json.Marshal(&req)
-		if err != nil {
-			c.clientError(w, err)
-			return
-		}
-		reply, err := c.callShard(r.Context(), c.shards[s], "/v1/query", body)
-		if err != nil {
-			c.forwardShardFailure(w, s, err)
-			return
-		}
-		var resp QueryResponse
-		if err := json.Unmarshal(reply.body, &resp); err != nil {
-			c.shardError(w, s, fmt.Errorf("undecodable response: %w", err))
-			return
-		}
-		resp.Source = "shard"
-		if c.dp == nil {
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		if reply.qkey == "" {
-			c.shardError(w, s, fmt.Errorf("response lacks the DP keying headers"))
-			return
-		}
-		rem, ok := c.dp.charge(w, budget, budget.PerQuery)
-		if !ok {
-			return
-		}
-		val := answerVal{est: resp.Estimate}
-		if resp.Sum != nil && resp.Weight != nil {
-			val.sum, val.weight, val.parts = *resp.Sum, *resp.Weight, true
-		}
-		// The shard prefix keys a pinned answer's noise apart from the
-		// whole-release answer to the same query — they are different
-		// observations and must not share a draw.
-		noised, err := c.dp.noised(dpAnswer{
-			crc: crc, apiKey: budget.Key,
-			qkey: fmt.Sprintf("shard:%d|", s) + dpQueryKey(op, fanOp, reply.qkey),
-			op:   op, eps: budget.PerQuery, sens: reply.sens, rem: rem, source: "shard",
-		}, val)
-		if err != nil {
-			c.clientError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, noised)
-		return
-	}
-
-	// Fan out. avg travels as sum so every shard returns its compose pair
-	// even where its region is empty (a per-shard avg would 400 there), and
-	// the coordinator alone decides emptiness for the union.
-	fanOp := op
-	if op == "avg" {
-		fanOp = "sum"
-	}
-	req.Op = fanOp
-	body, err := json.Marshal(&req)
-	if err != nil {
-		c.clientError(w, err)
-		return
-	}
-	t0 := time.Now()
-	replies, failed, err := c.fanOut(r.Context(), "/v1/query", body)
-	c.met.fanout.Observe(time.Since(t0).Nanoseconds())
-	if err != nil {
-		c.forwardShardFailure(w, failed, err)
-		return
-	}
-
-	merged := QueryResponse{Op: op, Source: "merged"}
-	var sum, weight float64
-	for s, reply := range replies {
-		var resp QueryResponse
-		if err := json.Unmarshal(reply.body, &resp); err != nil {
-			c.shardError(w, s, fmt.Errorf("undecodable response: %w", err))
-			return
-		}
-		merged.Estimate += resp.Estimate
-		if fanOp == "sum" {
-			if resp.Sum == nil || resp.Weight == nil {
-				c.shardError(w, s, fmt.Errorf("response lacks the sum/weight compose pair"))
-				return
-			}
-			sum += *resp.Sum
-			weight += *resp.Weight
-		}
-	}
-	if c.dp != nil {
-		// Exactly one charge and one noise application per client query, no
-		// matter how many shards answered it. The shards agree on the
-		// canonical key (one schema), so any reply's headers key the noise —
-		// which is also the key pgquery's offline DP mode derives, keeping
-		// coordinator and offline answers bit-identical.
-		if replies[0].qkey == "" {
-			c.shardError(w, 0, fmt.Errorf("response lacks the DP keying headers"))
-			return
-		}
-		rem, ok := c.dp.charge(w, budget, budget.PerQuery)
-		if !ok {
-			return
-		}
-		noised, err := c.dp.noised(dpAnswer{
-			crc: crc, apiKey: budget.Key, qkey: dpQueryKey(op, fanOp, replies[0].qkey),
-			op: op, eps: budget.PerQuery, sens: replies[0].sens, rem: rem, source: "merged",
-		}, answerVal{est: merged.Estimate, sum: sum, weight: weight})
-		if err != nil {
-			c.clientError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, noised)
-		return
-	}
-	if fanOp == "sum" {
-		merged.Sum, merged.Weight = &sum, &weight
-		if op == "avg" {
-			if weight == 0 {
-				c.clientError(w, fmt.Errorf("region estimated empty"))
-				return
-			}
-			merged.Estimate = sum / weight
-		}
-	}
-	writeJSON(w, http.StatusOK, merged)
+// remoteGroup is the Answerer of a coordinator's release: shard servers
+// answering over HTTP, merged in shard order. A release holds the full
+// group and one single-shard view per shard for pinned queries; all share
+// the coordinator's shard state (latency trackers, error counts).
+type remoteGroup struct {
+	c      *Coordinator
+	schema *dataset.Schema
+	shards []*coordShard
+	man    *snapshot.Manifest // the validated manifest; nil on a one-shard view
 }
 
-// dpQueryKey reconstructs the client's requested op key from a shard reply:
-// when avg fans out as sum, the shard's canonical key carries the fanned op,
-// and only the leading op tag differs from the key the client's query
-// encodes to (and that pgquery's offline DP mode derives).
-func dpQueryKey(op, fanOp, shardKey string) string {
-	if op != fanOp {
-		return op + strings.TrimPrefix(shardKey, fanOp)
-	}
-	return shardKey
+func (g *remoteGroup) Count(ctx context.Context, q query.CountQuery) (float64, error) {
+	return g.additive(ctx, "count", q)
 }
 
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	c.met.reqBatch.Inc()
-	if r.Method != http.MethodPost {
-		c.met.errors.Inc()
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
-		return
-	}
-	if c.dp != nil {
-		// A batch fans out to every shard and merges per-query — workable,
-		// but the per-query keying and accounting mirror /v1/query exactly,
-		// so DP mode keeps the one audited path instead of a second copy.
-		c.clientError(w, fmt.Errorf("DP mode: /v1/batch is not available at a coordinator; send queries individually"))
-		return
-	}
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		c.clientError(w, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	for i := range req.Queries {
-		if req.Queries[i].Shard != nil {
-			c.clientError(w, fmt.Errorf("query %d: shard pinning is not available in batches", i))
-			return
-		}
-	}
-	body, err := json.Marshal(&req)
-	if err != nil {
-		c.clientError(w, err)
-		return
-	}
-	t0 := time.Now()
-	replies, failed, err := c.fanOut(r.Context(), "/v1/batch", body)
-	c.met.fanout.Observe(time.Since(t0).Nanoseconds())
-	if err != nil {
-		c.forwardShardFailure(w, failed, err)
-		return
-	}
+func (g *remoteGroup) Naive(ctx context.Context, q query.CountQuery) (float64, error) {
+	return g.additive(ctx, "naive", q)
+}
 
-	merged := BatchResponse{Estimates: make([]float64, len(req.Queries))}
-	for s, reply := range replies {
+// additive fans op out and sums the shard estimates in shard order.
+func (g *remoteGroup) additive(ctx context.Context, op string, q query.CountQuery) (float64, error) {
+	replies, err := g.fanOut(ctx, "/v1/query", appendQuery(nil, g.schema, op, q, nil))
+	if err != nil {
+		return 0, err
+	}
+	total := 0.0
+	for i, raw := range replies {
+		var resp QueryResponse
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			return 0, g.shards[i].failure(0, "undecodable response: %v", err)
+		}
+		total += resp.Estimate
+	}
+	return total, nil
+}
+
+// AvgParts fans the query out as sum and adds the compose pairs in shard
+// order.
+func (g *remoteGroup) AvgParts(ctx context.Context, q query.CountQuery, values []float64) (sum, weight float64, err error) {
+	replies, err := g.fanOut(ctx, "/v1/query", appendQuery(nil, g.schema, "sum", q, values))
+	if err != nil {
+		return 0, 0, err
+	}
+	for i, raw := range replies {
+		var resp QueryResponse
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			return 0, 0, g.shards[i].failure(0, "undecodable response: %v", err)
+		}
+		if resp.Sum == nil || resp.Weight == nil {
+			return 0, 0, g.shards[i].failure(0, "response lacks the sum/weight compose pair")
+		}
+		sum += *resp.Sum
+		weight += *resp.Weight
+	}
+	return sum, weight, nil
+}
+
+// AnswerWorkload fans the workload out as one /v1/batch per shard and adds
+// the answers elementwise in shard order. Each shard applies its own batch
+// fan-out.
+func (g *remoteGroup) AnswerWorkload(ctx context.Context, qs []query.CountQuery, _ int) ([]float64, error) {
+	body := append(make([]byte, 0, 64*len(qs)), `{"queries":[`...)
+	for i, q := range qs {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = appendQuery(body, g.schema, "count", q, nil)
+	}
+	body = append(body, "]}"...)
+	replies, err := g.fanOut(ctx, "/v1/batch", body)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(qs))
+	for i, raw := range replies {
 		var resp BatchResponse
-		if err := json.Unmarshal(reply.body, &resp); err != nil {
-			c.shardError(w, s, fmt.Errorf("undecodable response: %w", err))
-			return
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			return nil, g.shards[i].failure(0, "undecodable response: %v", err)
 		}
-		if len(resp.Estimates) != len(req.Queries) {
-			c.shardError(w, s, fmt.Errorf("%d answers for %d queries", len(resp.Estimates), len(req.Queries)))
-			return
+		if len(resp.Estimates) != len(qs) {
+			return nil, g.shards[i].failure(0, "%d answers for %d queries", len(resp.Estimates), len(qs))
 		}
-		for i, v := range resp.Estimates {
-			merged.Estimates[i] += v
+		for j, v := range resp.Estimates {
+			out[j] += v
 		}
 	}
-	writeJSON(w, http.StatusOK, merged)
+	return out, nil
 }
 
-// forwardShardFailure renders a failed shard call. A shed (429) or
-// timed-out (504) shard passes through with its original status so clients
-// keep their usual retry semantics; other client-side rejections (the shard
-// judged the query invalid: HTTP 4xx) pass through as 400 with the shard's
-// message — the query is wrong, not the shard. Everything else is a dead
-// shard: 502 naming it.
-func (c *Coordinator) forwardShardFailure(w http.ResponseWriter, shard int, err error) {
-	var se *shardCallError
-	if errors.As(err, &se) {
-		switch {
-		case se.status == http.StatusTooManyRequests || se.status == http.StatusGatewayTimeout:
-			c.met.errors.Inc()
-			writeJSON(w, se.status, errorResponse{Error: fmt.Sprintf("shard %d: %s", shard, se.msg)})
-			return
-		case se.status >= 400 && se.status < 500:
-			c.clientError(w, fmt.Errorf("shard %d: %s", shard, se.msg))
-			return
+// appendQuery renders q as the /v1/query body a shard parses back to the
+// same CountQuery: each restricting dimension by position and codes, the
+// sensitive mask as codes, and the value vector when one is set.
+func appendQuery(b []byte, schema *dataset.Schema, op string, q query.CountQuery, values []float64) []byte {
+	b = append(b, `{"op":"`...)
+	b = append(b, op...)
+	b = append(b, `","where":[`...)
+	sep := false
+	for j, r := range q.QI {
+		if r.Lo == 0 && int(r.Hi) == schema.QI[j].Size()-1 {
+			continue
 		}
+		if sep {
+			b = append(b, ',')
+		}
+		sep = true
+		b = append(b, `{"dim":`...)
+		b = strconv.AppendInt(b, int64(j), 10)
+		b = append(b, `,"lo":`...)
+		b = strconv.AppendInt(b, int64(r.Lo), 10)
+		b = append(b, `,"hi":`...)
+		b = strconv.AppendInt(b, int64(r.Hi), 10)
+		b = append(b, '}')
 	}
-	c.shardError(w, shard, err)
+	b = append(b, ']')
+	if q.Sensitive != nil {
+		b = append(b, `,"sensitive":[`...)
+		sep = false
+		for code, in := range q.Sensitive {
+			if !in {
+				continue
+			}
+			if sep {
+				b = append(b, ',')
+			}
+			sep = true
+			b = strconv.AppendInt(b, int64(code), 10)
+		}
+		b = append(b, ']')
+	}
+	if values != nil {
+		b = append(b, `,"values":[`...)
+		for i, v := range values {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
 }
 
 // ---------------------------------------------------------------------------
 // Shard calls: timeout + hedging
 
-// shardReply is one shard's successful answer: the raw response body plus
-// the DP keying headers the shard attached (empty outside DP concerns — the
-// headers are always sent by in-repo shard servers, but only DP reads them).
-type shardReply struct {
-	body []byte
-	qkey string  // decoded X-PG-Query-Key: the shard's canonical query encoding
-	sens float64 // X-PG-Sensitivity: the shard's opSensitivity for the query
+// shardFailure is a failed shard call. status is the shard's non-2xx HTTP
+// status, 0 when the shard gave no usable answer (unreachable, timed out,
+// undecodable).
+type shardFailure struct {
+	shard  int
+	url    string
+	status int
+	msg    string
 }
 
-// fanOut posts body to path on every shard concurrently and returns the
-// replies in shard order. On any shard failure it returns that shard's index
-// and error (the lowest-indexed failure when several die).
-func (c *Coordinator) fanOut(ctx context.Context, path string, body []byte) (replies []shardReply, failedShard int, err error) {
-	replies = make([]shardReply, len(c.shards))
-	errs := make([]error, len(c.shards))
+func (f *shardFailure) Error() string {
+	if f.status != 0 {
+		return fmt.Sprintf("shard %d (%s): HTTP %d: %s", f.shard, f.url, f.status, f.msg)
+	}
+	return fmt.Sprintf("shard %d (%s): %s", f.shard, f.url, f.msg)
+}
+
+// rejected reports whether the shard judged the query itself invalid (or
+// shed it): a duplicate would be answered identically, so such a failure
+// is not hedged and does not count against the shard.
+func (f *shardFailure) rejected() bool { return f.status >= 400 && f.status < 500 }
+
+// response maps the failure onto the client's answer. A shed (429) or
+// timed-out (504) shard passes through with its status, so clients keep
+// their retry semantics; another 4xx means the query is wrong, not the
+// shard: 400 with the shard's message. Everything else is a dead shard:
+// 502. Every message names the shard.
+func (f *shardFailure) response() (status int, msg string) {
+	switch {
+	case f.status == http.StatusTooManyRequests || f.status == http.StatusGatewayTimeout:
+		return f.status, fmt.Sprintf("shard %d: %s", f.shard, f.msg)
+	case f.rejected():
+		return http.StatusBadRequest, fmt.Sprintf("shard %d: %s", f.shard, f.msg)
+	default:
+		return http.StatusBadGateway, f.Error()
+	}
+}
+
+func (sh *coordShard) failure(status int, format string, args ...any) *shardFailure {
+	return &shardFailure{shard: sh.index, url: sh.url, status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+// fanOut posts body to path on every shard of the group concurrently and
+// returns the reply bodies in shard order. When shards fail it returns the
+// lowest-indexed failure.
+func (g *remoteGroup) fanOut(ctx context.Context, path string, body []byte) ([][]byte, error) {
+	t0 := time.Now()
+	defer func() { g.c.met.fanout.Observe(time.Since(t0).Nanoseconds()) }()
+	replies := make([][]byte, len(g.shards))
+	errs := make([]error, len(g.shards))
 	var wg sync.WaitGroup
-	for i, sh := range c.shards {
+	for i, sh := range g.shards {
 		wg.Add(1)
 		go func(i int, sh *coordShard) {
 			defer wg.Done()
-			replies[i], errs[i] = c.callShard(ctx, sh, path, body)
+			replies[i], errs[i] = g.c.callShard(ctx, sh, path, body)
 		}(i, sh)
 	}
 	wg.Wait()
-	for i, e := range errs {
+	for _, e := range errs {
 		if e != nil {
-			return nil, i, e
+			return nil, e
 		}
 	}
-	return replies, -1, nil
+	return replies, nil
 }
 
 // callShard posts body to one shard under the per-shard timeout, hedging
 // with a duplicate request when the first attempt outlives the shard's
 // observed p95 (first response wins). Attempts share the context, so the
-// loser is abandoned, not awaited.
-func (c *Coordinator) callShard(ctx context.Context, sh *coordShard, path string, body []byte) (shardReply, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
+// loser is abandoned, not awaited. Every error is a *shardFailure.
+func (c *Coordinator) callShard(ctx context.Context, sh *coordShard, path string, body []byte) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.shardTimeout)
 	defer cancel()
 
 	type res struct {
-		b      shardReply
-		err    error
+		b      []byte
+		err    *shardFailure
 		hedged bool
 	}
 	ch := make(chan res, 2)
 	attempt := func(hedged bool) {
 		t0 := time.Now()
-		b, err := c.post(ctx, sh.url+path, body)
+		b, err := c.post(ctx, sh, path, body)
 		if err == nil {
 			sh.lat.observe(time.Since(t0))
 		}
@@ -816,13 +612,13 @@ func (c *Coordinator) callShard(ctx context.Context, sh *coordShard, path string
 		hedgeC = t.C
 	}
 	inFlight := 1
-	var firstErr error
+	var firstErr *shardFailure
 	for {
 		select {
 		case <-ctx.Done():
 			c.met.shardTO.Inc()
 			sh.errors.Add(1)
-			return shardReply{}, fmt.Errorf("no answer within %v: %w", c.timeout, ctx.Err())
+			return nil, sh.failure(0, "no answer within %v: %v", c.shardTimeout, ctx.Err())
 		case <-hedgeC:
 			hedgeC = nil
 			c.met.hedgeFired.Inc()
@@ -836,11 +632,8 @@ func (c *Coordinator) callShard(ctx context.Context, sh *coordShard, path string
 				}
 				return r.b, nil
 			}
-			var se *shardCallError
-			if errors.As(r.err, &se) && se.status >= 400 && se.status < 500 {
-				// The shard rejected the query. A duplicate would be
-				// rejected identically — no hedge, and not a shard failure.
-				return shardReply{}, r.err
+			if r.err.rejected() {
+				return nil, r.err
 			}
 			if firstErr == nil {
 				firstErr = r.err
@@ -859,7 +652,7 @@ func (c *Coordinator) callShard(ctx context.Context, sh *coordShard, path string
 			}
 			c.met.shardErrors.Inc()
 			sh.errors.Add(1)
-			return shardReply{}, firstErr
+			return nil, firstErr
 		}
 	}
 }
@@ -877,32 +670,20 @@ func (c *Coordinator) hedgeDelay(sh *coordShard) time.Duration {
 	return c.hedgeAfter
 }
 
-// shardCallError is a non-2xx shard response, status preserved so the
-// coordinator can tell a query rejection (forward as 400) from a dead
-// shard (502).
-type shardCallError struct {
-	status int
-	msg    string
-}
-
-func (e *shardCallError) Error() string {
-	return fmt.Sprintf("HTTP %d: %s", e.status, e.msg)
-}
-
-func (c *Coordinator) post(ctx context.Context, url string, body []byte) (shardReply, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+func (c *Coordinator) post(ctx context.Context, sh *coordShard, path string, body []byte) ([]byte, *shardFailure) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.url+path, bytes.NewReader(body))
 	if err != nil {
-		return shardReply{}, err
+		return nil, sh.failure(0, "%v", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return shardReply{}, err
+		return nil, sh.failure(0, "%v", err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return shardReply{}, err
+		return nil, sh.failure(0, "%v", err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var er errorResponse
@@ -910,20 +691,9 @@ func (c *Coordinator) post(ctx context.Context, url string, body []byte) (shardR
 		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
 			msg = er.Error
 		}
-		return shardReply{}, &shardCallError{status: resp.StatusCode, msg: msg}
+		return nil, sh.failure(resp.StatusCode, "%s", msg)
 	}
-	reply := shardReply{body: raw}
-	if h := resp.Header.Get("X-PG-Query-Key"); h != "" {
-		if k, err := hex.DecodeString(h); err == nil {
-			reply.qkey = string(k)
-		}
-	}
-	if h := resp.Header.Get("X-PG-Sensitivity"); h != "" {
-		if s, err := strconv.ParseFloat(h, 64); err == nil {
-			reply.sens = s
-		}
-	}
-	return reply, nil
+	return raw, nil
 }
 
 // ---------------------------------------------------------------------------

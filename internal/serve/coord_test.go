@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pgpub/internal/dataset"
 	"pgpub/internal/obs"
 	"pgpub/internal/pg"
 	"pgpub/internal/query"
@@ -64,15 +66,12 @@ func newCoordFixture(t *testing.T, n, s int, cfg func(*CoordConfig)) *coordFixtu
 			Path: fmt.Sprintf("inproc-%02d.pgsnap", i), Rows: pub.Len(),
 			SourceRows: (n + s - 1 - i) / s,
 		}
-		ix, err := query.NewIndex(pub)
-		if err != nil {
-			t.Fatal(err)
-		}
 		meta, err := pub.Metadata(0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := newTestServer(t, Config{Index: ix, Meta: meta})
+		// Indexes are immutable, so the shard server shares the group's.
+		srv := newTestServer(t, Config{Index: g.Indexes[i], Meta: meta})
 		hs, err := srv.Serve("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -346,11 +345,13 @@ func TestCoordinatorDeadShard(t *testing.T) {
 	}
 }
 
-// fakeShardMeta is the /v1/metadata document a scripted fake shard serves.
+// fakeShardMeta is the /v1/metadata document a scripted fake shard serves:
+// the hospital schema, which the coordinator parses queries against.
 func fakeShardMeta(rows int) MetadataResponse {
 	return MetadataResponse{
 		Metadata: pg.Metadata{P: 0.3, K: 6, Algorithm: "kd", Rows: rows},
 		Groups:   1,
+		Schema:   schemaInfo(dataset.Hospital().Schema),
 	}
 }
 
@@ -523,5 +524,158 @@ func TestCoordinatorStartValidation(t *testing.T) {
 		Manifest: fakeManifest(2), ShardURLs: []string{"http://localhost:1"},
 	}); err == nil {
 		t.Fatal("URL/shard count mismatch accepted")
+	}
+}
+
+// countingShard is a fake shard that answers every query with est and
+// counts the calls it receives; gate, when set, holds each answer until it
+// is closed.
+func countingShard(t *testing.T, est float64, gate chan struct{}) (string, *atomic.Int64) {
+	t.Helper()
+	var calls atomic.Int64
+	url := fakeShard(t, 10, func(w http.ResponseWriter, _ *http.Request) {
+		calls.Add(1)
+		if gate != nil {
+			<-gate
+		}
+		writeJSON(w, http.StatusOK, QueryResponse{Op: "count", Estimate: est, Source: "computed"})
+	})
+	return url, &calls
+}
+
+// TestCoordinatorCache pins the result cache the coordinator shares with
+// every server: a repeated query is answered from the cache without a
+// shard call, and a reload starts the new release on an empty cache.
+func TestCoordinatorCache(t *testing.T) {
+	url0, calls0 := countingShard(t, 2, nil)
+	url1, calls1 := countingShard(t, 3, nil)
+	urls := []string{url0, url1}
+	c, reg := startFakeCoordinator(t, urls, func(cc *CoordConfig) {
+		cc.ManifestSource = func() (*snapshot.Manifest, uint32, error) { return fakeManifest(len(urls)), 0, nil }
+	})
+	h := c.Handler()
+	calls := func() int64 { return calls0.Load() + calls1.Load() }
+
+	ask := func(wantSource string) {
+		t.Helper()
+		var resp QueryResponse
+		if code := post(t, h, "/v1/query", QueryRequest{Op: "count"}, &resp); code != http.StatusOK {
+			t.Fatalf("status %d", code)
+		}
+		if resp.Estimate != 5 || resp.Source != wantSource {
+			t.Fatalf("answer %v from %q, want 5 from %q", resp.Estimate, resp.Source, wantSource)
+		}
+	}
+	ask("merged")
+	if got := calls(); got != 2 {
+		t.Fatalf("first query made %d shard calls, want 2", got)
+	}
+	ask("cache")
+	if got := calls(); got != 2 {
+		t.Fatalf("a cached answer made %d new shard calls", got-2)
+	}
+	if got := reg.Counter("coord.cache.hits").Value(); got != 1 {
+		t.Fatalf("coord.cache.hits = %d, want 1", got)
+	}
+
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/admin/reload", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("reload: HTTP %d %s", w.Code, w.Body.String())
+	}
+	ask("merged")
+	if got := calls(); got != 4 {
+		t.Fatalf("after a reload the query made %d shard calls, want 2 — the cache crossed the swap", got-2)
+	}
+}
+
+// TestCoordinatorCoalesces fires 32 identical queries while the shards
+// hold their answers: they must share one fan-out.
+func TestCoordinatorCoalesces(t *testing.T) {
+	gate := make(chan struct{})
+	url0, calls0 := countingShard(t, 2, gate)
+	url1, calls1 := countingShard(t, 3, gate)
+	c, reg := startFakeCoordinator(t, []string{url0, url1}, func(cc *CoordConfig) {
+		cc.HedgeAfter = -1 // a held answer must not look like a straggler
+	})
+	c.sem = make(chan struct{}, 64) // admit all 32 on any GOMAXPROCS
+	h := c.Handler()
+
+	const n = 32
+	var wg sync.WaitGroup
+	resps := make([]QueryResponse, n)
+	codes := make([]int, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i] = post(t, h, "/v1/query", QueryRequest{Op: "count"}, &resps[i])
+		}(i)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if _, joined := c.rel.Load().flight.stats(); joined == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the duplicates never joined one computation")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+
+	merged := 0
+	for i := range resps {
+		if codes[i] != http.StatusOK || resps[i].Estimate != 5 {
+			t.Fatalf("query %d: status %d, answer %v", i, codes[i], resps[i].Estimate)
+		}
+		if resps[i].Source == "merged" {
+			merged++
+		}
+	}
+	if merged != 1 {
+		t.Fatalf("%d queries computed their own answer, want 1", merged)
+	}
+	if a, b := calls0.Load(), calls1.Load(); a != 1 || b != 1 {
+		t.Fatalf("shard calls (%d, %d), want one fan-out", a, b)
+	}
+	if got := reg.Counter("coord.coalesced").Value(); got != n-1 {
+		t.Fatalf("coord.coalesced = %d, want %d", got, n-1)
+	}
+}
+
+// TestCoordinatorSchemaMismatch pins the schema check: Start refuses a
+// fleet whose shards serve different schemas, or one that serves none.
+func TestCoordinatorSchemaMismatch(t *testing.T) {
+	start := func(md MetadataResponse) error {
+		good, _ := countingShard(t, 1, nil)
+		mux := http.NewServeMux()
+		mux.HandleFunc("/v1/metadata", func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, http.StatusOK, md)
+		})
+		hs, err := serveHandler("127.0.0.1:0", mux)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hs.Close()
+		c, err := NewCoordinator(CoordConfig{
+			Manifest: fakeManifest(2), ShardURLs: []string{good, "http://" + hs.Addr},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		return c.Start(ctx)
+	}
+
+	md := fakeShardMeta(10)
+	md.Schema = schemaInfo(sal.Schema())
+	if err := start(md); err == nil || !strings.Contains(err.Error(), "different schema than shard 0") {
+		t.Fatalf("schema mismatch: %v", err)
+	}
+	md.Schema = nil
+	if err := start(md); err == nil || !strings.Contains(err.Error(), "no schema block") {
+		t.Fatalf("missing schema: %v", err)
 	}
 }

@@ -59,8 +59,8 @@ type BudgetStatus struct {
 	Remaining float64 `json:"remaining"`
 }
 
-// serverDP is the request-path state of the DP mode, shared by the
-// single-snapshot Server and the Coordinator. It hangs off the long-lived
+// serverDP is the request-path state of the DP mode, on a single-snapshot
+// Server and a Coordinator's alike. It hangs off the long-lived
 // server object — never the per-release state — so spent budget survives
 // hot-swap reloads (the noise re-keys with the new release CRC; ε does not
 // refund).
@@ -125,7 +125,7 @@ type dpAnswer struct {
 	crc    uint32  // release identity: snapshot header CRC or manifest file CRC
 	apiKey string  // the charged tenant
 	qkey   string  // canonical query encoding (QueryKey) — the noise identity
-	op     string  // requested op ("avg" even when fanned out as "sum")
+	op     string  // the requested op
 	eps    float64 // ε charged for this answer
 	sens   float64 // sum-sensitivity (opSensitivity); counts use GS=1
 	rem    float64 // budget remaining after the charge

@@ -29,7 +29,7 @@ func mustLedger(t *testing.T, budgets string) *dp.Ledger {
 }
 
 // dpPost is post with an X-API-Key header, returning the response headers
-// too (the DP tests assert on X-PG-Release and the keying headers).
+// too (the DP tests assert on X-PG-Release).
 func dpPost(t *testing.T, h http.Handler, path, apiKey string, body, out any) (int, http.Header) {
 	t.Helper()
 	buf, err := json.Marshal(body)
@@ -83,12 +83,6 @@ func TestDPServedMatchesMechanism(t *testing.T) {
 	}
 	if got := hdr.Get("X-PG-Release"); got != fmt.Sprintf("%08x", crc) {
 		t.Errorf("X-PG-Release = %q", got)
-	}
-	if hdr.Get("X-PG-Query-Key") == "" {
-		t.Errorf("no X-PG-Query-Key header")
-	}
-	if got := hdr.Get("X-PG-Sensitivity"); got != "1" {
-		t.Errorf("X-PG-Sensitivity = %q for a count, want 1", got)
 	}
 
 	exact, err := ix.Count(cq)
@@ -340,7 +334,8 @@ func TestDPBudgetSurvivesReload(t *testing.T) {
 // TestCoordinatorDP runs the DP mode at a fan-out coordinator: the budget is
 // charged once per client query (never per shard), the merged answer equals
 // the in-process group answer plus offline-derivable noise, pinned answers
-// key apart from merged ones, and /v1/batch is refused.
+// key apart from merged ones, and a batch charges n·ε and answers each
+// query as it answers alone.
 func TestCoordinatorDP(t *testing.T) {
 	const (
 		seed = int64(99)
@@ -425,8 +420,36 @@ func TestCoordinatorDP(t *testing.T) {
 		t.Errorf("pinned count: served %v, mechanism says %v", pinResp.Estimate, want)
 	}
 
-	if code, _ := dpPost(t, h, "/v1/batch", "alice", BatchRequest{Queries: []QueryRequest{body}}, nil); code != http.StatusBadRequest {
-		t.Errorf("DP batch at the coordinator: HTTP %d, want 400", code)
+	// A batch goes through the same charging path as at a server: n·ε, each
+	// estimate noised under its own query's key, so it equals the merged
+	// answers to the same queries sent singly.
+	var queries []QueryRequest
+	var singles []float64
+	for i := 0; i < 3; i++ {
+		q := fullQuery(schema)
+		q.QI[i%schema.D()].Hi = 0
+		queries = append(queries, wireQuery("count", q))
+		var resp QueryResponse
+		if code, _ := dpPost(t, h, "/v1/query", "alice", queries[i], &resp); code != http.StatusOK {
+			t.Fatalf("single %d: HTTP %d", i, code)
+		}
+		singles = append(singles, resp.Estimate)
+	}
+	before := l.Key("alice").Spent()
+	var batch BatchResponse
+	if code, _ := dpPost(t, h, "/v1/batch", "alice", BatchRequest{Queries: queries}, &batch); code != http.StatusOK {
+		t.Fatalf("DP batch at the coordinator: HTTP %d", code)
+	}
+	if batch.DP == nil || batch.DP.Epsilon != 3*per {
+		t.Errorf("batch DP = %+v, want ε=%v", batch.DP, 3*per)
+	}
+	if spent := l.Key("alice").Spent() - before; spent != 3*per {
+		t.Errorf("batch spent %v, want n·ε = %v", spent, 3*per)
+	}
+	for i, est := range batch.Estimates {
+		if est != singles[i] {
+			t.Errorf("batched query %d answered %v, alone it answered %v", i, est, singles[i])
+		}
 	}
 
 	var md MetadataResponse

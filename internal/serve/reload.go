@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,12 +14,13 @@ import (
 )
 
 // This file is the hot-swap path: POST /v1/admin/reload (pgserve also maps
-// SIGHUP onto it) re-opens the release source and, when it holds the next
-// release of the serving chain, swaps the serving state atomically. The
-// swap is RCU over Server.rel: queries load the pointer once and are never
-// blocked by a reload; in-flight requests finish on the release they
-// started on; the new release starts with an empty cache and singleflight
-// so no stale answer can cross the swap. The old release's memory —
+// SIGHUP onto it) re-opens the release origin and, when its loader accepts
+// the content — the next release of the serving chain, or at a
+// coordinator a re-validated shard fleet — swaps the serving state
+// atomically. The swap is RCU over Server.rel: queries load the pointer
+// once and are never blocked by a reload; in-flight requests finish on the
+// release they started on; the new release starts with an empty cache and
+// singleflight so no stale answer can cross the swap. The old release's memory —
 // including a mapped snapshot's pages — is never unmapped while readers may
 // hold it; it is simply dropped for the collector (a deliberate, bounded
 // retention: one superseded index per reload, reclaimed when the last
@@ -65,23 +67,29 @@ type ReloadResult struct {
 	Rows int `json:"rows"`
 }
 
-// Reload re-opens the release source and hot-swaps to its content, if and
-// only if that content is the direct successor of the serving release:
-// numbered one higher, naming the serving snapshot's header CRC as its
-// parent. Anything else — no source configured, a chainless snapshot, the
-// same release still in place, a skipped or foreign release — is rejected
-// with ErrReloadRejected and the serving release stays untouched. To catch
-// up across several releases, reload them one at a time in order; the
-// strict parent link is what keeps a swap from silently skipping a release
-// the adversary model has already accounted for.
+// Reload re-reads the serving release's origin and hot-swaps to its
+// content, if and only if the origin's loader accepts it. A Config.Source
+// accepts only the direct successor of the serving release: numbered one
+// higher, naming the serving snapshot's header CRC as its parent. Anything
+// else — no source configured, a chainless snapshot, the same release
+// still in place, a skipped or foreign release — is rejected with
+// ErrReloadRejected and the serving release stays untouched. To catch up
+// across several releases, reload them one at a time in order; the strict
+// parent link is what keeps a swap from silently skipping a release the
+// adversary model has already accounted for. (A Coordinator's loader
+// applies the fleet checks instead; see coord.go.)
 //
 // Reloads serialize among themselves; the query path never waits on one.
 func (s *Server) Reload() (*ReloadResult, error) {
+	return s.reload(context.Background())
+}
+
+func (s *Server) reload(ctx context.Context) (*ReloadResult, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	s.met.reloadAttempts.Inc()
 	t0 := time.Now()
-	res, err := s.reload()
+	res, err := s.swap(ctx)
 	s.met.reloadLatency.Observe(time.Since(t0).Nanoseconds())
 	switch {
 	case errors.Is(err, ErrReloadRejected):
@@ -90,72 +98,79 @@ func (s *Server) Reload() (*ReloadResult, error) {
 		s.met.reloadErrors.Inc()
 	default:
 		s.met.reloadSwapped.Inc()
-		s.met.releaseGauge.Set(int64(res.Release))
 	}
 	return res, err
 }
 
-func (s *Server) reload() (*ReloadResult, error) {
-	if s.source == nil {
+func (s *Server) swap(ctx context.Context) (*ReloadResult, error) {
+	if s.load == nil {
 		return nil, rejectf("this server has no snapshot path to reload from (started from a CSV or an in-memory index); restart it on the new release instead")
 	}
-	cur := s.rel.Load()
-	next, err := s.source()
+	next, err := s.load(ctx, s.rel.Load())
 	if err != nil {
-		return nil, fmt.Errorf("serve: reloading release source: %w", err)
+		return nil, err
 	}
-	if next.Index == nil {
-		return nil, fmt.Errorf("serve: release source returned no index")
-	}
-	if next.Chain == nil {
-		return nil, rejectf("the source snapshot has no release-chain block; only chained releases (pgpublish -base/-delta) can be hot-swapped")
-	}
-	if cur.crc == 0 {
-		return nil, rejectf("the serving release has no snapshot identity (header CRC unknown); restart on the new release instead")
-	}
-	if next.CRC == cur.crc {
-		return nil, rejectf("the source still holds the serving release (release %d, CRC %08x); write the next release over it first", cur.number, cur.crc)
-	}
-	if want := cur.number + 1; next.Chain.Release != want {
-		return nil, rejectf("the source holds release %d, serving release %d wants its successor %d; catch up one release at a time",
-			next.Chain.Release, cur.number, want)
-	}
-	if next.Chain.ParentCRC != cur.crc {
-		return nil, rejectf("release %d names parent CRC %08x, the serving snapshot's header CRC is %08x — not a successor of the serving release",
-			next.Chain.Release, next.Chain.ParentCRC, cur.crc)
-	}
+	s.install(next)
+	return &ReloadResult{Release: next.number, CRC: next.crc, Rows: next.meta.Rows}, nil
+}
 
-	rel := &release{
-		answer: next.Index,
-		schema: next.Schema,
-		meta:   next.Meta,
-		groups: next.Groups,
-		cache:  newResultCache(s.cacheEntries),
-		flight: newFlightGroup(),
-		number: next.Chain.Release,
-		crc:    next.CRC,
-		chain:  next.Chain,
+// sourceLoader is the reload loader of a Config.Source: it accepts the
+// source's content only when it is the chain successor of the serving
+// release.
+func sourceLoader(source func() (*ReleaseData, error)) func(context.Context, *release) (*release, error) {
+	return func(_ context.Context, cur *release) (*release, error) {
+		next, err := source()
+		if err != nil {
+			return nil, fmt.Errorf("serve: reloading release source: %w", err)
+		}
+		if next.Index == nil {
+			return nil, fmt.Errorf("serve: release source returned no index")
+		}
+		if next.Chain == nil {
+			return nil, rejectf("the source snapshot has no release-chain block; only chained releases (pgpublish -base/-delta) can be hot-swapped")
+		}
+		if cur.crc == 0 {
+			return nil, rejectf("the serving release has no snapshot identity (header CRC unknown); restart on the new release instead")
+		}
+		if next.CRC == cur.crc {
+			return nil, rejectf("the source still holds the serving release (release %d, CRC %08x); write the next release over it first", cur.number, cur.crc)
+		}
+		if want := cur.number + 1; next.Chain.Release != want {
+			return nil, rejectf("the source holds release %d, serving release %d wants its successor %d; catch up one release at a time",
+				next.Chain.Release, cur.number, want)
+		}
+		if next.Chain.ParentCRC != cur.crc {
+			return nil, rejectf("release %d names parent CRC %08x, the serving snapshot's header CRC is %08x — not a successor of the serving release",
+				next.Chain.Release, next.Chain.ParentCRC, cur.crc)
+		}
+		rel := &release{
+			answer:   local{next.Index},
+			computed: "computed",
+			schema:   next.Schema,
+			meta:     next.Meta,
+			groups:   next.Groups,
+			number:   next.Chain.Release,
+			crc:      next.CRC,
+			chain:    next.Chain,
+		}
+		if rel.schema == nil {
+			rel.schema = next.Index.Schema()
+		}
+		if rel.groups == 0 {
+			rel.groups = next.Index.Groups()
+		}
+		return rel, nil
 	}
-	if rel.schema == nil {
-		rel.schema = next.Index.Schema()
-	}
-	if rel.groups == 0 {
-		rel.groups = next.Index.Groups()
-	}
-	s.rel.Store(rel)
-	return &ReloadResult{Release: rel.number, CRC: rel.crc, Rows: rel.meta.Rows}, nil
 }
 
 // handleReload is POST /v1/admin/reload: 200 with a ReloadResult on a swap,
-// 409 when validation rejects the source's content, 500 when the source
+// 409 when the loader rejects the origin's content, 500 when the origin
 // cannot be read. GET is not allowed — a reload mutates serving state.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+	if !s.requirePost(w, r) {
 		return
 	}
-	res, err := s.Reload()
+	res, err := s.reload(r.Context())
 	switch {
 	case errors.Is(err, ErrReloadRejected):
 		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})

@@ -355,7 +355,7 @@ func TestCoordinatorReload(t *testing.T) {
 	var man *snapshot.Manifest
 	f := newCoordFixture(t, 1000, 3, func(cc *CoordConfig) {
 		man = cc.Manifest
-		cc.ManifestSource = func() (*snapshot.Manifest, error) { return man, srcErr }
+		cc.ManifestSource = func() (*snapshot.Manifest, uint32, error) { return man, 0, srcErr }
 	})
 	h := f.coord.Handler()
 

@@ -9,7 +9,8 @@
 //	POST /v1/query         one aggregate query (count, naive, sum, avg)
 //	POST /v1/batch         a COUNT workload, answered deterministically
 //	GET  /v1/metadata      release metadata: p, k, algorithm, rows,
-//	                       guarantees, and the release-chain position
+//	                       guarantees, the schema, and the release-chain
+//	                       position
 //	POST /v1/admin/reload  hot-swap to the chain's next release (RCU over
 //	                       the serving state; docs/REPUBLICATION.md)
 //	GET  /healthz          liveness probe
@@ -23,12 +24,15 @@
 // index traversal (singleflight). All of it is observable through
 // internal/obs counters and latency histograms (docs/OBSERVABILITY.md
 // catalogs the serve.* vocabulary).
+//
+// One Server answers over any backend (Answerer): a local index, or — at a
+// Coordinator (coord.go) — the shard servers of a sharded release, reached
+// over HTTP. The request path above is the same for both.
 package serve
 
 import (
 	"context"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,7 +40,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,19 +52,35 @@ import (
 	"pgpub/internal/snapshot"
 )
 
-// Answerer is the query-answering dependency of the server. *query.Index
-// satisfies it; tests substitute slow or call-counting implementations to
-// exercise the timeout, limiter and singleflight paths.
+// Answerer is the query-answering backend of a Server: the four calls its
+// answer path makes. New wraps a local *query.Index; a Coordinator answers
+// through its remote shard group; tests substitute slow or call-counting
+// implementations to exercise the timeout, limiter and singleflight paths.
+// ctx carries the request's values but not its cancellation (see
+// withDeadline): a backend bounds its own calls.
 type Answerer interface {
-	Count(q query.CountQuery) (float64, error)
-	Naive(q query.CountQuery) (float64, error)
-	Sum(q query.CountQuery, value query.SensitiveValue) (float64, error)
-	Avg(q query.CountQuery, value query.SensitiveValue) (float64, error)
-	// AvgParts exposes the compose form of SUM/AVG — the inverted region sum
-	// and the region weight — which a fan-out coordinator needs to merge
-	// AVG answers across shards (AVG itself is not additive).
-	AvgParts(q query.CountQuery, value query.SensitiveValue) (sum, weight float64, err error)
-	AnswerWorkload(qs []query.CountQuery, workers int) ([]float64, error)
+	Count(ctx context.Context, q query.CountQuery) (float64, error)
+	Naive(ctx context.Context, q query.CountQuery) (float64, error)
+	// AvgParts is the compose form of SUM/AVG — the inverted region sum and
+	// the region weight. SUM is the sum, AVG their quotient: the form a
+	// sharded release composes in, since AVG itself is not additive. values
+	// maps each sensitive code to its value; nil values each code as
+	// itself.
+	AvgParts(ctx context.Context, q query.CountQuery, values []float64) (sum, weight float64, err error)
+	AnswerWorkload(ctx context.Context, qs []query.CountQuery, workers int) ([]float64, error)
+}
+
+// local adapts the context-free *query.Index to Answerer. Its answers are
+// CPU-bound and never block, so there is nothing for the context to bound.
+type local struct{ ix *query.Index }
+
+func (l local) Count(_ context.Context, q query.CountQuery) (float64, error) { return l.ix.Count(q) }
+func (l local) Naive(_ context.Context, q query.CountQuery) (float64, error) { return l.ix.Naive(q) }
+func (l local) AvgParts(_ context.Context, q query.CountQuery, values []float64) (float64, float64, error) {
+	return l.ix.AvgParts(q, valueFn(values))
+}
+func (l local) AnswerWorkload(_ context.Context, qs []query.CountQuery, workers int) ([]float64, error) {
+	return l.ix.AnswerWorkload(qs, workers)
 }
 
 // Config parameterizes a Server.
@@ -109,6 +128,11 @@ type Config struct {
 	// API key's ε-budget. nil serves exact answers — today's mode, byte for
 	// byte.
 	DP *DPConfig
+
+	// prefix names the metric family: "serve", or "coord" for the server
+	// NewCoordinator builds, so a coordinator and its shard servers can share
+	// one registry without mixing their counters.
+	prefix string
 }
 
 // release is the per-release serving state: everything a request answers
@@ -121,17 +145,24 @@ type Config struct {
 // they started on; nothing is ever mutated in place.
 type release struct {
 	answer Answerer
-	schema *dataset.Schema
-	meta   pg.Metadata
-	groups int
-	cache  *resultCache
-	flight *flightGroup
+	// pins are the one-shard views a pinned query ("shard": s) answers
+	// from — nil on a server over one publication, which rejects pins.
+	pins []Answerer
+	// computed is the Source label of an answer computed over answer:
+	// "computed", or "merged" at a coordinator.
+	computed string
+	schema   *dataset.Schema
+	meta     pg.Metadata
+	groups   int
+	cache    *resultCache
+	flight   *flightGroup
 
 	// number and crc identify the release within its chain: the chain
 	// block's release number (-1 when the release was not published as part
 	// of a chain) and the snapshot's header CRC (0 when unknown, e.g. a CSV
-	// load). Reload validates the next release's parent link against them;
-	// chain is the full block, echoed at /v1/metadata.
+	// load; a manifest's file CRC at a coordinator). A loader validates the
+	// next release against them; chain is the full block, echoed at
+	// /v1/metadata.
 	number int
 	crc    uint32
 	chain  *snapshot.ChainMetadata
@@ -145,11 +176,16 @@ type Server struct {
 	workers      int
 	sem          chan struct{}
 	cacheEntries int
-	source       func() (*ReleaseData, error)
-	reloadMu     sync.Mutex // serializes Reload; never held by the query path
+	// load builds the release to swap to from the serving one, or refuses
+	// it with ErrReloadRejected; nil refuses every reload.
+	load     func(ctx context.Context, cur *release) (*release, error)
+	reloadMu sync.Mutex // serializes Reload; never held by the query path
 	// dp lives on the Server, not the release: a hot-swap re-keys the noise
 	// (the new CRC feeds every draw) but never refunds spent ε.
 	dp *serverDP
+	// routes are extra endpoints mounted next to the API (a coordinator's
+	// /v1/shards).
+	routes map[string]http.HandlerFunc
 
 	met struct {
 		reqQuery    *obs.Counter
@@ -177,19 +213,19 @@ type Server struct {
 // New validates the configuration and builds a Server.
 func New(cfg Config) (*Server, error) {
 	rel := &release{
-		answer: cfg.Answerer,
-		schema: cfg.Schema,
-		meta:   cfg.Meta,
-		groups: cfg.Groups,
-		flight: newFlightGroup(),
-		number: -1,
-		crc:    cfg.CRC,
+		answer:   cfg.Answerer,
+		computed: "computed",
+		schema:   cfg.Schema,
+		meta:     cfg.Meta,
+		groups:   cfg.Groups,
+		number:   -1,
+		crc:      cfg.CRC,
 	}
 	if rel.answer == nil {
 		if cfg.Index == nil {
 			return nil, fmt.Errorf("serve: Config.Index (or Answerer) is required")
 		}
-		rel.answer = cfg.Index
+		rel.answer = local{cfg.Index}
 	}
 	if rel.schema == nil {
 		if cfg.Index == nil {
@@ -204,10 +240,23 @@ func New(cfg Config) (*Server, error) {
 		rel.number = cfg.Chain.Release
 		rel.chain = cfg.Chain
 	}
+	s, err := newServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Source != nil {
+		s.load = sourceLoader(cfg.Source)
+	}
+	s.install(rel)
+	return s, nil
+}
+
+// newServer builds a Server with no release installed: New installs the
+// configured one, a Coordinator the one its Start validates.
+func newServer(cfg Config) (*Server, error) {
 	s := &Server{
 		timeout: cfg.RequestTimeout,
 		workers: cfg.Workers,
-		source:  cfg.Source,
 	}
 	var err error
 	if s.dp, err = newServerDP(cfg.DP, cfg.Metrics); err != nil {
@@ -225,30 +274,40 @@ func New(cfg Config) (*Server, error) {
 	if s.cacheEntries == 0 {
 		s.cacheEntries = 4096
 	}
-	rel.cache = newResultCache(s.cacheEntries) // nil when entries < 0: caching disabled
 
-	reg := cfg.Metrics
-	s.met.reqQuery = reg.Counter("serve.requests.query")
-	s.met.reqBatch = reg.Counter("serve.requests.batch")
-	s.met.reqMetadata = reg.Counter("serve.requests.metadata")
-	s.met.errors = reg.Counter("serve.errors")
-	s.met.shed = reg.Counter("serve.shed")
-	s.met.timeouts = reg.Counter("serve.timeouts")
-	s.met.cacheHits = reg.Counter("serve.cache.hits")
-	s.met.cacheMiss = reg.Counter("serve.cache.misses")
-	s.met.cacheEvict = reg.Counter("serve.cache.evictions")
-	s.met.coalesced = reg.Counter("serve.coalesced")
-	s.met.latQuery = reg.Histogram("serve.latency.query", "ns")
-	s.met.latBatch = reg.Histogram("serve.latency.batch", "ns")
-	s.met.reloadAttempts = reg.Counter("serve.reload.attempts")
-	s.met.reloadSwapped = reg.Counter("serve.reload.swapped")
-	s.met.reloadRejected = reg.Counter("serve.reload.rejected")
-	s.met.reloadErrors = reg.Counter("serve.reload.errors")
-	s.met.reloadLatency = reg.Histogram("serve.reload.latency", "ns")
-	s.met.releaseGauge = reg.Gauge("serve.release")
-	s.met.releaseGauge.Set(int64(rel.number))
-	s.rel.Store(rel)
+	p, reg := cfg.prefix, cfg.Metrics
+	if p == "" {
+		p = "serve"
+	}
+	s.met.reqQuery = reg.Counter(p + ".requests.query")
+	s.met.reqBatch = reg.Counter(p + ".requests.batch")
+	s.met.reqMetadata = reg.Counter(p + ".requests.metadata")
+	s.met.errors = reg.Counter(p + ".errors")
+	s.met.shed = reg.Counter(p + ".shed")
+	s.met.timeouts = reg.Counter(p + ".timeouts")
+	s.met.cacheHits = reg.Counter(p + ".cache.hits")
+	s.met.cacheMiss = reg.Counter(p + ".cache.misses")
+	s.met.cacheEvict = reg.Counter(p + ".cache.evictions")
+	s.met.coalesced = reg.Counter(p + ".coalesced")
+	s.met.latQuery = reg.Histogram(p+".latency.query", "ns")
+	s.met.latBatch = reg.Histogram(p+".latency.batch", "ns")
+	s.met.reloadAttempts = reg.Counter(p + ".reload.attempts")
+	s.met.reloadSwapped = reg.Counter(p + ".reload.swapped")
+	s.met.reloadRejected = reg.Counter(p + ".reload.rejected")
+	s.met.reloadErrors = reg.Counter(p + ".reload.errors")
+	s.met.reloadLatency = reg.Histogram(p+".reload.latency", "ns")
+	s.met.releaseGauge = reg.Gauge(p + ".release")
+	s.met.releaseGauge.Set(-1)
 	return s, nil
+}
+
+// install makes rel the serving release, with a fresh cache and
+// singleflight (rel.cache is nil when caching is disabled).
+func (s *Server) install(rel *release) {
+	rel.cache = newResultCache(s.cacheEntries)
+	rel.flight = newFlightGroup()
+	s.rel.Store(rel)
+	s.met.releaseGauge.Set(int64(rel.number))
 }
 
 // InFlight reports the number of currently admitted requests — a drain test
@@ -266,6 +325,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/admin/reload", s.handleReload)
 	if s.dp != nil {
 		mux.HandleFunc("/v1/dp/budget", s.dp.handleBudget)
+	}
+	for path, h := range s.routes {
+		mux.HandleFunc(path, h)
 	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -289,8 +351,7 @@ func (s *Server) Serve(addr string) (*HTTPServer, error) {
 	return serveHandler(addr, s.Handler())
 }
 
-// serveHandler binds addr and runs h on it — the shared start path of
-// Server.Serve and Coordinator.Serve.
+// serveHandler binds addr and runs h on it.
 func serveHandler(addr string, h http.Handler) (*HTTPServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -352,13 +413,13 @@ type QueryRequest struct {
 
 // QueryResponse is the /v1/query answer. Source reports how the answer was
 // produced: "computed", "cache", or "coalesced" (shared a concurrent
-// duplicate's computation); a coordinator reports "merged" (fanned out to
-// every shard) or "shard" (pinned to one). For sum and avg, Sum and Weight
-// carry the compose pair (inverted region sum, region weight) the estimate
-// was assembled from — the fields a coordinator merges, since AVG is not
-// additive but Σ sums / Σ weights is exact. In DP mode the compose pair is
-// withheld (it would leak more than the charged ε) and DP carries the
-// accounting instead.
+// duplicate's computation); a coordinator computes "merged" (fanned out to
+// every shard) or "shard" (pinned to one) answers. For sum and avg, Sum and
+// Weight carry the compose pair (inverted region sum, region weight) the
+// estimate was assembled from — the fields a coordinator merges, since AVG
+// is not additive but Σ sums / Σ weights is exact. In DP mode the compose
+// pair is withheld (it would leak more than the charged ε) and DP carries
+// the accounting instead.
 type QueryResponse struct {
 	Op       string   `json:"op"`
 	Estimate float64  `json:"estimate"`
@@ -398,6 +459,71 @@ type MetadataResponse struct {
 	// DP advertises the differential-privacy serving mode when it is on:
 	// clients should expect noised answers and ε accounting (docs/DP.md).
 	DP *DPMetadata `json:"dp,omitempty"`
+	// Schema is the publication's schema: what a query names and codes
+	// refer to, and what a coordinator parses queries against.
+	Schema *SchemaInfo `json:"schema,omitempty"`
+}
+
+// SchemaInfo is the /v1/metadata schema block: the QI attributes in
+// dimension order and the sensitive attribute.
+type SchemaInfo struct {
+	QI        []AttributeInfo `json:"qi"`
+	Sensitive AttributeInfo   `json:"sensitive"`
+}
+
+// AttributeInfo is one attribute of the schema block: its name, its kind
+// ("discrete" or "continuous") and its domain's labels in code order.
+type AttributeInfo struct {
+	Name   string   `json:"name"`
+	Kind   string   `json:"kind"`
+	Labels []string `json:"labels"`
+}
+
+func schemaInfo(s *dataset.Schema) *SchemaInfo {
+	attr := func(a *dataset.Attribute) AttributeInfo {
+		return AttributeInfo{Name: a.Name, Kind: a.Kind.String(), Labels: a.Values}
+	}
+	si := &SchemaInfo{Sensitive: attr(s.Sensitive)}
+	for _, a := range s.QI {
+		si.QI = append(si.QI, attr(a))
+	}
+	return si
+}
+
+// schema decodes the block through the dataset constructors, so a decoded
+// schema obeys every rule a published one does.
+func (si *SchemaInfo) schema() (*dataset.Schema, error) {
+	attr := func(ai AttributeInfo) (*dataset.Attribute, error) {
+		a, err := dataset.NewAttribute(ai.Name, ai.Labels...)
+		if err != nil {
+			return nil, err
+		}
+		switch ai.Kind {
+		case dataset.Discrete.String():
+		case dataset.Continuous.String():
+			a.Kind = dataset.Continuous
+		default:
+			return nil, fmt.Errorf("attribute %q has unknown kind %q", ai.Name, ai.Kind)
+		}
+		return a, nil
+	}
+	qi := make([]*dataset.Attribute, len(si.QI))
+	for i, ai := range si.QI {
+		a, err := attr(ai)
+		if err != nil {
+			return nil, fmt.Errorf("schema block: QI attribute %d: %w", i, err)
+		}
+		qi[i] = a
+	}
+	sens, err := attr(si.Sensitive)
+	if err != nil {
+		return nil, fmt.Errorf("schema block: sensitive attribute: %w", err)
+	}
+	s, err := dataset.NewSchema(qi, sens)
+	if err != nil {
+		return nil, fmt.Errorf("schema block: %w", err)
+	}
+	return s, nil
 }
 
 type errorResponse struct {
@@ -414,107 +540,154 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // the client is gone; nothing to do
 }
 
-func (s *Server) clientError(w http.ResponseWriter, err error) {
-	s.met.errors.Inc()
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+// fail renders a failed request. A shard failure answers with the status
+// its shardFailure maps to, a missed deadline is a 504, and anything else
+// is the client's error: 400.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	var sf *shardFailure
+	switch {
+	case errors.As(err, &sf):
+		s.met.errors.Inc()
+		status, msg := sf.response()
+		writeJSON(w, status, errorResponse{Error: msg})
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		s.met.timeouts.Inc()
+		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "request timed out"})
+	default:
+		s.met.errors.Inc()
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	}
 }
 
-// admit reserves a limiter slot, or sheds the request with 429 and a
-// Retry-After hint. The released func must be called exactly once.
-func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
+func (s *Server) requirePost(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodPost {
+		return true
+	}
+	s.met.errors.Inc()
+	writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+	return false
+}
+
+// grant is an admitted aggregate request: its limiter slot and, in DP
+// mode, the budget it was charged against.
+type grant struct {
+	done   func()
+	budget *dp.Budget // nil outside DP mode
+	rem    float64    // the budget left after the charge
+}
+
+// admit is the gate every aggregate request passes before it is answered:
+// DP authorization, a limiter slot — or 429 + Retry-After: excess load is
+// shed, never queued — then, in DP mode, the charge for n queries. The
+// charge comes after admission (shed requests must not consume ε) and
+// before the computation: an admitted DP query is charged even when it
+// then errors, because data-dependent failures — an AVG region estimated
+// empty under noise, a timeout — are observations too. On refusal admit
+// has written the response; otherwise g.done must be called exactly once.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) (g grant, ok bool) {
+	if s.dp != nil {
+		if g.budget, ok = s.dp.authorize(w, r); !ok {
+			return g, false
+		}
+	}
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, true
+		g.done = func() { <-s.sem }
 	default:
 		s.met.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "server saturated, retry later"})
-		return nil, false
+		return g, false
 	}
+	if g.budget != nil {
+		if g.rem, ok = s.dp.charge(w, g.budget, float64(n)*g.budget.PerQuery); !ok {
+			g.done()
+			return g, false
+		}
+	}
+	return g, true
+}
+
+// target is what one /v1/query answers from: the backend, the canonical
+// key that identifies the answer in the cache and in the DP noise, and
+// the Source label of a computed answer.
+type target struct {
+	answer Answerer
+	key    string
+	source string
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.met.reqQuery.Inc()
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+	if !s.requirePost(w, r) {
 		return
 	}
 	var req QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.clientError(w, fmt.Errorf("decoding request: %w", err))
+		s.fail(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	// One pointer load pins this request to one release: parse, cache,
-	// compute and respond all against the same index, even if a reload swaps
-	// the serving release mid-request.
+	// compute and respond all against the same backend, even if a reload
+	// swaps the serving release mid-request.
 	rel := s.rel.Load()
 	setReleaseHeader(w, rel.crc)
-	op, q, values, err := s.parseQuery(rel, &req)
+	op, q, values, err := parseQuery(rel.schema, &req)
 	if err != nil {
-		s.clientError(w, err)
+		s.fail(w, err)
 		return
 	}
-	key := queryKey(rel.schema, op, q, values)
-	sens := opSensitivity(op, rel.schema, values)
-	// The canonical key and sensitivity travel as response headers so a
-	// fan-out coordinator — which holds no schema of its own — can key its
-	// DP noise on exactly the encoding this shard computed.
-	w.Header().Set("X-PG-Query-Key", hex.EncodeToString([]byte(key)))
-	w.Header().Set("X-PG-Sensitivity", strconv.FormatFloat(sens, 'g', -1, 64))
-
-	var budget *dp.Budget
-	if s.dp != nil {
-		var ok bool
-		if budget, ok = s.dp.authorize(w, r); !ok {
+	t := target{answer: rel.answer, key: QueryKey(rel.schema, op, q, values), source: rel.computed}
+	if req.Shard != nil {
+		sh := *req.Shard
+		switch {
+		case rel.pins == nil:
+			s.fail(w, fmt.Errorf("shard pinning is a coordinator feature; this server holds one snapshot"))
+			return
+		case sh < 0 || sh >= len(rel.pins):
+			s.fail(w, fmt.Errorf("shard %d outside [0,%d]", sh, len(rel.pins)-1))
 			return
 		}
+		// The prefix keys a pinned answer apart from the whole-release answer
+		// to the same query, in the cache and in the DP noise: they are
+		// different observations and must not share a draw.
+		t = target{answer: rel.pins[sh], key: fmt.Sprintf("shard:%d|", sh) + t.key, source: "shard"}
 	}
-	done, ok := s.admit(w)
+
+	g, ok := s.admit(w, r, 1)
 	if !ok {
 		return
 	}
-	defer done()
+	defer g.done()
 
-	// Charge after admission (shed requests must not consume ε) and before
-	// the computation: an admitted DP query is charged even when it then
-	// errors, because data-dependent failures — an AVG region estimated
-	// empty, a timeout — are observations too.
-	var dpRem float64
-	if s.dp != nil {
-		var ok bool
-		if dpRem, ok = s.dp.charge(w, budget, budget.PerQuery); !ok {
+	t0 := time.Now()
+	val, source, err := s.answerOne(r.Context(), rel, t, op, q, values)
+	s.met.latQuery.Observe(time.Since(t0).Nanoseconds())
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	resp := QueryResponse{Op: op, Estimate: val.est, Source: source}
+	switch {
+	case s.dp != nil:
+		// Under DP only the noised weight decides whether an AVG region is
+		// empty: the exact weight is never observed.
+		resp, err = s.dp.noised(dpAnswer{
+			crc: rel.crc, apiKey: g.budget.Key, qkey: t.key, op: op, eps: g.budget.PerQuery,
+			sens: opSensitivity(op, rel.schema, values), rem: g.rem, source: source,
+		}, val)
+		if err != nil {
+			s.fail(w, err)
 			return
 		}
+	case op == "avg" && val.weight == 0:
+		s.fail(w, errors.New("region estimated empty"))
+		return
+	case val.parts:
+		sum, weight := val.sum, val.weight
+		resp.Sum, resp.Weight = &sum, &weight
 	}
-
-	sp := s.met.latQuery
-	t0 := time.Now()
-	val, source, err := s.answerOne(r.Context(), rel, key, op, q, values)
-	sp.Observe(time.Since(t0).Nanoseconds())
-	switch {
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		s.met.timeouts.Inc()
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "request timed out"})
-	case err != nil:
-		s.clientError(w, err)
-	default:
-		resp := QueryResponse{Op: op, Estimate: val.est, Source: source}
-		if s.dp != nil {
-			resp, err = s.dp.noised(dpAnswer{
-				crc: rel.crc, apiKey: budget.Key, qkey: key, op: op,
-				eps: budget.PerQuery, sens: sens, rem: dpRem, source: source,
-			}, val)
-			if err != nil {
-				s.clientError(w, err)
-				return
-			}
-		} else if val.parts {
-			sum, weight := val.sum, val.weight
-			resp.Sum, resp.Weight = &sum, &weight
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // setReleaseHeader advertises the serving release's identity on every
@@ -528,196 +701,168 @@ func setReleaseHeader(w http.ResponseWriter, crc uint32) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.met.reqBatch.Inc()
-	if r.Method != http.MethodPost {
-		s.met.errors.Inc()
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+	if !s.requirePost(w, r) {
 		return
 	}
 	var req BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.clientError(w, fmt.Errorf("decoding request: %w", err))
+		s.fail(w, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	rel := s.rel.Load()
 	setReleaseHeader(w, rel.crc)
 	qs := make([]query.CountQuery, len(req.Queries))
 	for i := range req.Queries {
-		op, q, _, err := s.parseQuery(rel, &req.Queries[i])
+		if req.Queries[i].Shard != nil {
+			s.fail(w, fmt.Errorf("query %d: shard pinning is not available in batches", i))
+			return
+		}
+		op, q, _, err := parseQuery(rel.schema, &req.Queries[i])
 		if err != nil {
-			s.clientError(w, fmt.Errorf("query %d: %w", i, err))
+			s.fail(w, fmt.Errorf("query %d: %w", i, err))
 			return
 		}
 		if op != "count" {
-			s.clientError(w, fmt.Errorf("query %d: batch answers COUNT only, got op %q", i, op))
+			s.fail(w, fmt.Errorf("query %d: batch answers COUNT only, got op %q", i, op))
 			return
 		}
 		qs[i] = q
 	}
-	var budget *dp.Budget
-	if s.dp != nil {
-		var ok bool
-		if budget, ok = s.dp.authorize(w, r); !ok {
-			return
-		}
-	}
-	done, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer done()
-
 	// One combined charge of n·ε_per_query: the batch answers n queries, so
 	// it costs n queries' worth of budget — batching is a transport
 	// convenience, not a discount.
-	var dpRem, dpCost float64
-	if s.dp != nil {
-		dpCost = float64(len(qs)) * budget.PerQuery
-		var ok bool
-		if dpRem, ok = s.dp.charge(w, budget, dpCost); !ok {
-			return
-		}
+	g, ok := s.admit(w, r, len(qs))
+	if !ok {
+		return
 	}
+	defer g.done()
 
 	t0 := time.Now()
-	ests, err := s.computeWithDeadline(r.Context(), func() ([]float64, error) {
-		return rel.answer.AnswerWorkload(qs, s.workers)
+	ests, err := withDeadline(r.Context(), s.timeout, func(ctx context.Context) ([]float64, error) {
+		return rel.answer.AnswerWorkload(ctx, qs, s.workers)
 	})
 	s.met.latBatch.Observe(time.Since(t0).Nanoseconds())
-	switch {
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		s.met.timeouts.Inc()
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "request timed out"})
-	case err != nil:
-		s.clientError(w, err)
-	default:
-		if ests == nil {
-			ests = []float64{}
-		}
-		resp := BatchResponse{Estimates: ests}
-		if s.dp != nil {
-			// Each estimate is noised under its own query's canonical key, so
-			// a batched query answers identically to the same query sent alone
-			// under the same key and release.
-			m := dp.Mechanism{Seed: s.dp.seed, CRC: rel.crc}
-			for i := range ests {
-				k := queryKey(rel.schema, "count", qs[i], nil)
-				ests[i] += m.Noise(budget.Key, k, 0, 1/budget.PerQuery)
-			}
-			resp.DP = &DPInfo{Epsilon: dpCost, Remaining: dpRem}
-			s.dp.met.queries.Add(int64(len(qs)))
-		}
-		writeJSON(w, http.StatusOK, resp)
+	if err != nil {
+		s.fail(w, err)
+		return
 	}
+	if ests == nil {
+		ests = []float64{}
+	}
+	resp := BatchResponse{Estimates: ests}
+	if s.dp != nil {
+		// Each estimate is noised under its own query's canonical key, so a
+		// batched query answers identically to the same query sent alone
+		// under the same key and release.
+		m := dp.Mechanism{Seed: s.dp.seed, CRC: rel.crc}
+		for i := range ests {
+			k := QueryKey(rel.schema, "count", qs[i], nil)
+			ests[i] += m.Noise(g.budget.Key, k, 0, 1/g.budget.PerQuery)
+		}
+		resp.DP = &DPInfo{Epsilon: float64(len(qs)) * g.budget.PerQuery, Remaining: g.rem}
+		s.dp.met.queries.Add(int64(len(qs)))
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
 	s.met.reqMetadata.Inc()
 	rel := s.rel.Load()
 	writeJSON(w, http.StatusOK, MetadataResponse{
-		Metadata: rel.meta, Groups: rel.groups, Release: rel.chain,
-		DP: s.dp.metadata(),
+		Metadata: rel.meta, Groups: rel.groups, Shards: len(rel.pins), Release: rel.chain,
+		DP: s.dp.metadata(), Schema: schemaInfo(rel.schema),
 	})
 }
 
 // ---------------------------------------------------------------------------
-// Answer path: cache → singleflight → index, under a deadline
+// Answer path: cache → singleflight → backend, under a deadline
 
 // answerOne resolves one aggregate query through the release's cache,
-// coalescing concurrent duplicates, bounded by the request timeout. A
-// timed-out leader's computation keeps running in the background and still
-// populates the cache — the work is not wasted, only the response slot.
-// Cache and singleflight belong to the release, so a leader that outlives a
-// hot-swap still populates (only) its own release's cache. key is the query's
-// canonical encoding (queryKey), computed once by the handler — it doubles as
-// the DP noise identity there.
-func (s *Server) answerOne(ctx context.Context, rel *release, key, op string, q query.CountQuery, values []float64) (val answerVal, source string, err error) {
-	if v, ok := rel.cache.get(key); ok {
+// coalescing concurrent duplicates, bounded by the request timeout. Cache
+// and singleflight belong to the release, so a leader that outlives a
+// hot-swap still populates (only) its own release's cache.
+func (s *Server) answerOne(ctx context.Context, rel *release, t target, op string, q query.CountQuery, values []float64) (val answerVal, source string, err error) {
+	if v, ok := rel.cache.get(t.key); ok {
 		s.met.cacheHits.Inc()
 		return v, "cache", nil
 	}
 	s.met.cacheMiss.Inc()
 
-	ctx, cancel := context.WithTimeout(ctx, s.timeout)
-	defer cancel()
 	type result struct {
 		v      answerVal
 		shared bool
-		err    error
 	}
-	ch := make(chan result, 1)
-	go func() {
-		v, shared, err := rel.flight.do(key, func() (answerVal, error) {
-			v, err := compute(rel.answer, op, q, values)
-			if err == nil {
-				if rel.cache.put(key, v) {
-					s.met.cacheEvict.Inc()
-				}
+	r, err := withDeadline(ctx, s.timeout, func(ctx context.Context) (result, error) {
+		v, shared, err := rel.flight.do(t.key, func() (answerVal, error) {
+			v, err := compute(ctx, t.answer, op, q, values)
+			if err == nil && rel.cache.put(t.key, v) {
+				s.met.cacheEvict.Inc()
 			}
 			return v, err
 		})
-		ch <- result{v, shared, err}
-	}()
-	select {
-	case <-ctx.Done():
-		return answerVal{}, "", ctx.Err()
-	case r := <-ch:
-		if r.err != nil {
-			return answerVal{}, "", r.err
-		}
-		if r.shared {
-			s.met.coalesced.Inc()
-			return r.v, "coalesced", nil
-		}
-		return r.v, "computed", nil
-	}
-}
-
-// compute dispatches to the Answerer. sum and avg resolve through AvgParts
-// so the response can expose the compose pair alongside the estimate.
-func compute(answer Answerer, op string, q query.CountQuery, values []float64) (answerVal, error) {
-	switch op {
-	case "count":
-		est, err := answer.Count(q)
-		return answerVal{est: est}, err
-	case "naive":
-		est, err := answer.Naive(q)
-		return answerVal{est: est}, err
-	case "sum":
-		sum, weight, err := answer.AvgParts(q, valueFn(values))
-		return answerVal{est: sum, sum: sum, weight: weight, parts: true}, err
-	case "avg":
-		sum, weight, err := answer.AvgParts(q, valueFn(values))
-		if err != nil {
-			return answerVal{}, err
-		}
-		if weight == 0 {
-			return answerVal{}, fmt.Errorf("region estimated empty")
-		}
-		return answerVal{est: sum / weight, sum: sum, weight: weight, parts: true}, nil
+		return result{v, shared}, err
+	})
+	switch {
+	case err != nil:
+		return answerVal{}, "", err
+	case r.shared:
+		s.met.coalesced.Inc()
+		return r.v, "coalesced", nil
 	default:
-		return answerVal{}, fmt.Errorf("unknown op %q (want count, naive, sum or avg)", op)
+		return r.v, t.source, nil
 	}
 }
 
-// computeWithDeadline runs fn under the request timeout (the batch analogue
-// of answerOne, without cache or coalescing: workloads are assumed unique).
-func (s *Server) computeWithDeadline(ctx context.Context, fn func() ([]float64, error)) ([]float64, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.timeout)
+// withDeadline runs fn under the request timeout. A timed-out fn keeps
+// running in the background — an answer still lands in the cache, only the
+// response slot is lost. fn gets the request's values but not its
+// cancellation: a coordinator's shard calls carry the request's trace, and
+// a singleflight leader whose client disconnects cannot fail the followers
+// sharing its computation. The backend bounds its own calls (a
+// coordinator's per-shard timeout).
+func withDeadline[T any](ctx context.Context, timeout time.Duration, fn func(context.Context) (T, error)) (T, error) {
+	detached := context.WithoutCancel(ctx)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	type result struct {
-		v   []float64
+		v   T
 		err error
 	}
 	ch := make(chan result, 1)
 	go func() {
-		v, err := fn()
+		v, err := fn(detached)
 		ch <- result{v, err}
 	}()
 	select {
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		var zero T
+		return zero, ctx.Err()
 	case r := <-ch:
 		return r.v, r.err
+	}
+}
+
+// compute dispatches to the Answerer. sum and avg resolve through AvgParts
+// so the response can expose the compose pair alongside the estimate. An
+// avg over a region of weight 0 is not an error here: the handler decides
+// emptiness, from the exact weight or, in DP mode, the noised one.
+func compute(ctx context.Context, answer Answerer, op string, q query.CountQuery, values []float64) (answerVal, error) {
+	switch op {
+	case "count":
+		est, err := answer.Count(ctx, q)
+		return answerVal{est: est}, err
+	case "naive":
+		est, err := answer.Naive(ctx, q)
+		return answerVal{est: est}, err
+	case "sum", "avg":
+		sum, weight, err := answer.AvgParts(ctx, q, values)
+		v := answerVal{est: sum, sum: sum, weight: weight, parts: true}
+		if op == "avg" && weight != 0 {
+			v.est = sum / weight
+		}
+		return v, err
+	default:
+		return answerVal{}, fmt.Errorf("unknown op %q (want count, naive, sum or avg)", op)
 	}
 }
 
@@ -731,9 +876,10 @@ func valueFn(values []float64) query.SensitiveValue {
 // ---------------------------------------------------------------------------
 // Request parsing and canonical keys
 
-// parseQuery validates a wire query against the release's schema and
-// resolves it to the engine's CountQuery form.
-func (s *Server) parseQuery(rel *release, req *QueryRequest) (op string, q query.CountQuery, values []float64, err error) {
+// parseQuery validates a wire query against the schema and resolves it to
+// the engine's CountQuery form. It ignores Shard, which is the handler's
+// to resolve.
+func parseQuery(schema *dataset.Schema, req *QueryRequest) (op string, q query.CountQuery, values []float64, err error) {
 	op = req.Op
 	if op == "" {
 		op = "count"
@@ -743,12 +889,9 @@ func (s *Server) parseQuery(rel *release, req *QueryRequest) (op string, q query
 	default:
 		return "", q, nil, fmt.Errorf("unknown op %q (want count, naive, sum or avg)", op)
 	}
-	if req.Shard != nil {
-		return "", q, nil, fmt.Errorf("shard pinning is a coordinator feature; this server holds one snapshot")
-	}
 
-	q.QI = make([]query.Range, rel.schema.D())
-	for j, a := range rel.schema.QI {
+	q.QI = make([]query.Range, schema.D())
+	for j, a := range schema.QI {
 		q.QI[j] = query.Range{Lo: 0, Hi: int32(a.Size() - 1)}
 	}
 	for i, c := range req.Where {
@@ -757,18 +900,18 @@ func (s *Server) parseQuery(rel *release, req *QueryRequest) (op string, q query
 		case c.Attr != "" && c.Dim != nil:
 			return "", q, nil, fmt.Errorf("where[%d]: set attr or dim, not both", i)
 		case c.Attr != "":
-			if j = rel.schema.QIIndex(c.Attr); j < 0 {
+			if j = schema.QIIndex(c.Attr); j < 0 {
 				return "", q, nil, fmt.Errorf("where[%d]: unknown attribute %q", i, c.Attr)
 			}
 		case c.Dim != nil:
 			j = *c.Dim
-			if j < 0 || j >= rel.schema.D() {
-				return "", q, nil, fmt.Errorf("where[%d]: dim %d outside [0,%d]", i, j, rel.schema.D()-1)
+			if j < 0 || j >= schema.D() {
+				return "", q, nil, fmt.Errorf("where[%d]: dim %d outside [0,%d]", i, j, schema.D()-1)
 			}
 		default:
 			return "", q, nil, fmt.Errorf("where[%d]: attr or dim is required", i)
 		}
-		a := rel.schema.QI[j]
+		a := schema.QI[j]
 		lo, hi := int32(0), int32(a.Size()-1)
 		if lo, err = resolveBound(a, c.Lo, lo); err != nil {
 			return "", q, nil, fmt.Errorf("where[%d] (%s): %w", i, a.Name, err)
@@ -783,7 +926,7 @@ func (s *Server) parseQuery(rel *release, req *QueryRequest) (op string, q query
 	}
 
 	if req.Sensitive != nil {
-		domain := rel.schema.SensitiveDomain()
+		domain := schema.SensitiveDomain()
 		mask := make([]bool, domain)
 		for _, code := range req.Sensitive {
 			if code < 0 || int(code) >= domain {
@@ -799,9 +942,9 @@ func (s *Server) parseQuery(rel *release, req *QueryRequest) (op string, q query
 		if op != "sum" && op != "avg" {
 			return "", q, nil, fmt.Errorf("values apply to sum/avg only")
 		}
-		if len(values) != rel.schema.SensitiveDomain() {
+		if len(values) != schema.SensitiveDomain() {
 			return "", q, nil, fmt.Errorf("values has %d entries, sensitive domain is %d",
-				len(values), rel.schema.SensitiveDomain())
+				len(values), schema.SensitiveDomain())
 		}
 	}
 	return op, q, values, nil
@@ -827,19 +970,15 @@ func resolveBound(a *dataset.Attribute, raw json.RawMessage, def int32) (int32, 
 	return code, nil
 }
 
-// queryKey renders the canonical encoding of an aggregate query: op tag,
+// QueryKey renders the canonical encoding of an aggregate query: op tag,
 // the restricting ranges only (full-domain dims are dropped, so equivalent
 // requests collide), the sensitive mask as a code list, and the sum/avg
 // value vector's bit patterns. Two requests with equal keys have equal
 // answers, which is what makes the key safe as a cache/coalescing identity.
-// QueryKey exposes the canonical encoding to offline tools: pgquery's DP
-// mode must key its noise on exactly the string the server would use, or the
-// served-vs-offline equivalence breaks.
+// Offline tools use it too: pgquery's DP mode must key its noise on exactly
+// the string the server would use, or the served-vs-offline equivalence
+// breaks.
 func QueryKey(schema *dataset.Schema, op string, q query.CountQuery, values []float64) string {
-	return queryKey(schema, op, q, values)
-}
-
-func queryKey(schema *dataset.Schema, op string, q query.CountQuery, values []float64) string {
 	b := make([]byte, 0, 64)
 	b = append(b, op...)
 	b = append(b, 0)

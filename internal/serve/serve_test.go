@@ -223,7 +223,7 @@ type fakeAnswerer struct {
 	delay time.Duration
 }
 
-func (f *fakeAnswerer) Count(q query.CountQuery) (float64, error) {
+func (f *fakeAnswerer) Count(_ context.Context, q query.CountQuery) (float64, error) {
 	f.calls.Add(1)
 	if f.gate != nil {
 		<-f.gate
@@ -233,21 +233,17 @@ func (f *fakeAnswerer) Count(q query.CountQuery) (float64, error) {
 	}
 	return float64(q.QI[0].Lo), nil
 }
-func (f *fakeAnswerer) Naive(q query.CountQuery) (float64, error) { return f.Count(q) }
-func (f *fakeAnswerer) Sum(q query.CountQuery, _ query.SensitiveValue) (float64, error) {
-	return f.Count(q)
+func (f *fakeAnswerer) Naive(ctx context.Context, q query.CountQuery) (float64, error) {
+	return f.Count(ctx, q)
 }
-func (f *fakeAnswerer) Avg(q query.CountQuery, _ query.SensitiveValue) (float64, error) {
-	return f.Count(q)
-}
-func (f *fakeAnswerer) AvgParts(q query.CountQuery, _ query.SensitiveValue) (float64, float64, error) {
-	v, err := f.Count(q)
+func (f *fakeAnswerer) AvgParts(ctx context.Context, q query.CountQuery, _ []float64) (float64, float64, error) {
+	v, err := f.Count(ctx, q)
 	return v, 1, err
 }
-func (f *fakeAnswerer) AnswerWorkload(qs []query.CountQuery, _ int) ([]float64, error) {
+func (f *fakeAnswerer) AnswerWorkload(ctx context.Context, qs []query.CountQuery, _ int) ([]float64, error) {
 	out := make([]float64, len(qs))
 	for i, q := range qs {
-		v, _ := f.Count(q)
+		v, _ := f.Count(ctx, q)
 		out[i] = v
 	}
 	return out, nil

@@ -5,10 +5,10 @@
 // (snapshot.Manifest). This package owns the two consumers of that layout:
 //
 //   - Group: an in-process composition of the S per-shard query indexes that
-//     satisfies the same answering contract as a single *query.Index
-//     (serve.Answerer), merging answers in shard order so composed results
-//     are deterministic bit-for-bit. The coordinator's over-HTTP merge
-//     (internal/serve) mirrors exactly this arithmetic.
+//     offers the same answering methods as a single *query.Index, merging
+//     answers in shard order so composed results are deterministic
+//     bit-for-bit. The coordinator's over-HTTP merge (internal/serve)
+//     mirrors exactly this arithmetic.
 //   - The release writer/opener: WriteRelease saves per-shard snapshots and
 //     the manifest; Open loads a manifest, re-checksums every shard file,
 //     cross-checks each shard's parameters against the manifest, and returns
@@ -40,9 +40,9 @@ import (
 )
 
 // Group is the composed view of a sharded release: one query index per
-// shard, in shard order. It satisfies serve.Answerer, so a Server (or a
-// test) can stand on a sharded release exactly as it stands on a single
-// index.
+// shard, in shard order. Its answering methods mirror *query.Index's, so
+// a consumer (pgquery -manifest, a test) stands on a sharded release
+// exactly as it stands on a single index.
 type Group struct {
 	// Indexes holds the per-shard serving indexes in shard order — the merge
 	// order for every composed answer.

@@ -271,23 +271,3 @@ func (m *Manifest) VerifyShards(manifestPath string) error {
 	}
 	return nil
 }
-
-// FileVersion reports the snapshot format version of the file at path
-// without decoding its body, so callers can explain version-specific
-// behavior (pgserve -mmap refuses v1 with an upgrade hint) before paying a
-// full load.
-func FileVersion(path string) (uint16, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, fmt.Errorf("snapshot: reading header of %s: %w", path, err)
-	}
-	if [6]byte(hdr[:6]) != magic {
-		return 0, fmt.Errorf("snapshot: %s is not a snapshot (bad magic)", path)
-	}
-	return binary.LittleEndian.Uint16(hdr[6:8]), nil
-}

@@ -78,12 +78,8 @@ func newMapped(data []byte, mapped bool, reg *obs.Registry) (*Mapped, error) {
 		return nil, fmt.Errorf("snapshot: bad magic %q — not a snapshot file", data[:6])
 	}
 	version := binary.LittleEndian.Uint16(data[6:8])
-	if version == versionV1 {
-		return nil, fmt.Errorf("snapshot: version 1 snapshots have no mappable layout; use Load")
-	}
 	if version != versionV2 && version != Version {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (reader supports %d, %d and %d)",
-			version, versionV1, versionV2, Version)
+		return nil, unsupportedVersion(version)
 	}
 	n := binary.LittleEndian.Uint64(data[8:16])
 	if n > maxBodyLen || headerLen+int(n) > len(data) {

@@ -23,15 +23,10 @@
 //	16      4     CRC-32C (Castagnoli) of the body, little-endian uint32
 //	20      len   body
 //
-// Version 1 (read compatibility only) stores everything — schema, pipeline
-// parameters, optional recoding, rows, optional guarantee metadata — in the
-// single flat little-endian body the header describes: fixed-width integers,
-// IEEE-754 bit patterns for float64, length-prefixed UTF-8 strings.
-//
-// Versions 2 and 3 split the file in two: the header's body is just the
-// *metadata* (schema, parameters, recoding, guarantee, row count, index
-// root, and a block directory), and the rows plus a prebuilt query-serving
-// index follow as page-aligned, length-prefixed, individually-CRC'd column
+// Versions 2 and 3 (the two this package reads) split the file in two: the
+// header's body is just the *metadata* (schema, parameters, recoding,
+// guarantee, row count, index root, and a block directory), and the rows
+// plus a prebuilt query-serving index follow as page-aligned, length-prefixed, individually-CRC'd column
 // blocks — one contiguous array per logical field. The layout lives in
 // v2.go; the field-level spec is docs/SERVING.md. Page alignment is what
 // makes the mmap serving path (OpenMapped) possible: a cold start maps the
@@ -43,7 +38,7 @@
 // and the row count, recording the snapshot's position in a re-publication
 // chain. The field-level spec is docs/REPUBLICATION.md.
 //
-// Either way the encoding is deterministic — the same publication always
+// The encoding is deterministic — the same publication always
 // produces the same bytes — so snapshots can be content-addressed and
 // diffed, and Read rejects anything it cannot vouch for: a short or
 // oversized header, an unknown version, a body shorter or longer than the
@@ -69,9 +64,6 @@ import (
 
 // Version is the current snapshot format version (what Write emits).
 const Version = 3
-
-// versionV1 is the legacy flat-body format, still accepted by Read.
-const versionV1 = 1
 
 // versionV2 is the first columnar format, identical to version 3 except
 // that its metadata body has no release-chain block. Read and OpenMapped
@@ -110,23 +102,8 @@ func WriteRelease(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata, chain
 	return writeV2(w, pub, g, chain)
 }
 
-// writeV1 emits the legacy single-body format. It exists so the v1 read
-// compatibility path stays testable without archived fixture files.
-func writeV1(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata) error {
-	if pub == nil || pub.Schema == nil {
-		return fmt.Errorf("snapshot: nil publication or schema")
-	}
-	body, err := encodeBody(pub, g)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(makeHeader(versionV1, body)); err != nil {
-		return fmt.Errorf("snapshot: writing header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("snapshot: writing body: %w", err)
-	}
-	return nil
+func unsupportedVersion(v uint16) error {
+	return fmt.Errorf("snapshot: unsupported format version %d (reader supports %d and %d)", v, versionV2, Version)
 }
 
 // makeHeader builds the 20-byte header for a body of the given version.
@@ -139,7 +116,7 @@ func makeHeader(version uint16, body []byte) []byte {
 	return hdr
 }
 
-// Read loads a snapshot written by Write (either format version), verifying
+// Read loads a snapshot written by Write (version 2 or 3), verifying
 // the magic, version, body length and every checksum before decoding, and
 // re-validating every structure it reconstructs. The returned guarantee
 // metadata is nil when the snapshot carries none.
@@ -154,8 +131,8 @@ func Read(r io.Reader) (*pg.Published, *pg.GuaranteeMetadata, error) {
 	return pub, gm, err
 }
 
-// ReadRelease is Read plus the release-chain block: nil for version-1 and
-// version-2 snapshots and for version-3 snapshots outside any chain.
+// ReadRelease is Read plus the release-chain block: nil for version-2
+// snapshots and for version-3 snapshots outside any chain.
 func ReadRelease(r io.Reader) (*pg.Published, *pg.GuaranteeMetadata, *ChainMetadata, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -176,16 +153,10 @@ func ReadRelease(r io.Reader) (*pg.Published, *pg.GuaranteeMetadata, *ChainMetad
 	if sum := crc32.Checksum(body, castagnoli); sum != binary.LittleEndian.Uint32(hdr[16:20]) {
 		return nil, nil, nil, fmt.Errorf("snapshot: body checksum mismatch (corrupted file)")
 	}
-	switch version {
-	case versionV1:
-		pub, gm, err := decodeBody(body)
-		return pub, gm, nil, err
-	case versionV2, Version:
-		return readV2(r, body, version == Version)
-	default:
-		return nil, nil, nil, fmt.Errorf("snapshot: unsupported format version %d (reader supports %d, %d and %d)",
-			version, versionV1, versionV2, Version)
+	if version != versionV2 && version != Version {
+		return nil, nil, nil, unsupportedVersion(version)
 	}
+	return readV2(r, body, version == Version)
 }
 
 // Save writes the snapshot to path atomically enough for the single-writer
@@ -275,36 +246,7 @@ func (e *enc) i32s(vs []int32) {
 	}
 }
 
-func encodeBody(pub *pg.Published, g *pg.GuaranteeMetadata) ([]byte, error) {
-	rows := pub.EnsureRows()
-	e := &enc{b: make([]byte, 0, 64+len(rows)*(8*pub.Schema.D()+16))}
-	if err := encodePubMeta(e, pub); err != nil {
-		return nil, err
-	}
-
-	// Rows.
-	d := pub.Schema.D()
-	e.u32(uint32(len(rows)))
-	for i, r := range rows {
-		if len(r.Box.Lo) != d || len(r.Box.Hi) != d {
-			return nil, fmt.Errorf("snapshot: row %d box has %d/%d bounds for %d attributes",
-				i, len(r.Box.Lo), len(r.Box.Hi), d)
-		}
-		for j := 0; j < d; j++ {
-			e.i32(r.Box.Lo[j])
-			e.i32(r.Box.Hi[j])
-		}
-		e.i32(r.Value)
-		e.i64(int64(r.G))
-		e.i64(int64(r.SourceRow))
-	}
-
-	encodeGuarantee(e, g)
-	return e.b, nil
-}
-
-// encodePubMeta encodes the shared metadata prefix both format versions
-// open their body with: schema, pipeline parameters, optional recoding.
+// encodePubMeta encodes the metadata prefix the body opens with: schema, pipeline parameters, optional recoding.
 func encodePubMeta(e *enc, pub *pg.Published) error {
 	// Schema: d QI attributes then the sensitive attribute.
 	e.u32(uint32(pub.Schema.D()))
@@ -546,57 +488,6 @@ func decodeGuarantee(d *dec) (*pg.GuaranteeMetadata, error) {
 		}
 	}
 	return nil, d.err
-}
-
-func decodeBody(body []byte) (*pg.Published, *pg.GuaranteeMetadata, error) {
-	d := &dec{b: body}
-	pub, err := decodePubMeta(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	schema := pub.Schema
-
-	// Rows.
-	dd := schema.D()
-	rowSize := 8*dd + 4 + 8 + 8
-	nrows := d.count("row", rowSize)
-	pub.Rows = make([]pg.Row, 0, nrows)
-	for i := 0; i < nrows; i++ {
-		r := pg.Row{Box: generalize.Box{Lo: make([]int32, dd), Hi: make([]int32, dd)}}
-		for j := 0; j < dd; j++ {
-			r.Box.Lo[j] = d.i32()
-			r.Box.Hi[j] = d.i32()
-		}
-		r.Value = d.i32()
-		g := d.i64()
-		src := d.i64()
-		if d.err != nil {
-			return nil, nil, d.err
-		}
-		if g < 1 || g > math.MaxInt32 {
-			return nil, nil, fmt.Errorf("snapshot: row %d has G = %d", i, g)
-		}
-		if src < -1 || src > math.MaxInt32 {
-			return nil, nil, fmt.Errorf("snapshot: row %d has source row %d", i, src)
-		}
-		r.G, r.SourceRow = int(g), int(src)
-		pub.Rows = append(pub.Rows, r)
-	}
-
-	// Guarantee metadata.
-	gm, err := decodeGuarantee(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d.off != len(d.b) {
-		return nil, nil, fmt.Errorf("snapshot: %d trailing bytes after the guarantee block", len(d.b)-d.off)
-	}
-	if len(pub.Rows) > 0 {
-		if err := pub.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("snapshot: loaded publication invalid: %w", err)
-		}
-	}
-	return pub, gm, nil
 }
 
 func decodeAttr(d *dec) (*dataset.Attribute, error) {

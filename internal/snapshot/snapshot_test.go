@@ -2,6 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -230,6 +234,31 @@ func TestRejectsCorruption(t *testing.T) {
 		data[i] ^= 0x5a
 		if err == nil {
 			t.Fatalf("byte %d of %d: corruption accepted", i, len(data))
+		}
+	}
+}
+
+// TestRejectsUnsupportedVersion restamps a valid file's version field —
+// 1 (the retired flat-body format), 0 and a future 4 — and requires both
+// readers to refuse it by name.
+func TestRejectsUnsupportedVersion(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, tinyPublication(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint16{0, 1, Version + 1} {
+		data := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint16(data[6:8], v)
+		want := fmt.Sprintf("unsupported format version %d", v)
+		if _, _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Read of version %d: %v", v, err)
+		}
+		path := filepath.Join(t.TempDir(), "v.pgsnap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenMapped(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("OpenMapped of version %d: %v", v, err)
 		}
 	}
 }

@@ -347,8 +347,8 @@ func readV2(r io.Reader, meta []byte, hasChain bool) (*pg.Published, *pg.Guarant
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Consume exactly the bytes the directory describes: like the v1 reader,
-	// Read leaves anything after the snapshot unread, so it can be layered
+	// Consume exactly the bytes the directory describes: Read leaves
+	// anything after the snapshot unread, so it can be layered
 	// over concatenated streams. (OpenMapped, which sees the whole file,
 	// additionally requires the file to end at the last block.)
 	last := dirs[len(dirs)-1]

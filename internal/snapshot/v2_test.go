@@ -3,7 +3,6 @@ package snapshot
 import (
 	"bytes"
 	"math/rand"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,67 +11,6 @@ import (
 	"pgpub/internal/query"
 	"pgpub/internal/sal"
 )
-
-// TestV1ReadCompat pins backward compatibility: a version-1 file (written by
-// the retained legacy writer, standing in for archived snapshots) must load
-// into the same publication the current writer round-trips, and re-saving it
-// must produce a byte-identical version-2 file.
-func TestV1ReadCompat(t *testing.T) {
-	for _, alg := range []pg.Algorithm{pg.KD, pg.TDS, pg.FullDomain} {
-		pub := publishHospital(t, alg)
-		g := &pg.GuaranteeMetadata{Lambda: 0.1, Rho1: 0.2, Rho2: 0.4, Delta: 0.2}
-
-		var v1 bytes.Buffer
-		if err := writeV1(&v1, pub, g); err != nil {
-			t.Fatalf("%v: writeV1: %v", alg, err)
-		}
-		got, gotG, err := Read(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatalf("%v: Read(v1): %v", alg, err)
-		}
-		if !reflect.DeepEqual(got.EnsureRows(), pub.Rows) {
-			t.Fatalf("%v: v1 rows drifted", alg)
-		}
-		if !reflect.DeepEqual(gotG, g) {
-			t.Fatalf("%v: v1 guarantee drifted: %+v", alg, gotG)
-		}
-
-		// Re-saving the v1-loaded publication and the original must agree.
-		var fromV1, fromOrig bytes.Buffer
-		if err := Write(&fromV1, got, gotG); err != nil {
-			t.Fatalf("%v: Write(v1-loaded): %v", alg, err)
-		}
-		if err := Write(&fromOrig, pub, g); err != nil {
-			t.Fatalf("%v: Write(original): %v", alg, err)
-		}
-		if !bytes.Equal(fromV1.Bytes(), fromOrig.Bytes()) {
-			t.Fatalf("%v: v2 bytes differ between the v1-loaded and original publication", alg)
-		}
-	}
-}
-
-// TestV1RejectsCorruptionAndTruncation keeps the exhaustive rejection sweeps
-// on the legacy format too, since Read still accepts it.
-func TestV1RejectsCorruptionAndTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeV1(&buf, tinyPublication(t), nil); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for i := range data {
-		data[i] ^= 0x5a
-		_, _, err := Read(bytes.NewReader(data))
-		data[i] ^= 0x5a
-		if err == nil {
-			t.Fatalf("byte %d of %d: corruption accepted", i, len(data))
-		}
-	}
-	for n := 0; n < len(data); n++ {
-		if _, _, err := Read(bytes.NewReader(data[:n])); err == nil {
-			t.Fatalf("truncation to %d of %d bytes accepted", n, len(data))
-		}
-	}
-}
 
 // workload generates a deterministic query mix for index-equivalence checks.
 func workload(t *testing.T, pub *pg.Published, n int) []query.CountQuery {
@@ -149,22 +87,6 @@ func TestOpenMapped(t *testing.T) {
 		if err := m.Close(); err != nil { // idempotent
 			t.Fatalf("%v: second Close: %v", alg, err)
 		}
-	}
-}
-
-// TestOpenMappedRejectsV1 pins the error for the unmappable legacy format.
-func TestOpenMappedRejectsV1(t *testing.T) {
-	pub := tinyPublication(t)
-	path := t.TempDir() + "/v1.pgsnap"
-	var buf bytes.Buffer
-	if err := writeV1(&buf, pub, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMapped(path); err == nil || !strings.Contains(err.Error(), "use Load") {
-		t.Fatalf("v1 mapping not rejected with a pointer to Load: %v", err)
 	}
 }
 
