@@ -403,8 +403,9 @@ func BenchmarkIncognitoHospital(b *testing.B) {
 // --- Grouping-engine benchmarks (EXPERIMENTS.md §Grouping engine) ---
 //
 // The three benchmarks below are the acceptance surface of the incremental
-// grouping engine: QI-grouping, TDS, and Incognito at 100k rows. Compare
-// against the numbers recorded in EXPERIMENTS.md / BENCH_pg.json.
+// grouping engine: QI-grouping, TDS, and Incognito at 100k rows. They are
+// the one tracked measurement of these stages; compare against the numbers
+// recorded in EXPERIMENTS.md §Grouping engine.
 
 // BenchmarkGroupBy measures a full-table QI-grouping of 100k SAL rows under
 // mid-level cuts (the finest grouping the engine's packed-key path serves).

@@ -162,11 +162,11 @@ func main() {
 	// so one trial suffices.
 	var fixed *pg.Published
 	if *snap != "" {
-		var err error
-		fixed, _, err = snapshot.Load(*snap)
+		rel, err := snapshot.Load(*snap)
 		if err != nil {
 			fail(err)
 		}
+		fixed = rel.Pub
 		if fixed.Schema.D() != d.Schema.D() ||
 			fixed.Schema.Sensitive.Size() != d.Schema.Sensitive.Size() {
 			fail(fmt.Errorf("snapshot %s is not a hospital publication (use pgpublish -dataset hospital -snapshot)", *snap))

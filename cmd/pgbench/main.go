@@ -22,15 +22,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table3a|table3b|fig2a|fig2b|fig3a|fig3b|breach|ablation-gen|ablation-tree|cardinality|query|qserve|repub|miners|perf|serve|shard|dp|all")
+	exp := flag.String("exp", "all", "experiment: table3a|table3b|fig2a|fig2b|fig3a|fig3b|breach|ablation-gen|ablation-tree|cardinality|query|repub|miners|dp|all")
 	n := flag.Int("n", 100000, "SAL microdata cardinality for utility experiments")
 	seed := flag.Int64("seed", 42, "random seed")
 	reps := flag.Int("reps", 1, "repetitions per utility point (averaged)")
 	trials := flag.Int("trials", 200, "Monte-Carlo trials per breach scenario")
 	workers := flag.Int("workers", 0, "worker goroutines for sweeps and Monte Carlo (0 = GOMAXPROCS)")
-	perfIters := flag.Int("perfiters", 3, "iterations per perf stage (-exp perf)")
-	coldN := flag.Int("coldn", 0, "cardinality for the publish-1m/serve-coldstart perf stages (0 skips them; the tracked BENCH_pg.json entries use 1000000)")
-	benchout := flag.String("benchout", "", "merge the perf report as JSON into this file (-exp perf), e.g. BENCH_pg.json; refuses to mix runs from different machines or workloads")
+	benchout := flag.String("benchout", "", "merge the dp block as JSON into this file (-exp dp), e.g. BENCH_pg.json; the other blocks are kept")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	metrics := flag.Bool("metrics", false, "instrument the pipeline and print the counter/phase report on exit")
@@ -178,15 +176,6 @@ func main() {
 		fmt.Print(experiments.RenderQueryUtility(rows))
 		return nil
 	})
-	run("qserve", func() error {
-		rep, err := experiments.QueryServing(*n, 1000, *seed, 6, 0.3, *workers)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Extra E8: query-serving throughput, scan vs precomputed index (k=6, p=0.3)")
-		fmt.Print(experiments.RenderServing(rep))
-		return nil
-	})
 	run("repub", func() error {
 		rows, err := experiments.Republication(*trials/3, *seed, 0.3)
 		if err != nil {
@@ -215,80 +204,6 @@ func main() {
 		return nil
 	})
 
-	run("perf", func() error {
-		rep, err := experiments.Perf(experiments.PerfConfig{
-			N: *n, ColdN: *coldN, Seed: *seed, K: 6, Iters: *perfIters, Workers: *workers, Metrics: reg,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println("Perf: Phase-2 primitives and full pipeline wall-clock")
-		fmt.Print(experiments.RenderPerf(rep))
-		if *benchout != "" {
-			// Merge into the tracked report: same-(stage, workers) blocks are
-			// replaced, other blocks and the serve/fleet sections survive, and
-			// a run from a different machine or workload is refused instead of
-			// silently blended.
-			out := rep
-			if old, err := readBenchJSON(*benchout); err == nil {
-				if out, err = experiments.MergePerf(old, rep); err != nil {
-					return err
-				}
-			}
-			if err := writeBenchJSON(*benchout, out); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *benchout)
-		}
-		return nil
-	})
-
-	run("serve", func() error {
-		rows, err := experiments.ServeLoad(experiments.ServeLoadConfig{
-			N: *n / 2, Seed: *seed, Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Serve: closed-loop load against a live pgserve endpoint (n=%d, k=6, p=0.3)\n", *n/2)
-		fmt.Print(experiments.RenderServeLoad(rows))
-		if *benchout != "" {
-			rep, err := readBenchJSON(*benchout)
-			if err != nil {
-				rep = &experiments.PerfReport{}
-			}
-			rep.Serve = rows
-			if err := writeBenchJSON(*benchout, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *benchout)
-		}
-		return nil
-	})
-
-	run("shard", func() error {
-		srep, err := experiments.ShardLoad(experiments.ShardLoadConfig{
-			N: *n / 5, Seed: *seed, Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Shard: closed-loop load through a fan-out coordinator (k=6, p=0.3)\n")
-		fmt.Print(experiments.RenderShardLoad(srep))
-		if *benchout != "" {
-			rep, err := readBenchJSON(*benchout)
-			if err != nil {
-				rep = &experiments.PerfReport{}
-			}
-			rep.Shard = srep
-			if err := writeBenchJSON(*benchout, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *benchout)
-		}
-		return nil
-	})
-
 	run("dp", func() error {
 		drep, err := experiments.DPUtility(*n, *seed, 6, 0.3, nil)
 		if err != nil {
@@ -312,7 +227,7 @@ func main() {
 
 	switch *exp {
 	case "all", "table3a", "table3b", "fig2a", "fig2b", "fig3a", "fig3b",
-		"breach", "ablation-gen", "ablation-tree", "cardinality", "query", "qserve", "repub", "miners", "perf", "serve", "shard", "dp":
+		"breach", "ablation-gen", "ablation-tree", "cardinality", "query", "repub", "miners", "dp":
 	default:
 		fmt.Fprintf(os.Stderr, "pgbench: unknown experiment %q\n", *exp)
 		flag.Usage()
@@ -320,8 +235,8 @@ func main() {
 	}
 }
 
-// readBenchJSON loads a tracked perf report, so an experiment can merge its
-// section without clobbering the others'.
+// readBenchJSON loads the tracked report, so an experiment can merge its
+// block without clobbering the others'.
 func readBenchJSON(path string) (*experiments.PerfReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -213,20 +213,17 @@ func main() {
 			fail(fmt.Errorf("-delta requires -base (the parent release) and -snapshot (the new release)"))
 		}
 		files := strings.Split(*deltas, ",")
-		basePub, _, baseChain, err := snapshot.LoadRelease(*base)
+		baseRel, err := snapshot.Load(*base)
 		if err != nil {
 			fail(err)
 		}
+		basePub, baseChain, parentCRC := baseRel.Pub, baseRel.Chain, baseRel.CRC
 		if baseChain == nil {
 			fail(fmt.Errorf("%s has no release-chain block; re-publish it with a current pgpublish -snapshot to start a chain", *base))
 		}
 		if baseChain.Release != len(files)-1 {
 			fail(fmt.Errorf("%s is release %d; %d delta files publish release %d, whose parent is release %d",
 				*base, baseChain.Release, len(files), len(files), len(files)-1))
-		}
-		parentCRC, err := snapshot.HeaderCRC(*base)
-		if err != nil {
-			fail(err)
 		}
 		ch := pg.NewChain(d, hiers)
 		if pub, err = pg.Republish(ch, pg.Delta{}, cfg); err != nil {

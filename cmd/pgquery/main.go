@@ -175,13 +175,18 @@ func main() {
 		return
 	}
 
-	var pub *pg.Published
+	// A single-snapshot server keys its DP noise on the snapshot header CRC;
+	// a CSV-backed server has no CRC and keys on release 0.
+	var (
+		pub *pg.Published
+		crc uint32
+	)
 	if *snap != "" {
-		var err error
-		pub, _, err = snapshot.Load(*snap)
+		rel, err := snapshot.Load(*snap)
 		if err != nil {
 			fail(err)
 		}
+		pub, crc = rel.Pub, rel.CRC
 	} else {
 		if *metaPath != "" {
 			mf, err := os.Open(*metaPath)
@@ -232,14 +237,6 @@ func main() {
 		fail(err)
 	}
 	if dpo != nil {
-		// A single-snapshot server keys its noise on the snapshot header CRC;
-		// a CSV-backed server has no CRC and keys on release 0.
-		var crc uint32
-		if *snap != "" {
-			if crc, err = snapshot.HeaderCRC(*snap); err != nil {
-				fail(err)
-			}
-		}
 		est = dpo.noised(crc, schema, q, est)
 	}
 	fmt.Printf("estimated count: %.1f\n", est)

@@ -189,26 +189,24 @@ func main() {
 	case *snap != "" && *in != "":
 		fail(fmt.Errorf("-snapshot and -in are mutually exclusive"))
 	case *snap != "":
-		if crc, err = snapshot.HeaderCRC(*snap); err != nil {
-			fail(err)
-		}
 		source = serve.SnapshotSource(*snap, *mmapSnap)
 		if *mmapSnap {
 			m, err := snapshot.OpenMappedObserved(*snap, reg)
 			if err != nil {
 				fail(err)
 			}
-			pub, guarantee, chain, ix = m.Pub, m.Guarantee, m.Chain, m.Index
+			pub, guarantee, chain, crc, ix = m.Pub, m.Guarantee, m.Chain, m.CRC, m.Index
 			mode := "mapped"
 			if !m.Mmapped() {
 				mode = "read into memory (mmap unavailable)"
 			}
 			fmt.Fprintf(os.Stderr, "pgserve: snapshot %s in %v\n", mode, time.Since(coldStart).Round(time.Microsecond))
 		} else {
-			pub, guarantee, chain, err = snapshot.LoadRelease(*snap)
+			rel, err := snapshot.Load(*snap)
 			if err != nil {
 				fail(err)
 			}
+			pub, guarantee, chain, crc = rel.Pub, rel.Guarantee, rel.Chain, rel.CRC
 		}
 	case *in != "":
 		if *metaPath != "" {

@@ -95,3 +95,52 @@ func FuzzReadMetadata(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadDelta exercises the delta-file parser with arbitrary bodies and
+// replays every accepted delta against the hospital table: never panic;
+// accepted inserts must validate under the schema; and ApplyDelta either
+// refuses the delta or yields a valid table of exactly parent − deletes +
+// inserts rows.
+func FuzzReadDelta(f *testing.F) {
+	for _, seed := range []string{
+		"-,0\n-,3\n",
+		"+,[20-39],M,*,bronchitis\n",
+		"# comment\n-,1\n+,25,F,12000,flu\n",
+		"+,25,F,12000\n",
+		"-,1,2\n",
+		"-,-1\n",
+		"-,0\n-,0\n",
+		"-,99999999999999999999\n",
+		"*,0\n",
+		"+,\"25\",F,12000,flu\r\n",
+		"\"-\",0\n",
+		"",
+		"\n\n",
+	} {
+		f.Add(seed)
+	}
+	d := dataset.Hospital()
+	f.Fuzz(func(t *testing.T, body string) {
+		dl, err := ReadDelta(d.Schema, strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		inserts := 0
+		if dl.Inserts != nil {
+			if err := dl.Inserts.Validate(); err != nil {
+				t.Fatalf("accepted invalid inserts: %v", err)
+			}
+			inserts = dl.Inserts.Len()
+		}
+		out, err := ApplyDelta(d, dl)
+		if err != nil {
+			return
+		}
+		if err := out.Validate(); err != nil {
+			t.Fatalf("post-delta table invalid: %v", err)
+		}
+		if want := d.Len() - len(dl.Deletes) + inserts; out.Len() != want {
+			t.Fatalf("post-delta table has %d rows, want %d", out.Len(), want)
+		}
+	})
+}

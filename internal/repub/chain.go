@@ -84,14 +84,11 @@ func VerifyChain(paths []string) ([]ReleaseInfo, error) {
 	var prevPub *pg.Published
 	var prevLambda float64
 	for i, path := range paths {
-		pub, gm, chain, err := snapshot.LoadRelease(path)
+		rel, err := snapshot.Load(path)
 		if err != nil {
 			return nil, fmt.Errorf("repub: release %d: %w", i, err)
 		}
-		crc, err := snapshot.HeaderCRC(path)
-		if err != nil {
-			return nil, fmt.Errorf("repub: release %d: %w", i, err)
-		}
+		pub, gm, chain := rel.Pub, rel.Guarantee, rel.Chain
 		if chain == nil {
 			return nil, fmt.Errorf("repub: release %d (%s) has no release-chain block (not published as part of a chain)", i, path)
 		}
@@ -143,7 +140,7 @@ func VerifyChain(paths []string) ([]ReleaseInfo, error) {
 				i, chain.OddsRatio, chain.ComposedDelta, r, composed)
 		}
 
-		info := ReleaseInfo{Path: path, CRC: crc, Chain: chain, Rows: pub.Len()}
+		info := ReleaseInfo{Path: path, CRC: rel.CRC, Chain: chain, Rows: pub.Len()}
 		infos = append(infos, info)
 		prev, prevPub, prevLambda = info, pub, gm.Lambda
 	}

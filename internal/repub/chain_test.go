@@ -103,12 +103,12 @@ func TestVerifyChain(t *testing.T) {
 		t.Fatalf("foreign parent: err = %v", err)
 	}
 	// Chainless release.
-	pub, gm, _, err := snapshot.LoadRelease(paths[0])
+	rel0, err := snapshot.Load(paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := filepath.Join(dir, "plain.pgsnap")
-	if err := snapshot.Save(plain, pub, gm); err != nil {
+	if err := snapshot.Save(plain, rel0.Pub, rel0.Guarantee); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := VerifyChain([]string{plain}); err == nil || !strings.Contains(err.Error(), "release-chain block") {
@@ -117,12 +117,12 @@ func TestVerifyChain(t *testing.T) {
 	// Tampered accounting.
 	bad := *infos[1].Chain
 	bad.OddsRatio += 0.125
-	pub1, gm1, _, err := snapshot.LoadRelease(paths[1])
+	rel1, err := snapshot.Load(paths[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	tampered := filepath.Join(dir, "tampered.pgsnap")
-	if err := snapshot.SaveRelease(tampered, pub1, gm1, &bad); err != nil {
+	if err := snapshot.SaveRelease(tampered, rel1.Pub, rel1.Guarantee, &bad); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := VerifyChain([]string{paths[0], tampered}); err == nil || !strings.Contains(err.Error(), "accounting") {

@@ -182,44 +182,40 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // SnapshotSource builds a Config.Source that re-opens the snapshot at path,
-// mapped or parsed — the pgserve wiring. The returned loader computes the
-// header CRC, loads the publication and its chain block, and builds (or,
-// mapped, adopts) the serving index.
+// mapped or parsed — the pgserve wiring. The returned loader reads the
+// publication, its chain block and its header CRC from one open of the file,
+// so a rename between reloads can never pair one file's CRC with another's
+// content, and builds (or, mapped, adopts) the serving index.
 func SnapshotSource(path string, mapped bool) func() (*ReleaseData, error) {
 	return func() (*ReleaseData, error) {
-		crc, err := snapshot.HeaderCRC(path)
-		if err != nil {
-			return nil, err
-		}
 		var (
-			pub   *pg.Published
-			gm    *pg.GuaranteeMetadata
-			chain *snapshot.ChainMetadata
-			ix    *query.Index
+			rel *snapshot.Release
+			ix  *query.Index
 		)
 		if mapped {
 			m, err := snapshot.OpenMapped(path)
 			if err != nil {
 				return nil, err
 			}
-			pub, gm, chain, ix = m.Pub, m.Guarantee, m.Chain, m.Index
+			rel, ix = &m.Release, m.Index
 		} else {
-			pub, gm, chain, err = snapshot.LoadRelease(path)
-			if err != nil {
+			var err error
+			if rel, err = snapshot.Load(path); err != nil {
 				return nil, err
 			}
-			if ix, err = query.NewIndex(pub); err != nil {
+			if ix, err = query.NewIndex(rel.Pub); err != nil {
 				return nil, err
 			}
 		}
+		pub := rel.Pub
 		return &ReleaseData{
 			Index: ix,
 			Meta: pg.Metadata{
 				P: pub.P, K: pub.K, Algorithm: pub.Algorithm.String(), Rows: pub.Len(),
-				Guarantee: gm,
+				Guarantee: rel.Guarantee,
 			},
-			CRC:   crc,
-			Chain: chain,
+			CRC:   rel.CRC,
+			Chain: rel.Chain,
 		}, nil
 	}
 }

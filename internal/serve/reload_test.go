@@ -277,12 +277,12 @@ func TestReloadRejections(t *testing.T) {
 	expectReject("foreign chain", "not a successor")
 	replaceFile(t, live, paths[2])
 	expectReject("skipped release", "catch up")
-	pub, gm, _, err := snapshot.LoadRelease(paths[1])
+	rel, err := snapshot.Load(paths[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := filepath.Join(dir, "plain.pgsnap")
-	if err := snapshot.Save(plain, pub, gm); err != nil {
+	if err := snapshot.Save(plain, rel.Pub, rel.Guarantee); err != nil {
 		t.Fatal(err)
 	}
 	replaceFile(t, live, plain)

@@ -265,10 +265,11 @@ func OpenObserved(manifestPath string, reg *obs.Registry) (*Group, error) {
 	}
 	g := &Group{Indexes: make([]*query.Index, len(m.Shards)), Manifest: m}
 	for s := range m.Shards {
-		pub, _, err := snapshot.Load(m.ShardPath(manifestPath, s))
+		rel, err := snapshot.Load(m.ShardPath(manifestPath, s))
 		if err != nil {
 			return nil, fmt.Errorf("shard: loading shard %d: %w", s, err)
 		}
+		pub := rel.Pub
 		if err := checkShard(m, s, pub); err != nil {
 			return nil, err
 		}

@@ -34,12 +34,12 @@ func TestChainRoundTrip(t *testing.T) {
 		if err := SaveRelease(path, pub, nil, chain); err != nil {
 			t.Fatalf("SaveRelease: %v", err)
 		}
-		_, _, got, err := LoadRelease(path)
+		rel, err := Load(path)
 		if err != nil {
-			t.Fatalf("LoadRelease: %v", err)
+			t.Fatalf("Load: %v", err)
 		}
-		if !reflect.DeepEqual(got, chain) {
-			t.Fatalf("LoadRelease chain = %+v, want %+v", got, chain)
+		if !reflect.DeepEqual(rel.Chain, chain) {
+			t.Fatalf("Load chain = %+v, want %+v", rel.Chain, chain)
 		}
 		m, err := OpenMapped(path)
 		if err != nil {
@@ -61,11 +61,41 @@ func TestChainRoundTrip(t *testing.T) {
 func TestChainV2ReadCompat(t *testing.T) {
 	pub := publishHospital(t, pg.TDS)
 	var buf bytes.Buffer
-	if err := Write(&buf, pub, nil); err != nil {
+	if err := Write(&buf, pub, nil, nil); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	data := buf.Bytes()
+	v2 := v2Image(t, buf.Bytes())
 
+	rel, err := Read(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatalf("Read(v2): %v", err)
+	}
+	pub2 := rel.Pub
+	if rel.Chain != nil {
+		t.Fatalf("v2 snapshot decoded chain %+v, want nil", rel.Chain)
+	}
+	if pub2.Len() != pub.Len() {
+		t.Fatalf("v2 snapshot decoded %d rows, want %d", pub2.Len(), pub.Len())
+	}
+
+	path := filepath.Join(t.TempDir(), "v2.pgsnap")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatalf("OpenMapped(v2): %v", err)
+	}
+	defer m.Close()
+	if m.Chain != nil {
+		t.Fatalf("OpenMapped(v2) chain = %+v, want nil", m.Chain)
+	}
+}
+
+// v2Image rewrites a version-3 snapshot image with no chain block as the
+// equivalent version-2 image.
+func v2Image(t *testing.T, data []byte) []byte {
+	t.Helper()
 	// Rewrite the v3 file as v2: drop the one-byte absent-chain flag from
 	// the metadata body and restamp the header (version, length, CRC). The
 	// chain flag sits right after the guarantee flag; locate it by decoding
@@ -89,29 +119,38 @@ func TestChainV2ReadCompat(t *testing.T) {
 	v2 = append(v2, meta...)
 	v2 = append(v2, 0)
 	v2 = append(v2, data[metaEnd:]...)
+	return v2
+}
 
-	pub2, _, chain, err := ReadRelease(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("ReadRelease(v2): %v", err)
-	}
-	if chain != nil {
-		t.Fatalf("v2 snapshot decoded chain %+v, want nil", chain)
-	}
-	if pub2.Len() != pub.Len() {
-		t.Fatalf("v2 snapshot decoded %d rows, want %d", pub2.Len(), pub.Len())
-	}
-
-	path := filepath.Join(t.TempDir(), "v2.pgsnap")
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
+// TestReleaseCRCMatchesHeaderCRC pins that the CRC a Release carries — read
+// by Load and OpenMapped from the same open as the content — is the header
+// CRC HeaderCRC reports for the file, for version-2 and version-3 images.
+func TestReleaseCRCMatchesHeaderCRC(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, publishHospital(t, pg.KD), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenMapped(path)
-	if err != nil {
-		t.Fatalf("OpenMapped(v2): %v", err)
-	}
-	defer m.Close()
-	if m.Chain != nil {
-		t.Fatalf("OpenMapped(v2) chain = %+v, want nil", m.Chain)
+	for name, data := range map[string][]byte{"v3": buf.Bytes(), "v2": v2Image(t, buf.Bytes())} {
+		path := filepath.Join(t.TempDir(), name+".pgsnap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, err := HeaderCRC(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := Load(path)
+		if err != nil {
+			t.Fatalf("%s: Load: %v", name, err)
+		}
+		m, err := OpenMapped(path)
+		if err != nil {
+			t.Fatalf("%s: OpenMapped: %v", name, err)
+		}
+		if rel.CRC != want || m.CRC != want {
+			t.Fatalf("%s: Load CRC %08x, Mapped CRC %08x, HeaderCRC %08x", name, rel.CRC, m.CRC, want)
+		}
+		m.Close()
 	}
 }
 
@@ -174,7 +213,7 @@ func TestHeaderCRC(t *testing.T) {
 		t.Fatalf("HeaderCRC: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, pub, nil); err != nil {
+	if err := Write(&buf, pub, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := binary.LittleEndian.Uint32(buf.Bytes()[16:20])

@@ -76,7 +76,7 @@ func (m *Manifest) Validate() error {
 	if m.K < 1 {
 		return fmt.Errorf("snapshot: manifest k = %d", m.K)
 	}
-	if m.P < 0 || m.P > 1 {
+	if !(m.P >= 0 && m.P <= 1) { // also refuses NaN
 		return fmt.Errorf("snapshot: manifest retention probability %v outside [0,1]", m.P)
 	}
 	if len(m.Shards) == 0 {

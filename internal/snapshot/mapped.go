@@ -17,15 +17,11 @@ import (
 // so drop the Mapped only when the serving structures built from it are no
 // longer in use.
 type Mapped struct {
-	// Pub is the publication in columnar form (Rows nil; see
+	// Release is the publication in columnar form (Rows nil; see
 	// pg.Published.EnsureRows — but note materializing rows copies out of the
-	// mapping, defeating the point on the serving path).
-	Pub *pg.Published
-	// Guarantee is the certified guarantee metadata, nil when absent.
-	Guarantee *pg.GuaranteeMetadata
-	// Chain is the release-chain block, nil for version-2 snapshots and for
-	// version-3 snapshots outside any re-publication chain.
-	Chain *ChainMetadata
+	// mapping, defeating the point on the serving path), its guarantee and
+	// chain blocks, and the header CRC read from the mapped header itself.
+	Release
 	// Index is the serving index, reconstructed around the mapped arrays
 	// without a rebuild.
 	Index *query.Index
@@ -36,7 +32,7 @@ type Mapped struct {
 	base   int
 }
 
-// OpenMapped opens a version-2 snapshot for serving without parsing it: the
+// OpenMapped opens a version-2/3 snapshot for serving without parsing it: the
 // file is mapped read-only and the column arrays are adopted in place, so
 // the cost of a cold start is the metadata pages plus the page faults the
 // first queries take — not a decode of the whole file.
@@ -47,9 +43,6 @@ type Mapped struct {
 // checksummed (that would fault in every page, which is exactly the cost
 // being avoided) and the publication validator is not run. Call Verify to
 // pay that cost when wanted; Read/Load remain the fully-verifying path.
-//
-// Version-1 snapshots cannot be mapped (their body is a parse-only stream);
-// use Load.
 func OpenMapped(path string) (*Mapped, error) { return OpenMappedObserved(path, nil) }
 
 // OpenMappedObserved is OpenMapped with the serving-path instrumentation
@@ -86,26 +79,11 @@ func newMapped(data []byte, mapped bool, reg *obs.Registry) (*Mapped, error) {
 		return nil, fmt.Errorf("snapshot: metadata length %d exceeds the file (truncated file?)", n)
 	}
 	meta := data[headerLen : headerLen+int(n)]
-	if crc32.Checksum(meta, castagnoli) != binary.LittleEndian.Uint32(data[16:20]) {
+	crc := binary.LittleEndian.Uint32(data[16:20])
+	if crc32.Checksum(meta, castagnoli) != crc {
 		return nil, fmt.Errorf("snapshot: metadata checksum mismatch (corrupted file)")
 	}
-
-	d := &dec{b: meta}
-	pub, err := decodePubMeta(d)
-	if err != nil {
-		return nil, err
-	}
-	gm, err := decodeGuarantee(d)
-	if err != nil {
-		return nil, err
-	}
-	var chain *ChainMetadata
-	if version == Version {
-		if chain, err = decodeChain(d); err != nil {
-			return nil, err
-		}
-	}
-	rowN, root, dirs, err := decodeV2Meta(d, len(meta))
+	rel, rowN, root, dirs, err := decodeMeta(meta, version, crc)
 	if err != nil {
 		return nil, err
 	}
@@ -130,22 +108,21 @@ func newMapped(data []byte, mapped bool, reg *obs.Registry) (*Mapped, error) {
 	// Verify's job.
 	cols := &pg.RowColumns{
 		N:         rowN,
-		D:         pub.Schema.D(),
+		D:         rel.Pub.Schema.D(),
 		Lo:        bytesToI32(payloads[0]),
 		Hi:        bytesToI32(payloads[1]),
 		Value:     bytesToI32(payloads[2]),
 		G:         bytesToI64(payloads[3]),
 		SourceRow: bytesToI64(payloads[4]),
 	}
-	out, err := pg.FromColumns(*pub, cols)
-	if err != nil {
+	if rel.Pub, err = pg.FromColumns(*rel.Pub, cols); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	ix, err := query.NewIndexFromPartsObserved(out.Schema, v2IndexParts(out.P, root, payloads), reg)
+	ix, err := query.NewIndexFromPartsObserved(rel.Pub.Schema, v2IndexParts(rel.Pub.P, root, payloads), reg)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: mapped serving index invalid: %w", err)
 	}
-	return &Mapped{Pub: out, Guarantee: gm, Chain: chain, Index: ix, data: data, mapped: mapped, dirs: dirs, base: base}, nil
+	return &Mapped{Release: *rel, Index: ix, data: data, mapped: mapped, dirs: dirs, base: base}, nil
 }
 
 // Mmapped reports whether the snapshot is actually memory-mapped (false on

@@ -81,21 +81,28 @@ const maxBodyLen = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Write serializes the publication and its optional guarantee metadata to w
-// in the current (version 3) format: metadata body, then the rows and a
-// prebuilt query-serving index as page-aligned column blocks. The guarantee
-// block is what pg.Metadata carries beyond the publication itself; pass nil
-// when no level was certified. The release-chain block is written absent;
-// use WriteRelease to stamp one.
-func Write(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata) error {
-	return WriteRelease(w, pub, g, nil)
+// Release is one decoded snapshot: the publication, its certified
+// guarantee metadata (nil when absent), its release-chain block (nil for
+// version-2 snapshots and for version-3 snapshots outside any chain) and the
+// header CRC that identifies the release — the value a successor's
+// ChainMetadata.ParentCRC refers to and HeaderCRC reads from a path. The CRC
+// comes from the same read as the content, so the two always describe one
+// file.
+type Release struct {
+	Pub       *pg.Published
+	Guarantee *pg.GuaranteeMetadata
+	Chain     *ChainMetadata
+	CRC       uint32
 }
 
-// WriteRelease is Write with a release-chain block: the snapshot records its
-// position in a re-publication chain (release number, parent CRC, delta
-// summary, cross-release guarantee accounting). A nil chain is valid and
-// equals Write.
-func WriteRelease(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata, chain *ChainMetadata) error {
+// Write serializes the publication to w in the current (version 3) format:
+// metadata body, then the rows and a prebuilt query-serving index as
+// page-aligned column blocks. The guarantee block is what pg.Metadata
+// carries beyond the publication itself; pass nil when no level was
+// certified. The release-chain block records the snapshot's position in a
+// re-publication chain (release number, parent CRC, delta summary,
+// cross-release guarantee accounting); pass nil outside any chain.
+func Write(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata, chain *ChainMetadata) error {
 	if pub == nil || pub.Schema == nil {
 		return fmt.Errorf("snapshot: nil publication or schema")
 	}
@@ -118,45 +125,38 @@ func makeHeader(version uint16, body []byte) []byte {
 
 // Read loads a snapshot written by Write (version 2 or 3), verifying
 // the magic, version, body length and every checksum before decoding, and
-// re-validating every structure it reconstructs. The returned guarantee
-// metadata is nil when the snapshot carries none.
+// re-validating every structure it reconstructs.
 //
 // A version-2 publication is returned in columnar form (pg.FromColumns):
 // Rows is nil until a consumer that needs row-major tuples calls
 // pg.Published.EnsureRows. Every serving path (aggregation, indexing, CSV
 // export, scan estimation, crucial-tuple lookup) works directly on the
 // columns.
-func Read(r io.Reader) (*pg.Published, *pg.GuaranteeMetadata, error) {
-	pub, gm, _, err := ReadRelease(r)
-	return pub, gm, err
-}
-
-// ReadRelease is Read plus the release-chain block: nil for version-2
-// snapshots and for version-3 snapshots outside any chain.
-func ReadRelease(r io.Reader) (*pg.Published, *pg.GuaranteeMetadata, *ChainMetadata, error) {
+func Read(r io.Reader) (*Release, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, nil, fmt.Errorf("snapshot: reading header (truncated file?): %w", err)
+		return nil, fmt.Errorf("snapshot: reading header (truncated file?): %w", err)
 	}
 	if [6]byte(hdr[:6]) != magic {
-		return nil, nil, nil, fmt.Errorf("snapshot: bad magic %q — not a snapshot file", hdr[:6])
+		return nil, fmt.Errorf("snapshot: bad magic %q — not a snapshot file", hdr[:6])
 	}
 	version := binary.LittleEndian.Uint16(hdr[6:8])
 	n := binary.LittleEndian.Uint64(hdr[8:16])
 	if n > maxBodyLen {
-		return nil, nil, nil, fmt.Errorf("snapshot: body length %d exceeds the %d-byte limit", n, maxBodyLen)
+		return nil, fmt.Errorf("snapshot: body length %d exceeds the %d-byte limit", n, maxBodyLen)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, nil, nil, fmt.Errorf("snapshot: reading %d-byte body (truncated file?): %w", n, err)
+		return nil, fmt.Errorf("snapshot: reading %d-byte body (truncated file?): %w", n, err)
 	}
-	if sum := crc32.Checksum(body, castagnoli); sum != binary.LittleEndian.Uint32(hdr[16:20]) {
-		return nil, nil, nil, fmt.Errorf("snapshot: body checksum mismatch (corrupted file)")
+	crc := binary.LittleEndian.Uint32(hdr[16:20])
+	if crc32.Checksum(body, castagnoli) != crc {
+		return nil, fmt.Errorf("snapshot: body checksum mismatch (corrupted file)")
 	}
 	if version != versionV2 && version != Version {
-		return nil, nil, nil, unsupportedVersion(version)
+		return nil, unsupportedVersion(version)
 	}
-	return readV2(r, body, version == Version)
+	return readV2(r, body, version, crc)
 }
 
 // Save writes the snapshot to path atomically enough for the single-writer
@@ -166,14 +166,14 @@ func Save(path string, pub *pg.Published, g *pg.GuaranteeMetadata) error {
 	return SaveRelease(path, pub, g, nil)
 }
 
-// SaveRelease is Save with a release-chain block (see WriteRelease).
+// SaveRelease is Save with a release-chain block (see Write).
 func SaveRelease(path string, pub *pg.Published, g *pg.GuaranteeMetadata, chain *ChainMetadata) error {
 	tmp, err := os.CreateTemp(dirOf(path), ".pgsnap-*")
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	bw := bufio.NewWriter(tmp)
-	if err := WriteRelease(bw, pub, g, chain); err != nil {
+	if err := Write(bw, pub, g, chain); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -194,24 +194,14 @@ func SaveRelease(path string, pub *pg.Published, g *pg.GuaranteeMetadata, chain 
 	return nil
 }
 
-// Load reads the snapshot at path.
-func Load(path string) (*pg.Published, *pg.GuaranteeMetadata, error) {
+// Load reads the snapshot at path (see Read).
+func Load(path string) (*Release, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("snapshot: %w", err)
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	defer f.Close()
 	return Read(bufio.NewReader(f))
-}
-
-// LoadRelease reads the snapshot at path along with its release-chain block.
-func LoadRelease(path string) (*pg.Published, *pg.GuaranteeMetadata, *ChainMetadata, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	return ReadRelease(bufio.NewReader(f))
 }
 
 func dirOf(path string) string {

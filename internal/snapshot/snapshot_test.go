@@ -51,13 +51,14 @@ func TestRoundTripAllAlgorithms(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		if err := Write(&buf, pub, meta.Guarantee); err != nil {
+		if err := Write(&buf, pub, meta.Guarantee, nil); err != nil {
 			t.Fatalf("%v: Write: %v", alg, err)
 		}
-		got, gotG, err := Read(bytes.NewReader(buf.Bytes()))
+		rel, err := Read(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%v: Read: %v", alg, err)
 		}
+		got, gotG := rel.Pub, rel.Guarantee
 
 		// Scalar parameters and rows.
 		if got.Algorithm != pub.Algorithm || got.P != pub.P || got.K != pub.K {
@@ -112,7 +113,7 @@ func TestRoundTripAllAlgorithms(t *testing.T) {
 		// The encoding is deterministic: re-saving the loaded publication
 		// reproduces the original file bytes.
 		var again bytes.Buffer
-		if err := Write(&again, got, gotG); err != nil {
+		if err := Write(&again, got, gotG, nil); err != nil {
 			t.Fatalf("%v: re-Write: %v", alg, err)
 		}
 		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -133,13 +134,14 @@ func TestRoundTripSAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, pub, &pg.GuaranteeMetadata{Lambda: 0.1, Rho1: 0.2, Rho2: 0.45, Delta: 0.24}); err != nil {
+	if err := Write(&buf, pub, &pg.GuaranteeMetadata{Lambda: 0.1, Rho1: 0.2, Rho2: 0.45, Delta: 0.24}, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, g, err := Read(bytes.NewReader(buf.Bytes()))
+	rel, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, g := rel.Pub, rel.Guarantee
 	if g == nil || g.Rho2 != 0.45 {
 		t.Fatalf("guarantee block drifted: %+v", g)
 	}
@@ -165,10 +167,11 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := Save(path, pub, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, g, err := Load(path)
+	rel, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, g := rel.Pub, rel.Guarantee
 	if g != nil {
 		t.Fatal("unexpected guarantee block")
 	}
@@ -224,13 +227,13 @@ func tinyPublication(t *testing.T) *pg.Published {
 // by the per-block CRCs, padding damage by the zero check.
 func TestRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, tinyPublication(t), &pg.GuaranteeMetadata{Lambda: 0.1, Rho1: 0.2, Rho2: 0.4, Delta: 0.2}); err != nil {
+	if err := Write(&buf, tinyPublication(t), &pg.GuaranteeMetadata{Lambda: 0.1, Rho1: 0.2, Rho2: 0.4, Delta: 0.2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	for i := range data {
 		data[i] ^= 0x5a
-		_, _, err := Read(bytes.NewReader(data))
+		_, err := Read(bytes.NewReader(data))
 		data[i] ^= 0x5a
 		if err == nil {
 			t.Fatalf("byte %d of %d: corruption accepted", i, len(data))
@@ -243,14 +246,14 @@ func TestRejectsCorruption(t *testing.T) {
 // readers to refuse it by name.
 func TestRejectsUnsupportedVersion(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, tinyPublication(t), nil); err != nil {
+	if err := Write(&buf, tinyPublication(t), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []uint16{0, 1, Version + 1} {
 		data := append([]byte(nil), buf.Bytes()...)
 		binary.LittleEndian.PutUint16(data[6:8], v)
 		want := fmt.Sprintf("unsupported format version %d", v)
-		if _, _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Read of version %d: %v", v, err)
 		}
 		path := filepath.Join(t.TempDir(), "v.pgsnap")
@@ -267,12 +270,12 @@ func TestRejectsUnsupportedVersion(t *testing.T) {
 // full one and requires a loud error each time.
 func TestRejectsTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, tinyPublication(t), nil); err != nil {
+	if err := Write(&buf, tinyPublication(t), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	for n := 0; n < len(data); n++ {
-		if _, _, err := Read(bytes.NewReader(data[:n])); err == nil {
+		if _, err := Read(bytes.NewReader(data[:n])); err == nil {
 			t.Fatalf("truncation to %d of %d bytes accepted", n, len(data))
 		}
 	}
@@ -285,7 +288,7 @@ func TestRejectsTruncation(t *testing.T) {
 func TestRejectsTrailingGarbage(t *testing.T) {
 	pub := publishHospital(t, pg.KD)
 	var buf bytes.Buffer
-	if err := Write(&buf, pub, nil); err != nil {
+	if err := Write(&buf, pub, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -294,14 +297,14 @@ func TestRejectsTrailingGarbage(t *testing.T) {
 	mut := append([]byte(nil), data...)
 	mut[8]++ // low byte of the body length
 	mut = append(mut, 0xee)
-	if _, _, err := Read(bytes.NewReader(mut)); err == nil {
+	if _, err := Read(bytes.NewReader(mut)); err == nil {
 		t.Fatal("overstated body length accepted")
 	}
 
 	// A clean read from a stream with trailing data still succeeds and
 	// leaves the trailer unread.
 	r := bytes.NewReader(append(append([]byte(nil), data...), 0xde, 0xad))
-	if _, _, err := Read(r); err != nil {
+	if _, err := Read(r); err != nil {
 		t.Fatalf("read with trailing stream data failed: %v", err)
 	}
 	if r.Len() != 2 {
@@ -314,14 +317,14 @@ func TestRejectsTrailingGarbage(t *testing.T) {
 func TestRejectsOversizedBodyClaim(t *testing.T) {
 	pub := publishHospital(t, pg.KD)
 	var buf bytes.Buffer
-	if err := Write(&buf, pub, nil); err != nil {
+	if err := Write(&buf, pub, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := append([]byte(nil), buf.Bytes()...)
 	for i := 8; i < 16; i++ {
 		data[i] = 0xff
 	}
-	if _, _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "limit") {
+	if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("oversized body claim not rejected by the limit guard: %v", err)
 	}
 }

@@ -180,49 +180,64 @@ func writeV2(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata, chain *Cha
 	return nil
 }
 
-// decodeV2Meta decodes the v2 tail of the metadata body (after the shared
-// prefix): row count, index root, block directory. The directory is checked
-// for shape here — count, ascending page-aligned offsets, element-width
-// divisibility — so every later consumer can trust its geometry.
-func decodeV2Meta(d *dec, metaLen int) (rowN int, root int32, dirs []blockDir, err error) {
+// decodeMeta decodes a CRC-verified version-2/3 metadata body: the
+// publication prefix, the guarantee block and (version 3) the chain block
+// into a Release stamped with crc, then the v2 tail — row count, index root,
+// block directory. The directory is checked for shape here — count,
+// ascending page-aligned offsets, element-width divisibility — so every
+// later consumer can trust its geometry.
+func decodeMeta(meta []byte, version uint16, crc uint32) (rel *Release, rowN int, root int32, dirs []blockDir, err error) {
+	d := &dec{b: meta}
+	rel = &Release{CRC: crc}
+	if rel.Pub, err = decodePubMeta(d); err != nil {
+		return nil, 0, 0, nil, err
+	}
+	if rel.Guarantee, err = decodeGuarantee(d); err != nil {
+		return nil, 0, 0, nil, err
+	}
+	if version == Version {
+		if rel.Chain, err = decodeChain(d); err != nil {
+			return nil, 0, 0, nil, err
+		}
+	}
 	n := d.u64()
 	root = d.i32()
 	cnt := int(d.u32())
 	if d.err != nil {
-		return 0, 0, nil, d.err
+		return nil, 0, 0, nil, d.err
 	}
 	if n > math.MaxInt32 {
-		return 0, 0, nil, fmt.Errorf("snapshot: row count %d exceeds the format limit", n)
+		return nil, 0, 0, nil, fmt.Errorf("snapshot: row count %d exceeds the format limit", n)
 	}
 	if cnt != len(v2Blocks) {
-		return 0, 0, nil, fmt.Errorf("snapshot: directory lists %d blocks, format has %d", cnt, len(v2Blocks))
+		return nil, 0, 0, nil, fmt.Errorf("snapshot: directory lists %d blocks, format has %d", cnt, len(v2Blocks))
 	}
 	dirs = make([]blockDir, cnt)
-	end := headerLen + metaLen
+	end := headerLen + len(meta)
 	for i := range dirs {
 		dirs[i] = blockDir{off: d.u64(), n: d.u64(), crc: d.u32()}
 		if d.err != nil {
-			return 0, 0, nil, d.err
+			return nil, 0, 0, nil, d.err
 		}
 		b := v2Blocks[i]
 		if dirs[i].off%pageAlign != 0 {
-			return 0, 0, nil, fmt.Errorf("snapshot: %s block offset %d not page-aligned", b.name, dirs[i].off)
+			return nil, 0, 0, nil, fmt.Errorf("snapshot: %s block offset %d not page-aligned", b.name, dirs[i].off)
 		}
 		if dirs[i].off < uint64(alignUp(end)) {
-			return 0, 0, nil, fmt.Errorf("snapshot: %s block offset %d overlaps the previous section", b.name, dirs[i].off)
+			return nil, 0, 0, nil, fmt.Errorf("snapshot: %s block offset %d overlaps the previous section", b.name, dirs[i].off)
 		}
 		if dirs[i].n > maxBodyLen {
-			return 0, 0, nil, fmt.Errorf("snapshot: %s block length %d exceeds the %d-byte limit", b.name, dirs[i].n, maxBodyLen)
+			return nil, 0, 0, nil, fmt.Errorf("snapshot: %s block length %d exceeds the %d-byte limit", b.name, dirs[i].n, maxBodyLen)
 		}
 		if dirs[i].n%uint64(b.elem) != 0 {
-			return 0, 0, nil, fmt.Errorf("snapshot: %s block length %d not a multiple of %d", b.name, dirs[i].n, b.elem)
+			return nil, 0, 0, nil, fmt.Errorf("snapshot: %s block length %d not a multiple of %d", b.name, dirs[i].n, b.elem)
 		}
 		end = int(dirs[i].off) + prefixLen + int(dirs[i].n)
 	}
 	if d.off != len(d.b) {
-		return 0, 0, nil, fmt.Errorf("snapshot: %d trailing bytes after the block directory", len(d.b)-d.off)
+		return nil, 0, 0, nil, fmt.Errorf("snapshot: %d trailing bytes after the block directory", len(d.b)-d.off)
 	}
-	return int(n), root, dirs, nil
+	return rel, int(n), root, dirs, nil
 }
 
 // verifyV2Blocks checks the block region bytes against the directory: zero
@@ -320,32 +335,17 @@ func v2IndexParts(p float64, root int32, payloads [][]byte) query.IndexParts {
 }
 
 // readV2 finishes Read for a version-2/3 stream: meta is the already
-// CRC-verified metadata body, r is positioned at the first byte after it,
-// and hasChain says whether the version carries the release-chain block.
-// Every block CRC, every length prefix, all padding and the exact file end
-// are verified; the index blocks are additionally checked structurally (by
-// reconstructing an index from them), though the streaming Read returns only
-// the publication — Write rebuilds the index deterministically, which is
-// what keeps save(load(save)) byte-identical.
-func readV2(r io.Reader, meta []byte, hasChain bool) (*pg.Published, *pg.GuaranteeMetadata, *ChainMetadata, error) {
-	d := &dec{b: meta}
-	pub, err := decodePubMeta(d)
+// CRC-verified metadata body, crc its header checksum, and r is positioned
+// at the first byte after it. Every block CRC, every length prefix, all
+// padding and the exact file end are verified; the index blocks are
+// additionally checked structurally (by reconstructing an index from them),
+// though the streaming Read returns only the publication — Write rebuilds
+// the index deterministically, which is what keeps save(load(save))
+// byte-identical.
+func readV2(r io.Reader, meta []byte, version uint16, crc uint32) (*Release, error) {
+	rel, rowN, root, dirs, err := decodeMeta(meta, version, crc)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	gm, err := decodeGuarantee(d)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var chain *ChainMetadata
-	if hasChain {
-		if chain, err = decodeChain(d); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	rowN, root, dirs, err := decodeV2Meta(d, len(meta))
-	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	// Consume exactly the bytes the directory describes: Read leaves
 	// anything after the snapshot unread, so it can be layered
@@ -355,18 +355,17 @@ func readV2(r io.Reader, meta []byte, hasChain bool) (*pg.Published, *pg.Guarant
 	base := headerLen + len(meta)
 	data := make([]byte, int(last.off)+prefixLen+int(last.n)-base)
 	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, nil, nil, fmt.Errorf("snapshot: reading column blocks (truncated file?): %w", err)
+		return nil, fmt.Errorf("snapshot: reading column blocks (truncated file?): %w", err)
 	}
 	payloads, err := verifyV2Blocks(data, base, dirs)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	out, err := v2Rows(pub, rowN, payloads)
-	if err != nil {
-		return nil, nil, nil, err
+	if rel.Pub, err = v2Rows(rel.Pub, rowN, payloads); err != nil {
+		return nil, err
 	}
-	if _, err := query.NewIndexFromParts(out.Schema, v2IndexParts(out.P, root, payloads)); err != nil {
-		return nil, nil, nil, fmt.Errorf("snapshot: loaded serving index invalid: %w", err)
+	if _, err := query.NewIndexFromParts(rel.Pub.Schema, v2IndexParts(rel.Pub.P, root, payloads)); err != nil {
+		return nil, fmt.Errorf("snapshot: loaded serving index invalid: %w", err)
 	}
-	return out, gm, chain, nil
+	return rel, nil
 }

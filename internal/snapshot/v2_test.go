@@ -96,7 +96,7 @@ func TestOpenMapped(t *testing.T) {
 // the documented trade for not faulting the file in.
 func TestMappedVerifyCatchesEveryByte(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, tinyPublication(t), nil); err != nil {
+	if err := Write(&buf, tinyPublication(t), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -146,7 +146,7 @@ func TestWriteWorkerInvariant(t *testing.T) {
 				t.Fatalf("%v workers=%d: %v", alg, workers, err)
 			}
 			var buf bytes.Buffer
-			if err := Write(&buf, pub, g); err != nil {
+			if err := Write(&buf, pub, g, nil); err != nil {
 				t.Fatalf("%v workers=%d: Write: %v", alg, workers, err)
 			}
 			if workers == 1 {

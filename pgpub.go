@@ -370,21 +370,27 @@ var (
 var (
 	// SaveSnapshot writes a publication snapshot atomically to a file.
 	SaveSnapshot = snapshot.Save
-	// LoadSnapshot reads a snapshot file back; the loaded publication
-	// reproduces the original's WriteCSV bytes and Metadata exactly.
+	// LoadSnapshot reads a snapshot file back as a SnapshotRelease; the
+	// loaded publication reproduces the original's WriteCSV bytes and
+	// Metadata exactly.
 	LoadSnapshot = snapshot.Load
-	// WriteSnapshot serializes a publication snapshot to a writer.
+	// WriteSnapshot serializes a publication snapshot, with an optional
+	// release-chain block, to a writer.
 	WriteSnapshot = snapshot.Write
 	// ReadSnapshot deserializes a publication snapshot from a reader.
 	ReadSnapshot = snapshot.Read
-	// OpenSnapshot maps a version-2 snapshot for serving in place: the
+	// OpenSnapshot maps a version-2/3 snapshot for serving in place: the
 	// column blocks and the prebuilt query index adopt the file's pages, so
 	// a cold start costs page faults instead of a parse.
 	OpenSnapshot = snapshot.OpenMapped
 )
 
-// MappedSnapshot is a snapshot opened in place by OpenSnapshot: publication,
-// guarantee metadata and serving index aliasing the mapped file.
+// SnapshotRelease is a decoded snapshot: publication, guarantee metadata,
+// release-chain block and the header CRC that identifies the release.
+type SnapshotRelease = snapshot.Release
+
+// MappedSnapshot is a snapshot opened in place by OpenSnapshot: a
+// SnapshotRelease and serving index aliasing the mapped file.
 type MappedSnapshot = snapshot.Mapped
 
 // Network serving layer (cmd/pgserve; API reference in docs/SERVING.md).
