@@ -1,7 +1,6 @@
 package generalize
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -13,8 +12,10 @@ import (
 // The benchmarks in this file pit the grouping engine against test-only
 // copies of the code paths it replaced: byte-string map keys for GroupBy,
 // a full-table re-scan per TDS round, and a full-table re-group per
-// Incognito lattice node. The legacy copies are kept here — not in the
-// library — so the comparison can't rot silently while the engine evolves.
+// Incognito lattice node. The legacy copies are kept in test files — not in
+// the library — so the comparison can't rot silently while the engine
+// evolves; the TDS one is in tds_ref_test.go, where it is also the reference
+// TestTDSMatchesReference checks TDS against.
 
 // benchGenTable builds a skewed random table over three QI attributes;
 // the exponential skew leaves rare tail values so k-anonymity does real work.
@@ -87,11 +88,18 @@ func BenchmarkGroupByEngine(b *testing.B) {
 
 func BenchmarkTDSEngine(b *testing.B) {
 	tbl, hiers := benchGenTable(100_000)
+	class := make([]int, tbl.Len())
+	for i := range class {
+		class[i] = int(tbl.Sensitive(i))
+	}
 	for _, bc := range []struct {
 		name string
 		run  func() (*Groups, error)
 	}{
-		{"legacy-rescan", func() (*Groups, error) { return legacyTDS(tbl, hiers, 6) }},
+		{"legacy-rescan", func() (*Groups, error) {
+			g, _, err := legacyTDS(tbl, hiers, class, tbl.Schema.SensitiveDomain(), 6)
+			return g, err
+		}},
 		{"engine", func() (*Groups, error) {
 			res, err := TDS(tbl, hiers, TDSConfig{K: 6})
 			if err != nil {
@@ -200,124 +208,4 @@ func BenchmarkSearchFullDomainGreedy(b *testing.B) {
 			b.Fatal("SAL lattice searched exhaustively; want the greedy walk")
 		}
 	}
-}
-
-// legacyTDS is the pre-engine TDS inner loop: a full-table GroupBy after
-// every specialization round, with candidate statistics rebuilt from scratch
-// by re-scanning every group. Kept verbatim (modulo names) for benchmarks.
-func legacyTDS(t *dataset.Table, hiers []*hierarchy.Hierarchy, k int) (*Groups, error) {
-	class := make([]int, t.Len())
-	for i := range class {
-		class[i] = int(t.Sensitive(i))
-	}
-	numClasses := t.Schema.SensitiveDomain()
-	rec, err := TopRecoding(t.Schema, hiers)
-	if err != nil {
-		return nil, err
-	}
-	groups := GroupBy(t, rec)
-	maxRounds := 0
-	for _, h := range hiers {
-		maxRounds += h.NumNodes() - h.Leaves()
-	}
-	for rounds := 0; rounds < maxRounds; rounds++ {
-		attr, node, ok := legacyBestSpecialization(t, rec, groups, class, numClasses, k)
-		if !ok {
-			break
-		}
-		refined, err := rec.Cuts[attr].Refine(node)
-		if err != nil {
-			return nil, err
-		}
-		rec.Cuts[attr] = refined
-		groups = GroupBy(t, rec)
-	}
-	return groups, nil
-}
-
-type legacyCandidate struct {
-	attr       int
-	node       int32
-	total      []int
-	perChild   map[int32][]int
-	groupChild []map[int32]int
-	groupIdx   map[int]int
-	groupSize  []int
-}
-
-func legacyBestSpecialization(t *dataset.Table, rec *Recoding, groups *Groups, class []int, numClasses, k int) (attr int, node int32, ok bool) {
-	d := rec.D()
-	cands := make(map[[2]int32]*legacyCandidate)
-	for gi, rows := range groups.Rows {
-		key := groups.Keys[gi]
-		for a := 0; a < d; a++ {
-			v := key[a]
-			h := rec.Hierarchies[a]
-			if h.IsLeaf(v) {
-				continue
-			}
-			ck := [2]int32{int32(a), v}
-			c := cands[ck]
-			if c == nil {
-				c = &legacyCandidate{
-					attr:     a,
-					node:     v,
-					total:    make([]int, numClasses),
-					perChild: make(map[int32][]int),
-					groupIdx: make(map[int]int),
-				}
-				cands[ck] = c
-			}
-			slot := len(c.groupChild)
-			c.groupIdx[gi] = slot
-			c.groupChild = append(c.groupChild, make(map[int32]int))
-			c.groupSize = append(c.groupSize, len(rows))
-			for _, i := range rows {
-				leaf := t.QI(i, a)
-				child := childToward(h, v, leaf)
-				c.total[class[i]]++
-				hist := c.perChild[child]
-				if hist == nil {
-					hist = make([]int, numClasses)
-					c.perChild[child] = hist
-				}
-				hist[class[i]]++
-				c.groupChild[slot][child]++
-			}
-		}
-	}
-	curMin := groups.MinSize()
-	bestScore := math.Inf(-1)
-	for _, c := range cands {
-		minAfter := math.MaxInt
-		valid := true
-		for _, split := range c.groupChild {
-			for _, cnt := range split {
-				if cnt < k {
-					valid = false
-					break
-				}
-				if cnt < minAfter {
-					minAfter = cnt
-				}
-			}
-			if !valid {
-				break
-			}
-		}
-		if !valid {
-			continue
-		}
-		gain := infoGain(c.total, c.perChild)
-		loss := float64(curMin - minAfter)
-		if loss < 0 {
-			loss = 0
-		}
-		score := gain / (loss + 1)
-		if score > bestScore {
-			bestScore = score
-			attr, node, ok = c.attr, c.node, true
-		}
-	}
-	return attr, node, ok
 }

@@ -1,8 +1,9 @@
 package generalize
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pgpub/internal/dataset"
 )
@@ -101,17 +102,19 @@ func KDPartitionParallel(t *dataset.Table, k, spawnDepth int) (*KDResult, error)
 	for i := range all {
 		all[i] = i
 	}
-	return kdRecurse(t, k, root, all, spawnDepth), nil
+	return kdRecurse(t, k, root, all, spawnDepth, &kdScratch{}), nil
 }
 
 // kdRecurse partitions one cell, spawning goroutines for the subtrees while
-// spawnDepth is positive.
-func kdRecurse(t *dataset.Table, k int, cell Box, rows []int, spawnDepth int) *KDResult {
-	attr, cut, ok := chooseKDSplit(t, cell, rows, k)
+// spawnDepth is positive. Rows are partitioned in place, so every cell's
+// rows are a capacity-capped window of the one row array KDPartitionParallel
+// allocates; each goroutine owns its scratch.
+func kdRecurse(t *dataset.Table, k int, cell Box, rows []int, spawnDepth int, sc *kdScratch) *KDResult {
+	attr, cut, ok := chooseKDSplit(t, cell, rows, k, sc)
 	if !ok {
-		return &KDResult{Cells: []Box{cell}, Rows: [][]int{rows}}
+		return &KDResult{Cells: []Box{cell}, Rows: [][]int{rows[:len(rows):len(rows)]}}
 	}
-	left, right := partition(t, rows, attr, cut)
+	left, right := partition(t, rows, attr, cut, sc)
 	lc := Box{Lo: append([]int32(nil), cell.Lo...), Hi: append([]int32(nil), cell.Hi...)}
 	rc := Box{Lo: append([]int32(nil), cell.Lo...), Hi: append([]int32(nil), cell.Hi...)}
 	lc.Hi[attr] = cut
@@ -120,14 +123,14 @@ func kdRecurse(t *dataset.Table, k int, cell Box, rows []int, spawnDepth int) *K
 	if spawnDepth > 0 {
 		done := make(chan struct{})
 		go func() {
-			lres = kdRecurse(t, k, lc, left, spawnDepth-1)
+			lres = kdRecurse(t, k, lc, left, spawnDepth-1, &kdScratch{})
 			close(done)
 		}()
-		rres = kdRecurse(t, k, rc, right, spawnDepth-1)
+		rres = kdRecurse(t, k, rc, right, spawnDepth-1, sc)
 		<-done
 	} else {
-		lres = kdRecurse(t, k, lc, left, 0)
-		rres = kdRecurse(t, k, rc, right, 0)
+		lres = kdRecurse(t, k, lc, left, 0, sc)
+		rres = kdRecurse(t, k, rc, right, 0, sc)
 	}
 	return &KDResult{
 		Cells: append(lres.Cells, rres.Cells...),
@@ -145,47 +148,57 @@ func fullDomainBox(schema *dataset.Schema) Box {
 	return b
 }
 
+// kdSpan is one attribute's normalized spread inside a cell, with the code
+// range [lo, hi] it was measured over.
+type kdSpan struct {
+	attr   int
+	width  float64
+	lo, hi int32
+}
+
+// kdScratch is the reusable buffer set of one goroutine's split search and
+// partition; the zero value is ready to use.
+type kdScratch struct {
+	spans []kdSpan
+	hist  []int
+	vals  []int32
+	spill []int
+}
+
 // chooseKDSplit picks the widest-spread attribute admitting a median split
 // with both sides >= k inside the current cell: attributes are ranked by
 // normalized span of values present in rows, and the first (widest) one
 // admitting a split wins. Mondrian's chooseSplit is this over the full
 // domain. All scans are column gathers: each attribute's codes come from one
 // contiguous array, so the span pass reads d sequential streams instead of
-// d values per row slice.
-func chooseKDSplit(t *dataset.Table, cell Box, rows []int, k int) (attr int, cut int32, ok bool) {
+// d values per row slice. The median and both candidate cuts' left-side
+// counts come from one counting pass (medianCounts), not a sort.
+func chooseKDSplit(t *dataset.Table, cell Box, rows []int, k int, sc *kdScratch) (attr int, cut int32, ok bool) {
 	if len(rows) < 2*k {
 		return 0, 0, false
 	}
 	d := t.Schema.D()
-	type span struct {
-		attr  int
-		width float64
-	}
-	spans := make([]span, 0, d)
+	spans := sc.spans[:0]
 	for a := 0; a < d; a++ {
 		lo, hi := colMinMax(t.QICol(a), rows)
 		if hi > lo {
-			spans = append(spans, span{a, float64(hi-lo) / float64(t.Schema.QI[a].Size()-1)})
+			spans = append(spans, kdSpan{a, float64(hi-lo) / float64(t.Schema.QI[a].Size()-1), lo, hi})
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].width > spans[j].width })
-	vals := make([]int32, len(rows))
+	sc.spans = spans
+	// Tied widths must rank as sort.Slice ranks them, or published cells
+	// change; slices.SortFunc runs the same pdqsort without its reflective
+	// swapper.
+	slices.SortFunc(spans, func(x, y kdSpan) int { return cmp.Compare(y.width, x.width) })
 	for _, s := range spans {
-		colGather(t.QICol(s.attr), rows, vals)
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		m := vals[len(vals)/2]
-		for _, c := range []int32{m - 1, m} {
-			if c < cell.Lo[s.attr] || c >= cell.Hi[s.attr] {
+		m, below, atOrBelow := medianCounts(t.QICol(s.attr), rows, s.lo, s.hi, sc)
+		for c, nl := range [2]int{below, atOrBelow} {
+			cut := m - 1 + int32(c)
+			if cut < cell.Lo[s.attr] || cut >= cell.Hi[s.attr] {
 				continue
 			}
-			nl := 0
-			for _, v := range vals {
-				if v <= c {
-					nl++
-				}
-			}
 			if nl >= k && len(rows)-nl >= k {
-				return s.attr, c, true
+				return s.attr, cut, true
 			}
 		}
 	}

@@ -32,10 +32,11 @@ func Mondrian(t *dataset.Table, k int) ([]MondrianBox, error) {
 		all[i] = i
 	}
 	var out []MondrianBox
+	sc := &kdScratch{}
 	var recurse func(rows []int)
 	recurse = func(rows []int) {
-		if attr, median, ok := chooseSplit(t, rows, k); ok {
-			left, right := partition(t, rows, attr, median)
+		if attr, median, ok := chooseSplit(t, rows, k, sc); ok {
+			left, right := partition(t, rows, attr, median, sc)
 			recurse(left)
 			recurse(right)
 			return
@@ -50,21 +51,21 @@ func Mondrian(t *dataset.Table, k int) ([]MondrianBox, error) {
 // rule). It is chooseKDSplit over the full QI domain: the cell-bound filter
 // is vacuous there, because a cut outside the domain always starves one
 // side and is rejected by the >= k checks anyway.
-func chooseSplit(t *dataset.Table, rows []int, k int) (attr int, median int32, ok bool) {
-	return chooseKDSplit(t, fullDomainBox(t.Schema), rows, k)
+func chooseSplit(t *dataset.Table, rows []int, k int, sc *kdScratch) (attr int, median int32, ok bool) {
+	return chooseKDSplit(t, fullDomainBox(t.Schema), rows, k, sc)
 }
 
-// partition splits rows on attr <= cut with one gather over the attribute's
-// contiguous column.
-func partition(t *dataset.Table, rows []int, attr int, cut int32) (left, right []int) {
-	return colPartition(t.QICol(attr), rows, cut)
+// partition splits rows in place on attr <= cut with one gather over the
+// attribute's contiguous column.
+func partition(t *dataset.Table, rows []int, attr int, cut int32, sc *kdScratch) (left, right []int) {
+	return colPartition(t.QICol(attr), rows, cut, sc)
 }
 
 // summarize computes the bounding box of a final partition, one column
 // min/max sweep per attribute.
 func summarize(t *dataset.Table, rows []int) MondrianBox {
 	d := t.Schema.D()
-	b := MondrianBox{Lo: make([]int32, d), Hi: make([]int32, d), Rows: rows}
+	b := MondrianBox{Lo: make([]int32, d), Hi: make([]int32, d), Rows: rows[:len(rows):len(rows)]}
 	for a := 0; a < d; a++ {
 		b.Lo[a], b.Hi[a] = colMinMax(t.QICol(a), rows)
 	}

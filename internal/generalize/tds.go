@@ -1,8 +1,10 @@
 package generalize
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pgpub/internal/dataset"
@@ -131,9 +133,10 @@ func TDS(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg TDSConfig) (*TDSRes
 type tdsGroup struct {
 	key  []int32
 	rows []int
-	// split[a] maps each child of key[a] to the number of the group's rows
-	// underneath it; nil when key[a] is a leaf (not refinable).
-	split []map[int32]int
+	// split[a][c] is the number of the group's rows underneath the c-th
+	// child (in Children order) of key[a]; nil when key[a] is a leaf (not
+	// refinable). Children without rows count 0.
+	split [][]int
 }
 
 // tdsCand is the class-histogram state of one (attribute, cut node)
@@ -143,15 +146,60 @@ type tdsGroup struct {
 // changes the set of rows mapping to this node, so total and perChild are
 // invariants of the candidate.
 type tdsCand struct {
-	total    []int           // class histogram of all rows mapping to the node
-	perChild map[int32][]int // child node -> class histogram
+	total []int // class histogram of all rows mapping to the node
+	// perChild[c*numClasses+y] counts the node's rows of class y underneath
+	// its c-th child.
+	perChild []int
+}
+
+// tdsHier is the per-hierarchy lookup the engine maps rows with: a row's
+// child under a node is one table read instead of a walk up the tree.
+type tdsHier struct {
+	h *hierarchy.Hierarchy
+	// ordAt[dep][leaf] is the Children position of leaf's ancestor at depth
+	// dep >= 1 among its parent's children; -1 where the leaf is shallower.
+	ordAt [][]int32
+	// byID[v] lists v's child positions in ascending node ID, the order
+	// infoGain sums children in.
+	byID [][]int32
+}
+
+func newTDSHier(h *hierarchy.Hierarchy) tdsHier {
+	th := tdsHier{h: h, byID: make([][]int32, h.NumNodes())}
+	ord := make([]int32, h.NumNodes())
+	for v := int32(h.Leaves()); int(v) < h.NumNodes(); v++ {
+		kids := h.Children(v)
+		pos := make([]int32, len(kids))
+		for c, kid := range kids {
+			ord[kid] = int32(c)
+			pos[c] = int32(c)
+		}
+		slices.SortFunc(pos, func(x, y int32) int { return cmp.Compare(kids[x], kids[y]) })
+		th.byID[v] = pos
+	}
+	th.ordAt = make([][]int32, h.Height()+1)
+	for dep := 1; dep < len(th.ordAt); dep++ {
+		row := make([]int32, h.Leaves())
+		for leaf := range row {
+			u := int32(leaf)
+			for h.Depth(u) > dep {
+				u = h.Parent(u)
+			}
+			row[leaf] = -1
+			if h.Depth(u) == dep {
+				row[leaf] = ord[u]
+			}
+		}
+		th.ordAt[dep] = row
+	}
+	return th
 }
 
 // tdsEngine maintains the grouping and candidate statistics across
 // specialization rounds.
 type tdsEngine struct {
 	t          *dataset.Table
-	hiers      []*hierarchy.Hierarchy
+	hiers      []tdsHier
 	class      []int
 	numClasses int
 	k          int
@@ -164,11 +212,14 @@ type tdsEngine struct {
 func newTDSEngine(t *dataset.Table, hiers []*hierarchy.Hierarchy, rec *Recoding, class []int, numClasses, k, workers int) *tdsEngine {
 	e := &tdsEngine{
 		t:          t,
-		hiers:      hiers,
+		hiers:      make([]tdsHier, len(hiers)),
 		class:      class,
 		numClasses: numClasses,
 		k:          k,
 		cands:      make(map[[2]int32]*tdsCand),
+	}
+	for a, h := range hiers {
+		e.hiers[a] = newTDSHier(h)
 	}
 	g := GroupByWorkers(t, rec, workers)
 	for gi := range g.Keys {
@@ -179,43 +230,63 @@ func newTDSEngine(t *dataset.Table, hiers []*hierarchy.Hierarchy, rec *Recoding,
 	return e
 }
 
+// childOrds returns the child-position table of internal node v of
+// attribute a: entry leaf is the position, among v's children, of the child
+// on the path to leaf.
+func (e *tdsEngine) childOrds(a int, v int32) []int32 {
+	th := &e.hiers[a]
+	return th.ordAt[th.h.Depth(v)+1]
+}
+
 // addGroup scans the group's rows once, building its per-attribute child
 // split counts and merging its class statistics into the candidates of
 // attribute candAttr (-1 means every refinable attribute — used for the
 // initial grouping, where every candidate is new).
 func (e *tdsEngine) addGroup(grp *tdsGroup, candAttr int) {
 	d := len(grp.key)
-	grp.split = make([]map[int32]int, d)
+	grp.split = make([][]int, d)
 	for a := 0; a < d; a++ {
 		v := grp.key[a]
-		h := e.hiers[a]
+		h := e.hiers[a].h
 		if h.IsLeaf(v) {
 			continue
 		}
-		grp.split[a] = make(map[int32]int, len(h.Children(v)))
+		nKids := len(h.Children(v))
+		split := make([]int, nKids)
+		grp.split[a] = split
 		var c *tdsCand
 		if a == candAttr || candAttr < 0 {
 			ck := [2]int32{int32(a), v}
 			c = e.cands[ck]
 			if c == nil {
-				c = &tdsCand{total: make([]int, e.numClasses), perChild: make(map[int32][]int, len(h.Children(v)))}
+				c = &tdsCand{total: make([]int, e.numClasses), perChild: make([]int, nKids*e.numClasses)}
 				e.cands[ck] = c
 			}
 		}
-		for _, i := range grp.rows {
-			child := childToward(h, v, e.t.QI(i, a))
-			grp.split[a][child]++
-			if c != nil {
-				cl := e.class[i]
-				c.total[cl]++
-				hist := c.perChild[child]
-				if hist == nil {
-					hist = make([]int, e.numClasses)
-					c.perChild[child] = hist
-				}
-				hist[cl]++
-			}
+		ords, col := e.childOrds(a, v), e.t.QICol(a)
+		if u8 := col.U8(); u8 != nil {
+			countChildren(u8, grp.rows, ords, split, c, e.class, e.numClasses)
+		} else {
+			countChildren(col.I32(), grp.rows, ords, split, c, e.class, e.numClasses)
 		}
+	}
+}
+
+// countChildren adds rows to a group's child split counts and, when c is
+// non-nil, to the candidate's class histograms.
+func countChildren[T uint8 | int32](codes []T, rows []int, ords []int32, split []int, c *tdsCand, class []int, numClasses int) {
+	if c == nil {
+		for _, i := range rows {
+			split[ords[codes[i]]]++
+		}
+		return
+	}
+	for _, i := range rows {
+		o := int(ords[codes[i]])
+		split[o]++
+		cl := class[i]
+		c.total[cl]++
+		c.perChild[o*numClasses+cl]++
 	}
 }
 
@@ -251,6 +322,9 @@ func (e *tdsEngine) bestSpecialization() (attr int, node int32, ok bool) {
 				order = append(order, ck)
 			}
 			for _, cnt := range split {
+				if cnt == 0 {
+					continue
+				}
 				if cnt < e.k {
 					ag.valid = false
 				}
@@ -274,7 +348,7 @@ func (e *tdsEngine) bestSpecialization() (attr int, node int32, ok bool) {
 			continue
 		}
 		c := e.cands[ck]
-		gain := infoGain(c.total, c.perChild)
+		gain := infoGain(c.total, c.perChild, e.hiers[ck[0]].byID[ck[1]])
 		loss := float64(curMin - ag.minAfter)
 		if loss < 0 {
 			loss = 0
@@ -291,10 +365,14 @@ func (e *tdsEngine) bestSpecialization() (attr int, node int32, ok bool) {
 // refine performs the specialization (attr, node): every group whose key
 // contains the node is split by the node's children, in one pass over the
 // affected rows only. Unaffected groups — and the candidate statistics of
-// every other attribute — are reused as-is.
+// every other attribute — are reused as-is. The sub-groups of one group are
+// spawned in first-appearance order of their child among its rows.
 func (e *tdsEngine) refine(attr int, node int32) {
-	h := e.hiers[attr]
+	kids := e.hiers[attr].h.Children(node)
 	delete(e.cands, [2]int32{int32(attr), node})
+	ords, col := e.childOrds(attr, node), e.t.QICol(attr)
+	sub := make([]*tdsGroup, len(kids))
+	order := make([]int32, 0, len(kids))
 	out := e.groups[:0]
 	var spawned []*tdsGroup
 	for _, grp := range e.groups {
@@ -303,24 +381,23 @@ func (e *tdsEngine) refine(attr int, node int32) {
 			continue
 		}
 		e.splits++
-		sub := make(map[int32]*tdsGroup, len(h.Children(node)))
-		var order []int32
+		clear(sub)
+		order = order[:0]
 		for _, i := range grp.rows {
-			child := childToward(h, node, e.t.QI(i, attr))
-			sg := sub[child]
+			o := ords[col.Get(i)]
+			sg := sub[o]
 			if sg == nil {
 				key := append([]int32(nil), grp.key...)
-				key[attr] = child
-				sg = &tdsGroup{key: key, rows: make([]int, 0, grp.split[attr][child])}
-				sub[child] = sg
-				order = append(order, child)
+				key[attr] = kids[o]
+				sg = &tdsGroup{key: key, rows: make([]int, 0, grp.split[attr][o])}
+				sub[o] = sg
+				order = append(order, o)
 			}
 			sg.rows = append(sg.rows, i)
 		}
-		for _, child := range order {
-			sg := sub[child]
-			e.addGroup(sg, attr)
-			spawned = append(spawned, sg)
+		for _, o := range order {
+			e.addGroup(sub[o], attr)
+			spawned = append(spawned, sub[o])
 		}
 	}
 	e.groups = append(out, spawned...)
@@ -337,15 +414,6 @@ func (e *tdsEngine) finish() *Groups {
 		out.Rows[gi] = grp.rows
 	}
 	return out
-}
-
-// childToward returns the child of internal node v on the path toward leaf.
-func childToward(h *hierarchy.Hierarchy, v, leaf int32) int32 {
-	u := leaf
-	for h.Parent(u) != v {
-		u = h.Parent(u)
-	}
-	return u
 }
 
 // entropy computes the Shannon entropy (nats) of a count histogram.
@@ -368,9 +436,11 @@ func entropy(hist []int) float64 {
 	return e
 }
 
-// infoGain is I(parent) - sum_c |R_c|/|R| * I(R_c). Children are summed in
-// node order so the floating-point result is reproducible across runs.
-func infoGain(total []int, perChild map[int32][]int) float64 {
+// infoGain is I(parent) - sum_c |R_c|/|R| * I(R_c), over perChild's
+// numClasses-wide child histograms. Children are summed in node-ID order
+// (byID lists their positions so) and children without rows are skipped, so
+// the floating-point result is reproducible across runs.
+func infoGain(total, perChild []int, byID []int32) float64 {
 	n := 0
 	for _, c := range total {
 		n += c
@@ -378,17 +448,16 @@ func infoGain(total []int, perChild map[int32][]int) float64 {
 	if n == 0 {
 		return 0
 	}
-	children := make([]int32, 0, len(perChild))
-	for c := range perChild {
-		children = append(children, c)
-	}
-	sort.Slice(children, func(i, j int) bool { return children[i] < children[j] })
+	nc := len(total)
 	g := entropy(total)
-	for _, c := range children {
-		hist := perChild[c]
+	for _, c := range byID {
+		hist := perChild[int(c)*nc : (int(c)+1)*nc]
 		cn := 0
 		for _, cc := range hist {
 			cn += cc
+		}
+		if cn == 0 {
+			continue
 		}
 		g -= float64(cn) / float64(n) * entropy(hist)
 	}

@@ -25,13 +25,16 @@ type Cut struct {
 // NewCut validates that nodes form a disjoint exact cover of the leaves and
 // returns the cut.
 func NewCut(h *Hierarchy, nodes []int32) (*Cut, error) {
+	// Range-check before sorting: the sort indexes h.lo by node.
+	for _, v := range nodes {
+		if v < 0 || int(v) >= h.NumNodes() {
+			return nil, fmt.Errorf("hierarchy: cut node %d out of range", v)
+		}
+	}
 	c := &Cut{h: h, nodes: append([]int32(nil), nodes...), leafTo: make([]int32, h.Leaves())}
 	sort.Slice(c.nodes, func(i, j int) bool { return h.lo[c.nodes[i]] < h.lo[c.nodes[j]] })
 	next := int32(0)
 	for _, v := range c.nodes {
-		if v < 0 || int(v) >= h.NumNodes() {
-			return nil, fmt.Errorf("hierarchy: cut node %d out of range", v)
-		}
 		if h.lo[v] != next {
 			return nil, fmt.Errorf("hierarchy: cut gap or overlap at leaf %d (node %d starts at %d)", next, v, h.lo[v])
 		}

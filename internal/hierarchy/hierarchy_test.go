@@ -181,6 +181,11 @@ func TestNewCutValidation(t *testing.T) {
 	if _, err := NewCut(h, []int32{int32(h.NumNodes())}); err == nil {
 		t.Fatal("oversized node: want error")
 	}
+	// Beside valid nodes, an out-of-range node must be refused before the
+	// range sort reads its bounds (a snapshot decoder found this panic).
+	if _, err := NewCut(h, []int32{pair01, 2, 808464432, quad1}); err == nil {
+		t.Fatal("oversized node among valid ones: want error")
+	}
 }
 
 func TestCutRefine(t *testing.T) {

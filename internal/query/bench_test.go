@@ -43,14 +43,26 @@ func BenchmarkCountScan(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexBuild is the one-time serving-index construction.
+// BenchmarkIndexBuild is the one-time serving-index construction, over the
+// publication of each Phase-2 algorithm.
 func BenchmarkIndexBuild(b *testing.B) {
-	pub, _ := benchServing(b, 20000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewIndex(pub); err != nil {
+	d, err := sal.Generate(20000, 61)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, alg := range []pg.Algorithm{pg.KD, pg.TDS, pg.FullDomain} {
+		pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{K: 6, P: 0.3, Algorithm: alg, Seed: 62})
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(alg.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewIndex(pub); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

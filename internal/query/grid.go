@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"pgpub/internal/dataset"
+	"pgpub/internal/par"
 )
 
 // The interval-grid layer of the Index: per-dim-pair summed-area tables that
@@ -54,26 +55,36 @@ func (g *pairGrid) rng(u1, u2, v1, v2, y1, y2 int32) float64 {
 	return hi - lo
 }
 
-// neumaierAxis prefix-sums buf along one axis with Neumaier compensation,
+// neumaierLines prefix-sums buf along one axis with Neumaier compensation,
 // keeping per-cell rounding error at a few ulps regardless of chain length —
 // the grid's answers must stay within the 1e-9 scan-equivalence tolerance
 // even at the far corner of the table.
 //
-// The axis is described by its stride and extent; outer iterates the
-// product of the remaining extents via base offsets.
-func neumaierAxis(buf []float64, bases []int, stride, extent int) {
-	for _, base := range bases {
-		sum, comp := 0.0, 0.0
+// buf is blocks consecutive blocks of extent×stride cells; each block holds
+// stride independent lines (offsets 0..stride-1 of the block) whose cells
+// are stride apart. The lines advance together, one contiguous row of stride
+// cells per step, so the pass streams through memory; sum and comp carry the
+// lines' running state and need stride cells. Every line still sees its own
+// cells in order, so the result is the same as summing it alone.
+func neumaierLines(buf []float64, blocks, extent, stride int, sum, comp []float64) {
+	sum, comp = sum[:stride], comp[:stride]
+	for blk := 0; blk < blocks; blk++ {
+		clear(sum)
+		clear(comp)
+		base := blk * extent * stride
 		for i := 0; i < extent; i++ {
-			x := buf[base+i*stride]
-			t := sum + x
-			if math.Abs(sum) >= math.Abs(x) {
-				comp += (sum - t) + x
-			} else {
-				comp += (x - t) + sum
+			row := buf[base+i*stride : base+(i+1)*stride]
+			for b, x := range row {
+				s := sum[b]
+				t := s + x
+				if math.Abs(s) >= math.Abs(x) {
+					comp[b] += (s - t) + x
+				} else {
+					comp[b] += (x - t) + s
+				}
+				sum[b] = t
+				row[b] = t + comp[b]
 			}
-			sum = t
-			buf[base+i*stride] = sum + comp
 		}
 	}
 }
@@ -99,11 +110,11 @@ func gridLayout(s *dataset.Schema) (pairs [][2]int, sizes []int, total int) {
 // buildGrids constructs the pair tables; returns nil when the schema has
 // fewer than two QI attributes or the tables would blow the cell budget.
 // Every table is a sub-slice of the single returned backing array — the
-// form the snapshot writer serializes and sliceGrids re-wraps.
+// form the snapshot writer serializes and sliceGrids re-wraps. The tables
+// are disjoint, so they are built in parallel, each worker reusing one
+// gridScratch; a table's cells do not depend on which worker built it.
 func (ix *Index) buildGrids() ([]pairGrid, []float64) {
-	d := ix.schema.D()
-	dom := ix.schema.SensitiveDomain()
-	if d < 2 {
+	if ix.schema.D() < 2 {
 		return nil, nil
 	}
 	pairs, sizes, total := gridLayout(ix.schema)
@@ -111,13 +122,39 @@ func (ix *Index) buildGrids() ([]pairGrid, []float64) {
 		return nil, nil
 	}
 	backing := make([]float64, total)
-	grids := make([]pairGrid, 0, len(pairs))
-	off := 0
-	for i, p := range pairs {
-		grids = append(grids, ix.buildPair(p[0], p[1], dom, backing[off:off+sizes[i]:off+sizes[i]]))
-		off += sizes[i]
+	offs := make([]int, len(pairs)+1)
+	for i, sz := range sizes {
+		offs[i+1] = offs[i] + sz
 	}
+	grids := make([]pairGrid, len(pairs))
+	workers := min(par.N(0), len(pairs))
+	scratch := make(chan *gridScratch, workers)
+	for w := 0; w < workers; w++ {
+		scratch <- &gridScratch{}
+	}
+	par.ForEach(workers, len(pairs), func(i int) {
+		sc := <-scratch
+		grids[i] = ix.buildPair(pairs[i][0], pairs[i][1], backing[offs[i]:offs[i+1]:offs[i+1]], sc)
+		scratch <- sc
+	})
 	return grids, backing
+}
+
+// gridScratch is one worker's reusable pair-table buffers: the difference
+// array and the running state of neumaierLines.
+type gridScratch struct {
+	diff, sum, comp []float64
+}
+
+// zeroed returns buf resized to n and zeroed, reallocating only when its
+// capacity is short.
+func zeroed(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // sliceGrids re-wraps a deserialized grid backing array into pair tables.
@@ -148,11 +185,15 @@ func sliceGrids(s *dataset.Schema, backing []float64) ([]pairGrid, error) {
 // density, then the 3-d cumulative. The entry pass reads four contiguous
 // dim-major bound streams plus the CSR histogram — cache-linear in the
 // entry count.
-func (ix *Index) buildPair(a, b, dom int, sat []float64) pairGrid {
+func (ix *Index) buildPair(a, b int, sat []float64, sc *gridScratch) pairGrid {
+	dom := ix.schema.SensitiveDomain()
 	sa, sb := ix.schema.QI[a].Size(), ix.schema.QI[b].Size()
-	du, dv := sa+1, sb+1
+	du, dv, dy := sa+1, sb+1, dom+1
 	// diff[u][v][y], y fastest, unpadded in y.
-	diff := make([]float64, du*dv*dom)
+	sc.diff = zeroed(sc.diff, du*dv*dom)
+	sc.sum = zeroed(sc.sum, dv*dy)
+	sc.comp = zeroed(sc.comp, dv*dy)
+	diff := sc.diff
 	idx := func(u, v int32, y int32) int { return (int(u)*dv+int(v))*dom + int(y) }
 	loA, hiA := ix.entLo[a*ix.nE:(a+1)*ix.nE], ix.entHi[a*ix.nE:(a+1)*ix.nE]
 	loB, hiB := ix.entLo[b*ix.nE:(b+1)*ix.nE], ix.entHi[b*ix.nE:(b+1)*ix.nE]
@@ -171,22 +212,10 @@ func (ix *Index) buildPair(a, b, dom int, sat []float64) pairGrid {
 	}
 	// Prefix along u then v turns the difference array into the density
 	// D(u,v,y); entries at the padding row/column come out zero.
-	ubases := make([]int, 0, dv*dom)
-	for v := 0; v < dv; v++ {
-		for y := 0; y < dom; y++ {
-			ubases = append(ubases, v*dom+y)
-		}
-	}
-	neumaierAxis(diff, ubases, dv*dom, du)
-	vbases := make([]int, 0, du*dom)
-	for u := 0; u < du; u++ {
-		for y := 0; y < dom; y++ {
-			vbases = append(vbases, u*dv*dom+y)
-		}
-	}
-	neumaierAxis(diff, vbases, dom, dv)
-	// Cumulate the density into the padded summed-area table.
-	dy := dom + 1
+	neumaierLines(diff, 1, du, dv*dom, sc.sum, sc.comp)
+	neumaierLines(diff, du, dv, dom, sc.sum, sc.comp)
+	// Cumulate the density into the padded summed-area table along u, v
+	// and y.
 	g := pairGrid{a: a, b: b, dv: dv, dy: dy, sat: sat}
 	for u := 0; u < sa; u++ {
 		for v := 0; v < sb; v++ {
@@ -195,27 +224,9 @@ func (ix *Index) buildPair(a, b, dom int, sat []float64) pairGrid {
 			copy(g.sat[dst+1:dst+dy], diff[src:src+dom])
 		}
 	}
-	satUBases := make([]int, 0, dv*dy)
-	for v := 0; v < dv; v++ {
-		for y := 0; y < dy; y++ {
-			satUBases = append(satUBases, v*dy+y)
-		}
-	}
-	neumaierAxis(g.sat, satUBases, dv*dy, du)
-	satVBases := make([]int, 0, du*dy)
-	for u := 0; u < du; u++ {
-		for y := 0; y < dy; y++ {
-			satVBases = append(satVBases, u*dv*dy+y)
-		}
-	}
-	neumaierAxis(g.sat, satVBases, dy, dv)
-	satYBases := make([]int, 0, du*dv)
-	for u := 0; u < du; u++ {
-		for v := 0; v < dv; v++ {
-			satYBases = append(satYBases, (u*dv+v)*dy)
-		}
-	}
-	neumaierAxis(g.sat, satYBases, 1, dy)
+	neumaierLines(g.sat, 1, du, dv*dy, sc.sum, sc.comp)
+	neumaierLines(g.sat, du, dv, dy, sc.sum, sc.comp)
+	neumaierLines(g.sat, du*dv, dy, 1, sc.sum, sc.comp)
 	return g
 }
 

@@ -1,8 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pgpub/internal/dataset"
 	"pgpub/internal/generalize"
@@ -30,55 +31,20 @@ import (
 // pre-aggregates (every box inside has volume fraction 1), and only boxes
 // straddling the region boundary pay the per-entry volumeFraction work.
 //
-// Representation. Construction works on an array-of-structs scratch
-// (indexEntry/indexNode — convenient for the median sort), which freeze()
-// converts into the struct-of-arrays form the serving paths run on: dim-major
+// Representation. The serving paths run on a struct-of-arrays form: dim-major
 // box bound arrays, a CSR layout for the sparse per-entry histograms, and
 // flat per-node histogram/prefix blocks. The SoA form is both the cache
 // layout (a traversal touches a handful of contiguous streams instead of a
 // pointer-rich node heap) and the wire layout: IndexParts exposes the raw
 // slices for snapshotting, and NewIndexFromParts rebuilds a serving index
-// around them — including zero-copy around mmap'd file pages.
+// around them — including zero-copy around mmap'd file pages. Construction
+// (indexBuilder) orders a permutation of entry keys and writes every node
+// straight into those arrays.
 
 // indexLeafSize bounds the entries a leaf holds before it is split. Small
 // leaves sharpen pruning; 8 keeps the tree shallow enough that node overhead
 // stays negligible.
 const indexLeafSize = 8
-
-// valWeight is one nonzero bin of an entry's sparse sensitive histogram.
-type valWeight struct {
-	code int32
-	w    float64
-}
-
-// indexEntry is one distinct QI box of the publication (build scratch; the
-// frozen form lives in the Index's ent* arrays).
-type indexEntry struct {
-	box generalize.Box
-	g   float64 // Σ G of the rows sharing the box
-	// vals is the sparse G-weighted histogram of observed sensitive values.
-	// Stratified sampling publishes one tuple per group, so it typically has
-	// exactly one element.
-	vals []valWeight
-}
-
-// indexNode is one kd-tree node over a contiguous run of entries (build
-// scratch; the frozen form lives in the Index's node* arrays).
-type indexNode struct {
-	bound generalize.Box // bounding box of every entry below
-	g     float64        // subtree Σ G
-	hist  []float64      // subtree dense G-weighted sensitive histogram
-	// pref is the prefix sum of hist (pref[y] = Σ hist[:y]), so a contiguous
-	// sensitive band [lo,hi] — the shape Workload generates and pgquery's
-	// -income flag builds — costs one subtraction at a contained node
-	// instead of a histogram dot product. hist holds exact integers (sums of
-	// G), so the prefix difference is bit-identical to the loop.
-	pref []float64
-	// left/right are child node indices; -1 marks a leaf, whose entries are
-	// entries[lo:hi].
-	left, right int32
-	lo, hi      int32
-}
 
 // Index is a precomputed query-serving structure over one publication. It is
 // immutable after construction and safe for concurrent use — AnswerWorkload
@@ -184,83 +150,15 @@ func newIndex(pub *pg.Published) (*Index, error) {
 		p:      pub.P,
 		root:   -1,
 	}
-	b := indexBuilder{
-		schema:  pub.Schema,
-		entries: make([]indexEntry, len(aggs)),
+	b := newIndexBuilder(ix, aggs)
+	if n := len(b.ids); n > 0 {
+		ix.root = b.build(0, n, -1)
 	}
-	for i, a := range aggs {
-		e := indexEntry{box: a.Box, g: float64(a.G)}
-		for code, w := range a.Hist {
-			if w != 0 {
-				e.vals = append(e.vals, valWeight{code: int32(code), w: float64(w)})
-			}
-		}
-		b.entries[i] = e
-	}
-	if len(b.entries) > 0 {
-		b.nodes = make([]indexNode, 0, 2*(len(b.entries)/indexLeafSize+1))
-		ix.root = b.build(0, len(b.entries))
-	}
-	ix.freeze(b.entries, b.nodes)
+	b.freezeEntries()
 	ix.finish()
 	ix.grids, ix.gridSat = ix.buildGrids()
 	ix.wireGrids()
 	return ix, nil
-}
-
-// freeze converts the AoS build scratch into the frozen SoA arrays.
-func (ix *Index) freeze(entries []indexEntry, nodes []indexNode) {
-	d := ix.schema.D()
-	dom := ix.schema.SensitiveDomain()
-	nE := len(entries)
-	ix.nE = nE
-	ix.entLo = make([]int32, d*nE)
-	ix.entHi = make([]int32, d*nE)
-	ix.entG = make([]float64, nE)
-	ix.valOff = make([]int32, nE+1)
-	nv := 0
-	for i := range entries {
-		nv += len(entries[i].vals)
-	}
-	ix.valCode = make([]int32, 0, nv)
-	ix.valW = make([]float64, 0, nv)
-	for i := range entries {
-		e := &entries[i]
-		for j := 0; j < d; j++ {
-			ix.entLo[j*nE+i] = e.box.Lo[j]
-			ix.entHi[j*nE+i] = e.box.Hi[j]
-		}
-		ix.entG[i] = e.g
-		for _, vw := range e.vals {
-			ix.valCode = append(ix.valCode, vw.code)
-			ix.valW = append(ix.valW, vw.w)
-		}
-		ix.valOff[i+1] = int32(len(ix.valCode))
-	}
-	nN := len(nodes)
-	ix.nodeLo = make([]int32, d*nN)
-	ix.nodeHi = make([]int32, d*nN)
-	ix.nodeG = make([]float64, nN)
-	ix.nodeHist = make([]float64, nN*dom)
-	ix.nodePref = make([]float64, nN*(dom+1))
-	ix.nodeLeft = make([]int32, nN)
-	ix.nodeRight = make([]int32, nN)
-	ix.nodeELo = make([]int32, nN)
-	ix.nodeEHi = make([]int32, nN)
-	for i := range nodes {
-		n := &nodes[i]
-		for j := 0; j < d; j++ {
-			ix.nodeLo[j*nN+i] = n.bound.Lo[j]
-			ix.nodeHi[j*nN+i] = n.bound.Hi[j]
-		}
-		ix.nodeG[i] = n.g
-		copy(ix.nodeHist[i*dom:(i+1)*dom], n.hist)
-		copy(ix.nodePref[i*(dom+1):(i+1)*(dom+1)], n.pref)
-		ix.nodeLeft[i] = n.left
-		ix.nodeRight[i] = n.right
-		ix.nodeELo[i] = n.lo
-		ix.nodeEHi[i] = n.hi
-	}
 }
 
 // finish computes the derived global aggregates from the frozen entries: the
@@ -323,54 +221,292 @@ func (ix *Index) Schema() *dataset.Schema { return ix.schema }
 // metadata the estimators invert perturbation with.
 func (ix *Index) P() float64 { return ix.p }
 
-// indexBuilder is the AoS construction scratch freeze() consumes.
+// indexBuilder orders the entries into the kd-tree and writes the tree's
+// nodes into the index's frozen arrays.
+//
+// Every internal node splits its entries at the middle of the center order
+// along its widest dimension: box center along the dimension, then Lo and
+// Hi lexicographically across all dimensions. Boxes of one publication are
+// pairwise disjoint (Property G3), so no two entries tie. The tree is the
+// one a full sort per level would build, but only the split matters to an
+// internal node — its bound, ΣG and histogram are exact integer sums and
+// minima/maxima, independent of the entry order — so the builder partitions
+// each internal node by selection and fully sorts only the leaf ranges,
+// whose order is stored. Entries are ranked once by the lexicographic
+// tie-break, so along a split dimension an entry's sort key is one uint64:
+// center<<32 | rank. The node
+// shape depends on the entry count alone, so the node arrays are allocated
+// up front, and children are written before their parent (the frozen order
+// is a valid bottom-up evaluation order).
 type indexBuilder struct {
-	schema  *dataset.Schema
-	entries []indexEntry
-	nodes   []indexNode
+	ix *Index
+	d  int
+	// The entries by lexicographic rank: dim-major bounds, ΣG, and the
+	// sparse histograms in CSR form (rank r's bins are valCode/valW[
+	// valOff[r]:valOff[r+1]]). The aggregates' dense per-entry histograms
+	// are most of their memory, so they are dropped before the node arrays
+	// are allocated.
+	lo, hi          []int32
+	g               []float64
+	valOff, valCode []int32
+	valW            []float64
+	// ids is the entry order under construction, as ranks, starting from
+	// the publication's order (which a root leaf keeps); keys is the sort
+	// key scratch over the same positions.
+	ids   []uint32
+	keys  []uint64
+	box   generalize.Box // bound scratch
+	nodes int32          // nodes written so far
 }
 
-// build constructs the subtree over entries[lo:hi) and returns its node
-// index. The recursion is deterministic: the split dimension is the widest
-// normalized bound extent (lowest dimension on ties) and entries are ordered
-// by a total comparator, so the tree shape depends only on the entry set.
-func (b *indexBuilder) build(lo, hi int) int32 {
-	n := indexNode{left: -1, right: -1, lo: int32(lo), hi: int32(hi)}
-	n.bound = cloneBox(b.entries[lo].box)
-	n.hist = make([]float64, b.schema.SensitiveDomain())
-	for i := lo; i < hi; i++ {
-		e := &b.entries[i]
-		for j := range n.bound.Lo {
-			if e.box.Lo[j] < n.bound.Lo[j] {
-				n.bound.Lo[j] = e.box.Lo[j]
+func newIndexBuilder(ix *Index, aggs []pg.BoxAggregate) *indexBuilder {
+	d, nE := ix.schema.D(), len(aggs)
+	b := &indexBuilder{ix: ix, d: d}
+	byRank := make([]int32, nE)
+	for i := range byRank {
+		byRank[i] = int32(i)
+	}
+	slices.SortFunc(byRank, func(x, y int32) int {
+		bx, by := &aggs[x].Box, &aggs[y].Box
+		for j := 0; j < d; j++ {
+			if c := cmp.Compare(bx.Lo[j], by.Lo[j]); c != 0 {
+				return c
 			}
-			if e.box.Hi[j] > n.bound.Hi[j] {
-				n.bound.Hi[j] = e.box.Hi[j]
+			if c := cmp.Compare(bx.Hi[j], by.Hi[j]); c != 0 {
+				return c
 			}
 		}
-		n.g += e.g
-		for _, vw := range e.vals {
-			n.hist[vw.code] += vw.w
+		return cmp.Compare(x, y)
+	})
+	b.lo, b.hi = make([]int32, d*nE), make([]int32, d*nE)
+	b.g = make([]float64, nE)
+	b.valOff = make([]int32, nE+1)
+	b.ids = make([]uint32, nE)
+	for r, a := range byRank {
+		agg := &aggs[a]
+		for j := 0; j < d; j++ {
+			b.lo[j*nE+r] = agg.Box.Lo[j]
+			b.hi[j*nE+r] = agg.Box.Hi[j]
+		}
+		b.g[r] = float64(agg.G)
+		for code, w := range agg.Hist {
+			if w != 0 {
+				b.valCode = append(b.valCode, int32(code))
+				b.valW = append(b.valW, float64(w))
+			}
+		}
+		b.valOff[r+1] = int32(len(b.valCode))
+		b.ids[a] = uint32(r)
+	}
+	b.keys = make([]uint64, nE)
+	b.box = generalize.Box{Lo: make([]int32, d), Hi: make([]int32, d)}
+
+	nN := countNodes(nE)
+	dom := ix.schema.SensitiveDomain()
+	ix.nodeLo = make([]int32, d*nN)
+	ix.nodeHi = make([]int32, d*nN)
+	ix.nodeG = make([]float64, nN)
+	ix.nodeHist = make([]float64, nN*dom)
+	ix.nodePref = make([]float64, nN*(dom+1))
+	ix.nodeLeft = make([]int32, nN)
+	ix.nodeRight = make([]int32, nN)
+	ix.nodeELo = make([]int32, nN)
+	ix.nodeEHi = make([]int32, nN)
+	return b
+}
+
+// countNodes is the node count of the tree over n entries: a leaf holds at
+// most indexLeafSize entries, and an internal node splits at the middle.
+func countNodes(n int) int {
+	if n == 0 {
+		return 0
+	}
+	if n <= indexLeafSize {
+		return 1
+	}
+	return 1 + countNodes(n/2) + countNodes(n-n/2)
+}
+
+// build constructs the subtree over positions [lo, hi) and returns its node
+// index. parentDim is the split dimension of the parent (-1 at the root): a
+// leaf's entries are stored in the parent's center order. The recursion
+// is deterministic: the split dimension is the widest normalized bound
+// extent (lowest dimension on ties) and the keys are distinct, so the tree
+// depends only on the entry set.
+func (b *indexBuilder) build(lo, hi, parentDim int) int32 {
+	ix := b.ix
+	if hi-lo <= indexLeafSize {
+		if parentDim >= 0 {
+			b.order(lo, hi, parentDim)
+			slices.Sort(b.keys[lo:hi])
+			b.unkey(lo, hi)
+		}
+		ni := b.node()
+		b.bound(lo, hi)
+		b.setBound(ni, b.box.Lo, b.box.Hi)
+		ix.nodeLeft[ni], ix.nodeRight[ni] = -1, -1
+		ix.nodeELo[ni], ix.nodeEHi[ni] = int32(lo), int32(hi)
+		dom := ix.schema.SensitiveDomain()
+		hist := ix.nodeHist[int(ni)*dom : (int(ni)+1)*dom]
+		for _, r := range b.ids[lo:hi] {
+			ix.nodeG[ni] += b.g[r]
+			for o := b.valOff[r]; o < b.valOff[r+1]; o++ {
+				hist[b.valCode[o]] += b.valW[o]
+			}
+		}
+		b.prefix(ni)
+		return ni
+	}
+	b.bound(lo, hi)
+	dim := widestDim(ix.schema, b.box)
+	mid := (lo + hi) / 2
+	b.order(lo, hi, dim)
+	selectKth(b.keys[lo:hi], mid-lo)
+	b.unkey(lo, hi)
+	left := b.build(lo, mid, dim)
+	right := b.build(mid, hi, dim)
+	ni := b.node()
+	nN := len(ix.nodeG)
+	for j := 0; j < b.d; j++ {
+		o := j * nN
+		b.box.Lo[j] = min(ix.nodeLo[o+int(left)], ix.nodeLo[o+int(right)])
+		b.box.Hi[j] = max(ix.nodeHi[o+int(left)], ix.nodeHi[o+int(right)])
+	}
+	b.setBound(ni, b.box.Lo, b.box.Hi)
+	ix.nodeLeft[ni], ix.nodeRight[ni] = left, right
+	ix.nodeG[ni] = ix.nodeG[left] + ix.nodeG[right]
+	dom := ix.schema.SensitiveDomain()
+	hist := ix.nodeHist[int(ni)*dom : (int(ni)+1)*dom]
+	lh := ix.nodeHist[int(left)*dom : (int(left)+1)*dom]
+	rh := ix.nodeHist[int(right)*dom : (int(right)+1)*dom]
+	for y := range hist {
+		hist[y] = lh[y] + rh[y]
+	}
+	b.prefix(ni)
+	return ni
+}
+
+// bound writes the bounding box of the entries at positions [lo, hi) into
+// the scratch box.
+func (b *indexBuilder) bound(lo, hi int) {
+	nE := len(b.ids)
+	box := b.box
+	for j := 0; j < b.d; j++ {
+		los, his := b.lo[j*nE:(j+1)*nE], b.hi[j*nE:(j+1)*nE]
+		l, h := los[b.ids[lo]], his[b.ids[lo]]
+		for _, r := range b.ids[lo+1 : hi] {
+			l, h = min(l, los[r]), max(h, his[r])
+		}
+		box.Lo[j], box.Hi[j] = l, h
+	}
+}
+
+// node allocates the next node index.
+func (b *indexBuilder) node() int32 {
+	b.nodes++
+	return b.nodes - 1
+}
+
+// setBound writes node ni's bounding box.
+func (b *indexBuilder) setBound(ni int32, lo, hi []int32) {
+	nN := len(b.ix.nodeG)
+	for j := 0; j < b.d; j++ {
+		b.ix.nodeLo[j*nN+int(ni)] = lo[j]
+		b.ix.nodeHi[j*nN+int(ni)] = hi[j]
+	}
+}
+
+// prefix fills node ni's prefix block from its histogram.
+func (b *indexBuilder) prefix(ni int32) {
+	dom := b.ix.schema.SensitiveDomain()
+	hist := b.ix.nodeHist[int(ni)*dom : (int(ni)+1)*dom]
+	pref := b.ix.nodePref[int(ni)*(dom+1) : (int(ni)+1)*(dom+1)]
+	for y, h := range hist {
+		pref[y+1] = pref[y] + h
+	}
+}
+
+// order writes the center-order keys along dim of positions [lo, hi): the
+// box center (Lo+Hi, never negative) above the lexicographic rank.
+func (b *indexBuilder) order(lo, hi, dim int) {
+	nE := len(b.ids)
+	los, his := b.lo[dim*nE:(dim+1)*nE], b.hi[dim*nE:(dim+1)*nE]
+	for i, r := range b.ids[lo:hi] {
+		b.keys[lo+i] = uint64(los[r]+his[r])<<32 | uint64(r)
+	}
+}
+
+// unkey reads the entry order of positions [lo, hi) back from the keys.
+func (b *indexBuilder) unkey(lo, hi int) {
+	for i, k := range b.keys[lo:hi] {
+		b.ids[lo+i] = uint32(k)
+	}
+}
+
+// freezeEntries writes the entry arrays in the built order.
+func (b *indexBuilder) freezeEntries() {
+	ix := b.ix
+	d, nE := b.d, len(b.ids)
+	ix.nE = nE
+	ix.entLo = make([]int32, d*nE)
+	ix.entHi = make([]int32, d*nE)
+	ix.entG = make([]float64, nE)
+	ix.valOff = make([]int32, nE+1)
+	ix.valCode = make([]int32, 0, len(b.valCode))
+	ix.valW = make([]float64, 0, len(b.valW))
+	for i, r := range b.ids {
+		for j := 0; j < d; j++ {
+			ix.entLo[j*nE+i] = b.lo[j*nE+int(r)]
+			ix.entHi[j*nE+i] = b.hi[j*nE+int(r)]
+		}
+		ix.entG[i] = b.g[r]
+		ix.valCode = append(ix.valCode, b.valCode[b.valOff[r]:b.valOff[r+1]]...)
+		ix.valW = append(ix.valW, b.valW[b.valOff[r]:b.valOff[r+1]]...)
+		ix.valOff[i+1] = int32(len(ix.valCode))
+	}
+}
+
+// selectKth reorders distinct keys so that keys[k] holds the value a full
+// sort would put there, with every smaller key before it and every larger
+// one after it (Hoare quickselect, median-of-three pivots).
+func selectKth(keys []uint64, k int) {
+	lo, hi := 0, len(keys)-1
+	for hi-lo > 16 {
+		m := lo + (hi-lo)/2
+		if keys[m] < keys[lo] {
+			keys[m], keys[lo] = keys[lo], keys[m]
+		}
+		if keys[hi] < keys[lo] {
+			keys[hi], keys[lo] = keys[lo], keys[hi]
+		}
+		if keys[hi] < keys[m] {
+			keys[hi], keys[m] = keys[m], keys[hi]
+		}
+		pivot := keys[m]
+		i, j := lo, hi
+		for i <= j {
+			for keys[i] < pivot {
+				i++
+			}
+			for keys[j] > pivot {
+				j--
+			}
+			if i <= j {
+				keys[i], keys[j] = keys[j], keys[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
 		}
 	}
-	n.pref = make([]float64, len(n.hist)+1)
-	for y, h := range n.hist {
-		n.pref[y+1] = n.pref[y] + h
-	}
-	if hi-lo > indexLeafSize {
-		dim := widestDim(b.schema, n.bound)
-		ents := b.entries[lo:hi]
-		sort.Slice(ents, func(a, c int) bool { return lessByCenter(&ents[a].box, &ents[c].box, dim) })
-		mid := (lo + hi) / 2
-		// Children are built before the parent is appended, so parent indices
-		// are always larger than their children's — the slice order itself is
-		// a valid bottom-up evaluation order.
-		n.left = b.build(lo, mid)
-		n.right = b.build(mid, hi)
-		n.lo, n.hi = 0, 0
-	}
-	b.nodes = append(b.nodes, n)
-	return int32(len(b.nodes) - 1)
+	slices.Sort(keys[lo : hi+1])
 }
 
 // widestDim picks the split dimension: the largest bound extent normalized by
@@ -388,33 +524,6 @@ func widestDim(s *dataset.Schema, bound generalize.Box) int {
 		}
 	}
 	return dim
-}
-
-// lessByCenter is the total order the build sorts entries with: box center
-// along the split dimension, then lexicographic Lo and Hi across all
-// dimensions. Boxes of one publication are pairwise disjoint (Property G3),
-// so the comparator never declares two distinct entries equal.
-func lessByCenter(a, b *generalize.Box, dim int) bool {
-	ca, cb := a.Lo[dim]+a.Hi[dim], b.Lo[dim]+b.Hi[dim]
-	if ca != cb {
-		return ca < cb
-	}
-	for j := range a.Lo {
-		if a.Lo[j] != b.Lo[j] {
-			return a.Lo[j] < b.Lo[j]
-		}
-		if a.Hi[j] != b.Hi[j] {
-			return a.Hi[j] < b.Hi[j]
-		}
-	}
-	return false
-}
-
-func cloneBox(b generalize.Box) generalize.Box {
-	return generalize.Box{
-		Lo: append([]int32(nil), b.Lo...),
-		Hi: append([]int32(nil), b.Hi...),
-	}
 }
 
 // Relation of a node bound to a query region.

@@ -951,14 +951,20 @@ func parseQuery(schema *dataset.Schema, req *QueryRequest) (op string, q query.C
 }
 
 // resolveBound maps a JSON bound — a domain label (string) or a code
-// (number) — to a validated code; missing bounds keep the default.
+// (number) — to a validated code; missing bounds keep the default. A bound
+// that starts like a JSON number (a minus sign or a digit) cannot decode as
+// a string, so it goes straight to the code decode: coordinators forward
+// every bound as a number, and the failed string decode would allocate an
+// error per bound.
 func resolveBound(a *dataset.Attribute, raw json.RawMessage, def int32) (int32, error) {
 	if len(raw) == 0 {
 		return def, nil
 	}
-	var label string
-	if err := json.Unmarshal(raw, &label); err == nil {
-		return a.Code(label)
+	if c := raw[0]; c != '-' && (c < '0' || c > '9') {
+		var label string
+		if err := json.Unmarshal(raw, &label); err == nil {
+			return a.Code(label)
+		}
 	}
 	var code int32
 	if err := json.Unmarshal(raw, &code); err != nil {

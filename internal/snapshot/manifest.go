@@ -159,8 +159,8 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 	if bodyLen > maxBodyLen {
 		return nil, fmt.Errorf("snapshot: manifest body length %d exceeds the %d limit", bodyLen, maxBodyLen)
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readClaimed(r, int(bodyLen))
+	if err != nil {
 		return nil, fmt.Errorf("snapshot: manifest body truncated: %w", err)
 	}
 	if extra, err := io.Copy(io.Discard, io.LimitReader(r, 1)); err == nil && extra > 0 {

@@ -55,6 +55,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"pgpub/internal/dataset"
 	"pgpub/internal/generalize"
@@ -80,6 +81,27 @@ const headerLen = 6 + 2 + 8 + 4
 const maxBodyLen = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// claimChunk is the largest length claim readClaimed allocates up front.
+const claimChunk = 16 << 20
+
+// readClaimed reads the n bytes a length field claims. Claims up to
+// claimChunk are allocated at once; beyond that the buffer doubles as the
+// bytes arrive, so a claim the stream does not back costs about what the
+// stream holds, not what the header says.
+func readClaimed(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, claimChunk))
+	for len(buf) < n {
+		next := min(n, max(2*len(buf), claimChunk))
+		buf = slices.Grow(buf, next-len(buf))
+		m, err := io.ReadFull(r, buf[len(buf):next])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
 
 // Release is one decoded snapshot: the publication, its certified
 // guarantee metadata (nil when absent), its release-chain block (nil for
@@ -145,8 +167,8 @@ func Read(r io.Reader) (*Release, error) {
 	if n > maxBodyLen {
 		return nil, fmt.Errorf("snapshot: body length %d exceeds the %d-byte limit", n, maxBodyLen)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readClaimed(r, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading %d-byte body (truncated file?): %w", n, err)
 	}
 	crc := binary.LittleEndian.Uint32(hdr[16:20])

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -186,7 +188,7 @@ func TestSaveLoadFile(t *testing.T) {
 // page-aligned blocks (~90 KiB), and the sweeps are quadratic in file size.
 // The hospital publications cover the same paths at realistic scale in the
 // round-trip tests.
-func tinyPublication(t *testing.T) *pg.Published {
+func tinyPublication(t testing.TB) *pg.Published {
 	t.Helper()
 	q0, err := dataset.NewIntAttribute("q0", 0, 3)
 	if err != nil {
@@ -326,5 +328,55 @@ func TestRejectsOversizedBodyClaim(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("oversized body claim not rejected by the limit guard: %v", err)
+	}
+}
+
+// restamp recomputes the header CRC over a (modified) metadata body.
+func restamp(img []byte) {
+	n := binary.LittleEndian.Uint64(img[8:16])
+	binary.LittleEndian.PutUint32(img[16:20], crc32.Checksum(img[headerLen:headerLen+int(n)], castagnoli))
+}
+
+// TestRejectsHugeBlockOffset gives the first block a page-aligned offset
+// near 2^64 under a valid header CRC. Converted to int it wraps negative,
+// so the next block's overlap check passes and the mapped reader would
+// index the image there; both readers must refuse it by the file limit.
+func TestRejectsHugeBlockOffset(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, tinyPublication(t), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []uint64{1<<64 - pageAlign, 1 << 62, maxFileLen + pageAlign} {
+		img := bytes.Clone(buf.Bytes())
+		n := int(binary.LittleEndian.Uint64(img[8:16]))
+		meta := img[headerLen : headerLen+n]
+		binary.LittleEndian.PutUint64(meta[len(meta)-len(v2Blocks)*dirEntryLen:], off)
+		restamp(img)
+		if _, err := Read(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "file limit") {
+			t.Errorf("offset %#x: Read: %v", off, err)
+		}
+		if _, err := newMapped(img, false, nil); err == nil || !strings.Contains(err.Error(), "file limit") {
+			t.Errorf("offset %#x: newMapped: %v", off, err)
+		}
+	}
+}
+
+// TestReadBoundsClaimAllocation feeds Read a bare header claiming the
+// largest allowed body: the claim is refused as truncated after
+// allocating about one chunk, not the gigabyte the header asks for.
+func TestReadBoundsClaimAllocation(t *testing.T) {
+	hdr := make([]byte, headerLen)
+	copy(hdr, magic[:])
+	binary.LittleEndian.PutUint16(hdr[6:8], Version)
+	binary.LittleEndian.PutUint64(hdr[8:16], maxBodyLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("bodiless header accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*claimChunk {
+		t.Fatalf("a bodiless %d-byte claim allocated %d bytes", uint64(maxBodyLen), got)
 	}
 }

@@ -42,6 +42,12 @@ const pageAlign = 4096
 // prefixLen is the u64 length prefix preceding each block payload.
 const prefixLen = 8
 
+// maxFileLen bounds a block offset. The metadata and the 21 blocks, each at
+// most maxBodyLen plus a page of padding, fit well inside it. Offsets past
+// it are refused before any arithmetic on them, which keeps file positions
+// far from int overflow.
+const maxFileLen = 32 * (maxBodyLen + pageAlign)
+
 // dirEntryLen is the encoded size of one block directory entry.
 const dirEntryLen = 8 + 8 + 4
 
@@ -226,6 +232,9 @@ func decodeMeta(meta []byte, version uint16, crc uint32) (rel *Release, rowN int
 		if dirs[i].off < uint64(alignUp(end)) {
 			return nil, 0, 0, nil, fmt.Errorf("snapshot: %s block offset %d overlaps the previous section", b.name, dirs[i].off)
 		}
+		if dirs[i].off > maxFileLen {
+			return nil, 0, 0, nil, fmt.Errorf("snapshot: %s block offset %d exceeds the %d-byte file limit", b.name, dirs[i].off, uint64(maxFileLen))
+		}
 		if dirs[i].n > maxBodyLen {
 			return nil, 0, 0, nil, fmt.Errorf("snapshot: %s block length %d exceeds the %d-byte limit", b.name, dirs[i].n, maxBodyLen)
 		}
@@ -353,8 +362,8 @@ func readV2(r io.Reader, meta []byte, version uint16, crc uint32) (*Release, err
 	// additionally requires the file to end at the last block.)
 	last := dirs[len(dirs)-1]
 	base := headerLen + len(meta)
-	data := make([]byte, int(last.off)+prefixLen+int(last.n)-base)
-	if _, err := io.ReadFull(r, data); err != nil {
+	data, err := readClaimed(r, int(last.off)+prefixLen+int(last.n)-base)
+	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading column blocks (truncated file?): %w", err)
 	}
 	payloads, err := verifyV2Blocks(data, base, dirs)

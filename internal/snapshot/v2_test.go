@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -125,10 +126,11 @@ func TestMappedVerifyCatchesEveryByte(t *testing.T) {
 }
 
 // TestWriteWorkerInvariant closes the determinism chain at the artifact
-// level: publishing the same microdata sequentially and on eight workers
-// must yield byte-identical v2 snapshot files — columns, directory, padding
-// and all — so a snapshot's checksum identifies the release regardless of
-// the machine that produced it.
+// level: publishing the same microdata sequentially and on eight workers,
+// with one or two OS threads (GOMAXPROCS also sizes the kd spawn depth and
+// the parallel grid-table build), must yield byte-identical v2 snapshot
+// files — columns, directory, padding and all — so a snapshot's checksum
+// identifies the release regardless of the machine that produced it.
 func TestWriteWorkerInvariant(t *testing.T) {
 	d, err := sal.Generate(9000, 61)
 	if err != nil {
@@ -136,25 +138,29 @@ func TestWriteWorkerInvariant(t *testing.T) {
 	}
 	hiers := sal.Hierarchies(d.Schema)
 	g := &pg.GuaranteeMetadata{Lambda: 0.1, Rho1: 0.2, Rho2: 0.4, Delta: 0.2}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, alg := range []pg.Algorithm{pg.KD, pg.TDS, pg.FullDomain} {
 		var base []byte
-		for _, workers := range []int{1, 8} {
-			pub, err := pg.Publish(d, hiers, pg.Config{
-				K: 6, P: 0.3, Seed: 23, Algorithm: alg, Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", alg, workers, err)
-			}
-			var buf bytes.Buffer
-			if err := Write(&buf, pub, g, nil); err != nil {
-				t.Fatalf("%v workers=%d: Write: %v", alg, workers, err)
-			}
-			if workers == 1 {
-				base = buf.Bytes()
-				continue
-			}
-			if !bytes.Equal(base, buf.Bytes()) {
-				t.Fatalf("%v: snapshot bytes differ between workers=1 and workers=%d", alg, workers)
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			for _, workers := range []int{1, 8} {
+				pub, err := pg.Publish(d, hiers, pg.Config{
+					K: 6, P: 0.3, Seed: 23, Algorithm: alg, Workers: workers,
+				})
+				if err != nil {
+					t.Fatalf("%v workers=%d: %v", alg, workers, err)
+				}
+				var buf bytes.Buffer
+				if err := Write(&buf, pub, g, nil); err != nil {
+					t.Fatalf("%v workers=%d: Write: %v", alg, workers, err)
+				}
+				if base == nil {
+					base = buf.Bytes()
+					continue
+				}
+				if !bytes.Equal(base, buf.Bytes()) {
+					t.Fatalf("%v: snapshot bytes at GOMAXPROCS=%d workers=%d differ from GOMAXPROCS=1 workers=1", alg, procs, workers)
+				}
 			}
 		}
 	}
