@@ -160,28 +160,27 @@ func mustFlat(b *testing.B, n int) *Hierarchy {
 
 // --- Pipeline micro-benchmarks ---
 
-// BenchmarkPhase1Perturb measures Phase 1 on 20k tuples.
+// BenchmarkPhase1Perturb measures Phase 1 on 20k tuples with one worker.
 func BenchmarkPhase1Perturb(b *testing.B) {
 	d := benchData(b, 20000)
 	pb, err := perturb.NewPerturber(0.3, d.Schema.SensitiveDomain())
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pb.Table(d, rng); err != nil {
+		if _, err := pb.TableSharded(d, 4, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPhase2KD measures kd-cell partitioning on 20k tuples.
+// BenchmarkPhase2KD measures serial kd-cell partitioning on 20k tuples.
 func BenchmarkPhase2KD(b *testing.B) {
 	d := benchData(b, 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := generalize.KDPartition(d, 6); err != nil {
+		if _, err := generalize.KDPartitionParallel(d, 6, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -383,28 +382,11 @@ func BenchmarkPhase2KDParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkIncognitoHospital measures the pruned full-domain lattice search
-// on the tiny hospital example.
-func BenchmarkIncognitoHospital(b *testing.B) {
-	d := dataset.Hospital()
-	hiers := []*Hierarchy{
-		mustInterval(b, d.Schema.QI[0].Size(), 5, 20),
-		mustFlat(b, d.Schema.QI[1].Size()),
-		mustInterval(b, d.Schema.QI[2].Size(), 5, 20),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := generalize.Incognito(d, hiers, generalize.IncognitoConfig{K: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Grouping-engine benchmarks (EXPERIMENTS.md §Grouping engine) ---
 //
-// The three benchmarks below are the acceptance surface of the incremental
-// grouping engine: QI-grouping, TDS, and Incognito at 100k rows. They are
-// the one tracked measurement of these stages; compare against the numbers
+// The two benchmarks below are the acceptance surface of the incremental
+// grouping engine: QI-grouping and TDS at 100k rows. They are the one
+// tracked measurement of these stages; compare against the numbers
 // recorded in EXPERIMENTS.md §Grouping engine.
 
 // BenchmarkGroupBy measures a full-table QI-grouping of 100k SAL rows under
@@ -443,65 +425,6 @@ func BenchmarkTDS(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkIncognito measures the lattice search on a 100k-row synthetic
-// table over three QI attributes of mixed hierarchy shape — large enough that
-// per-node grouping cost dominates, small enough that the lattice stays
-// enumerable (Incognito on the full 8-attribute SAL lattice is intractable by
-// design; full-domain recoding is used on low-dimensional QI sets).
-func BenchmarkIncognito(b *testing.B) {
-	d, hiers := benchIncognitoData(b, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := generalize.Incognito(d, hiers, generalize.IncognitoConfig{K: 6}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchIncognitoData(b *testing.B, n int) (*dataset.Table, []*Hierarchy) {
-	b.Helper()
-	s, err := dataset.NewSchema(
-		[]*dataset.Attribute{
-			mustIntAttr(b, "A", 16),
-			mustIntAttr(b, "B", 8),
-			mustIntAttr(b, "C", 8),
-		},
-		mustIntAttr(b, "S", 4),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t := dataset.NewTable(s)
-	rng := rand.New(rand.NewSource(20080402))
-	skew := func(size int) int32 {
-		// Exponentially skewed codes: rare tail values keep the lattice
-		// bottom from satisfying, so the search actually climbs.
-		v := int(rng.ExpFloat64() * float64(size) / 5)
-		if v >= size {
-			v = size - 1
-		}
-		return int32(v)
-	}
-	for i := 0; i < n; i++ {
-		t.MustAppend([]int32{skew(16), skew(8), skew(8), int32(rng.Intn(4))})
-	}
-	hiers := []*Hierarchy{
-		mustInterval(b, 16, 2, 4, 8),
-		mustInterval(b, 8, 2, 4),
-		hierarchy.MustBalanced(8, 2),
-	}
-	return t, hiers
-}
-
-func mustIntAttr(b *testing.B, name string, size int) *dataset.Attribute {
-	b.Helper()
-	a, err := dataset.NewIntAttribute(name, 0, size-1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return a
 }
 
 // BenchmarkAnatomize measures the Anatomy baseline on 20k tuples.

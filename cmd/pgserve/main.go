@@ -25,6 +25,10 @@
 // p95-triggered hedged requests, merging answers (count/naive/sum
 // additively, avg from per-shard sum/weight pairs). A dead shard turns into
 // a 502 naming it.
+//
+// A flag the chosen mode does not apply — -cache or -mmap with
+// -coordinator, -hedge without it, -p with -snapshot — is a usage error
+// (exit 2), not silently ignored.
 // See docs/SERVING.md for the API reference and a worked session.
 package main
 
@@ -51,28 +55,104 @@ import (
 	"pgpub/internal/snapshot"
 )
 
+// options holds pgserve's flags.
+type options struct {
+	snap, in, metaPath        string
+	mmap                      bool
+	p                         float64
+	coordinator               bool
+	manifestPath, shardURLs   string
+	shardTimeout, hedge       time.Duration
+	addr                      string
+	maxInFlight, cacheEntries int
+	timeout                   time.Duration
+	workers                   int
+	dpBudgets                 string
+	dpSeed                    int64
+	drain                     time.Duration
+	metrics                   bool
+	debugAddr                 string
+}
+
+// Serving modes, as a bit set: each flag applies in some of them.
+const (
+	coordMode = 1 << iota
+	snapshotMode
+	csvMode
+	serverModes = snapshotMode | csvMode
+)
+
+// flagModes lists the modes of every flag that does not apply in all of
+// them; a flag missing here applies in every mode.
+var flagModes = map[string]int{
+	"manifest":      coordMode,
+	"shard-urls":    coordMode,
+	"shard-timeout": coordMode,
+	"hedge":         coordMode,
+	"snapshot":      snapshotMode,
+	"mmap":          snapshotMode,
+	"in":            csvMode,
+	"p":             csvMode,
+	"meta":          csvMode,
+	"max-inflight":  serverModes,
+	"timeout":       serverModes,
+	"cache":         serverModes,
+	"workers":       serverModes,
+}
+
+// parseFlags defines pgserve's flags on fs, parses args, and rejects every
+// explicitly set flag the chosen mode does not apply, so a misplaced flag
+// is an error instead of being silently ignored.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.StringVar(&o.snap, "snapshot", "", "publication snapshot (.pgsnap) written by pgpublish -snapshot")
+	fs.BoolVar(&o.mmap, "mmap", false, "serve the snapshot in place via a read-only memory map (with -snapshot; answers are identical, cold start skips the parse)")
+	fs.StringVar(&o.in, "in", "", "published CSV with the SAL schema (alternative to -snapshot)")
+	fs.Float64Var(&o.p, "p", -1, "the release's retention probability (with -in; or use -meta)")
+	fs.StringVar(&o.metaPath, "meta", "", "release metadata JSON written by pgpublish -meta (with -in)")
+	fs.BoolVar(&o.coordinator, "coordinator", false, "run as a fan-out coordinator over shard servers instead of serving a snapshot")
+	fs.StringVar(&o.manifestPath, "manifest", "", "shard manifest (.pgman) written by pgpublish -manifest (with -coordinator)")
+	fs.StringVar(&o.shardURLs, "shard-urls", "", "comma-separated shard server base URLs, one per manifest shard in shard order (with -coordinator)")
+	fs.DurationVar(&o.shardTimeout, "shard-timeout", 5*time.Second, "per-shard call deadline at the coordinator, hedges included (with -coordinator)")
+	fs.DurationVar(&o.hedge, "hedge", 25*time.Millisecond, "hedge delay before a shard has a latency history (its live p95 takes over after); negative disables hedging (with -coordinator)")
+	fs.StringVar(&o.addr, "addr", ":8080", "API listen address")
+	fs.IntVar(&o.maxInFlight, "max-inflight", 0, "concurrent request admission limit (0 = 8*GOMAXPROCS); excess load is shed with 429 (without -coordinator)")
+	fs.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-request answer deadline (without -coordinator)")
+	fs.IntVar(&o.cacheEntries, "cache", 4096, "result cache capacity in entries (negative disables; without -coordinator)")
+	fs.IntVar(&o.workers, "workers", 0, "batch fan-out goroutines (0 = GOMAXPROCS); batch answers are identical for any value (without -coordinator)")
+	fs.StringVar(&o.dpBudgets, "dp-budgets", "", "per-API-key ε-budget file (one `key ε_total ε_per_query` per line): serve Laplace-noised answers in differential-privacy mode (docs/DP.md)")
+	fs.Int64Var(&o.dpSeed, "dp-seed", 0, "DP noise root seed (0 draws one from crypto/rand; pin only for tests and offline audits)")
+	fs.DurationVar(&o.drain, "drain", 30*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
+	fs.BoolVar(&o.metrics, "metrics", false, "print the counter/latency report to stderr on exit")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :6060)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	mode, where := serverModes, "without -coordinator"
+	switch {
+	case o.coordinator:
+		mode, where = coordMode, "with -coordinator"
+	case o.snap != "":
+		mode, where = snapshotMode, "with -snapshot"
+	case o.in != "":
+		mode, where = csvMode, "with -in"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if m, ok := flagModes[f.Name]; ok && m&mode == 0 && err == nil {
+			err = fmt.Errorf("-%s does not apply %s", f.Name, where)
+		}
+	})
+	return o, err
+}
+
 func main() {
-	snap := flag.String("snapshot", "", "publication snapshot (.pgsnap) written by pgpublish -snapshot")
-	mmapSnap := flag.Bool("mmap", false, "serve the snapshot in place via a read-only memory map (with -snapshot; answers are identical, cold start skips the parse)")
-	in := flag.String("in", "", "published CSV with the SAL schema (alternative to -snapshot)")
-	p := flag.Float64("p", -1, "the release's retention probability (with -in; or use -meta)")
-	metaPath := flag.String("meta", "", "release metadata JSON written by pgpublish -meta (with -in)")
-	coordinator := flag.Bool("coordinator", false, "run as a fan-out coordinator over shard servers instead of serving a snapshot")
-	manifestPath := flag.String("manifest", "", "shard manifest (.pgman) written by pgpublish -manifest (with -coordinator)")
-	shardURLs := flag.String("shard-urls", "", "comma-separated shard server base URLs, one per manifest shard in shard order (with -coordinator)")
-	shardTimeout := flag.Duration("shard-timeout", 5*time.Second, "per-shard call deadline at the coordinator, hedges included")
-	hedge := flag.Duration("hedge", 25*time.Millisecond, "hedge delay before a shard has a latency history (its live p95 takes over after); negative disables hedging")
-	addr := flag.String("addr", ":8080", "API listen address")
-	maxInFlight := flag.Int("max-inflight", 0, "concurrent request admission limit (0 = 8*GOMAXPROCS); excess load is shed with 429")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-request answer deadline")
-	cacheEntries := flag.Int("cache", 4096, "result cache capacity in entries (negative disables)")
-	workers := flag.Int("workers", 0, "batch fan-out goroutines (0 = GOMAXPROCS); batch answers are identical for any value")
-	dpBudgets := flag.String("dp-budgets", "", "per-API-key ε-budget file (one `key ε_total ε_per_query` per line): serve Laplace-noised answers in differential-privacy mode (docs/DP.md)")
-	dpSeed := flag.Int64("dp-seed", 0, "DP noise root seed (0 draws one from crypto/rand; pin only for tests and offline audits)")
-	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
-	metrics := flag.Bool("metrics", false, "print the counter/latency report to stderr on exit")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :6060)")
-	flag.Parse()
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pgserve: %v\n", err)
+		os.Exit(2)
+	}
 
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "pgserve: %v\n", err)
@@ -83,25 +163,25 @@ func main() {
 	if err := reg.PublishExpvar("pgpub"); err != nil {
 		fmt.Fprintf(os.Stderr, "pgserve: %v\n", err)
 	}
-	if *debugAddr != "" {
-		srv, err := reg.Serve(*debugAddr)
+	if o.debugAddr != "" {
+		srv, err := reg.Serve(o.debugAddr)
 		if err != nil {
 			fail(err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "pgserve: debug server on http://%s (/metrics, /healthz, /debug/pprof/)\n", srv.Addr)
 	}
-	if *metrics {
+	if o.metrics {
 		defer reg.WriteText(os.Stderr)
 	}
 
 	var dpCfg *serve.DPConfig
-	if *dpBudgets != "" {
-		ledger, err := dp.LoadBudgets(*dpBudgets)
+	if o.dpBudgets != "" {
+		ledger, err := dp.LoadBudgets(o.dpBudgets)
 		if err != nil {
 			fail(err)
 		}
-		seed := *dpSeed
+		seed := o.dpSeed
 		if seed == 0 {
 			var b [8]byte
 			if _, err := rand.Read(b[:]); err != nil {
@@ -111,40 +191,37 @@ func main() {
 		}
 		dpCfg = &serve.DPConfig{Ledger: ledger, Seed: seed}
 		fmt.Fprintf(os.Stderr, "pgserve: DP mode on — %d API keys provisioned, Laplace noise over every aggregate (docs/DP.md)\n", ledger.Len())
-	} else if *dpSeed != 0 {
+	} else if o.dpSeed != 0 {
 		fail(fmt.Errorf("-dp-seed needs -dp-budgets"))
 	}
 
-	if *coordinator {
-		if *manifestPath == "" || *shardURLs == "" {
+	if o.coordinator {
+		if o.manifestPath == "" || o.shardURLs == "" {
 			fail(fmt.Errorf("-coordinator requires -manifest and -shard-urls"))
-		}
-		if *snap != "" || *in != "" {
-			fail(fmt.Errorf("-coordinator holds no data; drop -snapshot/-in"))
 		}
 		// The manifest and its file CRC — the release identity DP noise is
 		// keyed on — are read together, at start and on every reload.
 		loadManifest := func() (*snapshot.Manifest, uint32, error) {
-			man, err := snapshot.LoadManifest(*manifestPath)
+			man, err := snapshot.LoadManifest(o.manifestPath)
 			if err != nil {
 				return nil, 0, err
 			}
-			crc, err := snapshot.FileCRC(*manifestPath)
+			crc, err := snapshot.FileCRC(o.manifestPath)
 			return man, crc, err
 		}
 		man, manCRC, err := loadManifest()
 		if err != nil {
 			fail(err)
 		}
-		urls := strings.Split(*shardURLs, ",")
+		urls := strings.Split(o.shardURLs, ",")
 		for i := range urls {
 			urls[i] = strings.TrimSuffix(strings.TrimSpace(urls[i]), "/")
 		}
 		coord, err := serve.NewCoordinator(serve.CoordConfig{
 			Manifest:       man,
 			ShardURLs:      urls,
-			ShardTimeout:   *shardTimeout,
-			HedgeAfter:     *hedge,
+			ShardTimeout:   o.shardTimeout,
+			HedgeAfter:     o.hedge,
 			Metrics:        reg,
 			ManifestSource: loadManifest,
 			DP:             dpCfg,
@@ -153,23 +230,20 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), *shardTimeout+5*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), o.shardTimeout+5*time.Second)
 		err = coord.Start(ctx)
 		cancel()
 		if err != nil {
 			fail(err)
 		}
-		hs, err := coord.Serve(*addr)
+		hs, err := coord.Serve(o.addr)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "pgserve: coordinating %d shards (%d rows total) on http://%s (POST /v1/query, POST /v1/batch, GET /v1/metadata, GET /v1/shards)\n",
 			len(man.Shards), man.SourceRows, hs.Addr)
-		waitAndDrain(hs, *drain, coord.Reload, fail)
+		waitAndDrain(hs, o.drain, coord.Reload, fail)
 		return
-	}
-	if *manifestPath != "" || *shardURLs != "" {
-		fail(fmt.Errorf("-manifest/-shard-urls need -coordinator"))
 	}
 
 	// Load the release: snapshot (parsed or mapped in place) or CSV +
@@ -182,16 +256,13 @@ func main() {
 		crc       uint32
 		source    func() (*serve.ReleaseData, error)
 		ix        *query.Index
-		err       error
 	)
 	coldStart := time.Now()
 	switch {
-	case *snap != "" && *in != "":
-		fail(fmt.Errorf("-snapshot and -in are mutually exclusive"))
-	case *snap != "":
-		source = serve.SnapshotSource(*snap, *mmapSnap)
-		if *mmapSnap {
-			m, err := snapshot.OpenMappedObserved(*snap, reg)
+	case o.snap != "":
+		source = serve.SnapshotSource(o.snap, o.mmap)
+		if o.mmap {
+			m, err := snapshot.OpenMappedObserved(o.snap, reg)
 			if err != nil {
 				fail(err)
 			}
@@ -202,15 +273,15 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "pgserve: snapshot %s in %v\n", mode, time.Since(coldStart).Round(time.Microsecond))
 		} else {
-			rel, err := snapshot.Load(*snap)
+			rel, err := snapshot.Load(o.snap)
 			if err != nil {
 				fail(err)
 			}
 			pub, guarantee, chain, crc = rel.Pub, rel.Guarantee, rel.Chain, rel.CRC
 		}
-	case *in != "":
-		if *metaPath != "" {
-			mf, err := os.Open(*metaPath)
+	case o.in != "":
+		if o.metaPath != "" {
+			mf, err := os.Open(o.metaPath)
 			if err != nil {
 				fail(err)
 			}
@@ -219,17 +290,17 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			*p = m.P
+			o.p = m.P
 			guarantee = m.Guarantee
 		}
-		if *p < 0 {
+		if o.p < 0 {
 			fail(fmt.Errorf("-p (or -meta) is required with -in"))
 		}
-		f, err := os.Open(*in)
+		f, err := os.Open(o.in)
 		if err != nil {
 			fail(err)
 		}
-		pub, err = pg.ReadCSV(sal.Schema(), bufio.NewReader(f), *p)
+		pub, err = pg.ReadCSV(sal.Schema(), bufio.NewReader(f), o.p)
 		f.Close()
 		if err != nil {
 			fail(err)
@@ -263,10 +334,10 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Index:          ix,
 		Meta:           meta,
-		MaxInFlight:    *maxInFlight,
-		RequestTimeout: *timeout,
-		CacheEntries:   *cacheEntries,
-		Workers:        *workers,
+		MaxInFlight:    o.maxInFlight,
+		RequestTimeout: o.timeout,
+		CacheEntries:   o.cacheEntries,
+		Workers:        o.workers,
 		Metrics:        reg,
 		CRC:            crc,
 		Chain:          chain,
@@ -276,12 +347,12 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	hs, err := srv.Serve(*addr)
+	hs, err := srv.Serve(o.addr)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "pgserve: serving on http://%s (POST /v1/query, POST /v1/batch, GET /v1/metadata)\n", hs.Addr)
-	waitAndDrain(hs, *drain, srv.Reload, fail)
+	waitAndDrain(hs, o.drain, srv.Reload, fail)
 }
 
 // waitAndDrain blocks until SIGINT/SIGTERM, then drains in-flight requests

@@ -56,7 +56,7 @@ func TestDocLinks(t *testing.T) {
 	}
 }
 
-// TestDocFilesMentionObsFlags pins the docs-to-code contract introduced with
+// TestDocCatalogCoversMetrics pins the docs-to-code contract introduced with
 // the observability layer: the metric names the code records must appear in
 // the catalog, so docs/OBSERVABILITY.md cannot rot silently.
 func TestDocCatalogCoversMetrics(t *testing.T) {
@@ -69,10 +69,9 @@ func TestDocCatalogCoversMetrics(t *testing.T) {
 		"pg.publish", "pg.phase1", "pg.phase2", "pg.phase3",
 		"pg.publish.calls", "pg.rows.in", "pg.rows.published",
 		"pg.phase1.retained", "pg.phase1.redrawn", "pg.phase2.groups",
-		"perturb.em.runs", "perturb.em.iterations",
 		"generalize.groupby.rows_scanned", "generalize.tds.rounds",
 		"generalize.tds.groups_split", "generalize.tds.groups",
-		"generalize.lattice.nodes_evaluated", "generalize.lattice.nodes_pruned",
+		"generalize.lattice.nodes_evaluated",
 		"query.index.build", "query.count.latency",
 		"query.index.entries", "query.index.nodes", "query.index.grids",
 		"query.answered.grid", "query.answered.exact_reanswer", "query.answered.kd",

@@ -103,7 +103,7 @@ func replayPhase2(ext *attack.External, hiers []*hierarchy.Hierarchy, algorithm 
 		return newGroupModel(ext.Len(), res.Cells, remap(res.Rows)), nil
 	case "full-domain":
 		res, err := generalize.SearchFullDomain(t, hiers, generalize.FullDomainConfig{
-			Principle: generalize.KAnonymity{K: k}, Workers: workers,
+			K: k, Workers: workers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("attackfleet: replaying full-domain: %w", err)

@@ -12,7 +12,7 @@ import (
 // The benchmarks in this file pit the grouping engine against test-only
 // copies of the code paths it replaced: byte-string map keys for GroupBy,
 // a full-table re-scan per TDS round, and a full-table re-group per
-// Incognito lattice node. The legacy copies are kept in test files — not in
+// full-domain lattice node. The legacy copies are kept in test files — not in
 // the library — so the comparison can't rot silently while the engine
 // evolves; the TDS one is in tds_ref_test.go, where it is also the reference
 // TestTDSMatchesReference checks TDS against.
@@ -119,9 +119,10 @@ func BenchmarkTDSEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkLatticeMinSize measures Incognito's per-node work: the minimum
-// group size at every level vector of the full lattice — by re-grouping the
-// table per node (the old path) vs the evaluator's roll-up.
+// BenchmarkLatticeMinSize measures the exhaustive full-domain search's
+// per-node work: the minimum group size and discernibility at every level
+// vector of the full lattice — by re-grouping the table per node (the old
+// path) vs the evaluator's roll-up (scoreAt).
 func BenchmarkLatticeMinSize(b *testing.B) {
 	tbl, hiers := benchGenTable(100_000)
 	walk := func(visit func(levels []int) error) error {
@@ -159,7 +160,8 @@ func BenchmarkLatticeMinSize(b *testing.B) {
 				if err != nil {
 					return err
 				}
-				if GroupBy(tbl, rec).MinSize() == 0 {
+				g := GroupBy(tbl, rec)
+				if g.MinSize() == 0 || Discernibility(g) == 0 {
 					return nil
 				}
 				return nil
@@ -172,12 +174,12 @@ func BenchmarkLatticeMinSize(b *testing.B) {
 	b.Run("rollup", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eval, err := NewLatticeEvaluator(tbl, hiers, make([]int, len(hiers)), 1)
+			eval, err := NewLatticeEvaluator(tbl, hiers, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
 			err = walk(func(levels []int) error {
-				_, err := eval.MinSizeAt(levels)
+				_, _, err := eval.scoreAt(levels)
 				return err
 			})
 			if err != nil {
@@ -189,14 +191,14 @@ func BenchmarkLatticeMinSize(b *testing.B) {
 
 // BenchmarkSearchFullDomainGreedy measures the full-domain search as PG's
 // Phase 2 runs it: k-anonymity with k=6 on 20k SAL rows, whose 8-attribute
-// lattice is far past MaxExhaustive, so the greedy level-raising walk runs.
+// lattice is far past maxExhaustive, so the greedy level-raising walk runs.
 func BenchmarkSearchFullDomainGreedy(b *testing.B) {
 	tbl, err := sal.Generate(20_000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	hiers := sal.Hierarchies(tbl.Schema)
-	cfg := FullDomainConfig{Principle: KAnonymity{K: 6}, Workers: 1}
+	cfg := FullDomainConfig{K: 6, Workers: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

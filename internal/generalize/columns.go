@@ -6,7 +6,7 @@ import (
 	"pgpub/internal/dataset"
 )
 
-// Column-sweep primitives shared by the kd partitioner and Mondrian. Each
+// Column-sweep primitives of the kd partitioner. Each
 // dispatches once on the column's element width and runs a generic loop over
 // the raw backing slice, so a scan over a row subset is a single gather from
 // one contiguous array instead of a row-slice dereference per element.

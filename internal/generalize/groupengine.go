@@ -11,12 +11,12 @@ package generalize
 //     byte-identical for any worker count — and identical to the
 //     byte-keyed reference grouping it replaced.
 //
-//   - LatticeEvaluator: the roll-up engine behind Incognito and
-//     SearchFullDomain. The table is scanned exactly once, at the lattice's
-//     bottom; every other level vector's grouping is derived by lifting the
-//     base groups' keys through the hierarchies and merging — O(#groups·d)
-//     for a size check, O(n) to materialize rows — instead of re-scanning and
-//     re-hashing all n rows per lattice node.
+//   - LatticeEvaluator: the roll-up engine behind SearchFullDomain. The
+//     table is scanned exactly once, at the lattice's bottom; every other
+//     level vector's grouping is derived by lifting the base groups' keys
+//     through the hierarchies and merging — O(#groups·d) for a size check,
+//     O(n) to materialize rows — instead of re-scanning and re-hashing all
+//     n rows per lattice node.
 //
 // The engine's contract, enforced by TestLatticeRollupMatchesGroupBy and
 // TestTDSIncrementalMatchesRescan, is exact equivalence with a from-scratch
@@ -56,14 +56,6 @@ func newKeyPacker(hiers []*hierarchy.Hierarchy) keyPacker {
 	}
 	p.fits = total <= 64
 	return p
-}
-
-func (p keyPacker) pack(gv []int32) uint64 {
-	var k uint64
-	for j, n := range gv {
-		k |= uint64(uint32(n)) << p.shift[j]
-	}
-	return k
 }
 
 // groupShardSize is the fixed shard width of the sharded row scan. It is
@@ -208,23 +200,21 @@ func groupByBytes(t *dataset.Table, r *Recoding) *Groups {
 }
 
 // LatticeEvaluator evaluates full-domain level vectors by roll-up: the table
-// is grouped once at a base level vector, and any coarser vector's grouping
-// is derived by lifting the base groups' keys through the hierarchies and
-// merging groups whose lifted keys coincide (LeFevre et al.'s frequency-set
-// roll-up, generalized to a whole level vector). All hierarchies must be
-// uniform and every queried vector must dominate the base component-wise.
+// is grouped once at the lattice bottom (every attribute at its leaves), and
+// any other vector's grouping is derived by lifting the base groups' keys
+// through the hierarchies and merging groups whose lifted keys coincide
+// (LeFevre et al.'s frequency-set roll-up, generalized to a whole level
+// vector). All hierarchies must be uniform.
 //
 // Lattice nodes are scored from (packed key, size) pairs alone: the minimum
 // group size and the discernibility need no row lists, so only the node a
-// search finally returns — or one whose principle reads rows — is
-// materialized by GroupsAt. The scoring reuses one map and one pair buffer,
-// so an evaluator is not safe for concurrent use.
+// search finally returns is materialized by GroupsAt. The scoring reuses one
+// map and one pair buffer, so an evaluator is not safe for concurrent use.
 type LatticeEvaluator struct {
-	t       *dataset.Table
-	hiers   []*hierarchy.Hierarchy
-	baseLev []int
-	base    *Groups
-	packer  keyPacker
+	t      *dataset.Table
+	hiers  []*hierarchy.Hierarchy
+	base   *Groups
+	packer keyPacker
 
 	// rowGroup maps each table row to its base group, so materializing a
 	// rolled-up grouping's row lists is a single ordered pass over the rows
@@ -232,16 +222,16 @@ type LatticeEvaluator struct {
 	// free — the GroupBy contract).
 	rowGroup []int32
 	// keyIdx[g][j] is the index of base group g's j-th key node within the
-	// base cut of attribute j (the row of the lift tables below).
+	// leaf cut of attribute j (the row of the lift tables below).
 	keyIdx [][]int32
-	// lift[j][dl][i] is the ancestor dl levels above the i-th base cut node
-	// of attribute j.
+	// lift[j][l][i] is the ancestor l levels above the i-th leaf-cut node of
+	// attribute j.
 	lift [][][]int32
 	// cuts memoizes hierarchy.LevelCut per attribute and level.
 	cuts [][]*hierarchy.Cut
 
 	// idx and pairs are the scoring scratch: the packed-key → pair-index map
-	// that merges coinciding keys, and the pair buffer MinSizeAt fills.
+	// that merges coinciding keys, and the pair buffer scoreAt fills.
 	idx   map[uint64]int32
 	pairs []sizedGroup
 }
@@ -253,12 +243,12 @@ type sizedGroup struct {
 	size int
 }
 
-// NewLatticeEvaluator groups the table at baseLevels (the evaluator's one
-// full scan, sharded over workers) and precomputes the lift tables.
-func NewLatticeEvaluator(t *dataset.Table, hiers []*hierarchy.Hierarchy, baseLevels []int, workers int) (*LatticeEvaluator, error) {
-	if len(hiers) != t.Schema.D() || len(baseLevels) != len(hiers) {
-		return nil, fmt.Errorf("generalize: %d hierarchies, %d base levels for %d QI attributes",
-			len(hiers), len(baseLevels), t.Schema.D())
+// NewLatticeEvaluator groups the table at the lattice bottom (the
+// evaluator's one full scan, sharded over workers) and precomputes the lift
+// tables.
+func NewLatticeEvaluator(t *dataset.Table, hiers []*hierarchy.Hierarchy, workers int) (*LatticeEvaluator, error) {
+	if len(hiers) != t.Schema.D() {
+		return nil, fmt.Errorf("generalize: %d hierarchies for %d QI attributes", len(hiers), t.Schema.D())
 	}
 	if !newKeyPacker(hiers).fits {
 		return nil, fmt.Errorf("generalize: QI node IDs need more than 64 key bits; lattice roll-up needs packed keys")
@@ -267,21 +257,17 @@ func NewLatticeEvaluator(t *dataset.Table, hiers []*hierarchy.Hierarchy, baseLev
 		if !h.Uniform() {
 			return nil, fmt.Errorf("generalize: hierarchy %d is not uniform; lattice roll-up needs level cuts", j)
 		}
-		if baseLevels[j] < 0 || baseLevels[j] > h.Height() {
-			return nil, fmt.Errorf("generalize: base level %d of attribute %d out of [0,%d]", baseLevels[j], j, h.Height())
-		}
 	}
 	e := &LatticeEvaluator{
-		t:       t,
-		hiers:   hiers,
-		baseLev: append([]int(nil), baseLevels...),
-		packer:  newKeyPacker(hiers),
-		cuts:    make([][]*hierarchy.Cut, len(hiers)),
+		t:      t,
+		hiers:  hiers,
+		packer: newKeyPacker(hiers),
+		cuts:   make([][]*hierarchy.Cut, len(hiers)),
 	}
 	for j, h := range hiers {
 		e.cuts[j] = make([]*hierarchy.Cut, h.Height()+1)
 	}
-	rec, err := e.RecodingAt(baseLevels)
+	rec, err := e.RecodingAt(make([]int, len(hiers)))
 	if err != nil {
 		return nil, err
 	}
@@ -294,8 +280,8 @@ func NewLatticeEvaluator(t *dataset.Table, hiers []*hierarchy.Hierarchy, baseLev
 		}
 	}
 
-	// Lift tables: for each attribute, the base cut nodes and their ancestors
-	// at every level above the base.
+	// Lift tables: for each attribute, the leaf-cut nodes and their ancestors
+	// at every level.
 	e.lift = make([][][]int32, len(hiers))
 	nodeIdx := make([][]int32, len(hiers))
 	for j, h := range hiers {
@@ -304,11 +290,10 @@ func NewLatticeEvaluator(t *dataset.Table, hiers []*hierarchy.Hierarchy, baseLev
 		for i, v := range baseNodes {
 			nodeIdx[j][v] = int32(i)
 		}
-		steps := h.Height() - baseLevels[j]
-		e.lift[j] = make([][]int32, steps+1)
+		e.lift[j] = make([][]int32, h.Height()+1)
 		cur := append([]int32(nil), baseNodes...)
-		for dl := 0; dl <= steps; dl++ {
-			e.lift[j][dl] = append([]int32(nil), cur...)
+		for l := range e.lift[j] {
+			e.lift[j][l] = append([]int32(nil), cur...)
 			for i, v := range cur {
 				if p := h.Parent(v); p >= 0 {
 					cur[i] = p
@@ -328,30 +313,17 @@ func NewLatticeEvaluator(t *dataset.Table, hiers []*hierarchy.Hierarchy, baseLev
 	return e, nil
 }
 
-// Base returns the grouping at the evaluator's base level vector (the one
-// produced by its single table scan). Read-only.
-func (e *LatticeEvaluator) Base() *Groups { return e.base }
-
-// checkLevels validates that levels dominates the base component-wise.
+// checkLevels validates the level vector against the hierarchy heights.
 func (e *LatticeEvaluator) checkLevels(levels []int) error {
 	if len(levels) != len(e.hiers) {
 		return fmt.Errorf("generalize: level vector has %d components, want %d", len(levels), len(e.hiers))
 	}
 	for j, l := range levels {
-		if l < e.baseLev[j] || l > e.hiers[j].Height() {
-			return fmt.Errorf("generalize: level %d of attribute %d out of [%d,%d]",
-				l, j, e.baseLev[j], e.hiers[j].Height())
+		if l < 0 || l > e.hiers[j].Height() {
+			return fmt.Errorf("generalize: level %d of attribute %d out of [0,%d]", l, j, e.hiers[j].Height())
 		}
 	}
 	return nil
-}
-
-// MinSizeAt returns the smallest group cardinality of the grouping at the
-// level vector, in O(#base-groups · d) without materializing row lists —
-// the k-anonymity check Incognito's lattice walk performs per node.
-func (e *LatticeEvaluator) MinSizeAt(levels []int) (int, error) {
-	min, _, err := e.scoreAt(levels)
-	return min, err
 }
 
 // scoreAt rolls the base groups up to the level vector and returns the
@@ -372,7 +344,7 @@ func (e *LatticeEvaluator) sizesAt(levels []int, dst []sizedGroup) []sizedGroup 
 	for g, ki := range e.keyIdx {
 		var pk uint64
 		for j, l := range levels {
-			pk |= uint64(uint32(e.lift[j][l-e.baseLev[j]][ki[j]])) << e.packer.shift[j]
+			pk |= uint64(uint32(e.lift[j][l][ki[j]])) << e.packer.shift[j]
 		}
 		dst = e.merge(dst, pk, len(e.base.Rows[g]))
 	}
@@ -434,7 +406,7 @@ func (e *LatticeEvaluator) GroupsAt(levels []int) (*Groups, error) {
 	for g, ki := range e.keyIdx {
 		var pk uint64
 		for j, l := range levels {
-			gv[j] = e.lift[j][l-e.baseLev[j]][ki[j]]
+			gv[j] = e.lift[j][l][ki[j]]
 			pk |= uint64(uint32(gv[j])) << e.packer.shift[j]
 		}
 		gi, ok := idx[pk]

@@ -44,7 +44,7 @@ func randomEngineRecoding(tbl *dataset.Table, hiers []*hierarchy.Hierarchy, rng 
 	}
 	for j := range rec.Cuts {
 		for step := 0; step < rng.Intn(4); step++ {
-			cand := rec.Cuts[j].Refinable()
+			cand := refinable(hiers[j], rec.Cuts[j])
 			if len(cand) == 0 {
 				break
 			}
@@ -123,10 +123,7 @@ func TestGroupByWideSchemaFallback(t *testing.T) {
 		row[d] = int32(rng.Intn(2))
 		tbl.MustAppend(row)
 	}
-	rec, err := IdentityRecoding(s, hiers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := identityRecoding(t, s, hiers)
 	g := GroupByWorkers(tbl, rec, 8)
 	seen := 0
 	lastFirst := -1
@@ -169,23 +166,18 @@ func TestTDSIncrementalMatchesRescan(t *testing.T) {
 }
 
 // Property: every lattice node's rolled-up grouping equals a from-scratch
-// GroupBy under the node's recoding, and MinSizeAt and the size-based
-// discernibility agree with the materialized groups — for random base
-// level vectors.
+// GroupBy under the node's recoding, and the size-based minimum and
+// discernibility agree with the materialized groups.
 func TestLatticeRollupMatchesGroupBy(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tbl, hiers := engineTable(120+rng.Intn(120), rng)
-		base := make([]int, len(hiers))
-		for j, h := range hiers {
-			base[j] = rng.Intn(h.Height() + 1)
-		}
-		eval, err := NewLatticeEvaluator(tbl, hiers, base, 1+rng.Intn(4))
+		eval, err := NewLatticeEvaluator(tbl, hiers, 1+rng.Intn(4))
 		if err != nil {
 			return false
 		}
-		// Walk every level vector dominating the base.
-		levels := append([]int(nil), base...)
+		// Walk every level vector.
+		levels := make([]int, len(hiers))
 		for {
 			rec, err := eval.RecodingAt(levels)
 			if err != nil {
@@ -199,11 +191,8 @@ func TestLatticeRollupMatchesGroupBy(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				return false
 			}
-			min, err := eval.MinSizeAt(levels)
-			if err != nil || min != want.MinSize() {
-				return false
-			}
-			if _, loss, err := eval.scoreAt(levels); err != nil || loss != Discernibility(want) {
+			min, loss, err := eval.scoreAt(levels)
+			if err != nil || min != want.MinSize() || loss != Discernibility(want) {
 				return false
 			}
 			j := 0
@@ -212,7 +201,7 @@ func TestLatticeRollupMatchesGroupBy(t *testing.T) {
 				if levels[j] <= hiers[j].Height() {
 					break
 				}
-				levels[j] = base[j]
+				levels[j] = 0
 			}
 			if j == len(levels) {
 				break
@@ -225,19 +214,19 @@ func TestLatticeRollupMatchesGroupBy(t *testing.T) {
 	}
 }
 
-// The evaluator rejects level vectors that do not dominate its base.
+// The evaluator rejects level vectors outside the lattice.
 func TestLatticeEvaluatorLevelBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tbl, hiers := engineTable(64, rng)
-	eval, err := NewLatticeEvaluator(tbl, hiers, []int{1, 1, 0}, 1)
+	eval, err := NewLatticeEvaluator(tbl, hiers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eval.GroupsAt([]int{0, 1, 0}); err == nil {
-		t.Fatal("GroupsAt below the base: want error")
+	if _, err := eval.GroupsAt([]int{-1, 1, 0}); err == nil {
+		t.Fatal("GroupsAt below the leaves: want error")
 	}
-	if _, err := eval.MinSizeAt([]int{1, 1, 2}); err == nil {
-		t.Fatal("MinSizeAt above the hierarchy height: want error")
+	if _, _, err := eval.scoreAt([]int{1, 1, 2}); err == nil {
+		t.Fatal("scoreAt above the hierarchy height: want error")
 	}
 	if _, err := eval.GroupsAt([]int{1, 1}); err == nil {
 		t.Fatal("GroupsAt with short vector: want error")
@@ -255,7 +244,7 @@ func TestLatticeEvaluatorWideKeys(t *testing.T) {
 	}
 	tbl := dataset.NewTable(dataset.MustSchema(attrs, dataset.MustAttribute("S", "x", "y")))
 	tbl.MustAppend([]int32{0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	if _, err := NewLatticeEvaluator(tbl, hiers, make([]int, 9), 1); err == nil {
+	if _, err := NewLatticeEvaluator(tbl, hiers, 1); err == nil {
 		t.Fatal("72 key bits: want error")
 	}
 }

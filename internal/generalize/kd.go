@@ -28,17 +28,6 @@ func (b Box) Covers(v []int32) bool {
 	return true
 }
 
-// Overlaps reports whether two boxes intersect (a G3 violation when both
-// appear in one publication with different coordinates).
-func (b Box) Overlaps(o Box) bool {
-	for j := range b.Lo {
-		if b.Hi[j] < o.Lo[j] || o.Hi[j] < b.Lo[j] {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports component-wise equality.
 func (b Box) Equal(o Box) bool {
 	for j := range b.Lo {
@@ -59,15 +48,16 @@ func (r *Recoding) BoxOf(g []int32) Box {
 	return b
 }
 
-// KDResult is the outcome of KDPartition: disjoint cells covering the whole
-// QI space (so any external QI vector falls in exactly one cell — the
-// uniqueness property behind attack step A1), each holding at least k rows.
+// KDResult is the outcome of KDPartitionParallel: disjoint cells covering
+// the whole QI space (so any external QI vector falls in exactly one cell —
+// the uniqueness property behind attack step A1), each holding at least k
+// rows.
 type KDResult struct {
 	Cells []Box
 	Rows  [][]int
 }
 
-// KDPartition recursively median-splits the QI space in the style of
+// KDPartitionParallel recursively median-splits the QI space in the style of
 // Mondrian strict partitioning [16], but publishes the *cells* of the
 // recursion rather than the groups' bounding boxes: cells are pairwise
 // disjoint and exhaustively cover U^q, which is exactly Property G3. Every
@@ -78,21 +68,18 @@ type KDResult struct {
 // one undersized group anywhere blocks every further specialization of an
 // attribute — whereas kd-cells keep QI-groups near the minimal size k, which
 // the paper's cardinality argument |D*| ≈ |D|/k presumes.
-func KDPartition(t *dataset.Table, k int) (*KDResult, error) {
-	return KDPartitionParallel(t, k, 0)
-}
-
-// KDPartitionParallel is KDPartition with the top spawnDepth levels of the
-// recursion fanned out across goroutines. The output is bit-identical to the
-// serial version: splits do not depend on evaluation order, and results are
-// merged left-then-right. spawnDepth 0 is fully serial; 3–4 saturates a
-// typical machine (up to 2^spawnDepth goroutines).
+//
+// The top spawnDepth levels of the recursion fan out across goroutines. The
+// output is bit-identical for every spawnDepth: splits do not depend on
+// evaluation order, and results are merged left-then-right. spawnDepth 0 is
+// fully serial; 3–4 saturates a typical machine (up to 2^spawnDepth
+// goroutines).
 func KDPartitionParallel(t *dataset.Table, k, spawnDepth int) (*KDResult, error) {
 	if spawnDepth < 0 {
 		return nil, fmt.Errorf("generalize: spawnDepth must be non-negative, got %d", spawnDepth)
 	}
 	if k < 1 {
-		return nil, fmt.Errorf("generalize: KDPartition needs k >= 1, got %d", k)
+		return nil, fmt.Errorf("generalize: KDPartitionParallel needs k >= 1, got %d", k)
 	}
 	if t.Len() < k {
 		return nil, fmt.Errorf("generalize: table has %d rows, cannot form cells of %d", t.Len(), k)
@@ -138,6 +125,12 @@ func kdRecurse(t *dataset.Table, k int, cell Box, rows []int, spawnDepth int, sc
 	}
 }
 
+// partition splits rows in place on attr <= cut with one gather over the
+// attribute's contiguous column.
+func partition(t *dataset.Table, rows []int, attr int, cut int32, sc *kdScratch) (left, right []int) {
+	return colPartition(t.QICol(attr), rows, cut, sc)
+}
+
 // fullDomainBox is the box covering the entire QI code space.
 func fullDomainBox(schema *dataset.Schema) Box {
 	d := schema.D()
@@ -168,11 +161,11 @@ type kdScratch struct {
 // chooseKDSplit picks the widest-spread attribute admitting a median split
 // with both sides >= k inside the current cell: attributes are ranked by
 // normalized span of values present in rows, and the first (widest) one
-// admitting a split wins. Mondrian's chooseSplit is this over the full
-// domain. All scans are column gathers: each attribute's codes come from one
-// contiguous array, so the span pass reads d sequential streams instead of
-// d values per row slice. The median and both candidate cuts' left-side
-// counts come from one counting pass (medianCounts), not a sort.
+// admitting a split wins. All scans are column gathers: each attribute's
+// codes come from one contiguous array, so the span pass reads d sequential
+// streams instead of d values per row slice. The median and both candidate
+// cuts' left-side counts come from one counting pass (medianCounts), not a
+// sort.
 func chooseKDSplit(t *dataset.Table, cell Box, rows []int, k int, sc *kdScratch) (attr int, cut int32, ok bool) {
 	if len(rows) < 2*k {
 		return 0, 0, false

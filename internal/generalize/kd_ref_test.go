@@ -154,32 +154,6 @@ func TestKDPartitionMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMondrianMatchesReference does the same for Mondrian, which shares the
-// split search and the partition.
-func TestMondrianMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for trial := 0; trial < 100; trial++ {
-		tbl := kdRefTable(rng)
-		k := 1 + rng.Intn(8)
-		if tbl.Len() < k {
-			continue
-		}
-		want := refKDPartition(tbl, k)
-		got, err := Mondrian(tbl, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want.Rows) {
-			t.Fatalf("trial %d: %d boxes, reference %d", trial, len(got), len(want.Rows))
-		}
-		for i, b := range got {
-			if !slices.Equal(b.Rows, want.Rows[i]) {
-				t.Fatalf("trial %d: box %d rows differ", trial, i)
-			}
-		}
-	}
-}
-
 // TestChooseKDSplitAllocs budgets the split search: with its scratch warm it
 // allocates nothing.
 func TestChooseKDSplitAllocs(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 func TestKDPartitionBasic(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tbl, _ := randomTable(200, rng)
-	res, err := KDPartition(tbl, 8)
+	res, err := KDPartitionParallel(tbl, 8, 0)
 	if err != nil {
-		t.Fatalf("KDPartition: %v", err)
+		t.Fatalf("KDPartitionParallel: %v", err)
 	}
 	if len(res.Cells) != len(res.Rows) {
 		t.Fatal("cells/rows length mismatch")
@@ -36,11 +36,18 @@ func TestKDPartitionBasic(t *testing.T) {
 	if len(covered) != tbl.Len() {
 		t.Fatalf("cells cover %d of %d rows", len(covered), tbl.Len())
 	}
-	// Cells are pairwise disjoint (Property G3).
-	for i := range res.Cells {
-		for j := i + 1; j < len(res.Cells); j++ {
-			if res.Cells[i].Overlaps(res.Cells[j]) {
-				t.Fatalf("cells %d and %d overlap", i, j)
+	// Cells are pairwise disjoint (Property G3): every point of the 16x8
+	// domain lies in exactly one cell.
+	for a := int32(0); a < 16; a++ {
+		for b := int32(0); b < 8; b++ {
+			hits := 0
+			for _, c := range res.Cells {
+				if c.Covers([]int32{a, b}) {
+					hits++
+				}
+			}
+			if hits != 1 {
+				t.Fatalf("point (%d,%d) in %d cells, want 1", a, b, hits)
 			}
 		}
 	}
@@ -55,7 +62,7 @@ func TestKDPartitionBasic(t *testing.T) {
 func TestKDPartitionCoversFullSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	tbl, _ := randomTable(100, rng)
-	res, err := KDPartition(tbl, 5)
+	res, err := KDPartitionParallel(tbl, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +90,10 @@ func TestKDPartitionCoversFullSpace(t *testing.T) {
 func TestKDPartitionErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tbl, _ := randomTable(5, rng)
-	if _, err := KDPartition(tbl, 0); err == nil {
+	if _, err := KDPartitionParallel(tbl, 0, 0); err == nil {
 		t.Fatal("k=0: want error")
 	}
-	if _, err := KDPartition(tbl, 6); err == nil {
+	if _, err := KDPartitionParallel(tbl, 6, 0); err == nil {
 		t.Fatal("k > |D|: want error")
 	}
 }
@@ -101,7 +108,7 @@ func TestKDPartitionSingleCell(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tbl.MustAppend([]int32{4, int32(i % 2)})
 	}
-	res, err := KDPartition(tbl, 2)
+	res, err := KDPartitionParallel(tbl, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +132,7 @@ func TestKDPartitionInvariants(t *testing.T) {
 		if k > n {
 			k = n
 		}
-		res, err := KDPartition(tbl, k)
+		res, err := KDPartitionParallel(tbl, k, 0)
 		if err != nil {
 			return false
 		}
@@ -162,13 +169,6 @@ func TestKDPartitionInvariants(t *testing.T) {
 func TestBoxHelpers(t *testing.T) {
 	a := Box{Lo: []int32{0, 0}, Hi: []int32{4, 4}}
 	b := Box{Lo: []int32{5, 0}, Hi: []int32{9, 4}}
-	c := Box{Lo: []int32{3, 3}, Hi: []int32{6, 6}}
-	if a.Overlaps(b) || b.Overlaps(a) {
-		t.Fatal("disjoint boxes reported overlapping")
-	}
-	if !a.Overlaps(c) || !c.Overlaps(b) {
-		t.Fatal("overlapping boxes reported disjoint")
-	}
 	if !a.Covers([]int32{4, 4}) || a.Covers([]int32{5, 4}) {
 		t.Fatal("Covers boundary wrong")
 	}
@@ -188,7 +188,7 @@ func TestBoxOfRecoding(t *testing.T) {
 			t.Fatalf("top box attr %d = [%d,%d], want full domain", j, box.Lo[j], box.Hi[j])
 		}
 	}
-	id, _ := IdentityRecoding(h.Schema, hiers)
+	id := identityRecoding(t, h.Schema, hiers)
 	gv := id.Generalize(h.QIVector(2))
 	box = id.BoxOf(gv)
 	for j := range box.Lo {
@@ -198,12 +198,12 @@ func TestBoxOfRecoding(t *testing.T) {
 	}
 }
 
-// KDPartitionParallel must produce bit-identical output to the serial
-// version.
+// KDPartitionParallel must produce bit-identical output at every spawn
+// depth, fanned out or serial (depth 0).
 func TestKDParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tbl, _ := randomTable(300, rng)
-	serial, err := KDPartition(tbl, 5)
+	serial, err := KDPartitionParallel(tbl, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

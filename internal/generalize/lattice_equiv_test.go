@@ -12,30 +12,24 @@ import (
 	"pgpub/internal/obs"
 )
 
-// The lattice searches score nodes from rolled-up group sizes and group rows
-// only for the node they return. The tests in this file pin that they choose
-// exactly what the materializing searches they replaced chose; test-only
-// copies of those searches are kept below as the reference.
+// The full-domain search scores nodes from rolled-up group sizes and groups
+// rows only for the node it returns. The tests in this file pin that it
+// chooses exactly what the materializing search it replaced chose; a
+// test-only copy of that search is kept below as the reference.
 
 // refSearchFullDomain is the materializing full-domain search: every visited
 // node is grouped in full and scored on its groups. It returns the number of
 // nodes it evaluated alongside the result.
 func refSearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg FullDomainConfig) (*FullDomainResult, int, error) {
-	if cfg.Principle == nil {
-		cfg.Principle = KAnonymity{K: 2}
-	}
-	if cfg.MaxExhaustive <= 0 {
-		cfg.MaxExhaustive = 4096
-	}
 	heights := make([]int, len(hiers))
 	latticeSize := 1
 	for j, h := range hiers {
 		heights[j] = h.Height()
-		if latticeSize <= cfg.MaxExhaustive {
+		if latticeSize <= maxExhaustive {
 			latticeSize *= h.Height() + 1
 		}
 	}
-	eval, err := NewLatticeEvaluator(t, hiers, make([]int, len(hiers)), cfg.Workers)
+	eval, err := NewLatticeEvaluator(t, hiers, cfg.Workers)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -54,19 +48,19 @@ func refSearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Ful
 	if err != nil {
 		return nil, evaluated, err
 	}
-	if !cfg.Principle.Satisfied(t, topGroups) {
-		return nil, evaluated, fmt.Errorf("generalize: even full suppression violates %s", cfg.Principle)
+	if !topGroups.IsKAnonymous(cfg.K) {
+		return nil, evaluated, fmt.Errorf("generalize: even full suppression violates %d-anonymity", cfg.K)
 	}
 
 	levels := make([]int, len(heights))
-	if latticeSize <= cfg.MaxExhaustive {
+	if latticeSize <= maxExhaustive {
 		var best *FullDomainResult
 		for {
 			rec, groups, err := evalLevels(levels)
 			if err != nil {
 				return nil, evaluated, err
 			}
-			if cfg.Principle.Satisfied(t, groups) {
+			if groups.IsKAnonymous(cfg.K) {
 				loss := Discernibility(groups)
 				if best == nil || loss < best.Loss {
 					best = &FullDomainResult{
@@ -89,7 +83,7 @@ func refSearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Ful
 			}
 		}
 		if best == nil {
-			return nil, evaluated, fmt.Errorf("generalize: no level vector satisfies %s", cfg.Principle)
+			return nil, evaluated, fmt.Errorf("generalize: no level vector satisfies %d-anonymity", cfg.K)
 		}
 		return best, evaluated, nil
 	}
@@ -98,7 +92,7 @@ func refSearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Ful
 	if err != nil {
 		return nil, evaluated, err
 	}
-	for !cfg.Principle.Satisfied(t, groups) {
+	for !groups.IsKAnonymous(cfg.K) {
 		bestJ := -1
 		var bestRec *Recoding
 		var bestGroups *Groups
@@ -134,102 +128,67 @@ func refSearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Ful
 	}, evaluated, nil
 }
 
-// refIncognitoPick is Incognito's materializing final step: group every
-// minimal vector and keep the first of least discernibility.
-func refIncognitoPick(t *dataset.Table, hiers []*hierarchy.Hierarchy, minimal [][]int) (*Recoding, *Groups, []int, float64, error) {
-	eval, err := NewLatticeEvaluator(t, hiers, make([]int, len(hiers)), 1)
-	if err != nil {
-		return nil, nil, nil, 0, err
+// wideEngineTable is a random table over twelve 4-code attributes, each
+// under a binary hierarchy of height 2: its 3^12-node lattice is far past
+// maxExhaustive, so SearchFullDomain walks it greedily.
+func wideEngineTable(n int, rng *rand.Rand) (*dataset.Table, []*hierarchy.Hierarchy) {
+	const d = 12
+	attrs := make([]*dataset.Attribute, d)
+	hiers := make([]*hierarchy.Hierarchy, d)
+	for j := range attrs {
+		attrs[j] = dataset.MustIntAttribute(fmt.Sprintf("A%d", j), 0, 3)
+		hiers[j] = hierarchy.MustBalanced(4, 2)
 	}
-	best := -1
-	var bestLoss float64
-	var bestRec *Recoding
-	var bestGroups *Groups
-	for i, v := range minimal {
-		rec, err := eval.RecodingAt(v)
-		if err != nil {
-			return nil, nil, nil, 0, err
+	tbl := dataset.NewTable(dataset.MustSchema(attrs, dataset.MustAttribute("S", "s0", "s1", "s2")))
+	row := make([]int32, d+1)
+	for i := 0; i < n; i++ {
+		for j := range row {
+			// Skewed codes give the walk groups of uneven size to merge.
+			row[j] = int32(min(3, int(rng.ExpFloat64())))
 		}
-		g, err := eval.GroupsAt(v)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		if loss := Discernibility(g); best < 0 || loss < bestLoss {
-			best, bestLoss, bestRec, bestGroups = i, loss, rec, g
-		}
+		row[d] = int32(rng.Intn(3))
+		tbl.MustAppend(row)
 	}
-	return bestRec, bestGroups, minimal[best], bestLoss, nil
-}
-
-// randomPrinciple draws one of the principles the searches distinguish:
-// k-anonymity (decided by sizes) or a principle that reads rows.
-func randomPrinciple(rng *rand.Rand) Principle {
-	switch rng.Intn(3) {
-	case 0:
-		return KAnonymity{K: 1 + rng.Intn(12)}
-	case 1:
-		return DistinctLDiversity{L: 1 + rng.Intn(3)}
-	default:
-		return TCloseness{T: 0.05 + 0.4*rng.Float64()}
-	}
+	return tbl, hiers
 }
 
 // Property: SearchFullDomain returns exactly the materializing reference's
 // result — levels, recoding, groups, loss, Exhausted — and scores as many
-// nodes, greedy and exhaustive, for every principle kind.
+// nodes, on a lattice it searches exhaustively and on one it walks greedily.
+// The exhaustive reference groups every node in full, so this is also the
+// check that the exhaustive search is loss-optimal among k-anonymous level
+// vectors.
 func TestSearchFullDomainMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl, hiers := engineTable(30+rng.Intn(300), rng)
-		for _, maxExhaustive := range []int{1, 0} {
+		for _, exhaustive := range []bool{true, false} {
+			tbl, hiers := engineTable(30+rng.Intn(300), rng)
+			if !exhaustive {
+				tbl, hiers = wideEngineTable(30+rng.Intn(300), rng)
+			}
 			for i := 0; i < 3; i++ {
-				cfg := FullDomainConfig{Principle: randomPrinciple(rng), MaxExhaustive: maxExhaustive, Workers: 1 + rng.Intn(4)}
+				cfg := FullDomainConfig{K: 1 + rng.Intn(12), Workers: 1 + rng.Intn(4)}
 				want, wantEvaluated, wantErr := refSearchFullDomain(tbl, hiers, cfg)
 				met := obs.NewRegistry()
 				cfg.Metrics = met
 				got, gotErr := SearchFullDomain(tbl, hiers, cfg)
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-					t.Errorf("seed %d %v max %d: error %v, reference %v", seed, cfg.Principle, maxExhaustive, gotErr, wantErr)
+					t.Errorf("seed %d k %d: error %v, reference %v", seed, cfg.K, gotErr, wantErr)
+					return false
+				}
+				if gotErr == nil && got.Exhausted != exhaustive {
+					t.Errorf("seed %d k %d: Exhausted = %v, want %v", seed, cfg.K, got.Exhausted, exhaustive)
 					return false
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d %v max %d: result differs from reference", seed, cfg.Principle, maxExhaustive)
+					t.Errorf("seed %d k %d exhaustive %v: result differs from reference", seed, cfg.K, exhaustive)
 					return false
 				}
 				if n := met.Counter("generalize.lattice.nodes_evaluated").Value(); n != int64(wantEvaluated) {
-					t.Errorf("seed %d %v max %d: %d nodes scored, reference evaluated %d", seed, cfg.Principle, maxExhaustive, n, wantEvaluated)
+					t.Errorf("seed %d k %d exhaustive %v: %d nodes scored, reference evaluated %d", seed, cfg.K, exhaustive, n, wantEvaluated)
 					return false
 				}
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Incognito's sizes-first pick equals the materializing pick over
-// the same minimal vectors, ties included.
-func TestIncognitoPickMatchesReference(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tbl, hiers := engineTable(30+rng.Intn(300), rng)
-		k := 1 + rng.Intn(12)
-		res, err := Incognito(tbl, hiers, IncognitoConfig{K: k, Workers: 1 + rng.Intn(4)})
-		if err != nil {
-			t.Errorf("seed %d k %d: %v", seed, k, err)
-			return false
-		}
-		rec, groups, levels, loss, err := refIncognitoPick(tbl, hiers, res.Minimal)
-		if err != nil {
-			t.Errorf("seed %d k %d: reference: %v", seed, k, err)
-			return false
-		}
-		if !reflect.DeepEqual(res.Recoding, rec) || !reflect.DeepEqual(res.Groups, groups) ||
-			!reflect.DeepEqual(res.Levels, levels) || res.Loss != loss {
-			t.Errorf("seed %d k %d: picked %v (loss %v), reference %v (loss %v)", seed, k, res.Levels, res.Loss, levels, loss)
-			return false
 		}
 		return true
 	}
@@ -243,7 +202,7 @@ func TestIncognitoPickMatchesReference(t *testing.T) {
 // and the merge map are reused, whatever the group count.
 func TestGreedyScoringAllocations(t *testing.T) {
 	tbl, hiers := benchGenTable(20_000)
-	eval, err := NewLatticeEvaluator(tbl, hiers, make([]int, len(hiers)), 1)
+	eval, err := NewLatticeEvaluator(tbl, hiers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +210,7 @@ func TestGreedyScoringAllocations(t *testing.T) {
 	for j, h := range hiers {
 		heights[j] = h.Height()
 	}
-	s := &fullDomainSearch{t: tbl, principle: KAnonymity{K: 6}, eval: eval, heights: heights}
+	s := &fullDomainSearch{k: 6, eval: eval, heights: heights}
 	levels := make([]int, len(hiers))
 	cur := eval.sizesAt(levels, nil)
 	if len(cur) < 100 {

@@ -11,7 +11,7 @@ import (
 func TestSearchFullDomainHospital(t *testing.T) {
 	h := dataset.Hospital()
 	hiers := hospitalHiers(h.Schema)
-	res, err := SearchFullDomain(h, hiers, FullDomainConfig{Principle: KAnonymity{K: 2}})
+	res, err := SearchFullDomain(h, hiers, FullDomainConfig{K: 2})
 	if err != nil {
 		t.Fatalf("SearchFullDomain: %v", err)
 	}
@@ -61,39 +61,27 @@ func TestSearchFullDomainHospital(t *testing.T) {
 	}
 }
 
-func TestSearchFullDomainDiversity(t *testing.T) {
-	h := dataset.Hospital()
-	hiers := hospitalHiers(h.Schema)
-	res, err := SearchFullDomain(h, hiers, FullDomainConfig{Principle: DistinctLDiversity{L: 2}})
-	if err != nil {
-		t.Fatalf("SearchFullDomain: %v", err)
-	}
-	if !IsDistinctLDiverse(h, res.Groups, 2) {
-		t.Fatal("result not 2-diverse")
-	}
-}
-
 func TestSearchFullDomainImpossible(t *testing.T) {
 	h := dataset.Hospital()
 	hiers := hospitalHiers(h.Schema)
 	// 9-anonymity is impossible for 8 rows even under full suppression.
-	if _, err := SearchFullDomain(h, hiers, FullDomainConfig{Principle: KAnonymity{K: 9}}); err == nil {
-		t.Fatal("impossible principle: want error")
+	if _, err := SearchFullDomain(h, hiers, FullDomainConfig{K: 9}); err == nil {
+		t.Fatal("impossible k: want error")
+	}
+	if _, err := SearchFullDomain(h, hiers, FullDomainConfig{}); err == nil {
+		t.Fatal("K=0: want error")
 	}
 	empty := dataset.NewTable(h.Schema)
-	if _, err := SearchFullDomain(empty, hiers, FullDomainConfig{}); err == nil {
+	if _, err := SearchFullDomain(empty, hiers, FullDomainConfig{K: 2}); err == nil {
 		t.Fatal("empty table: want error")
 	}
 }
 
 func TestSearchFullDomainGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tbl, hiers := randomTable(200, rng)
-	// Force the greedy path with MaxExhaustive 1.
-	res, err := SearchFullDomain(tbl, hiers, FullDomainConfig{
-		Principle:     KAnonymity{K: 10},
-		MaxExhaustive: 1,
-	})
+	// A lattice past maxExhaustive takes the greedy path.
+	tbl, hiers := wideEngineTable(200, rng)
+	res, err := SearchFullDomain(tbl, hiers, FullDomainConfig{K: 10})
 	if err != nil {
 		t.Fatalf("greedy search: %v", err)
 	}
@@ -102,18 +90,6 @@ func TestSearchFullDomainGreedy(t *testing.T) {
 	}
 	if !res.Groups.IsKAnonymous(10) {
 		t.Fatal("greedy result not 10-anonymous")
-	}
-}
-
-func TestSearchFullDomainDefaultPrinciple(t *testing.T) {
-	h := dataset.Hospital()
-	hiers := hospitalHiers(h.Schema)
-	res, err := SearchFullDomain(h, hiers, FullDomainConfig{})
-	if err != nil {
-		t.Fatalf("default config: %v", err)
-	}
-	if !res.Groups.IsKAnonymous(2) {
-		t.Fatal("default principle should be 2-anonymity")
 	}
 }
 
@@ -130,7 +106,19 @@ func TestSearchFullDomainNonUniform(t *testing.T) {
 			t.Fatal("builder produced non-uniform hierarchy")
 		}
 	}
-	if _, err := SearchFullDomain(h, hiers, FullDomainConfig{Principle: KAnonymity{K: 2}}); err != nil {
+	if _, err := SearchFullDomain(h, hiers, FullDomainConfig{K: 2}); err != nil {
 		t.Fatalf("uniform hierarchies rejected: %v", err)
+	}
+}
+
+func TestLossMetrics(t *testing.T) {
+	h := dataset.Hospital()
+	hiers := hospitalHiers(h.Schema)
+	if got := Discernibility(GroupBy(h, identityRecoding(t, h.Schema, hiers))); got != 8 {
+		t.Fatalf("identity discernibility = %v, want 8", got)
+	}
+	top, _ := TopRecoding(h.Schema, hiers)
+	if got := Discernibility(GroupBy(h, top)); got != 64 {
+		t.Fatalf("top discernibility = %v, want 64", got)
 	}
 }

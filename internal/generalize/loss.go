@@ -1,76 +1,14 @@
 package generalize
 
-import (
-	"pgpub/internal/dataset"
-)
-
-// This file implements the information-loss metrics used to rank recodings
-// and to instrument the ablation experiments (DESIGN.md Extra E2).
-
 // Discernibility is the discernibility metric of Bayardo & Agrawal [1]:
 // the sum over QI-groups of |G|^2. Smaller is better; the identity recoding
-// of an all-distinct table achieves |D|.
+// of an all-distinct table achieves |D|. It is the loss the full-domain
+// search ranks level vectors by (computed there from group sizes alone, see
+// sizeScore).
 func Discernibility(g *Groups) float64 {
 	s := 0.0
 	for _, rows := range g.Rows {
 		s += float64(len(rows)) * float64(len(rows))
 	}
 	return s
-}
-
-// AvgGroupRatio is the normalized average group size C_avg = (|D| / #groups)
-// / k, the metric of LeFevre et al. [16]. A value of 1 means groups are as
-// small as k-anonymity allows.
-func AvgGroupRatio(g *Groups, k int) float64 {
-	if g.Len() == 0 || k <= 0 {
-		return 0
-	}
-	n := 0
-	for _, rows := range g.Rows {
-		n += len(rows)
-	}
-	return float64(n) / float64(g.Len()) / float64(k)
-}
-
-// NCP is the normalized certainty penalty of a recoding averaged over the
-// table's tuples: for each tuple and QI attribute, (span(node)-1)/(|dom|-1),
-// averaged over attributes and tuples, in [0,1]. 0 means no generalization;
-// 1 means everything suppressed.
-func NCP(t *dataset.Table, r *Recoding) float64 {
-	if t.Len() == 0 {
-		return 0
-	}
-	d := t.Schema.D()
-	total := 0.0
-	for i := 0; i < t.Len(); i++ {
-		for j := 0; j < d; j++ {
-			domain := t.Schema.QI[j].Size()
-			if domain <= 1 {
-				continue
-			}
-			node := r.Cuts[j].Map(t.QI(i, j))
-			total += float64(r.Hierarchies[j].Span(node)-1) / float64(domain-1)
-		}
-	}
-	return total / float64(t.Len()*d)
-}
-
-// BoxNCP is NCP for Mondrian boxes: for each box and attribute,
-// (hi-lo)/(|dom|-1) weighted by box size, averaged per tuple and attribute.
-func BoxNCP(t *dataset.Table, boxes []MondrianBox) float64 {
-	if t.Len() == 0 || len(boxes) == 0 {
-		return 0
-	}
-	d := t.Schema.D()
-	total := 0.0
-	for _, b := range boxes {
-		for j := 0; j < d; j++ {
-			domain := t.Schema.QI[j].Size()
-			if domain <= 1 {
-				continue
-			}
-			total += float64(b.Hi[j]-b.Lo[j]) / float64(domain-1) * float64(len(b.Rows))
-		}
-	}
-	return total / float64(t.Len()*d)
 }

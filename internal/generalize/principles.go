@@ -1,7 +1,6 @@
 package generalize
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -109,47 +108,3 @@ func IsEntropyLDiverse(t *dataset.Table, g *Groups, l int) bool {
 	}
 	return true
 }
-
-// Principle is a pluggable predicate over a grouped table, so recoding
-// searches can target any of the principles above.
-type Principle interface {
-	// Satisfied reports whether the partition meets the principle.
-	Satisfied(t *dataset.Table, g *Groups) bool
-	// String names the principle for logs and errors.
-	String() string
-}
-
-// KAnonymity is the Principle "every group has >= K tuples".
-type KAnonymity struct{ K int }
-
-// Satisfied implements Principle.
-func (p KAnonymity) Satisfied(_ *dataset.Table, g *Groups) bool { return g.IsKAnonymous(p.K) }
-
-// String implements Principle.
-func (p KAnonymity) String() string { return fmt.Sprintf("%d-anonymity", p.K) }
-
-// DistinctLDiversity is the Principle "every group has >= L distinct
-// sensitive values" (implies nothing about group size).
-type DistinctLDiversity struct{ L int }
-
-// Satisfied implements Principle.
-func (p DistinctLDiversity) Satisfied(t *dataset.Table, g *Groups) bool {
-	return IsDistinctLDiverse(t, g, p.L)
-}
-
-// String implements Principle.
-func (p DistinctLDiversity) String() string { return fmt.Sprintf("distinct %d-diversity", p.L) }
-
-// CLDiversity is the Principle of Inequality 1.
-type CLDiversity struct {
-	C float64
-	L int
-}
-
-// Satisfied implements Principle.
-func (p CLDiversity) Satisfied(t *dataset.Table, g *Groups) bool {
-	return IsCLDiverse(t, g, p.C, p.L)
-}
-
-// String implements Principle.
-func (p CLDiversity) String() string { return fmt.Sprintf("(%g,%d)-diversity", p.C, p.L) }

@@ -97,31 +97,6 @@ func TestEntropyLDiversity(t *testing.T) {
 	}
 }
 
-func TestPrincipleInterfaces(t *testing.T) {
-	tbl, g := figure1Table(t)
-	var p Principle = KAnonymity{K: 11}
-	if !p.Satisfied(tbl, g) {
-		t.Fatal("group of 11 must be 11-anonymous")
-	}
-	if (KAnonymity{K: 12}).Satisfied(tbl, g) {
-		t.Fatal("group of 11 must not be 12-anonymous")
-	}
-	if (KAnonymity{K: 1}).String() != "1-anonymity" {
-		t.Fatal("KAnonymity.String")
-	}
-	p = DistinctLDiversity{L: 6}
-	if !p.Satisfied(tbl, g) || p.String() != "distinct 6-diversity" {
-		t.Fatal("DistinctLDiversity")
-	}
-	p = CLDiversity{C: 0.5, L: 3}
-	if !p.Satisfied(tbl, g) || p.String() != "(0.5,3)-diversity" {
-		t.Fatal("CLDiversity")
-	}
-	if (CLDiversity{C: 0.5, L: 4}).Satisfied(tbl, g) {
-		t.Fatal("(0.5,4)-diversity must fail on Figure 1")
-	}
-}
-
 func TestPrinciplesOnEmptyGroups(t *testing.T) {
 	tbl, _ := figure1Table(t)
 	empty := &Groups{}

@@ -1,10 +1,10 @@
 // Package generalize implements Phase 2 of perturbed generalization: global
 // recoding of QI attributes through generalization hierarchies, the classic
 // generalization principles the paper analyses in Section III (k-anonymity,
-// ℓ-diversity and (c,ℓ)-diversity), two recoding algorithms (top-down
-// specialization after Fung et al. [11], and full-domain lattice search after
-// LeFevre et al. [13]), the Mondrian multidimensional baseline [16], and the
-// information-loss metrics used by the ablation experiments.
+// ℓ-diversity and (c,ℓ)-diversity), and the three Phase-2 algorithms PG
+// runs: kd-cell partitioning in the style of Mondrian [16], top-down
+// specialization after Fung et al. [11], and full-domain lattice search
+// after LeFevre et al. [13].
 package generalize
 
 import (
@@ -54,15 +54,6 @@ func TopRecoding(schema *dataset.Schema, hiers []*hierarchy.Hierarchy) (*Recodin
 	cuts := make([]*hierarchy.Cut, len(hiers))
 	for j, h := range hiers {
 		cuts[j] = hierarchy.TopCut(h)
-	}
-	return NewRecoding(schema, hiers, cuts)
-}
-
-// IdentityRecoding returns the recoding that leaves every value untouched.
-func IdentityRecoding(schema *dataset.Schema, hiers []*hierarchy.Hierarchy) (*Recoding, error) {
-	cuts := make([]*hierarchy.Cut, len(hiers))
-	for j, h := range hiers {
-		cuts[j] = hierarchy.BottomCut(h)
 	}
 	return NewRecoding(schema, hiers, cuts)
 }

@@ -20,6 +20,41 @@ func hospitalHiers(s *dataset.Schema) []*hierarchy.Hierarchy {
 	}
 }
 
+// identityRecoding is the recoding that leaves every value untouched: each
+// attribute's cut is its leaves.
+func identityRecoding(t testing.TB, s *dataset.Schema, hiers []*hierarchy.Hierarchy) *Recoding {
+	t.Helper()
+	cuts := make([]*hierarchy.Cut, len(hiers))
+	for j, h := range hiers {
+		leaves := make([]int32, h.Leaves())
+		for i := range leaves {
+			leaves[i] = int32(i)
+		}
+		c, err := hierarchy.NewCut(h, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts[j] = c
+	}
+	rec, err := NewRecoding(s, hiers, cuts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// refinable returns the cut's nodes that are not leaves: the nodes Refine
+// accepts.
+func refinable(h *hierarchy.Hierarchy, c *hierarchy.Cut) []int32 {
+	var out []int32
+	for _, v := range c.Nodes() {
+		if !h.IsLeaf(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func TestNewRecodingValidation(t *testing.T) {
 	s := dataset.HospitalSchema()
 	hiers := hospitalHiers(s)
@@ -74,10 +109,7 @@ func TestGeneralizeAndLabels(t *testing.T) {
 		t.Fatalf("labels = %v", labels)
 	}
 
-	id, err := IdentityRecoding(s, hiers)
-	if err != nil {
-		t.Fatalf("IdentityRecoding: %v", err)
-	}
+	id := identityRecoding(t, s, hiers)
 	v := h.QIVector(0)
 	if !reflect.DeepEqual(id.Generalize(v), v) {
 		t.Fatal("identity recoding changed values")
@@ -105,7 +137,7 @@ func TestGroupByHospital(t *testing.T) {
 	hiers := hospitalHiers(h.Schema)
 
 	// Identity recoding: 8 distinct QI vectors -> 8 singleton groups.
-	id, _ := IdentityRecoding(h.Schema, hiers)
+	id := identityRecoding(t, h.Schema, hiers)
 	g := GroupBy(h, id)
 	if g.Len() != 8 || g.MinSize() != 1 {
 		t.Fatalf("identity grouping: %d groups min %d", g.Len(), g.MinSize())
@@ -184,7 +216,7 @@ func TestGroupByMatchesNaive(t *testing.T) {
 		// Random refinement of each cut.
 		for j := range rec.Cuts {
 			for step := 0; step < rng.Intn(4); step++ {
-				cand := rec.Cuts[j].Refinable()
+				cand := refinable(hiers[j], rec.Cuts[j])
 				if len(cand) == 0 {
 					break
 				}

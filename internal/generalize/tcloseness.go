@@ -58,8 +58,8 @@ func EMDOrdered(p, q []float64) (float64, error) {
 	return total / float64(n-1), nil
 }
 
-// TotalVariation is the unordered-domain distance: half the L1 distance.
-func TotalVariation(p, q []float64) (float64, error) {
+// totalVariation is the unordered-domain distance: half the L1 distance.
+func totalVariation(p, q []float64) (float64, error) {
 	if len(p) != len(q) {
 		return 0, fmt.Errorf("generalize: TV over mismatched domains (%d vs %d)", len(p), len(q))
 	}
@@ -78,7 +78,7 @@ func MaxCloseness(t *dataset.Table, g *Groups) (float64, error) {
 		return 0, fmt.Errorf("generalize: no groups")
 	}
 	global := tablePDF(t)
-	dist := TotalVariation
+	dist := totalVariation
 	if t.Schema.Sensitive.Kind == dataset.Continuous {
 		dist = EMDOrdered
 	}
@@ -94,16 +94,3 @@ func MaxCloseness(t *dataset.Table, g *Groups) (float64, error) {
 	}
 	return worst, nil
 }
-
-// TCloseness is the Principle "every group's sensitive distribution is
-// within T of the table's".
-type TCloseness struct{ T float64 }
-
-// Satisfied implements Principle.
-func (p TCloseness) Satisfied(t *dataset.Table, g *Groups) bool {
-	worst, err := MaxCloseness(t, g)
-	return err == nil && worst <= p.T+1e-12
-}
-
-// String implements Principle.
-func (p TCloseness) String() string { return fmt.Sprintf("%g-closeness", p.T) }

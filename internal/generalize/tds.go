@@ -29,10 +29,6 @@ type TDSConfig struct {
 	// Class is set.
 	NumClasses int
 
-	// MaxRounds caps the number of specializations; 0 means unbounded
-	// (the algorithm always terminates because cuts only grow).
-	MaxRounds int
-
 	// Workers bounds the goroutines of the initial sharded grouping scan.
 	// 0 means GOMAXPROCS; the result is identical for every value.
 	Workers int
@@ -97,12 +93,10 @@ func TDS(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg TDSConfig) (*TDSRes
 	}
 	eng := newTDSEngine(t, hiers, rec, class, numClasses, cfg.K, cfg.Workers)
 
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		// A cut can be refined at most once per internal node.
-		for _, h := range hiers {
-			maxRounds += h.NumNodes() - h.Leaves()
-		}
+	// A cut can be refined at most once per internal node.
+	maxRounds := 0
+	for _, h := range hiers {
+		maxRounds += h.NumNodes() - h.Leaves()
 	}
 
 	rounds := 0

@@ -93,15 +93,32 @@ func TestTDSWithExplicitClass(t *testing.T) {
 	}
 }
 
+// TDS runs to its natural round bound: each round refines one internal
+// hierarchy node, never the same one twice, so Rounds is exactly the number
+// of internal nodes above the final cuts, at most one per internal node.
 func TestTDSMaxRounds(t *testing.T) {
 	h := dataset.Hospital()
 	hiers := hospitalHiers(h.Schema)
-	res, err := TDS(h, hiers, TDSConfig{K: 1, MaxRounds: 1})
+	res, err := TDS(h, hiers, TDSConfig{K: 1})
 	if err != nil {
 		t.Fatalf("TDS: %v", err)
 	}
-	if res.Rounds > 1 {
-		t.Fatalf("Rounds = %d, want <= 1", res.Rounds)
+	refined, bound := 0, 0
+	for j, hh := range hiers {
+		bound += hh.NumNodes() - hh.Leaves()
+		above := map[int32]bool{}
+		for _, v := range res.Recoding.Cuts[j].Nodes() {
+			for p := hh.Parent(v); p >= 0 && !above[p]; p = hh.Parent(p) {
+				above[p] = true
+			}
+		}
+		refined += len(above)
+	}
+	if res.Rounds != refined || res.Rounds > bound {
+		t.Fatalf("Rounds = %d; %d internal nodes refined, bound %d", res.Rounds, refined, bound)
+	}
+	if res.Rounds == 0 {
+		t.Fatal("k=1 on distinct rows must specialize")
 	}
 }
 

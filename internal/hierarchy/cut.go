@@ -58,21 +58,8 @@ func TopCut(h *Hierarchy) *Cut {
 	return c
 }
 
-// BottomCut returns the cut of all leaves: the identity recoding.
-func BottomCut(h *Hierarchy) *Cut {
-	nodes := make([]int32, h.Leaves())
-	for i := range nodes {
-		nodes[i] = int32(i)
-	}
-	c, err := NewCut(h, nodes)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // LevelCut returns the cut of all ancestors `level` steps above the leaves
-// (level 0 = BottomCut). The hierarchy must be uniform.
+// (level 0 = the leaves). The hierarchy must be uniform.
 func LevelCut(h *Hierarchy, level int) (*Cut, error) {
 	if !h.Uniform() {
 		return nil, fmt.Errorf("hierarchy: level cuts need a uniform hierarchy")
@@ -151,15 +138,4 @@ func (c *Cut) Refine(v int32) (*Cut, error) {
 		}
 	}
 	return n, nil
-}
-
-// Refinable returns the cut nodes that are not leaves (TDS candidates).
-func (c *Cut) Refinable() []int32 {
-	var out []int32
-	for _, v := range c.nodes {
-		if !c.h.IsLeaf(v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }

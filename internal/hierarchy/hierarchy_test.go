@@ -127,9 +127,12 @@ func TestCutsBasics(t *testing.T) {
 	if top.Size() != 1 || top.Map(7) != h.Root() {
 		t.Fatal("TopCut wrong")
 	}
-	bot := BottomCut(h)
+	bot, err := LevelCut(h, 0)
+	if err != nil {
+		t.Fatalf("LevelCut: %v", err)
+	}
 	if bot.Size() != 8 || bot.Map(4) != 4 {
-		t.Fatal("BottomCut wrong")
+		t.Fatal("level-0 cut wrong")
 	}
 	lc, err := LevelCut(h, 1)
 	if err != nil {
@@ -221,12 +224,18 @@ func TestCutRefine(t *testing.T) {
 	if _, err := c2.Refine(quad); err == nil {
 		t.Fatal("refining a departed node must error")
 	}
-	// Refinable lists only internal nodes.
-	for _, v := range c2.Refinable() {
-		if h.IsLeaf(v) {
-			t.Fatal("Refinable returned a leaf")
+}
+
+// refinable returns the cut's nodes that are not leaves: the nodes Refine
+// accepts.
+func refinable(h *Hierarchy, c *Cut) []int32 {
+	var out []int32
+	for _, v := range c.Nodes() {
+		if !h.IsLeaf(v) {
+			out = append(out, v)
 		}
 	}
+	return out
 }
 
 // Property: for any hierarchy built from a width chain, every sequence of
@@ -240,7 +249,7 @@ func TestCutRefineInvariant(t *testing.T) {
 		}
 		c := TopCut(h)
 		for steps := 0; steps < 20; steps++ {
-			cand := c.Refinable()
+			cand := refinable(h, c)
 			if len(cand) == 0 {
 				break
 			}
@@ -267,13 +276,6 @@ func TestCutRefineInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBottomCutRefinableEmpty(t *testing.T) {
-	h := MustInterval(6, 3)
-	if got := BottomCut(h).Refinable(); got != nil {
-		t.Fatalf("BottomCut refinable = %v, want nil", got)
 	}
 }
 
@@ -319,7 +321,7 @@ func TestRefineLeavesReceiverUntouched(t *testing.T) {
 	}
 	// And a refinement of the refined cut leaves that one intact too.
 	mid := append([]int32(nil), refined.Nodes()...)
-	if _, err := refined.Refine(refined.Refinable()[0]); err != nil {
+	if _, err := refined.Refine(refinable(h, refined)[0]); err != nil {
 		t.Fatalf("second Refine: %v", err)
 	}
 	if !reflect.DeepEqual(refined.Nodes(), mid) {

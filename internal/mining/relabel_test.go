@@ -156,71 +156,3 @@ func TestEntropyCriterion(t *testing.T) {
 		t.Fatal("unknown criterion string empty")
 	}
 }
-
-func TestPruneCollapsesOverfitSubtrees(t *testing.T) {
-	// Training data with a spurious second-level pattern that does not hold
-	// on the validation set: pruning must collapse it.
-	train := mustDataset(t, []int{2, 2}, []bool{false, false}, 2)
-	val := mustDataset(t, []int{2, 2}, []bool{false, false}, 2)
-	// Feature 0 is the real signal; feature 1 is noise that happens to
-	// correlate in training only.
-	for rep := 0; rep < 30; rep++ {
-		train.Add([]int32{0, 0}, 0, 1)
-		train.Add([]int32{0, 1}, 0, 1)
-		train.Add([]int32{1, 0}, 1, 1)
-	}
-	for rep := 0; rep < 10; rep++ {
-		train.Add([]int32{1, 1}, 0, 1) // spurious: makes the tree split on f1
-	}
-	for rep := 0; rep < 30; rep++ {
-		val.Add([]int32{0, 0}, 0, 1)
-		val.Add([]int32{0, 1}, 0, 1)
-		val.Add([]int32{1, 0}, 1, 1)
-		val.Add([]int32{1, 1}, 1, 1) // in validation, f0 alone decides
-	}
-	tree, err := Build(train, Config{MinLeafWeight: 2, MinGain: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := tree.Size()
-	pruned, err := tree.Prune(val)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned == 0 || tree.Size() >= before {
-		t.Fatalf("expected pruning: pruned=%d size %d -> %d", pruned, before, tree.Size())
-	}
-	// After pruning, the validation-optimal behaviour must hold.
-	if tree.Predict([]int32{1, 1}) != 1 {
-		t.Fatal("pruned tree must follow the validation signal")
-	}
-	if _, err := tree.Prune(mustDataset(t, []int{2, 2}, []bool{false, false}, 2)); err == nil {
-		t.Fatal("empty validation set: want error")
-	}
-}
-
-func TestPruneKeepsGoodSubtrees(t *testing.T) {
-	// When the validation set confirms the structure, nothing collapses.
-	ds := mustDataset(t, []int{4}, []bool{true}, 2)
-	for v := int32(0); v < 4; v++ {
-		c := 0
-		if v >= 2 {
-			c = 1
-		}
-		for rep := 0; rep < 20; rep++ {
-			ds.Add([]int32{v}, c, 1)
-		}
-	}
-	tree, err := Build(ds, Config{MinLeafWeight: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := tree.Size()
-	pruned, err := tree.Prune(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned != 0 || tree.Size() != before {
-		t.Fatalf("confirmed structure was pruned: %d, %d -> %d", pruned, before, tree.Size())
-	}
-}

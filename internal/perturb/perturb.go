@@ -3,7 +3,7 @@
 // p (the paper's P1/P2, rooted in randomized response [32] and the
 // perturbation operators of Evfimievski et al. [6] and Agrawal et al. [7]).
 // It also provides the transition probabilities P[a→b] of Equation 11 and
-// the distribution-reconstruction estimators that the mining stack uses to
+// the distribution-reconstruction estimator that the mining stack uses to
 // undo the perturbation in aggregate.
 package perturb
 
@@ -45,41 +45,22 @@ func NewPerturber(p float64, domain int) (*Perturber, error) {
 	return &Perturber{P: p, Domain: domain}, nil
 }
 
-// Value perturbs one sensitive value per step P2 of the paper: keep with
-// probability P, otherwise redraw uniformly from U^s (note the redraw may
-// coincide with the original value).
-func (pb *Perturber) Value(x int32, rng *rand.Rand) int32 {
-	if rng.Float64() < pb.P {
-		return x
-	}
-	return int32(rng.Intn(pb.Domain))
-}
-
-// Table returns D^p: a deep copy of d with every tuple's sensitive value
-// perturbed independently (QI attributes untouched, per P1).
-func (pb *Perturber) Table(d *dataset.Table, rng *rand.Rand) (*dataset.Table, error) {
-	if d.Schema.SensitiveDomain() != pb.Domain {
-		return nil, fmt.Errorf("perturb: perturber domain %d != sensitive domain %d",
-			pb.Domain, d.Schema.SensitiveDomain())
-	}
-	out := d.Clone()
-	for i := 0; i < out.Len(); i++ {
-		out.SetSensitive(i, pb.Value(out.Sensitive(i), rng))
-	}
-	return out, nil
-}
-
 // ShardRows is the fixed Phase-1 shard size of TableSharded. It is part of
 // the determinism contract: changing it changes which RNG stream perturbs
 // which row, and therefore the published bytes for a given seed.
 const ShardRows = 4096
 
-// TableSharded is Table with deterministic parallelism: the rows are cut
-// into fixed shards of ShardRows, shard i perturbs its rows with a private
-// rand.Rand seeded par.SplitSeed(rootSeed, i), and at most workers
-// goroutines execute the shards. Because the shard layout and seeds depend
-// only on rootSeed — never on workers or the schedule — the output is
-// byte-identical for every worker count, including fully sequential runs.
+// TableSharded returns D^p: a deep copy of d with every tuple's sensitive
+// value perturbed independently per step P2 of the paper (QI attributes
+// untouched, per P1): keep with probability P, otherwise redraw uniformly
+// from U^s — the redraw may coincide with the original value.
+//
+// Parallelism is deterministic: the rows are cut into fixed shards of
+// ShardRows, shard i perturbs its rows with a private rand.Rand seeded
+// par.SplitSeed(rootSeed, i), and at most workers goroutines execute the
+// shards. Because the shard layout and seeds depend only on rootSeed —
+// never on workers or the schedule — the output is byte-identical for every
+// worker count, including fully sequential runs.
 func (pb *Perturber) TableSharded(d *dataset.Table, rootSeed int64, workers int) (*dataset.Table, error) {
 	if d.Schema.SensitiveDomain() != pb.Domain {
 		return nil, fmt.Errorf("perturb: perturber domain %d != sensitive domain %d",
@@ -96,10 +77,10 @@ func (pb *Perturber) TableSharded(d *dataset.Table, rootSeed int64, workers int)
 			hi = n
 		}
 		// The shard sweeps its slice of the contiguous sensitive column
-		// directly — the clone is private, so the write is safe. The RNG
-		// draw sequence is identical to Value's (one Float64, plus one Intn
-		// on redraw), so neither the columnar write path nor the
-		// instrumentation can change the published bytes.
+		// directly — the clone is private, so the write is safe. Each row
+		// draws one Float64, plus one Intn on redraw; that sequence is part
+		// of the determinism contract, so neither the columnar write path
+		// nor the instrumentation can change the published bytes.
 		var retained, redrawn int64
 		if u8 := sens.U8(); u8 != nil {
 			retained, redrawn = perturbRange(u8, s*ShardRows, hi, pb.P, pb.Domain, rng)

@@ -2,7 +2,6 @@ package perturb
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -67,13 +66,24 @@ func TestMatrixStochastic(t *testing.T) {
 
 func TestValueRetentionFrequency(t *testing.T) {
 	// With p = 0.6 over a domain of 5, P[output == input] = 0.6 + 0.4/5 =
-	// 0.68. Check a Monte-Carlo frequency within 3 sigma.
+	// 0.68. Check a Monte-Carlo frequency within 3 sigma over a table whose
+	// every sensitive value is 3.
 	pb, _ := NewPerturber(0.6, 5)
-	rng := rand.New(rand.NewSource(42))
 	const trials = 200000
+	d := dataset.NewTable(dataset.MustSchema(
+		[]*dataset.Attribute{dataset.MustIntAttribute("Q", 0, 0)},
+		dataset.MustIntAttribute("S", 0, 4),
+	))
+	for i := 0; i < trials; i++ {
+		d.MustAppend([]int32{0, 3})
+	}
+	dp, err := pb.TableSharded(d, 42, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	same := 0
 	for i := 0; i < trials; i++ {
-		if pb.Value(3, rng) == 3 {
+		if dp.Sensitive(i) == 3 {
 			same++
 		}
 	}
@@ -88,10 +98,9 @@ func TestValueRetentionFrequency(t *testing.T) {
 func TestTableP1P2(t *testing.T) {
 	h := dataset.Hospital()
 	pb, _ := NewPerturber(0.5, h.Schema.SensitiveDomain())
-	rng := rand.New(rand.NewSource(7))
-	dp, err := pb.Table(h, rng)
+	dp, err := pb.TableSharded(h, 7, 1)
 	if err != nil {
-		t.Fatalf("Table: %v", err)
+		t.Fatalf("TableSharded: %v", err)
 	}
 	if dp.Len() != h.Len() {
 		t.Fatal("perturbation changed cardinality")
@@ -114,12 +123,12 @@ func TestTableP1P2(t *testing.T) {
 	}
 	// Domain mismatch is rejected.
 	bad, _ := NewPerturber(0.5, 3)
-	if _, err := bad.Table(h, rng); err == nil {
+	if _, err := bad.TableSharded(h, 7, 1); err == nil {
 		t.Fatal("domain mismatch: want error")
 	}
 	// p = 1 is the identity.
 	id, _ := NewPerturber(1, h.Schema.SensitiveDomain())
-	same, err := id.Table(h, rng)
+	same, err := id.TableSharded(h, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,55 +136,6 @@ func TestTableP1P2(t *testing.T) {
 		if same.Sensitive(i) != h.Sensitive(i) {
 			t.Fatal("p=1 must retain all values")
 		}
-	}
-}
-
-func TestReconstructCounts(t *testing.T) {
-	// Exact inversion on the expectation: if obs is exactly the perturbed
-	// expectation of c, reconstruction returns c.
-	c := []float64{100, 300, 0, 600}
-	p := 0.4
-	n := 1000.0
-	obs := make([]float64, len(c))
-	for x := range obs {
-		obs[x] = p*c[x] + (1-p)*n/float64(len(c))
-	}
-	got, err := ReconstructCounts(obs, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := range c {
-		if math.Abs(got[x]-c[x]) > 1e-9 {
-			t.Fatalf("reconstructed[%d] = %v, want %v", x, got[x], c[x])
-		}
-	}
-	// Mass preservation under clamping.
-	skew := []float64{1000, 0, 0, 0}
-	got, err = ReconstructCounts(skew, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, v := range got {
-		if v < 0 {
-			t.Fatal("negative reconstructed count")
-		}
-		sum += v
-	}
-	if math.Abs(sum-1000) > 1e-9 {
-		t.Fatalf("mass = %v, want 1000", sum)
-	}
-	// Errors.
-	if _, err := ReconstructCounts(obs, 0); err == nil {
-		t.Fatal("p = 0: want error")
-	}
-	if _, err := ReconstructCounts([]float64{-1, 2}, 0.5); err == nil {
-		t.Fatal("negative obs: want error")
-	}
-	// Zero mass short-circuits.
-	z, err := ReconstructCounts([]float64{0, 0}, 0.5)
-	if err != nil || z[0] != 0 || z[1] != 0 {
-		t.Fatal("zero observation must reconstruct to zero")
 	}
 }
 
@@ -216,91 +176,5 @@ func TestReconstructCategories(t *testing.T) {
 	z, err := ReconstructCategories([]float64{0, 0, 0}, frac, p)
 	if err != nil || z[0] != 0 {
 		t.Fatal("zero observation must reconstruct to zero")
-	}
-}
-
-func TestReconstructEM(t *testing.T) {
-	// EM recovers a distribution from its exact perturbed expectation.
-	pb, _ := NewPerturber(0.5, 4)
-	m := pb.Matrix()
-	orig := []float64{0.1, 0.2, 0.3, 0.4}
-	obs := make([]float64, 4)
-	for b := 0; b < 4; b++ {
-		for a := 0; a < 4; a++ {
-			obs[b] += 1000 * orig[a] * m[a][b]
-		}
-	}
-	got, err := ReconstructEM(obs, m, 5000, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := range orig {
-		if math.Abs(got[a]-orig[a]) > 1e-3 {
-			t.Fatalf("EM[%d] = %v, want %v", a, got[a], orig[a])
-		}
-	}
-	// Errors and degenerate cases.
-	if _, err := ReconstructEM(nil, m, 10, 0); err == nil {
-		t.Fatal("empty obs: want error")
-	}
-	if _, err := ReconstructEM([]float64{1, 2}, m, 10, 0); err == nil {
-		t.Fatal("matrix size mismatch: want error")
-	}
-	if _, err := ReconstructEM([]float64{-1, 1, 1, 1}, m, 10, 0); err == nil {
-		t.Fatal("negative obs: want error")
-	}
-	z, err := ReconstructEM([]float64{0, 0, 0, 0}, m, 10, 0)
-	if err != nil || z[0] != 0 {
-		t.Fatal("zero observation must yield zero distribution")
-	}
-	// Defaults (iters <= 0, tol <= 0) must not loop forever.
-	if _, err := ReconstructEM(obs, m, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: EM and closed-form inversion agree on uniform-perturbation
-// expectations.
-func TestEMAgreesWithClosedForm(t *testing.T) {
-	f := func(seed int64, pRaw uint8) bool {
-		p := 0.2 + float64(pRaw%60)/100
-		pb, err := NewPerturber(p, 5)
-		if err != nil {
-			return false
-		}
-		rng := rand.New(rand.NewSource(seed))
-		orig := make([]float64, 5)
-		total := 0.0
-		for i := range orig {
-			orig[i] = float64(rng.Intn(1000))
-			total += orig[i]
-		}
-		if total == 0 {
-			return true
-		}
-		m := pb.Matrix()
-		obs := make([]float64, 5)
-		for b := range obs {
-			for a := range orig {
-				obs[b] += orig[a] * m[a][b]
-			}
-		}
-		cf, err := ReconstructCounts(obs, p)
-		if err != nil {
-			return false
-		}
-		em, err := ReconstructEM(obs, m, 20000, 1e-13)
-		if err != nil {
-			return false
-		}
-		for a := range cf {
-			if math.Abs(cf[a]/total-em[a]) > 5e-3 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -7,49 +7,7 @@ import (
 
 // This file implements distribution reconstruction: estimating the original
 // sensitive-value histogram from a perturbed one. For uniform perturbation
-// the operator is analytically invertible (the Warner estimator); we also
-// provide the iterative Bayesian (EM) estimator of Agrawal & Srikant for
-// cross-checking and for non-negative estimates.
-
-// ReconstructCounts inverts the uniform perturbation operator on a histogram
-// of observed counts (which may be fractional, e.g. weighted by stratum
-// sizes): E[obs_x] = p*c_x + (1-p) * N / |U^s|, so
-// c_x = (obs_x - (1-p) * N / |U^s|) / p. Estimates are clamped at 0 and
-// rescaled to preserve the total mass N. p must be positive: with p == 0 the
-// observed data carries no information about the original distribution.
-func ReconstructCounts(obs []float64, p float64) ([]float64, error) {
-	if p <= 0 || p > 1 {
-		return nil, fmt.Errorf("perturb: reconstruction needs p in (0,1], got %v", p)
-	}
-	n := 0.0
-	for _, o := range obs {
-		if o < 0 {
-			return nil, fmt.Errorf("perturb: negative observed count %v", o)
-		}
-		n += o
-	}
-	out := make([]float64, len(obs))
-	if n == 0 {
-		return out, nil
-	}
-	base := (1 - p) * n / float64(len(obs))
-	clampedMass := 0.0
-	for x, o := range obs {
-		c := (o - base) / p
-		if c < 0 {
-			c = 0
-		}
-		out[x] = c
-		clampedMass += c
-	}
-	if clampedMass > 0 {
-		scale := n / clampedMass
-		for x := range out {
-			out[x] *= scale
-		}
-	}
-	return out, nil
-}
+// the operator is analytically invertible (the Warner estimator).
 
 // ReconstructCategories inverts the perturbation aggregated over categories:
 // category j covers fraction frac[j] of U^s (sum of fractions must be 1),
@@ -99,74 +57,4 @@ func ReconstructCategories(obs, frac []float64, p float64) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// ReconstructEM runs the iterative Bayesian estimator of Agrawal & Srikant
-// (SIGMOD'00) for a general transition matrix m (m[a][b] = P[a→b]) until the
-// posterior distribution moves less than tol in L1, or iters iterations.
-// It returns the estimated original distribution (probabilities, not counts).
-func ReconstructEM(obs []float64, m [][]float64, iters int, tol float64) ([]float64, error) {
-	k := len(obs)
-	if k == 0 {
-		return nil, fmt.Errorf("perturb: empty observation vector")
-	}
-	if len(m) != k {
-		return nil, fmt.Errorf("perturb: matrix has %d rows for %d values", len(m), k)
-	}
-	n := 0.0
-	for _, o := range obs {
-		if o < 0 {
-			return nil, fmt.Errorf("perturb: negative observed count %v", o)
-		}
-		n += o
-	}
-	if n == 0 {
-		return make([]float64, k), nil
-	}
-	if iters <= 0 {
-		iters = 1000
-	}
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	// Start from the uniform prior.
-	cur := make([]float64, k)
-	for a := range cur {
-		cur[a] = 1 / float64(k)
-	}
-	next := make([]float64, k)
-	EMRuns.Inc()
-	for it := 0; it < iters; it++ {
-		EMIterations.Inc()
-		// Posterior update: next_a ∝ sum_b obs_b * (cur_a * m[a][b]) /
-		// (sum_a' cur_a' * m[a'][b]).
-		for a := range next {
-			next[a] = 0
-		}
-		for b := 0; b < k; b++ {
-			if obs[b] == 0 {
-				continue
-			}
-			denom := 0.0
-			for a := 0; a < k; a++ {
-				denom += cur[a] * m[a][b]
-			}
-			if denom == 0 {
-				continue
-			}
-			w := obs[b] / n / denom
-			for a := 0; a < k; a++ {
-				next[a] += cur[a] * m[a][b] * w
-			}
-		}
-		diff := 0.0
-		for a := range cur {
-			diff += math.Abs(next[a] - cur[a])
-		}
-		copy(cur, next)
-		if diff < tol {
-			break
-		}
-	}
-	return cur, nil
 }

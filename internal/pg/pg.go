@@ -267,7 +267,7 @@ func runPhase2(dp *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, k, w
 		}, nil
 	case FullDomain:
 		res, err := generalize.SearchFullDomain(dp, hiers, generalize.FullDomainConfig{
-			Principle: generalize.KAnonymity{K: k}, Workers: workers,
+			K: k, Workers: workers,
 			Metrics: met,
 		})
 		if err != nil {

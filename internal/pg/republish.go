@@ -56,10 +56,6 @@ func NewChain(d *dataset.Table, hiers []*hierarchy.Hierarchy) *Chain {
 // mutating it invalidates the chain's determinism contract.
 func (c *Chain) Table() *dataset.Table { return c.table }
 
-// NextRelease returns the release number the next Republish call will
-// publish (0 on a fresh chain).
-func (c *Chain) NextRelease() int { return c.release }
-
 // Republish applies the delta to the chain's microdata and publishes the
 // next release under the derived per-release seed schedule. The release's
 // bytes are a pure function of (base table, delta sequence, cfg) at any

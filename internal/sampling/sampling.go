@@ -1,7 +1,6 @@
 // Package sampling implements Phase 3 of perturbed generalization:
 // stratified sampling over QI-groups (steps S1–S4 of the paper, after
-// Chaudhuri et al. [8]), plus the simple-random-sampling baseline the paper
-// uses when discussing the trivial s < 1 solution for generalization.
+// Chaudhuri et al. [8]).
 package sampling
 
 import (
@@ -23,34 +22,20 @@ type Stratum struct {
 	Group int
 }
 
-// Stratified draws one uniformly random tuple from each group (S1–S4). The
-// groups are given as row-index lists; the result has exactly one Stratum
-// per group, in group order.
-func Stratified(groups [][]int, rng *rand.Rand) ([]Stratum, error) {
-	out := make([]Stratum, 0, len(groups))
-	for gi, rows := range groups {
-		if len(rows) == 0 {
-			return nil, fmt.Errorf("sampling: group %d is empty", gi)
-		}
-		out = append(out, Stratum{
-			Row:       rows[rng.Intn(len(rows))],
-			GroupSize: len(rows),
-			Group:     gi,
-		})
-	}
-	return out, nil
-}
-
 // ShardGroups is the fixed shard size of StratifiedSeeded, part of the
 // determinism contract (see perturb.ShardRows).
 const ShardGroups = 256
 
-// StratifiedSeeded is Stratified with deterministic parallelism: the groups
-// are cut into fixed shards of ShardGroups, shard i samples its groups with
-// a private rand.Rand seeded par.SplitSeed(rootSeed, i), and at most workers
-// goroutines execute the shards. The draw for each group depends only on
-// rootSeed and the group order — not on the worker count — so sequential and
-// parallel runs select the same representatives.
+// StratifiedSeeded draws one uniformly random tuple from each group (S1–S4).
+// The groups are given as row-index lists; the result has exactly one
+// Stratum per group, in group order.
+//
+// Parallelism is deterministic: the groups are cut into fixed shards of
+// ShardGroups, shard i samples its groups with a private rand.Rand seeded
+// par.SplitSeed(rootSeed, i), and at most workers goroutines execute the
+// shards. The draw for each group depends only on rootSeed and the group
+// order — not on the worker count — so sequential and parallel runs select
+// the same representatives.
 func StratifiedSeeded(groups [][]int, rootSeed int64, workers int) ([]Stratum, error) {
 	out := make([]Stratum, len(groups))
 	shards := (len(groups) + ShardGroups - 1) / ShardGroups
@@ -76,17 +61,5 @@ func StratifiedSeeded(groups [][]int, rootSeed int64, workers int) ([]Stratum, e
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// SRS draws a simple random sample of n distinct indices from [0, total),
-// the baseline the paper's "trivial solution" and the optimistic/pessimistic
-// yardsticks use.
-func SRS(total, n int, rng *rand.Rand) ([]int, error) {
-	if n < 0 || n > total {
-		return nil, fmt.Errorf("sampling: cannot draw %d from %d", n, total)
-	}
-	perm := rng.Perm(total)
-	out := append([]int(nil), perm[:n]...)
 	return out, nil
 }

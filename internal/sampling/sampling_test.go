@@ -2,17 +2,15 @@ package sampling
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestStratifiedBasic(t *testing.T) {
 	groups := [][]int{{0, 1, 2}, {3}, {4, 5}}
-	rng := rand.New(rand.NewSource(1))
-	s, err := Stratified(groups, rng)
+	s, err := StratifiedSeeded(groups, 1, 1)
 	if err != nil {
-		t.Fatalf("Stratified: %v", err)
+		t.Fatalf("StratifiedSeeded: %v", err)
 	}
 	if len(s) != 3 {
 		t.Fatalf("strata = %d, want 3", len(s))
@@ -37,54 +35,41 @@ func TestStratifiedBasic(t *testing.T) {
 }
 
 func TestStratifiedEmptyGroup(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := Stratified([][]int{{0}, {}}, rng); err == nil {
+	if _, err := StratifiedSeeded([][]int{{0}, {}}, 1, 1); err == nil {
 		t.Fatal("empty group: want error")
+	}
+	// The empty group sits in the last of several shards.
+	groups := make([][]int, 3*ShardGroups)
+	for gi := range groups[:len(groups)-1] {
+		groups[gi] = []int{gi}
+	}
+	if _, err := StratifiedSeeded(groups, 1, 4); err == nil {
+		t.Fatal("empty group in a later shard: want error")
 	}
 }
 
 func TestStratifiedUniformity(t *testing.T) {
-	// Each member of a group of 4 should be drawn ~uniformly (step S2).
-	group := [][]int{{10, 11, 12, 13}}
-	rng := rand.New(rand.NewSource(99))
-	counts := map[int]int{}
+	// Each member of a group of 4 should be drawn ~uniformly (step S2):
+	// count the draws over many copies of the group, which span many shards
+	// and so many seed streams.
 	const trials = 40000
-	for i := 0; i < trials; i++ {
-		s, err := Stratified(group, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[s[0].Row]++
+	groups := make([][]int, trials)
+	for i := range groups {
+		groups[i] = []int{10, 11, 12, 13}
+	}
+	s, err := StratifiedSeeded(groups, 99, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[int]int{}
+	for _, st := range s {
+		counts[st.Row]++
 	}
 	for r, c := range counts {
 		got := float64(c) / trials
 		if math.Abs(got-0.25) > 0.01 {
 			t.Fatalf("row %d frequency %v, want 0.25", r, got)
 		}
-	}
-}
-
-func TestSRS(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s, err := SRS(10, 4, rng)
-	if err != nil || len(s) != 4 {
-		t.Fatalf("SRS: %v len=%d", err, len(s))
-	}
-	seen := map[int]bool{}
-	for _, i := range s {
-		if i < 0 || i >= 10 || seen[i] {
-			t.Fatalf("bad draw %d", i)
-		}
-		seen[i] = true
-	}
-	if _, err := SRS(5, 6, rng); err == nil {
-		t.Fatal("n > total: want error")
-	}
-	if _, err := SRS(5, -1, rng); err == nil {
-		t.Fatal("negative n: want error")
-	}
-	if out, err := SRS(5, 0, rng); err != nil || len(out) != 0 {
-		t.Fatal("n = 0 should draw nothing")
 	}
 }
 
@@ -98,7 +83,6 @@ func TestStratifiedInvariant(t *testing.T) {
 		if len(sizes) > 20 {
 			sizes = sizes[:20]
 		}
-		rng := rand.New(rand.NewSource(seed))
 		next := 0
 		groups := make([][]int, 0, len(sizes))
 		for _, raw := range sizes {
@@ -110,7 +94,7 @@ func TestStratifiedInvariant(t *testing.T) {
 			}
 			groups = append(groups, g)
 		}
-		s, err := Stratified(groups, rng)
+		s, err := StratifiedSeeded(groups, seed, 1)
 		if err != nil || len(s) != len(groups) {
 			return false
 		}
