@@ -111,16 +111,3 @@ func (c *Column) subset(rows []int) Column {
 	}
 	return Column{i32: out}
 }
-
-// AppendTo materializes rows [lo,hi) of the column into dst as int32 codes,
-// returning the extended slice. It is the bridge for callers that want a
-// width-independent contiguous view of a column range.
-func (c *Column) AppendTo(dst []int32, lo, hi int) []int32 {
-	if c.u8 != nil {
-		for _, v := range c.u8[lo:hi] {
-			dst = append(dst, int32(v))
-		}
-		return dst
-	}
-	return append(dst, c.i32[lo:hi]...)
-}

@@ -10,12 +10,11 @@ import (
 )
 
 // The benchmarks in this file pit the grouping engine against test-only
-// copies of the code paths it replaced: byte-string map keys for GroupBy,
-// a full-table re-scan per TDS round, and a full-table re-group per
-// full-domain lattice node. The legacy copies are kept in test files — not in
-// the library — so the comparison can't rot silently while the engine
-// evolves; the TDS one is in tds_ref_test.go, where it is also the reference
-// TestTDSMatchesReference checks TDS against.
+// copies of the code paths it replaced: byte-string map keys for GroupBy and
+// a full-table re-scan per TDS round. The legacy copies are kept in test
+// files — not in the library — so the comparison can't rot silently while
+// the engine evolves; the TDS one is in tds_ref_test.go, where it is also
+// the reference TestTDSMatchesReference checks TDS against.
 
 // benchGenTable builds a skewed random table over three QI attributes;
 // the exponential skew leaves rare tail values so k-anonymity does real work.
@@ -121,8 +120,7 @@ func BenchmarkTDSEngine(b *testing.B) {
 
 // BenchmarkLatticeMinSize measures the exhaustive full-domain search's
 // per-node work: the minimum group size and discernibility at every level
-// vector of the full lattice — by re-grouping the table per node (the old
-// path) vs the evaluator's roll-up (scoreAt).
+// vector of the full lattice, by the evaluator's roll-up (scoreAt).
 func BenchmarkLatticeMinSize(b *testing.B) {
 	tbl, hiers := benchGenTable(100_000)
 	walk := func(visit func(levels []int) error) error {
@@ -144,33 +142,6 @@ func BenchmarkLatticeMinSize(b *testing.B) {
 			}
 		}
 	}
-	b.Run("legacy-rescan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			err := walk(func(levels []int) error {
-				cuts := make([]*hierarchy.Cut, len(hiers))
-				for j, h := range hiers {
-					c, err := hierarchy.LevelCut(h, levels[j])
-					if err != nil {
-						return err
-					}
-					cuts[j] = c
-				}
-				rec, err := NewRecoding(tbl.Schema, hiers, cuts)
-				if err != nil {
-					return err
-				}
-				g := GroupBy(tbl, rec)
-				if g.MinSize() == 0 || Discernibility(g) == 0 {
-					return nil
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("rollup", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

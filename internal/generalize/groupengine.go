@@ -209,7 +209,8 @@ func groupByBytes(t *dataset.Table, r *Recoding) *Groups {
 // Lattice nodes are scored from (packed key, size) pairs alone: the minimum
 // group size and the discernibility need no row lists, so only the node a
 // search finally returns is materialized by GroupsAt. The scoring reuses one
-// map and one pair buffer, so an evaluator is not safe for concurrent use.
+// hash table and one pair buffer, so an evaluator is not safe for concurrent
+// use.
 type LatticeEvaluator struct {
 	t      *dataset.Table
 	hiers  []*hierarchy.Hierarchy
@@ -230,9 +231,9 @@ type LatticeEvaluator struct {
 	// cuts memoizes hierarchy.LevelCut per attribute and level.
 	cuts [][]*hierarchy.Cut
 
-	// idx and pairs are the scoring scratch: the packed-key → pair-index map
-	// that merges coinciding keys, and the pair buffer scoreAt fills.
-	idx   map[uint64]int32
+	// idx and pairs are the scoring scratch: the packed-key → pair-index
+	// table that merges coinciding keys, and the pair buffer scoreAt fills.
+	idx   keyTable
 	pairs []sizedGroup
 }
 
@@ -309,7 +310,7 @@ func NewLatticeEvaluator(t *dataset.Table, hiers []*hierarchy.Hierarchy, workers
 		}
 		e.keyIdx[g] = ki
 	}
-	e.idx = make(map[uint64]int32, len(e.base.Keys))
+	e.idx = newKeyTable(len(e.base.Keys))
 	return e, nil
 }
 
@@ -340,7 +341,7 @@ func (e *LatticeEvaluator) scoreAt(levels []int) (min int, loss float64, err err
 // sizesAt appends the (packed key, size) pairs of the grouping at the level
 // vector to dst, in first-appearance order of the merged base groups.
 func (e *LatticeEvaluator) sizesAt(levels []int, dst []sizedGroup) []sizedGroup {
-	clear(e.idx)
+	e.idx.reset()
 	for g, ki := range e.keyIdx {
 		var pk uint64
 		for j, l := range levels {
@@ -356,7 +357,7 @@ func (e *LatticeEvaluator) sizesAt(levels []int, dst []sizedGroup) []sizedGroup 
 // pairs whose keys then coincide are merged. Attribute j must be below its
 // hierarchy's top in src. dst must not share storage with src.
 func (e *LatticeEvaluator) raise(src []sizedGroup, j int, dst []sizedGroup) []sizedGroup {
-	clear(e.idx)
+	e.idx.reset()
 	h, shift, mask := e.hiers[j], e.packer.shift[j], e.packer.mask[j]
 	for _, g := range src {
 		parent := h.Parent(int32(g.key >> shift & mask))
@@ -366,14 +367,69 @@ func (e *LatticeEvaluator) raise(src []sizedGroup, j int, dst []sizedGroup) []si
 }
 
 // merge adds size to the pair keyed pk in dst, appending the pair on its
-// first appearance since the last clear of e.idx.
+// first appearance since the last reset of e.idx.
 func (e *LatticeEvaluator) merge(dst []sizedGroup, pk uint64, size int) []sizedGroup {
-	if i, ok := e.idx[pk]; ok {
+	i, found := e.idx.lookup(pk, int32(len(dst)))
+	if found {
 		dst[i].size += size
 		return dst
 	}
-	e.idx[pk] = int32(len(dst))
 	return append(dst, sizedGroup{pk, size})
+}
+
+// keyTable is an open-addressing hash table from packed key to a dense
+// int32 index: power-of-two slots, linear probing, and a generation stamp
+// per slot, so a reset is O(1) instead of a clear. It holds at most the
+// capacity it was built for — a lattice node has no more groups than the
+// lattice bottom — and is not safe for concurrent use.
+type keyTable struct {
+	slots []keySlot
+	shift uint // 64 − log2(len(slots)): the hash keeps the product's top bits
+	gen   uint32
+}
+
+// keySlot is one table slot; it is occupied iff its gen is the table's.
+type keySlot struct {
+	key uint64
+	gen uint32
+	idx int32
+}
+
+// newKeyTable sizes a table for up to n keys at a load factor of at most ½.
+func newKeyTable(n int) keyTable {
+	size := 2 << bits.Len(uint(n))
+	return keyTable{
+		slots: make([]keySlot, size),
+		shift: uint(64 - bits.TrailingZeros(uint(size))),
+		gen:   1,
+	}
+}
+
+// reset empties the table by advancing the generation; the slots are
+// cleared only when the stamp wraps around.
+func (t *keyTable) reset() {
+	t.gen++
+	if t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// lookup returns the index stored under key, or stores next under it and
+// returns that with found false. Fibonacci hashing spreads keys that differ
+// only in a few bits, high or low, over the table's top-bit slot index.
+func (t *keyTable) lookup(key uint64, next int32) (idx int32, found bool) {
+	mask := uint64(len(t.slots) - 1)
+	for i := (key * 0x9e3779b97f4a7c15) >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			*s = keySlot{key: key, gen: t.gen, idx: next}
+			return next, false
+		}
+		if s.key == key {
+			return s.idx, true
+		}
+	}
 }
 
 // sizeScore returns the smallest size among the pairs (0 for none) and their
@@ -399,7 +455,7 @@ func (e *LatticeEvaluator) GroupsAt(levels []int) (*Groups, error) {
 	}
 	d := len(e.hiers)
 	out := &Groups{}
-	idx := make(map[uint64]int32, len(e.base.Keys))
+	e.idx.reset()
 	gidOf := make([]int32, len(e.base.Keys))
 	var counts []int
 	gv := make([]int32, d)
@@ -409,10 +465,8 @@ func (e *LatticeEvaluator) GroupsAt(levels []int) (*Groups, error) {
 			gv[j] = e.lift[j][l][ki[j]]
 			pk |= uint64(uint32(gv[j])) << e.packer.shift[j]
 		}
-		gi, ok := idx[pk]
-		if !ok {
-			gi = int32(len(out.Keys))
-			idx[pk] = gi
+		gi, found := e.idx.lookup(pk, int32(len(out.Keys)))
+		if !found {
 			out.Keys = append(out.Keys, append([]int32(nil), gv...))
 			counts = append(counts, 0)
 		}

@@ -248,3 +248,29 @@ func TestLatticeEvaluatorWideKeys(t *testing.T) {
 		t.Fatal("72 key bits: want error")
 	}
 }
+
+// The lattice's key table maps every key to the index stored on its first
+// lookup, including keys that differ only in their high bits, forgets them
+// all on reset, and survives its generation stamp wrapping around.
+func TestKeyTable(t *testing.T) {
+	const n = 5000
+	tab := newKeyTable(n)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < n; i++ {
+			if idx, found := tab.lookup(uint64(i)<<51, int32(i)); found || idx != int32(i) {
+				t.Fatalf("round %d: fresh key %d found=%v idx=%d", round, i, found, idx)
+			}
+		}
+		for i := n - 1; i >= 0; i-- {
+			if idx, found := tab.lookup(uint64(i)<<51, -1); !found || idx != int32(i) {
+				t.Fatalf("round %d: key %d found=%v idx=%d, want %d", round, i, found, idx, i)
+			}
+		}
+		if round == 0 {
+			// The reset wraps the stamp back to round 0's: without the
+			// clear, round 1 would find round 0's keys.
+			tab.gen = ^uint32(0)
+		}
+		tab.reset()
+	}
+}

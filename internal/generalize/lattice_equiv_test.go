@@ -152,20 +152,44 @@ func wideEngineTable(n int, rng *rand.Rand) (*dataset.Table, []*hierarchy.Hierar
 	return tbl, hiers
 }
 
+// highBitEngineTable is a random table over sixteen 8-code attributes, each
+// under a binary hierarchy of 15 nodes (4 key bits): the first fourteen hold
+// one code, so the packed keys fill all 64 bits and differ only in their top
+// eight, the case a hash that reads low key bits would pile into one probe
+// chain. Its lattice is walked greedily.
+func highBitEngineTable(n int, rng *rand.Rand) (*dataset.Table, []*hierarchy.Hierarchy) {
+	const d = 16
+	attrs := make([]*dataset.Attribute, d)
+	hiers := make([]*hierarchy.Hierarchy, d)
+	for j := range attrs {
+		attrs[j] = dataset.MustIntAttribute(fmt.Sprintf("A%d", j), 0, 7)
+		hiers[j] = hierarchy.MustBalanced(8, 2)
+	}
+	tbl := dataset.NewTable(dataset.MustSchema(attrs, dataset.MustAttribute("S", "s0", "s1")))
+	row := make([]int32, d+1)
+	for i := 0; i < n; i++ {
+		row[d-2], row[d-1] = int32(rng.Intn(8)), int32(min(7, int(rng.ExpFloat64()*2)))
+		row[d] = int32(rng.Intn(2))
+		tbl.MustAppend(row)
+	}
+	return tbl, hiers
+}
+
 // Property: SearchFullDomain returns exactly the materializing reference's
 // result — levels, recoding, groups, loss, Exhausted — and scores as many
-// nodes, on a lattice it searches exhaustively and on one it walks greedily.
+// nodes, on a lattice it searches exhaustively and on two it walks greedily.
 // The exhaustive reference groups every node in full, so this is also the
 // check that the exhaustive search is loss-optimal among k-anonymous level
 // vectors.
 func TestSearchFullDomainMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		for _, exhaustive := range []bool{true, false} {
-			tbl, hiers := engineTable(30+rng.Intn(300), rng)
-			if !exhaustive {
-				tbl, hiers = wideEngineTable(30+rng.Intn(300), rng)
-			}
+		for _, shape := range []struct {
+			table      func(int, *rand.Rand) (*dataset.Table, []*hierarchy.Hierarchy)
+			exhaustive bool
+		}{{engineTable, true}, {wideEngineTable, false}, {highBitEngineTable, false}} {
+			exhaustive := shape.exhaustive
+			tbl, hiers := shape.table(30+rng.Intn(300), rng)
 			for i := 0; i < 3; i++ {
 				cfg := FullDomainConfig{K: 1 + rng.Intn(12), Workers: 1 + rng.Intn(4)}
 				want, wantEvaluated, wantErr := refSearchFullDomain(tbl, hiers, cfg)

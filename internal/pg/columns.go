@@ -55,6 +55,16 @@ func (c *RowColumns) Row(i int) Row {
 	return Row{Box: box, Value: c.Value[i], G: int(c.G[i]), SourceRow: int(c.SourceRow[i])}
 }
 
+// sameBox reports whether rows i and k have the same box.
+func (c *RowColumns) sameBox(i, k int) bool {
+	for j := 0; j < c.D; j++ {
+		if c.Lo[j*c.N+i] != c.Lo[j*c.N+k] || c.Hi[j*c.N+i] != c.Hi[j*c.N+k] {
+			return false
+		}
+	}
+	return true
+}
+
 // covers reports whether row i's box generalizes the raw QI vector vq.
 func (c *RowColumns) covers(i int, vq []int32) bool {
 	for j := range vq {

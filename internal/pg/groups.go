@@ -1,7 +1,7 @@
 package pg
 
 import (
-	"encoding/binary"
+	"math/bits"
 
 	"pgpub/internal/generalize"
 )
@@ -39,27 +39,56 @@ type BoxAggregate struct {
 func (p *Published) Aggregates() []BoxAggregate {
 	// The collapse sweeps the columnar view — dim-major bound streams plus
 	// the value and G columns — so a publication served straight from a
-	// snapshot's column blocks never materializes row-major rows, and the
-	// row-major path pays one conversion instead of a heap box per group
-	// probe. The key bytes and iteration order are the same either way, so
-	// the entry order (first appearance) is identical on both paths.
+	// snapshot's column blocks never materializes row-major rows. Each box
+	// is hashed to a uint64 (one pass per bound stream) and probed in a
+	// flat table; a hit is confirmed against the bounds of the entry's
+	// first row. Rows are visited in order, so entries appear in first
+	// appearance order. Bounds and histograms are carved from one slab each
+	// once the entry count is known.
 	c := p.Columns()
-	domain := p.Schema.SensitiveDomain()
-	idx := make(map[string]int, c.N)
-	out := make([]BoxAggregate, 0, c.N)
-	var key []byte
-	for i := 0; i < c.N; i++ {
-		key = key[:0]
-		for j := 0; j < c.D; j++ {
-			key = binary.LittleEndian.AppendUint32(key, uint32(c.Lo[j*c.N+i]))
-			key = binary.LittleEndian.AppendUint32(key, uint32(c.Hi[j*c.N+i]))
+	n, d, domain := c.N, c.D, p.Schema.SensitiveDomain()
+	hash := make([]uint64, n)
+	for j := 0; j < d; j++ {
+		lo, hi := c.Lo[j*n:(j+1)*n], c.Hi[j*n:(j+1)*n]
+		for i := range hash {
+			hash[i] = (hash[i] ^ uint64(uint32(lo[i]))<<32 ^ uint64(uint32(hi[i]))) * 0x9e3779b97f4a7c15
+			hash[i] ^= hash[i] >> 29
 		}
-		a, ok := idx[string(key)]
-		if !ok {
-			a = len(out)
-			idx[string(key)] = a
-			out = append(out, BoxAggregate{Box: c.Row(i).Box, Hist: make([]int64, domain)})
+	}
+	size := 2 << bits.Len(uint(n))
+	shift := uint(64 - bits.TrailingZeros(uint(size)))
+	slots := make([]int32, size) // entry index + 1; 0 is empty
+	entry := make([]int32, n)    // each row's entry
+	first := make([]int32, 0, n) // each entry's first row
+	for i, h := range hash {
+		for s := h * 0x9e3779b97f4a7c15 >> shift; ; s = (s + 1) & uint64(size-1) {
+			a := slots[s] - 1
+			if a < 0 {
+				slots[s] = int32(len(first)) + 1
+				entry[i] = int32(len(first))
+				first = append(first, int32(i))
+				break
+			}
+			if f := int(first[a]); hash[f] == h && c.sameBox(f, i) {
+				entry[i] = a
+				break
+			}
 		}
+	}
+	bounds := make([]int32, 2*d*len(first))
+	hists := make([]int64, domain*len(first))
+	out := make([]BoxAggregate, len(first))
+	for a, f := range first {
+		b := bounds[2*d*a : 2*d*(a+1) : 2*d*(a+1)]
+		for j := 0; j < d; j++ {
+			b[j], b[d+j] = c.Lo[j*n+int(f)], c.Hi[j*n+int(f)]
+		}
+		out[a] = BoxAggregate{
+			Box:  generalize.Box{Lo: b[:d:d], Hi: b[d:]},
+			Hist: hists[domain*a : domain*(a+1) : domain*(a+1)],
+		}
+	}
+	for i, a := range entry {
 		out[a].G += int(c.G[i])
 		out[a].Hist[c.Value[i]] += c.G[i]
 	}

@@ -1,0 +1,115 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"pgpub/internal/pg"
+	"pgpub/internal/query"
+	"pgpub/internal/sal"
+)
+
+// salServer serves a 4000-row SAL kd release with cacheEntries result-cache
+// entries.
+func salServer(tb testing.TB, cacheEntries int) http.Handler {
+	tb.Helper()
+	d, err := sal.Generate(4000, 91)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{K: 6, P: 0.3, Seed: 92})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := query.NewIndex(pub)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := New(Config{Index: ix, CacheEntries: cacheEntries})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s.Handler()
+}
+
+// queryBodies returns n ≤ 1024 distinct /v1/query bodies over SAL's Age
+// and Birthplace codes.
+func queryBodies(n int) [][]byte {
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf(`{"where":[{"dim":0,"lo":%d,"hi":%d},{"dim":3,"lo":%d,"hi":%d}]}`,
+			i%32, i%32+10, i/32, i/32+2))
+	}
+	return bodies
+}
+
+// serveQuery posts body to /v1/query and returns the recorded response.
+func serveQuery(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+	return w
+}
+
+// BenchmarkHandlerQuery times one /v1/query through the handler, recorder
+// to recorder. cache-hit repeats one query, so every request after the
+// first is answered from the result cache; cache-miss cycles 1024 distinct
+// queries through a cache of one entry per shard, so every request
+// computes on the index and evicts.
+func BenchmarkHandlerQuery(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		entries int
+		bodies  [][]byte
+	}{
+		{"cache-hit", 0, queryBodies(1)},
+		{"cache-miss", cacheShards, queryBodies(1024)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := salServer(b, bc.entries)
+			serveQuery(h, bc.bodies[0])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if w := serveQuery(h, bc.bodies[i%len(bc.bodies)]); w.Code != http.StatusOK {
+					b.Fatalf("status %d", w.Code)
+				}
+			}
+		})
+	}
+}
+
+// TestHandlerCacheHitAllocs budgets a cache hit: decode, parse, key, cache
+// lookup and encode. The test request and recorder are not the server's, so
+// their allocations — measured as the same round trip against a handler
+// that does nothing — are taken off before the count meets the budget. The
+// budget is the count measured when it was set, so a new allocation on the
+// hit path fails here.
+func TestHandlerCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const budget = 38
+	h := salServer(t, 0)
+	body := queryBodies(1)[0]
+	for _, want := range []string{"computed", "cache"} {
+		w := serveQuery(h, body)
+		var resp QueryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+			t.Fatalf("status %d, body %q: %v", w.Code, w.Body.String(), err)
+		}
+		if resp.Source != want {
+			t.Fatalf("answer source %q, want %q", resp.Source, want)
+		}
+	}
+	noop := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})
+	harness := testing.AllocsPerRun(50, func() { serveQuery(noop, body) })
+	n := testing.AllocsPerRun(50, func() { serveQuery(h, body) }) - harness
+	t.Logf("cache-hit /v1/query: %v server allocs (%v in the test harness)", n, harness)
+	if n > budget {
+		t.Fatalf("cache-hit /v1/query: %v server allocs per request, budget %d", n, budget)
+	}
+}

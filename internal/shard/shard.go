@@ -10,9 +10,9 @@
 //     bit-for-bit. The coordinator's over-HTTP merge (internal/serve)
 //     mirrors exactly this arithmetic.
 //   - The release writer/opener: WriteRelease saves per-shard snapshots and
-//     the manifest; Open loads a manifest, re-checksums every shard file,
-//     cross-checks each shard's parameters against the manifest, and returns
-//     a ready Group.
+//     the manifest; OpenObserved loads a manifest, re-checksums every shard
+//     file, cross-checks each shard's parameters against the manifest, and
+//     returns a ready Group.
 //
 // Merge semantics: COUNT, NAIVE and SUM are additive over disjoint row
 // sets, so the composed answer is the plain left-to-right sum of per-shard
@@ -245,16 +245,12 @@ func WriteRelease(manifestPath, snapshotBase string, pubs []*pg.Published, g *pg
 	return m, nil
 }
 
-// Open loads a sharded release for in-process querying: the manifest is
-// read and validated, every shard snapshot is re-checksummed against its
-// manifest CRC, loaded with the fully-verifying snapshot reader, and
-// cross-checked against the manifest's shared parameters and per-shard row
-// counts before an index is built over it.
-func Open(manifestPath string) (*Group, error) {
-	return OpenObserved(manifestPath, nil)
-}
-
-// OpenObserved is Open with index instrumentation.
+// OpenObserved loads a sharded release for in-process querying: the
+// manifest is read and validated, every shard snapshot is re-checksummed
+// against its manifest CRC, loaded with the fully-verifying snapshot
+// reader, and cross-checked against the manifest's shared parameters and
+// per-shard row counts before an index is built over it. reg receives the
+// index instrumentation; nil disables it.
 func OpenObserved(manifestPath string, reg *obs.Registry) (*Group, error) {
 	m, err := snapshot.LoadManifest(manifestPath)
 	if err != nil {

@@ -251,7 +251,7 @@ func TestWriteReleaseOpenRoundtrip(t *testing.T) {
 	if len(man.Shards) != 4 || man.K != 6 || man.P != 0.3 || man.Algorithm != "tds" || man.SourceRows != 2000 {
 		t.Fatalf("manifest: %+v", man)
 	}
-	g, err := Open(manPath)
+	g, err := OpenObserved(manPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,16 +301,16 @@ func TestOpenRejectsTampering(t *testing.T) {
 
 	shardPath := SnapshotPath(filepath.Join(dir, "rel.pgsnap"), 1)
 	flip(shardPath, 3)
-	if _, err := Open(manPath); err == nil {
+	if _, err := OpenObserved(manPath, nil); err == nil {
 		t.Fatal("corrupt shard snapshot accepted")
 	}
 	flip(shardPath, 3) // restore
-	if _, err := Open(manPath); err != nil {
+	if _, err := OpenObserved(manPath, nil); err != nil {
 		t.Fatalf("restored release rejected: %v", err)
 	}
 
 	flip(manPath, 3)
-	if _, err := Open(manPath); err == nil {
+	if _, err := OpenObserved(manPath, nil); err == nil {
 		t.Fatal("corrupt manifest accepted")
 	}
 }

@@ -123,7 +123,15 @@ func writeV2(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata, chain *Cha
 			return fmt.Errorf("snapshot: row %d has source row %d", i, cols.SourceRow[i])
 		}
 	}
-	ix, err := query.NewIndex(pub)
+	// The index is built over a columnar view of the same publication, so
+	// the row-major → columnar conversion above is the only one.
+	view := *pub
+	view.Rows = nil
+	colPub, err := pg.FromColumns(view, cols)
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	ix, err := query.NewIndex(colPub)
 	if err != nil {
 		return fmt.Errorf("snapshot: building serving index: %w", err)
 	}
