@@ -113,3 +113,57 @@ func TestHandlerCacheHitAllocs(t *testing.T) {
 		t.Fatalf("cache-hit /v1/query: %v server allocs per request, budget %d", n, budget)
 	}
 }
+
+// coordRoundTrip is a started coordinator over four loopback SAL shard
+// servers with hedging off and its result cache disabled, so every request
+// fans out: a merged answer from four shard calls, each a shard-cache hit
+// after the first.
+func coordRoundTrip(tb testing.TB) (h http.Handler, body []byte) {
+	tb.Helper()
+	f := newCoordFixture(tb, 4000, 4, func(cc *CoordConfig) { cc.HedgeAfter = -1 })
+	f.coord.cacheEntries = -1
+	f.coord.install(f.coord.rel.Load())
+	h, body = f.coord.Handler(), queryBodies(1)[0]
+	for i := 0; i < 2; i++ {
+		w := serveQuery(h, body)
+		var resp QueryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK || resp.Source != "merged" {
+			tb.Fatalf("status %d, body %q: %v", w.Code, w.Body.String(), err)
+		}
+	}
+	return h, body
+}
+
+// BenchmarkCoordinatorQuery times one merged /v1/query at the coordinator,
+// recorder to recorder: parse, fan-out to four loopback shard servers, the
+// shards' answers and the merge.
+func BenchmarkCoordinatorQuery(b *testing.B) {
+	h, body := coordRoundTrip(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := serveQuery(h, body); w.Code != http.StatusOK {
+			b.Fatalf("status %d", w.Code)
+		}
+	}
+}
+
+// TestCoordinatorQueryAllocs budgets the merged round trip of
+// BenchmarkCoordinatorQuery: the coordinator's and the four shard servers'
+// allocations together, with the test request and recorder's own taken off
+// as in TestHandlerCacheHitAllocs. The count was 328 on go1.24.0 (linux/amd64);
+// the budget leaves 10% for other toolchains.
+func TestCoordinatorQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const budget = 361
+	h, body := coordRoundTrip(t)
+	noop := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})
+	harness := testing.AllocsPerRun(50, func() { serveQuery(noop, body) })
+	n := testing.AllocsPerRun(50, func() { serveQuery(h, body) }) - harness
+	t.Logf("merged /v1/query over 4 shards: %v allocs (%v in the test harness)", n, harness)
+	if n > budget {
+		t.Fatalf("merged /v1/query over 4 shards: %v allocs per request, budget %d", n, budget)
+	}
+}

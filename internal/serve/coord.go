@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"reflect"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,10 +34,13 @@ import (
 //     response carries the (inverted sum, weight) compose pair even for an
 //     empty region, where a per-shard avg would error) and the Server
 //     answers Σ sums / Σ weights.
-//   - tail control: every shard call runs under a per-shard timeout, and a
-//     hedged duplicate is launched when the first attempt outlives the
-//     shard's observed p95 latency (first response wins, the loser is
-//     abandoned to the shared context).
+//   - tail control: every fan-out runs under one shard timeout, and a
+//     hedged duplicate is launched when a shard's first attempt outlives its
+//     observed p95 latency (first response wins, the loser is abandoned to
+//     the shared context).
+//   - the wire: shard calls speak the binary shard codec (shardcodec.go),
+//     not JSON, over shardTransport (transport.go) unless CoordConfig.Client
+//     overrides it. Clients of the coordinator still speak JSON.
 //   - loud partial failure: if any shard fails after retries and hedges,
 //     the query fails naming that shard (shardFailure) rather than
 //     answering a silently-partial aggregate.
@@ -59,7 +62,8 @@ type CoordConfig struct {
 	// samples for a p95 estimate (after which the live p95 is the delay).
 	// Default 25ms; negative disables hedging entirely.
 	HedgeAfter time.Duration
-	// Client optionally overrides the HTTP client used for shard calls.
+	// Client optionally overrides the HTTP client used for shard calls. The
+	// default is a lean HTTP/1.1 keep-alive client (shardTransport).
 	Client *http.Client
 	// Metrics optionally receives the coord.* instrumentation. nil disables.
 	Metrics *obs.Registry
@@ -104,10 +108,12 @@ type Coordinator struct {
 	}
 }
 
-// coordShard is the coordinator's view of one shard server.
+// coordShard is the coordinator's view of one shard server. api holds the
+// parsed URLs of /v1/query and /v1/batch, shared read-only by every call.
 type coordShard struct {
 	index  int
 	url    string
+	api    map[string]*url.URL
 	lat    latTracker
 	errors atomic.Int64
 }
@@ -144,13 +150,19 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		c.hedgeAfter = 25 * time.Millisecond
 	}
 	if c.hc == nil {
-		c.hc = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
+		c.hc = &http.Client{Transport: &shardTransport{}}
 	}
 	for i, u := range cfg.ShardURLs {
 		if u == "" {
 			return nil, fmt.Errorf("serve: shard %d has an empty URL", i)
 		}
-		c.shards = append(c.shards, &coordShard{index: i, url: u})
+		sh := &coordShard{index: i, url: u, api: map[string]*url.URL{}}
+		for _, path := range []string{"/v1/query", "/v1/batch"} {
+			if sh.api[path], err = url.Parse(u + path); err != nil {
+				return nil, fmt.Errorf("serve: shard %d: %w", i, err)
+			}
+		}
+		c.shards = append(c.shards, sh)
 	}
 	srv.load = c.loadFleet
 	srv.routes = map[string]http.HandlerFunc{"/v1/shards": c.handleShards}
@@ -390,17 +402,17 @@ func (g *remoteGroup) Naive(ctx context.Context, q query.CountQuery) (float64, e
 
 // additive fans op out and sums the shard estimates in shard order.
 func (g *remoteGroup) additive(ctx context.Context, op string, q query.CountQuery) (float64, error) {
-	replies, err := g.fanOut(ctx, "/v1/query", appendQuery(nil, g.schema, op, q, nil))
+	replies, err := g.fanOut(ctx, "/v1/query", appendShardQuery(nil, g.schema, op, q, nil))
 	if err != nil {
 		return 0, err
 	}
 	total := 0.0
-	for i, raw := range replies {
-		var resp QueryResponse
-		if err := json.Unmarshal(raw, &resp); err != nil {
+	for i, b := range replies {
+		est, _, _, _, err := decodeQueryReply(b)
+		if err != nil {
 			return 0, g.shards[i].failure(0, "undecodable response: %v", err)
 		}
-		total += resp.Estimate
+		total += est
 	}
 	return total, nil
 }
@@ -408,20 +420,20 @@ func (g *remoteGroup) additive(ctx context.Context, op string, q query.CountQuer
 // AvgParts fans the query out as sum and adds the compose pairs in shard
 // order.
 func (g *remoteGroup) AvgParts(ctx context.Context, q query.CountQuery, values []float64) (sum, weight float64, err error) {
-	replies, err := g.fanOut(ctx, "/v1/query", appendQuery(nil, g.schema, "sum", q, values))
+	replies, err := g.fanOut(ctx, "/v1/query", appendShardQuery(nil, g.schema, "sum", q, values))
 	if err != nil {
 		return 0, 0, err
 	}
-	for i, raw := range replies {
-		var resp QueryResponse
-		if err := json.Unmarshal(raw, &resp); err != nil {
+	for i, b := range replies {
+		_, s, w, parts, err := decodeQueryReply(b)
+		if err != nil {
 			return 0, 0, g.shards[i].failure(0, "undecodable response: %v", err)
 		}
-		if resp.Sum == nil || resp.Weight == nil {
+		if !parts {
 			return 0, 0, g.shards[i].failure(0, "response lacks the sum/weight compose pair")
 		}
-		sum += *resp.Sum
-		weight += *resp.Weight
+		sum += s
+		weight += w
 	}
 	return sum, weight, nil
 }
@@ -430,85 +442,17 @@ func (g *remoteGroup) AvgParts(ctx context.Context, q query.CountQuery, values [
 // the answers elementwise in shard order. Each shard applies its own batch
 // fan-out.
 func (g *remoteGroup) AnswerWorkload(ctx context.Context, qs []query.CountQuery, _ int) ([]float64, error) {
-	body := append(make([]byte, 0, 64*len(qs)), `{"queries":[`...)
-	for i, q := range qs {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = appendQuery(body, g.schema, "count", q, nil)
-	}
-	body = append(body, "]}"...)
-	replies, err := g.fanOut(ctx, "/v1/batch", body)
+	replies, err := g.fanOut(ctx, "/v1/batch", appendShardBatch(nil, g.schema, qs))
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(qs))
-	for i, raw := range replies {
-		var resp BatchResponse
-		if err := json.Unmarshal(raw, &resp); err != nil {
+	for i, b := range replies {
+		if err := addEstimates(out, b); err != nil {
 			return nil, g.shards[i].failure(0, "undecodable response: %v", err)
-		}
-		if len(resp.Estimates) != len(qs) {
-			return nil, g.shards[i].failure(0, "%d answers for %d queries", len(resp.Estimates), len(qs))
-		}
-		for j, v := range resp.Estimates {
-			out[j] += v
 		}
 	}
 	return out, nil
-}
-
-// appendQuery renders q as the /v1/query body a shard parses back to the
-// same CountQuery: each restricting dimension by position and codes, the
-// sensitive mask as codes, and the value vector when one is set.
-func appendQuery(b []byte, schema *dataset.Schema, op string, q query.CountQuery, values []float64) []byte {
-	b = append(b, `{"op":"`...)
-	b = append(b, op...)
-	b = append(b, `","where":[`...)
-	sep := false
-	for j, r := range q.QI {
-		if r.Lo == 0 && int(r.Hi) == schema.QI[j].Size()-1 {
-			continue
-		}
-		if sep {
-			b = append(b, ',')
-		}
-		sep = true
-		b = append(b, `{"dim":`...)
-		b = strconv.AppendInt(b, int64(j), 10)
-		b = append(b, `,"lo":`...)
-		b = strconv.AppendInt(b, int64(r.Lo), 10)
-		b = append(b, `,"hi":`...)
-		b = strconv.AppendInt(b, int64(r.Hi), 10)
-		b = append(b, '}')
-	}
-	b = append(b, ']')
-	if q.Sensitive != nil {
-		b = append(b, `,"sensitive":[`...)
-		sep = false
-		for code, in := range q.Sensitive {
-			if !in {
-				continue
-			}
-			if sep {
-				b = append(b, ',')
-			}
-			sep = true
-			b = strconv.AppendInt(b, int64(code), 10)
-		}
-		b = append(b, ']')
-	}
-	if values != nil {
-		b = append(b, `,"values":[`...)
-		for i, v := range values {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendFloat(b, v, 'g', -1, 64)
-		}
-		b = append(b, ']')
-	}
-	return append(b, '}')
 }
 
 // ---------------------------------------------------------------------------
@@ -556,105 +500,157 @@ func (sh *coordShard) failure(status int, format string, args ...any) *shardFail
 	return &shardFailure{shard: sh.index, url: sh.url, status: status, msg: fmt.Sprintf(format, args...)}
 }
 
-// fanOut posts body to path on every shard of the group concurrently and
-// returns the reply bodies in shard order. When shards fail it returns the
-// lowest-indexed failure.
+// fanOut posts body to path on every shard of the group and returns the
+// replies in shard order, or the lowest-indexed shard's failure. One loop
+// drives every call under one ShardTimeout, one goroutine per attempt: each
+// shard's first attempt starts at once; a hedge — a duplicate attempt —
+// starts when the first outlives the shard's hedge delay (one timer, armed
+// at the earliest pending delay) or fails first; the first response wins
+// and the loser is abandoned to the shared context. A 4xx is the query's
+// fault, not the shard's, so it is not hedged. Every error is a
+// *shardFailure.
 func (g *remoteGroup) fanOut(ctx context.Context, path string, body []byte) ([][]byte, error) {
+	c := g.c
 	t0 := time.Now()
-	defer func() { g.c.met.fanout.Observe(time.Since(t0).Nanoseconds()) }()
-	replies := make([][]byte, len(g.shards))
-	errs := make([]error, len(g.shards))
-	var wg sync.WaitGroup
-	for i, sh := range g.shards {
-		wg.Add(1)
-		go func(i int, sh *coordShard) {
-			defer wg.Done()
-			replies[i], errs[i] = g.c.callShard(ctx, sh, path, body)
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return replies, nil
-}
-
-// callShard posts body to one shard under the per-shard timeout, hedging
-// with a duplicate request when the first attempt outlives the shard's
-// observed p95 (first response wins). Attempts share the context, so the
-// loser is abandoned, not awaited. Every error is a *shardFailure.
-func (c *Coordinator) callShard(ctx context.Context, sh *coordShard, path string, body []byte) ([]byte, error) {
+	defer func() { c.met.fanout.Observe(time.Since(t0).Nanoseconds()) }()
 	ctx, cancel := context.WithTimeout(ctx, c.shardTimeout)
 	defer cancel()
 
-	type res struct {
-		b      []byte
-		err    *shardFailure
+	type result struct {
+		shard  int
 		hedged bool
+		reply  []byte
+		err    *shardFailure
 	}
-	ch := make(chan res, 2)
-	attempt := func(hedged bool) {
-		t0 := time.Now()
+	// Room for two attempts per shard, so an abandoned one never blocks.
+	ch := make(chan result, 2*len(g.shards))
+	attempt := func(i int, hedged bool) {
+		sh := g.shards[i]
+		t := time.Now()
 		b, err := c.post(ctx, sh, path, body)
 		if err == nil {
-			sh.lat.observe(time.Since(t0))
+			sh.lat.observe(time.Since(t))
 		}
-		ch <- res{b, err, hedged}
+		ch <- result{i, hedged, b, err}
 	}
-	go attempt(false)
 
-	var hedgeC <-chan time.Time
-	if d := c.hedgeDelay(sh); d >= 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
+	// call is one shard's state. hedgeAt is when its hedge is due; zero once
+	// the hedge has fired, or when hedging is off.
+	type call struct {
+		hedgeAt  time.Time
+		inFlight int
+		done     bool
+		first    *shardFailure
+		reply    []byte
+		err      *shardFailure
 	}
-	inFlight := 1
-	var firstErr *shardFailure
-	for {
+	calls := make([]call, len(g.shards))
+	pending := len(calls)
+	finish := func(i int, reply []byte, err *shardFailure) {
+		calls[i].done, calls[i].reply, calls[i].err = true, reply, err
+		pending--
+	}
+	hedge := func(i int) {
+		calls[i].hedgeAt = time.Time{}
+		calls[i].inFlight++
+		c.met.hedgeFired.Inc()
+		go attempt(i, true)
+	}
+	var (
+		timer  *time.Timer
+		timerC <-chan time.Time
+	)
+	// arm points the timer at the earliest hedge still due. It runs only
+	// before the timer is first set and after it has fired, so the timer
+	// never needs draining.
+	arm := func() {
+		var next time.Time
+		for i := range calls {
+			if at := calls[i].hedgeAt; !calls[i].done && !at.IsZero() && (next.IsZero() || at.Before(next)) {
+				next = at
+			}
+		}
+		switch {
+		case next.IsZero():
+			timerC = nil
+		case timer == nil:
+			timer = time.NewTimer(time.Until(next))
+			timerC = timer.C
+		default:
+			timer.Reset(time.Until(next))
+			timerC = timer.C
+		}
+	}
+	for i, sh := range g.shards {
+		calls[i].inFlight = 1
+		if d := c.hedgeDelay(sh); d >= 0 {
+			calls[i].hedgeAt = t0.Add(d)
+		}
+		go attempt(i, false)
+	}
+	arm()
+	for pending > 0 {
 		select {
 		case <-ctx.Done():
-			c.met.shardTO.Inc()
-			sh.errors.Add(1)
-			return nil, sh.failure(0, "no answer within %v: %v", c.shardTimeout, ctx.Err())
-		case <-hedgeC:
-			hedgeC = nil
-			c.met.hedgeFired.Inc()
-			inFlight++
-			go attempt(true)
+			for i, sh := range g.shards {
+				if !calls[i].done {
+					c.met.shardTO.Inc()
+					sh.errors.Add(1)
+					finish(i, nil, sh.failure(0, "no answer within %v: %v", c.shardTimeout, ctx.Err()))
+				}
+			}
+		case <-timerC:
+			now := time.Now()
+			for i := range calls {
+				if at := calls[i].hedgeAt; !calls[i].done && !at.IsZero() && !now.Before(at) {
+					hedge(i)
+				}
+			}
+			arm()
 		case r := <-ch:
-			inFlight--
-			if r.err == nil {
+			cl := &calls[r.shard]
+			if cl.done {
+				continue // the loser of a decided shard
+			}
+			cl.inFlight--
+			switch {
+			case r.err == nil:
 				if r.hedged {
 					c.met.hedgeWon.Inc()
 				}
-				return r.b, nil
-			}
-			if r.err.rejected() {
-				return nil, r.err
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if inFlight > 0 || hedgeC != nil {
-				// A hedge is still pending or in flight; it may yet succeed.
-				if inFlight == 0 {
-					// Fire the hedge immediately rather than waiting out the
-					// timer against a shard that just failed fast.
-					hedgeC = nil
-					c.met.hedgeFired.Inc()
-					inFlight++
-					go attempt(true)
+				finish(r.shard, r.reply, nil)
+			case r.err.rejected():
+				finish(r.shard, nil, r.err)
+			default:
+				if cl.first == nil {
+					cl.first = r.err
 				}
-				continue
+				switch {
+				case cl.inFlight > 0:
+					// The other attempt may yet succeed.
+				case !cl.hedgeAt.IsZero():
+					// Fire the hedge now rather than wait out the timer
+					// against a shard that just failed fast.
+					hedge(r.shard)
+				default:
+					c.met.shardErrors.Inc()
+					g.shards[r.shard].errors.Add(1)
+					finish(r.shard, nil, cl.first)
+				}
 			}
-			c.met.shardErrors.Inc()
-			sh.errors.Add(1)
-			return nil, firstErr
 		}
 	}
+	if timer != nil {
+		timer.Stop()
+	}
+	replies := make([][]byte, len(calls))
+	for i := range calls {
+		if calls[i].err != nil {
+			return nil, calls[i].err
+		}
+		replies[i] = calls[i].reply
+	}
+	return replies, nil
 }
 
 // hedgeDelay picks the hedge trigger for a shard: its observed p95 once
@@ -670,12 +666,18 @@ func (c *Coordinator) hedgeDelay(sh *coordShard) time.Duration {
 	return c.hedgeAfter
 }
 
+// post sends one shard call in the shard codec and returns the reply body.
+// The request is built by hand on the shard's pre-parsed URL: what
+// http.NewRequestWithContext builds, less a URL parse per call.
 func (c *Coordinator) post(ctx context.Context, sh *coordShard, path string, body []byte) ([]byte, *shardFailure) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.url+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, sh.failure(0, "%v", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           sh.api[path],
+		Header:        http.Header{"Content-Type": {shardCodecType}},
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		GetBody:       func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
+		ContentLength: int64(len(body)),
+	}).WithContext(ctx)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, sh.failure(0, "%v", err)
@@ -692,6 +694,9 @@ func (c *Coordinator) post(ctx context.Context, sh *coordShard, path string, bod
 			msg = er.Error
 		}
 		return nil, sh.failure(resp.StatusCode, "%s", msg)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != shardCodecType {
+		return nil, sh.failure(0, "undecodable response: Content-Type %q, want %q", ct, shardCodecType)
 	}
 	return raw, nil
 }

@@ -35,7 +35,7 @@ type coordFixture struct {
 
 // newCoordFixture publishes SAL into s shards, serves every shard on
 // loopback and starts a coordinator over them.
-func newCoordFixture(t *testing.T, n, s int, cfg func(*CoordConfig)) *coordFixture {
+func newCoordFixture(t testing.TB, n, s int, cfg func(*CoordConfig)) *coordFixture {
 	t.Helper()
 	d, err := sal.Generate(n, 11)
 	if err != nil {
@@ -417,7 +417,7 @@ func TestCoordinatorHedging(t *testing.T) {
 		if calls.Add(1) == 1 {
 			time.Sleep(stall)
 		}
-		writeJSON(w, http.StatusOK, QueryResponse{Op: "count", Estimate: 42, Source: "computed"})
+		writeShardReply(w, appendQueryReply(nil, answerVal{est: 42}))
 	})
 	c, reg := startFakeCoordinator(t, []string{url}, func(cc *CoordConfig) {
 		cc.HedgeAfter = 10 * time.Millisecond
@@ -538,7 +538,7 @@ func countingShard(t *testing.T, est float64, gate chan struct{}) (string, *atom
 		if gate != nil {
 			<-gate
 		}
-		writeJSON(w, http.StatusOK, QueryResponse{Op: "count", Estimate: est, Source: "computed"})
+		writeShardReply(w, appendQueryReply(nil, answerVal{est: est}))
 	})
 	return url, &calls
 }

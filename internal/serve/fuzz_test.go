@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"pgpub/internal/dataset"
+	"pgpub/internal/query"
 )
 
 // FuzzParseQuery feeds arbitrary /v1/query bodies through the decoder a
 // server and a coordinator share: never panic; every accepted query must
-// lie inside the schema's domains; and the body a coordinator forwards to
-// its shards (appendQuery) must parse back to the same canonical key, or
+// lie inside the schema's domains; and the shard-codec body a coordinator
+// forwards to its shards must decode to the same canonical key, or
 // merged answers and DP noise would be keyed on a different query than
 // the client asked.
 func FuzzParseQuery(f *testing.F) {
@@ -62,17 +63,75 @@ func FuzzParseQuery(f *testing.F) {
 		}
 		key := QueryKey(schema, op, q, values)
 
-		wire := appendQuery(nil, schema, op, q, values)
-		var fwd QueryRequest
-		if err := json.Unmarshal(wire, &fwd); err != nil {
-			t.Fatalf("forwarded body %s does not decode: %v", wire, err)
-		}
-		op2, q2, values2, err := parseQuery(schema, &fwd)
+		wire := appendShardQuery(nil, schema, op, q, values)
+		op2, q2, values2, err := decodeShardQuery(schema, wire)
 		if err != nil {
-			t.Fatalf("forwarded body %s rejected: %v", wire, err)
+			t.Fatalf("forwarded body %x rejected: %v", wire, err)
 		}
 		if got := QueryKey(schema, op2, q2, values2); got != key {
-			t.Fatalf("forwarded body %s keys %q, the client's query keys %q", wire, got, key)
+			t.Fatalf("forwarded body %x keys %q, the client's query keys %q", wire, got, key)
+		}
+	})
+}
+
+// FuzzShardQuery feeds arbitrary shard-codec bodies — input a shard server
+// takes from whoever reaches its port — through the codec's decoder: never
+// panic; every accepted query must lie inside the schema's domains; and
+// encoding the decoded query must decode again to the same canonical key.
+func FuzzShardQuery(f *testing.F) {
+	schema := dataset.Hospital().Schema
+	_, full, _ := newQuery(schema, "count")
+	_, q, _ := newQuery(schema, "count")
+	q.QI[0] = query.Range{Lo: 1, Hi: 3}
+	q.QI[2] = query.Range{Lo: 0, Hi: 0}
+	masked := q
+	masked.Sensitive = make([]bool, schema.SensitiveDomain())
+	masked.Sensitive[1] = true
+	values := make([]float64, schema.SensitiveDomain())
+	for i := range values {
+		values[i] = float64(i) * 1.5
+	}
+	for _, seed := range [][]byte{
+		appendShardQuery(nil, schema, "count", full, nil),
+		appendShardQuery(nil, schema, "naive", q, nil),
+		appendShardQuery(nil, schema, "count", masked, nil),
+		appendShardQuery(nil, schema, "sum", masked, values),
+		appendShardQuery(nil, schema, "avg", q, values),
+		{},
+		{4, 0, 0, 0},
+		{0, 1, 9, 0, 0, 0, 0},
+		{0, 1, 0, 3, 1, 0, 0},
+		{0, 0, 2, 1, 0},
+		{0, 0, 0, 2},
+		{0, 0, 1, 0, 0xff},
+		{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		op, q, values, err := decodeShardQuery(schema, body)
+		if err != nil {
+			return
+		}
+		for j, r := range q.QI {
+			if r.Lo < 0 || r.Lo > r.Hi || int(r.Hi) >= schema.QI[j].Size() {
+				t.Fatalf("accepted range %+v outside dim %d's domain", r, j)
+			}
+		}
+		if q.Sensitive != nil && len(q.Sensitive) != schema.SensitiveDomain() {
+			t.Fatalf("mask of %d codes for a domain of %d", len(q.Sensitive), schema.SensitiveDomain())
+		}
+		if values != nil && (op != "sum" && op != "avg" || len(values) != schema.SensitiveDomain()) {
+			t.Fatalf("accepted %d values for op %q", len(values), op)
+		}
+		key := QueryKey(schema, op, q, values)
+		wire := appendShardQuery(nil, schema, op, q, values)
+		op2, q2, values2, err := decodeShardQuery(schema, wire)
+		if err != nil {
+			t.Fatalf("re-encoded body %x rejected: %v", wire, err)
+		}
+		if got := QueryKey(schema, op2, q2, values2); got != key {
+			t.Fatalf("re-encoded body %x keys %q, the decoded query keys %q", wire, got, key)
 		}
 	})
 }

@@ -27,7 +27,8 @@
 //
 // One Server answers over any backend (Answerer): a local index, or — at a
 // Coordinator (coord.go) — the shard servers of a sharded release, reached
-// over HTTP. The request path above is the same for both.
+// over HTTP in a binary codec of their own (shardcodec.go). The request
+// path above is the same for both.
 package serve
 
 import (
@@ -36,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -617,14 +619,49 @@ type target struct {
 	source string
 }
 
+// shardCodec reports whether r is a coordinator's shard call, whose body and
+// successful reply are in the shard codec (shardcodec.go) rather than JSON.
+// A DP server refuses one with 400 before admission, so nothing is charged:
+// the codec's reply carries the exact compose pair, which must never leave a
+// DP server.
+func (s *Server) shardCodec(w http.ResponseWriter, r *http.Request) (codec, ok bool) {
+	if r.Header.Get("Content-Type") != shardCodecType {
+		return false, true
+	}
+	if s.dp != nil {
+		s.fail(w, errors.New("this server is in DP mode: it answers JSON only, and shard calls go to exact servers"))
+		return true, false
+	}
+	return true, true
+}
+
+// decodeBody reads a request body: the raw codec bytes, or the JSON document
+// into v.
+func decodeBody(r *http.Request, codec bool, v any) (raw []byte, err error) {
+	if codec {
+		raw, err = io.ReadAll(r.Body)
+	} else {
+		err = json.NewDecoder(r.Body).Decode(v)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	return raw, nil
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.met.reqQuery.Inc()
 	if !s.requirePost(w, r) {
 		return
 	}
+	codec, ok := s.shardCodec(w, r)
+	if !ok {
+		return
+	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, fmt.Errorf("decoding request: %w", err))
+	raw, err := decodeBody(r, codec, &req)
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
 	// One pointer load pins this request to one release: parse, cache,
@@ -632,7 +669,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// swaps the serving release mid-request.
 	rel := s.rel.Load()
 	setReleaseHeader(w, rel.crc)
-	op, q, values, err := parseQuery(rel.schema, &req)
+	var (
+		op     string
+		q      query.CountQuery
+		values []float64
+	)
+	if codec {
+		op, q, values, err = decodeShardQuery(rel.schema, raw)
+	} else {
+		op, q, values, err = parseQuery(rel.schema, &req)
+	}
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -683,6 +729,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case op == "avg" && val.weight == 0:
 		s.fail(w, errors.New("region estimated empty"))
 		return
+	case codec:
+		writeShardReply(w, appendQueryReply(make([]byte, 0, 24), val))
+		return
 	case val.parts:
 		sum, weight := val.sum, val.weight
 		resp.Sum, resp.Weight = &sum, &weight
@@ -704,20 +753,41 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePost(w, r) {
 		return
 	}
+	codec, ok := s.shardCodec(w, r)
+	if !ok {
+		return
+	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, fmt.Errorf("decoding request: %w", err))
+	raw, err := decodeBody(r, codec, &req)
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
 	rel := s.rel.Load()
 	setReleaseHeader(w, rel.crc)
-	qs := make([]query.CountQuery, len(req.Queries))
-	for i := range req.Queries {
-		if req.Queries[i].Shard != nil {
-			s.fail(w, fmt.Errorf("query %d: shard pinning is not available in batches", i))
+	n, sr := len(req.Queries), shardReader{raw}
+	if codec {
+		if n, err = sr.count(4); err != nil {
+			s.fail(w, err)
 			return
 		}
-		op, q, _, err := parseQuery(rel.schema, &req.Queries[i])
+	}
+	qs := make([]query.CountQuery, n)
+	for i := range qs {
+		var (
+			op  string
+			q   query.CountQuery
+			err error
+		)
+		switch {
+		case codec:
+			op, q, _, err = sr.query(rel.schema)
+		case req.Queries[i].Shard != nil:
+			s.fail(w, fmt.Errorf("query %d: shard pinning is not available in batches", i))
+			return
+		default:
+			op, q, _, err = parseQuery(rel.schema, &req.Queries[i])
+		}
 		if err != nil {
 			s.fail(w, fmt.Errorf("query %d: %w", i, err))
 			return
@@ -727,6 +797,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		qs[i] = q
+	}
+	if err := sr.end(); err != nil {
+		s.fail(w, err)
+		return
 	}
 	// One combined charge of n·ε_per_query: the batch answers n queries, so
 	// it costs n queries' worth of budget — batching is a transport
@@ -744,6 +818,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.met.latBatch.Observe(time.Since(t0).Nanoseconds())
 	if err != nil {
 		s.fail(w, err)
+		return
+	}
+	if codec {
+		writeShardReply(w, appendEstimates(make([]byte, 0, 8*len(ests)), ests))
 		return
 	}
 	if ests == nil {
@@ -878,21 +956,11 @@ func valueFn(values []float64) query.SensitiveValue {
 
 // parseQuery validates a wire query against the schema and resolves it to
 // the engine's CountQuery form. It ignores Shard, which is the handler's
-// to resolve.
+// to resolve. The rules on a resolved query — newQuery, qiAttr, narrow and
+// finishQuery — are the ones the shard codec's decoder applies too.
 func parseQuery(schema *dataset.Schema, req *QueryRequest) (op string, q query.CountQuery, values []float64, err error) {
-	op = req.Op
-	if op == "" {
-		op = "count"
-	}
-	switch op {
-	case "count", "naive", "sum", "avg":
-	default:
-		return "", q, nil, fmt.Errorf("unknown op %q (want count, naive, sum or avg)", op)
-	}
-
-	q.QI = make([]query.Range, schema.D())
-	for j, a := range schema.QI {
-		q.QI[j] = query.Range{Lo: 0, Hi: int32(a.Size() - 1)}
+	if op, q, err = newQuery(schema, req.Op); err != nil {
+		return "", q, nil, err
 	}
 	for i, c := range req.Where {
 		j := -1
@@ -905,30 +973,75 @@ func parseQuery(schema *dataset.Schema, req *QueryRequest) (op string, q query.C
 			}
 		case c.Dim != nil:
 			j = *c.Dim
-			if j < 0 || j >= schema.D() {
-				return "", q, nil, fmt.Errorf("where[%d]: dim %d outside [0,%d]", i, j, schema.D()-1)
-			}
 		default:
 			return "", q, nil, fmt.Errorf("where[%d]: attr or dim is required", i)
 		}
-		a := schema.QI[j]
+		a, err := qiAttr(schema, j)
+		if err != nil {
+			return "", q, nil, fmt.Errorf("where[%d]: %w", i, err)
+		}
 		lo, hi := int32(0), int32(a.Size()-1)
-		if lo, err = resolveBound(a, c.Lo, lo); err != nil {
+		if lo, err = resolveBound(a, c.Lo, lo); err == nil {
+			if hi, err = resolveBound(a, c.Hi, hi); err == nil {
+				err = narrow(&q, a, j, lo, hi)
+			}
+		}
+		if err != nil {
 			return "", q, nil, fmt.Errorf("where[%d] (%s): %w", i, a.Name, err)
 		}
-		if hi, err = resolveBound(a, c.Hi, hi); err != nil {
-			return "", q, nil, fmt.Errorf("where[%d] (%s): %w", i, a.Name, err)
-		}
-		if lo > hi {
-			return "", q, nil, fmt.Errorf("where[%d] (%s): inverted range [%d,%d]", i, a.Name, lo, hi)
-		}
-		q.QI[j] = query.Range{Lo: lo, Hi: hi}
 	}
+	return finishQuery(schema, op, q, req.Sensitive, req.Values)
+}
 
-	if req.Sensitive != nil {
+// newQuery checks op ("" means count) and returns the query over every
+// domain in full, for the decoder to narrow.
+func newQuery(schema *dataset.Schema, op string) (string, query.CountQuery, error) {
+	var q query.CountQuery
+	if op == "" {
+		op = "count"
+	}
+	switch op {
+	case "count", "naive", "sum", "avg":
+	default:
+		return "", q, fmt.Errorf("unknown op %q (want count, naive, sum or avg)", op)
+	}
+	q.QI = make([]query.Range, schema.D())
+	for j, a := range schema.QI {
+		q.QI[j] = query.Range{Lo: 0, Hi: int32(a.Size() - 1)}
+	}
+	return op, q, nil
+}
+
+// qiAttr returns QI attribute j, or the error for a dimension outside the
+// schema.
+func qiAttr(schema *dataset.Schema, j int) (*dataset.Attribute, error) {
+	if j < 0 || j >= schema.D() {
+		return nil, fmt.Errorf("dim %d outside [0,%d]", j, schema.D()-1)
+	}
+	return schema.QI[j], nil
+}
+
+// narrow restricts dimension j, attribute a, of q to the codes [lo, hi].
+func narrow(q *query.CountQuery, a *dataset.Attribute, j int, lo, hi int32) error {
+	for _, code := range [2]int32{lo, hi} {
+		if !a.Valid(code) {
+			return fmt.Errorf("code %d outside the %q domain [0,%d]", code, a.Name, a.Size()-1)
+		}
+	}
+	if lo > hi {
+		return fmt.Errorf("inverted range [%d,%d]", lo, hi)
+	}
+	q.QI[j] = query.Range{Lo: lo, Hi: hi}
+	return nil
+}
+
+// finishQuery sets q's sensitive mask from the qualifying codes (nil: no
+// mask) and checks the sum/avg value vector.
+func finishQuery(schema *dataset.Schema, op string, q query.CountQuery, sensitive []int32, values []float64) (string, query.CountQuery, []float64, error) {
+	if sensitive != nil {
 		domain := schema.SensitiveDomain()
 		mask := make([]bool, domain)
-		for _, code := range req.Sensitive {
+		for _, code := range sensitive {
 			if code < 0 || int(code) >= domain {
 				return "", q, nil, fmt.Errorf("sensitive code %d outside [0,%d]", code, domain-1)
 			}
@@ -936,8 +1049,6 @@ func parseQuery(schema *dataset.Schema, req *QueryRequest) (op string, q query.C
 		}
 		q.Sensitive = mask
 	}
-
-	values = req.Values
 	if values != nil {
 		if op != "sum" && op != "avg" {
 			return "", q, nil, fmt.Errorf("values apply to sum/avg only")
@@ -953,9 +1064,9 @@ func parseQuery(schema *dataset.Schema, req *QueryRequest) (op string, q query.C
 // resolveBound maps a JSON bound — a domain label (string) or a code
 // (number) — to a validated code; missing bounds keep the default. A bound
 // that starts like a JSON number (a minus sign or a digit) cannot decode as
-// a string, so it goes straight to the code decode: coordinators forward
-// every bound as a number, and the failed string decode would allocate an
-// error per bound.
+// a string, so it goes straight to the code decode: clients that send
+// codes (the attack fleet, the benchmark) send every bound as a number,
+// and the failed string decode would allocate an error per bound.
 func resolveBound(a *dataset.Attribute, raw json.RawMessage, def int32) (int32, error) {
 	if len(raw) == 0 {
 		return def, nil

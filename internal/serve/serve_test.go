@@ -41,7 +41,7 @@ func hospitalIndex(t *testing.T) (*query.Index, *pg.Published) {
 	return ix, pub
 }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
