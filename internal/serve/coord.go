@@ -1,15 +1,15 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,8 +22,8 @@ import (
 
 // This file is the fan-out coordinator: the front of a sharded release. A
 // Coordinator is a Server whose backend is a remoteGroup — the release's
-// shard servers, reached over HTTP. Decoding, admission, the result cache,
-// singleflight, the request deadline, DP charging and noise, the
+// shard servers, reached over shard streams. Decoding, admission, the result
+// cache, singleflight, the request deadline, DP charging and noise, the
 // X-PG-Release header and reload are the Server's one code path; what this
 // file adds is the transport:
 //
@@ -38,9 +38,12 @@ import (
 //     hedged duplicate is launched when a shard's first attempt outlives its
 //     observed p95 latency (first response wins, the loser is abandoned to
 //     the shared context).
-//   - the wire: shard calls speak the binary shard codec (shardcodec.go),
-//     not JSON, over shardTransport (transport.go) unless CoordConfig.Client
-//     overrides it. Clients of the coordinator still speak JSON.
+//   - the wire: each shard call is one frame exchange on a persistent
+//     shard stream (stream.go) — an HTTP/1.1 connection the shard's own
+//     handler upgraded — in the binary shard codec (shardcodec.go), on the
+//     calling goroutine. Each shard keeps a pool of idle streams. Clients of
+//     the coordinator still speak JSON, and the metadata and health probes
+//     stay plain HTTP requests.
 //   - loud partial failure: if any shard fails after retries and hedges,
 //     the query fails naming that shard (shardFailure) rather than
 //     answering a silently-partial aggregate.
@@ -52,9 +55,9 @@ import (
 type CoordConfig struct {
 	// Manifest describes the sharded release (required).
 	Manifest *snapshot.Manifest
-	// ShardURLs is one base URL per manifest shard, in shard order
-	// (required). Shard i of the manifest must be served at ShardURLs[i];
-	// Start verifies that over HTTP.
+	// ShardURLs is one plain http:// base URL per manifest shard, in shard
+	// order (required). Shard i of the manifest must be served at
+	// ShardURLs[i]; Start verifies that over HTTP.
 	ShardURLs []string
 	// ShardTimeout bounds one shard call, hedges included. Default 5s.
 	ShardTimeout time.Duration
@@ -62,8 +65,9 @@ type CoordConfig struct {
 	// samples for a p95 estimate (after which the live p95 is the delay).
 	// Default 25ms; negative disables hedging entirely.
 	HedgeAfter time.Duration
-	// Client optionally overrides the HTTP client used for shard calls. The
-	// default is a lean HTTP/1.1 keep-alive client (shardTransport).
+	// Client optionally overrides the HTTP client of the shards' metadata
+	// and health probes (default http.DefaultClient). Queries and batches
+	// never use it: they go over the coordinator's own shard streams.
 	Client *http.Client
 	// Metrics optionally receives the coord.* instrumentation. nil disables.
 	Metrics *obs.Registry
@@ -108,14 +112,37 @@ type Coordinator struct {
 	}
 }
 
-// coordShard is the coordinator's view of one shard server. api holds the
-// parsed URLs of /v1/query and /v1/batch, shared read-only by every call.
+// coordShard is the coordinator's view of one shard server: its address,
+// latency and error record, and its pool of idle shard streams.
 type coordShard struct {
 	index  int
 	url    string
-	api    map[string]*url.URL
+	host   string // the URL's host, for the upgrade's Host header
+	addr   string // host:port the streams dial
+	path   string // the stream endpoint's request target
 	lat    latTracker
 	errors atomic.Int64
+
+	dialer net.Dialer
+	mu     sync.Mutex
+	idle   []*clientStream
+}
+
+// newCoordShard parses a shard's base URL, which must be plain http.
+func newCoordShard(index int, raw string) (*coordShard, error) {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return nil, fmt.Errorf("serve: shard %d: %w", index, err)
+	}
+	if u.Scheme != "http" || u.Host == "" {
+		return nil, fmt.Errorf("serve: shard %d: URL %q: want http://host[:port]", index, raw)
+	}
+	sh := &coordShard{index: index, url: raw, host: u.Host, addr: u.Host,
+		path: strings.TrimSuffix(u.EscapedPath(), "/") + streamPath}
+	if u.Port() == "" {
+		sh.addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	return sh, nil
 }
 
 // NewCoordinator validates the configuration and builds a Coordinator.
@@ -150,17 +177,15 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		c.hedgeAfter = 25 * time.Millisecond
 	}
 	if c.hc == nil {
-		c.hc = &http.Client{Transport: &shardTransport{}}
+		c.hc = http.DefaultClient
 	}
 	for i, u := range cfg.ShardURLs {
 		if u == "" {
 			return nil, fmt.Errorf("serve: shard %d has an empty URL", i)
 		}
-		sh := &coordShard{index: i, url: u, api: map[string]*url.URL{}}
-		for _, path := range []string{"/v1/query", "/v1/batch"} {
-			if sh.api[path], err = url.Parse(u + path); err != nil {
-				return nil, fmt.Errorf("serve: shard %d: %w", i, err)
-			}
+		sh, err := newCoordShard(i, u)
+		if err != nil {
+			return nil, err
 		}
 		c.shards = append(c.shards, sh)
 	}
@@ -382,9 +407,10 @@ func (c *Coordinator) probeHealth(ctx context.Context, sh *coordShard) bool {
 // The remote backend
 
 // remoteGroup is the Answerer of a coordinator's release: shard servers
-// answering over HTTP, merged in shard order. A release holds the full
-// group and one single-shard view per shard for pinned queries; all share
-// the coordinator's shard state (latency trackers, error counts).
+// answering over shard streams, merged in shard order. A release holds the
+// full group and one single-shard view per shard for pinned queries; all
+// share the coordinator's shard state (latency trackers, error counts, idle
+// streams).
 type remoteGroup struct {
 	c      *Coordinator
 	schema *dataset.Schema
@@ -402,7 +428,7 @@ func (g *remoteGroup) Naive(ctx context.Context, q query.CountQuery) (float64, e
 
 // additive fans op out and sums the shard estimates in shard order.
 func (g *remoteGroup) additive(ctx context.Context, op string, q query.CountQuery) (float64, error) {
-	replies, err := g.fanOut(ctx, "/v1/query", appendShardQuery(nil, g.schema, op, q, nil))
+	replies, err := g.fanOut(ctx, appendShardQuery(requestFrame(frameQuery), g.schema, op, q, nil))
 	if err != nil {
 		return 0, err
 	}
@@ -420,7 +446,7 @@ func (g *remoteGroup) additive(ctx context.Context, op string, q query.CountQuer
 // AvgParts fans the query out as sum and adds the compose pairs in shard
 // order.
 func (g *remoteGroup) AvgParts(ctx context.Context, q query.CountQuery, values []float64) (sum, weight float64, err error) {
-	replies, err := g.fanOut(ctx, "/v1/query", appendShardQuery(nil, g.schema, "sum", q, values))
+	replies, err := g.fanOut(ctx, appendShardQuery(requestFrame(frameQuery), g.schema, "sum", q, values))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -438,11 +464,11 @@ func (g *remoteGroup) AvgParts(ctx context.Context, q query.CountQuery, values [
 	return sum, weight, nil
 }
 
-// AnswerWorkload fans the workload out as one /v1/batch per shard and adds
+// AnswerWorkload fans the workload out as one batch frame per shard and adds
 // the answers elementwise in shard order. Each shard applies its own batch
 // fan-out.
 func (g *remoteGroup) AnswerWorkload(ctx context.Context, qs []query.CountQuery, _ int) ([]float64, error) {
-	replies, err := g.fanOut(ctx, "/v1/batch", appendShardBatch(nil, g.schema, qs))
+	replies, err := g.fanOut(ctx, appendShardBatch(requestFrame(frameBatch), g.schema, qs))
 	if err != nil {
 		return nil, err
 	}
@@ -458,9 +484,9 @@ func (g *remoteGroup) AnswerWorkload(ctx context.Context, qs []query.CountQuery,
 // ---------------------------------------------------------------------------
 // Shard calls: timeout + hedging
 
-// shardFailure is a failed shard call. status is the shard's non-2xx HTTP
+// shardFailure is a failed shard call. status is the shard's non-2xx reply
 // status, 0 when the shard gave no usable answer (unreachable, timed out,
-// undecodable).
+// undecodable, a refused stream).
 type shardFailure struct {
 	shard  int
 	url    string
@@ -500,8 +526,9 @@ func (sh *coordShard) failure(status int, format string, args ...any) *shardFail
 	return &shardFailure{shard: sh.index, url: sh.url, status: status, msg: fmt.Sprintf(format, args...)}
 }
 
-// fanOut posts body to path on every shard of the group and returns the
-// replies in shard order, or the lowest-indexed shard's failure. One loop
+// fanOut sends frame, a request frame from requestFrame whose length it
+// fills in, to every shard of the group and returns the reply bodies in
+// shard order, or the lowest-indexed shard's failure. One loop
 // drives every call under one ShardTimeout, one goroutine per attempt: each
 // shard's first attempt starts at once; a hedge — a duplicate attempt —
 // starts when the first outlives the shard's hedge delay (one timer, armed
@@ -509,7 +536,10 @@ func (sh *coordShard) failure(status int, format string, args ...any) *shardFail
 // and the loser is abandoned to the shared context. A 4xx is the query's
 // fault, not the shard's, so it is not hedged. Every error is a
 // *shardFailure.
-func (g *remoteGroup) fanOut(ctx context.Context, path string, body []byte) ([][]byte, error) {
+func (g *remoteGroup) fanOut(ctx context.Context, frame []byte) ([][]byte, error) {
+	if err := sealFrame(frame); err != nil {
+		return nil, err
+	}
 	c := g.c
 	t0 := time.Now()
 	defer func() { c.met.fanout.Observe(time.Since(t0).Nanoseconds()) }()
@@ -527,7 +557,7 @@ func (g *remoteGroup) fanOut(ctx context.Context, path string, body []byte) ([][
 	attempt := func(i int, hedged bool) {
 		sh := g.shards[i]
 		t := time.Now()
-		b, err := c.post(ctx, sh, path, body)
+		b, err := sh.post(ctx, frame)
 		if err == nil {
 			sh.lat.observe(time.Since(t))
 		}
@@ -666,39 +696,22 @@ func (c *Coordinator) hedgeDelay(sh *coordShard) time.Duration {
 	return c.hedgeAfter
 }
 
-// post sends one shard call in the shard codec and returns the reply body.
-// The request is built by hand on the shard's pre-parsed URL: what
-// http.NewRequestWithContext builds, less a URL parse per call.
-func (c *Coordinator) post(ctx context.Context, sh *coordShard, path string, body []byte) ([]byte, *shardFailure) {
-	req := (&http.Request{
-		Method:        http.MethodPost,
-		URL:           sh.api[path],
-		Header:        http.Header{"Content-Type": {shardCodecType}},
-		Body:          io.NopCloser(bytes.NewReader(body)),
-		GetBody:       func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
-		ContentLength: int64(len(body)),
-	}).WithContext(ctx)
-	resp, err := c.hc.Do(req)
+// post sends one request frame to the shard and returns the codec reply. A
+// non-200 reply carries the shard's JSON errorResponse.
+func (sh *coordShard) post(ctx context.Context, frame []byte) ([]byte, *shardFailure) {
+	status, body, err := sh.call(ctx, frame)
 	if err != nil {
 		return nil, sh.failure(0, "%v", err)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, sh.failure(0, "%v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
+	if status != http.StatusOK {
 		var er errorResponse
-		msg := string(raw)
-		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
+		msg := string(body)
+		if json.Unmarshal(body, &er) == nil && er.Error != "" {
 			msg = er.Error
 		}
-		return nil, sh.failure(resp.StatusCode, "%s", msg)
+		return nil, sh.failure(status, "%s", msg)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != shardCodecType {
-		return nil, sh.failure(0, "undecodable response: Content-Type %q, want %q", ct, shardCodecType)
-	}
-	return raw, nil
+	return body, nil
 }
 
 // ---------------------------------------------------------------------------

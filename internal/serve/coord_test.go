@@ -355,9 +355,9 @@ func fakeShardMeta(rows int) MetadataResponse {
 	}
 }
 
-// fakeShard serves a scripted handler plus a conforming /v1/metadata — the
-// harness for tail-control tests where real publication latency is too
-// well-behaved.
+// fakeShard serves a conforming /v1/metadata and a shard stream whose every
+// frame the scripted handler answers — the harness for tail-control tests
+// where real publication latency is too well-behaved.
 func fakeShard(t *testing.T, rows int, handler http.HandlerFunc) string {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -367,7 +367,9 @@ func fakeShard(t *testing.T, rows int, handler http.HandlerFunc) string {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/v1/query", handler)
+	mux.HandleFunc(streamPath, func(w http.ResponseWriter, r *http.Request) {
+		serveStream(w, r, func(w http.ResponseWriter, r *http.Request, _ byte, _ []byte) { handler(w, r) })
+	})
 	hs, err := serveHandler("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +419,7 @@ func TestCoordinatorHedging(t *testing.T) {
 		if calls.Add(1) == 1 {
 			time.Sleep(stall)
 		}
-		writeShardReply(w, appendQueryReply(nil, answerVal{est: 42}))
+		w.Write(appendQueryReply(nil, answerVal{est: 42}))
 	})
 	c, reg := startFakeCoordinator(t, []string{url}, func(cc *CoordConfig) {
 		cc.HedgeAfter = 10 * time.Millisecond
@@ -538,7 +540,7 @@ func countingShard(t *testing.T, est float64, gate chan struct{}) (string, *atom
 		if gate != nil {
 			<-gate
 		}
-		writeShardReply(w, appendQueryReply(nil, answerVal{est: est}))
+		w.Write(appendQueryReply(nil, answerVal{est: est}))
 	})
 	return url, &calls
 }

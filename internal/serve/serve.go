@@ -13,6 +13,8 @@
 //	                       position
 //	POST /v1/admin/reload  hot-swap to the chain's next release (RCU over
 //	                       the serving state; docs/REPUBLICATION.md)
+//	GET  /v1/shard/stream  upgrade to a coordinator's shard stream
+//	                       (internal; stream.go)
 //	GET  /healthz          liveness probe
 //
 // The server is hardened for load rather than trust: a concurrency limiter
@@ -27,8 +29,9 @@
 //
 // One Server answers over any backend (Answerer): a local index, or — at a
 // Coordinator (coord.go) — the shard servers of a sharded release, reached
-// over HTTP in a binary codec of their own (shardcodec.go). The request
-// path above is the same for both.
+// over a persistent framed stream per connection (stream.go) in a binary
+// codec of their own (shardcodec.go). The request path above is the same
+// for both, and for a frame off a shard stream.
 package serve
 
 import (
@@ -37,7 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -325,6 +327,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/metadata", s.handleMetadata)
 	mux.HandleFunc("/v1/admin/reload", s.handleReload)
+	mux.HandleFunc(streamPath, s.handleStream)
 	if s.dp != nil {
 		mux.HandleFunc("/v1/dp/budget", s.dp.handleBudget)
 	}
@@ -338,13 +341,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// HTTPServer is a running API endpoint. Shutdown drains in-flight requests;
-// Close aborts them.
+// HTTPServer is a running API endpoint. Shutdown drains in-flight requests
+// and shard-stream frames; Close aborts them.
 type HTTPServer struct {
 	// Addr is the bound listen address (resolves ":0" to the real port).
-	Addr string
-	srv  *http.Server
-	lis  net.Listener
+	Addr    string
+	srv     *http.Server
+	lis     net.Listener
+	streams *streamSet
 }
 
 // Serve starts the API server on addr and returns once the listener
@@ -359,27 +363,44 @@ func serveHandler(addr string, h http.Handler) (*HTTPServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	hs := &HTTPServer{Addr: lis.Addr().String(), srv: srv, lis: lis}
+	streams := newStreamSet()
+	srv := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		// Every request carries the stream set, so the streams its
+		// connections are upgraded to are this server's to shut down.
+		BaseContext: func(net.Listener) context.Context {
+			return context.WithValue(context.Background(), streamSetKey{}, streams)
+		},
+	}
+	hs := &HTTPServer{Addr: lis.Addr().String(), srv: srv, lis: lis, streams: streams}
 	go srv.Serve(lis) //nolint:errcheck // Serve always returns ErrServerClosed after Shutdown/Close
 	return hs, nil
 }
 
 // Shutdown stops accepting new connections and waits for in-flight requests
 // to complete, up to ctx's deadline — the graceful drain SIGTERM triggers in
-// cmd/pgserve.
+// cmd/pgserve. Shard streams are closed once idle: an idle one at once, one
+// with a frame in flight after its reply.
 func (h *HTTPServer) Shutdown(ctx context.Context) error {
 	if h == nil || h.srv == nil {
 		return nil
 	}
-	return h.srv.Shutdown(ctx)
+	h.streams.closeIdle()
+	err := h.srv.Shutdown(ctx)
+	if serr := h.streams.wait(ctx); err == nil {
+		err = serr
+	}
+	return err
 }
 
-// Close abandons in-flight requests and releases the listener.
+// Close abandons in-flight requests and shard-stream frames and releases the
+// listener.
 func (h *HTTPServer) Close() error {
 	if h == nil || h.srv == nil {
 		return nil
 	}
+	h.streams.close()
 	return h.srv.Close()
 }
 
@@ -543,15 +564,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // fail renders a failed request. A shard failure answers with the status
-// its shardFailure maps to, a missed deadline is a 504, and anything else
-// is the client's error: 400.
+// its shardFailure maps to, a missed deadline is a 504, a body over
+// maxBodyBytes a 413, and anything else is the client's error: 400.
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	var sf *shardFailure
+	var (
+		sf  *shardFailure
+		big *http.MaxBytesError
+	)
 	switch {
 	case errors.As(err, &sf):
 		s.met.errors.Inc()
 		status, msg := sf.response()
 		writeJSON(w, status, errorResponse{Error: msg})
+	case errors.As(err, &big):
+		s.met.errors.Inc()
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+			Error: fmt.Sprintf("request body over the %d-byte limit", big.Limit)})
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		s.met.timeouts.Inc()
 		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "request timed out"})
@@ -619,34 +647,29 @@ type target struct {
 	source string
 }
 
-// shardCodec reports whether r is a coordinator's shard call, whose body and
-// successful reply are in the shard codec (shardcodec.go) rather than JSON.
-// A DP server refuses one with 400 before admission, so nothing is charged:
-// the codec's reply carries the exact compose pair, which must never leave a
-// DP server.
-func (s *Server) shardCodec(w http.ResponseWriter, r *http.Request) (codec, ok bool) {
-	if r.Header.Get("Content-Type") != shardCodecType {
-		return false, true
-	}
-	if s.dp != nil {
-		s.fail(w, errors.New("this server is in DP mode: it answers JSON only, and shard calls go to exact servers"))
-		return true, false
-	}
-	return true, true
-}
+// maxBodyBytes bounds a request body: a JSON /v1/query or /v1/batch body
+// over HTTP, which gets 413 past it, and a shard-stream frame, whose stream
+// is closed on a longer length claim before anything is allocated for it.
+// It is far above any batch a client, the coordinator or the attack fleet
+// sends.
+const maxBodyBytes = 64 << 20
 
-// decodeBody reads a request body: the raw codec bytes, or the JSON document
-// into v.
-func decodeBody(r *http.Request, codec bool, v any) (raw []byte, err error) {
-	if codec {
-		raw, err = io.ReadAll(r.Body)
-	} else {
-		err = json.NewDecoder(r.Body).Decode(v)
+// decodeJSON reads a JSON request body of at most maxBodyBytes into v; a
+// body declared longer is refused before any of it is read.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	body := r.Body
+	switch {
+	case r.ContentLength > maxBodyBytes:
+		return fmt.Errorf("decoding request: %w", &http.MaxBytesError{Limit: maxBodyBytes})
+	case r.ContentLength < 0:
+		// A declared length bounds the body already: net/http reads no
+		// further. Only a chunked body needs the limit enforced as it is read.
+		body = http.MaxBytesReader(w, body, maxBodyBytes)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
 	}
-	return raw, nil
+	return nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -654,13 +677,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePost(w, r) {
 		return
 	}
-	codec, ok := s.shardCodec(w, r)
-	if !ok {
-		return
-	}
 	var req QueryRequest
-	raw, err := decodeBody(r, codec, &req)
-	if err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -669,16 +687,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// swaps the serving release mid-request.
 	rel := s.rel.Load()
 	setReleaseHeader(w, rel.crc)
-	var (
-		op     string
-		q      query.CountQuery
-		values []float64
-	)
-	if codec {
-		op, q, values, err = decodeShardQuery(rel.schema, raw)
-	} else {
-		op, q, values, err = parseQuery(rel.schema, &req)
-	}
+	op, q, values, err := parseQuery(rel.schema, &req)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -699,7 +708,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// different observations and must not share a draw.
 		t = target{answer: rel.pins[sh], key: fmt.Sprintf("shard:%d|", sh) + t.key, source: "shard"}
 	}
+	s.answerQuery(w, r, rel, t, op, q, values, false)
+}
 
+// answerQuery answers a parsed query: admission, the answer path, DP noise
+// and the reply — JSON, or the shard codec's when codec is set (a frame off
+// a shard stream, which a DP server never accepts).
+func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, rel *release, t target, op string, q query.CountQuery, values []float64, codec bool) {
 	g, ok := s.admit(w, r, 1)
 	if !ok {
 		return
@@ -730,7 +745,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, errors.New("region estimated empty"))
 		return
 	case codec:
-		writeShardReply(w, appendQueryReply(make([]byte, 0, 24), val))
+		w.Write(appendQueryReply(make([]byte, 0, 24), val)) //nolint:errcheck // a frame reply is written to memory
 		return
 	case val.parts:
 		sum, weight := val.sum, val.weight
@@ -753,55 +768,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePost(w, r) {
 		return
 	}
-	codec, ok := s.shardCodec(w, r)
-	if !ok {
-		return
-	}
 	var req BatchRequest
-	raw, err := decodeBody(r, codec, &req)
-	if err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
 	rel := s.rel.Load()
 	setReleaseHeader(w, rel.crc)
-	n, sr := len(req.Queries), shardReader{raw}
-	if codec {
-		if n, err = sr.count(4); err != nil {
-			s.fail(w, err)
-			return
-		}
-	}
-	qs := make([]query.CountQuery, n)
+	qs := make([]query.CountQuery, len(req.Queries))
 	for i := range qs {
-		var (
-			op  string
-			q   query.CountQuery
-			err error
-		)
-		switch {
-		case codec:
-			op, q, _, err = sr.query(rel.schema)
-		case req.Queries[i].Shard != nil:
+		if req.Queries[i].Shard != nil {
 			s.fail(w, fmt.Errorf("query %d: shard pinning is not available in batches", i))
 			return
-		default:
-			op, q, _, err = parseQuery(rel.schema, &req.Queries[i])
+		}
+		op, q, _, err := parseQuery(rel.schema, &req.Queries[i])
+		if err == nil && op != "count" {
+			err = fmt.Errorf("batch answers COUNT only, got op %q", op)
 		}
 		if err != nil {
 			s.fail(w, fmt.Errorf("query %d: %w", i, err))
 			return
 		}
-		if op != "count" {
-			s.fail(w, fmt.Errorf("query %d: batch answers COUNT only, got op %q", i, op))
-			return
-		}
 		qs[i] = q
 	}
-	if err := sr.end(); err != nil {
-		s.fail(w, err)
-		return
-	}
+	s.answerBatch(w, r, rel, qs, false)
+}
+
+// answerBatch answers a parsed COUNT workload, in JSON or, when codec is
+// set, in the shard codec.
+func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, rel *release, qs []query.CountQuery, codec bool) {
 	// One combined charge of n·ε_per_query: the batch answers n queries, so
 	// it costs n queries' worth of budget — batching is a transport
 	// convenience, not a discount.
@@ -821,7 +816,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if codec {
-		writeShardReply(w, appendEstimates(make([]byte, 0, 8*len(ests)), ests))
+		w.Write(appendEstimates(make([]byte, 0, 8*len(ests)), ests)) //nolint:errcheck // a frame reply is written to memory
 		return
 	}
 	if ests == nil {

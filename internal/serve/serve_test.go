@@ -22,7 +22,7 @@ import (
 )
 
 // hospitalIndex publishes the hospital example and builds a serving index.
-func hospitalIndex(t *testing.T) (*query.Index, *pg.Published) {
+func hospitalIndex(t testing.TB) (*query.Index, *pg.Published) {
 	t.Helper()
 	d := dataset.Hospital()
 	hs := []*hierarchy.Hierarchy{
@@ -456,17 +456,37 @@ func TestTimeoutCutsOffSlowQueries(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownDrains starts a real listener, parks a request on a
-// gated backend, calls Shutdown, and requires (a) the in-flight request to
-// complete with 200, (b) Shutdown to return only after it did, and (c) new
-// connections to be refused afterwards.
+// codeGated is a fakeAnswerer whose COUNT of a query whose dim-0 range
+// starts at a gated code waits for that code's gate to close.
+type codeGated struct {
+	fakeAnswerer
+	gates map[int32]chan struct{}
+}
+
+func (g *codeGated) Count(ctx context.Context, q query.CountQuery) (float64, error) {
+	if gate := g.gates[q.QI[0].Lo]; gate != nil {
+		g.calls.Add(1)
+		<-gate
+		return float64(q.QI[0].Lo), nil
+	}
+	return g.fakeAnswerer.Count(ctx, q)
+}
+
+// TestGracefulShutdownDrains starts a real listener, parks a request and a
+// shard-stream frame on gates of their own, opens an idle shard stream,
+// calls Shutdown, and requires (a) the idle stream to be closed at once,
+// (b) the in-flight request, then the frame, to complete with 200, (c)
+// Shutdown to return only after both did, with no request left admitted,
+// and (d) new connections to be refused afterwards.
 func TestGracefulShutdownDrains(t *testing.T) {
-	f := &fakeAnswerer{gate: make(chan struct{})}
-	s := newTestServer(t, fakeConfig(f))
+	httpGate, frameGate := make(chan struct{}), make(chan struct{})
+	f := &codeGated{gates: map[int32]chan struct{}{4: httpGate, 3: frameGate}}
+	s := newTestServer(t, Config{Answerer: f, Schema: dataset.Hospital().Schema})
 	hs, err := s.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer hs.Close()
 
 	type result struct {
 		code int
@@ -485,10 +505,33 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		inFlight <- result{code: resp.StatusCode, body: string(b)}
 	}()
+
+	sh, err := newCoordShard(0, "http://"+hs.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := sh.dial(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.conn.Close()
+	schema := dataset.Hospital().Schema
+	q := fullQuery(schema)
+	q.QI[0] = query.Range{Lo: 3, Hi: 3}
+	frame := appendShardQuery(requestFrame(frameQuery), schema, "count", q, nil)
+	if err := sealFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	frameDone := make(chan result, 1)
+	go func() {
+		status, reply, err := sh.call(context.Background(), frame)
+		frameDone <- result{code: status, body: string(reply), err: err}
+	}()
+
 	deadline := time.Now().Add(5 * time.Second)
-	for f.calls.Load() == 0 {
+	for f.calls.Load() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("request never reached the backend")
+			t.Fatal("the request and the frame never reached the backend")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -500,14 +543,17 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		shutdownDone <- hs.Shutdown(ctx)
 	}()
 
-	// Shutdown must wait for the parked request.
+	idle.conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := idle.br.ReadByte(); err != io.EOF {
+		t.Fatalf("reading an idle shard stream during Shutdown: %v, want EOF", err)
+	}
+	// Shutdown must wait for the parked request, then for the parked frame.
 	select {
 	case err := <-shutdownDone:
 		t.Fatalf("Shutdown returned (%v) while a request was in flight", err)
 	case <-time.After(100 * time.Millisecond):
 	}
-
-	close(f.gate)
+	close(httpGate)
 	r := <-inFlight
 	if r.err != nil || r.code != http.StatusOK {
 		t.Fatalf("in-flight request during shutdown: code=%d err=%v", r.code, r.err)
@@ -516,8 +562,25 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if err := json.Unmarshal([]byte(r.body), &resp); err != nil || resp.Estimate != 4 {
 		t.Fatalf("drained answer corrupted: %q (%v)", r.body, err)
 	}
+	select {
+	case err := <-shutdownDone:
+		t.Fatalf("Shutdown returned (%v) while a shard-stream frame was in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	close(frameGate)
+	r = <-frameDone
+	if r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("in-flight frame during shutdown: status=%d err=%v", r.code, r.err)
+	}
+	if est, _, _, _, err := decodeQueryReply([]byte(r.body)); err != nil || est != 3 {
+		t.Fatalf("drained frame answer corrupted: %v (%v)", est, err)
+	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+	if n := s.InFlight(); n != 0 {
+		t.Fatalf("%d requests still admitted after Shutdown", n)
 	}
 	if _, err := http.Get("http://" + hs.Addr + "/healthz"); err == nil {
 		t.Fatal("server still accepting connections after Shutdown")

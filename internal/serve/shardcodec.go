@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http"
 	"strconv"
 
 	"pgpub/internal/dataset"
@@ -13,9 +12,10 @@ import (
 )
 
 // This file is the shard codec: the compact binary form a coordinator and
-// its shard servers exchange /v1/query and /v1/batch in. It is internal to a
-// sharded deployment — clients speak JSON, and a shard server picks the
-// codec only when the request's Content-Type is shardCodecType.
+// its shard servers exchange queries and batches in, as the bodies of the
+// frames of a shard stream (stream.go). It is internal to a sharded
+// deployment — clients speak JSON, and a shard server reads the codec only
+// off a shard stream.
 //
 // A query is:
 //
@@ -32,10 +32,6 @@ import (
 // avg — and a reply to a batch its n estimates, each 8 bytes of float64
 // bits, little-endian. Failures are not encoded here: a shard answers them
 // with its JSON errorResponse and HTTP status, as it does every client.
-
-// shardCodecType is the Content-Type of the shard codec, in requests and in
-// successful replies.
-const shardCodecType = "application/x-pg-shard"
 
 // shardOps maps the codec's op byte to the op name.
 var shardOps = [...]string{"count", "naive", "sum", "avg"}
@@ -229,13 +225,35 @@ func (r *shardReader) end() error {
 	return nil
 }
 
-// decodeShardQuery decodes and validates a codec /v1/query body.
+// decodeShardQuery decodes and validates a codec query body.
 func decodeShardQuery(schema *dataset.Schema, body []byte) (op string, q query.CountQuery, values []float64, err error) {
 	r := shardReader{body}
 	if op, q, values, err = r.query(schema); err == nil {
 		err = r.end()
 	}
 	return op, q, values, err
+}
+
+// decodeShardBatch decodes and validates a codec batch body: a COUNT
+// workload.
+func decodeShardBatch(schema *dataset.Schema, body []byte) ([]query.CountQuery, error) {
+	r := shardReader{body}
+	n, err := r.count(4)
+	if err != nil {
+		return nil, err
+	}
+	qs := make([]query.CountQuery, n)
+	for i := range qs {
+		op, q, _, err := r.query(schema)
+		if err == nil && op != "count" {
+			err = fmt.Errorf("batch answers COUNT only, got op %q", op)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		qs[i] = q
+	}
+	return qs, r.end()
 }
 
 // appendQueryReply appends the codec reply to one query: the estimate, then
@@ -281,11 +299,4 @@ func addEstimates(out []float64, b []byte) error {
 		out[i] += math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return nil
-}
-
-// writeShardReply sends a successful codec reply. net/http frames it: a
-// short reply gets a Content-Length, a long batch goes out chunked.
-func writeShardReply(w http.ResponseWriter, b []byte) {
-	w.Header().Set("Content-Type", shardCodecType)
-	w.Write(b) //nolint:errcheck // the coordinator is gone; nothing to do
 }
