@@ -163,22 +163,30 @@ func BenchmarkLatticeMinSize(b *testing.B) {
 // BenchmarkSearchFullDomainGreedy measures the full-domain search as PG's
 // Phase 2 runs it: k-anonymity with k=6 on 20k SAL rows, whose 8-attribute
 // lattice is far past maxExhaustive, so the greedy level-raising walk runs.
+// workers=1 scores every raise on one goroutine; workers=max spreads each
+// round's raises over GOMAXPROCS raisers, as Publish does by default.
 func BenchmarkSearchFullDomainGreedy(b *testing.B) {
 	tbl, err := sal.Generate(20_000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	hiers := sal.Hierarchies(tbl.Schema)
-	cfg := FullDomainConfig{K: 6, Workers: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := SearchFullDomain(tbl, hiers, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Exhausted {
-			b.Fatal("SAL lattice searched exhaustively; want the greedy walk")
-		}
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=max", 0}} {
+		b.Run(w.name, func(b *testing.B) {
+			cfg := FullDomainConfig{K: 6, Workers: w.workers}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := SearchFullDomain(tbl, hiers, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Exhausted {
+					b.Fatal("SAL lattice searched exhaustively; want the greedy walk")
+				}
+			}
+		})
 	}
 }

@@ -347,29 +347,31 @@ func (e *LatticeEvaluator) sizesAt(levels []int, dst []sizedGroup) []sizedGroup 
 		for j, l := range levels {
 			pk |= uint64(uint32(e.lift[j][l][ki[j]])) << e.packer.shift[j]
 		}
-		dst = e.merge(dst, pk, len(e.base.Rows[g]))
+		dst = merge(&e.idx, dst, pk, len(e.base.Rows[g]))
 	}
 	return dst
 }
 
 // raise appends to dst the pairs of src's grouping with attribute j lifted
 // one level: each key's j-field is replaced by its hierarchy parent, and
-// pairs whose keys then coincide are merged. Attribute j must be below its
-// hierarchy's top in src. dst must not share storage with src.
-func (e *LatticeEvaluator) raise(src []sizedGroup, j int, dst []sizedGroup) []sizedGroup {
-	e.idx.reset()
+// pairs whose keys then coincide are merged through idx, which raise
+// resets. Attribute j must be below its hierarchy's top in src. dst must
+// not share storage with src. raise only reads the evaluator, so calls with
+// distinct tables and buffers may run concurrently.
+func (e *LatticeEvaluator) raise(idx *keyTable, src []sizedGroup, j int, dst []sizedGroup) []sizedGroup {
+	idx.reset()
 	h, shift, mask := e.hiers[j], e.packer.shift[j], e.packer.mask[j]
 	for _, g := range src {
 		parent := h.Parent(int32(g.key >> shift & mask))
-		dst = e.merge(dst, g.key&^(mask<<shift)|uint64(uint32(parent))<<shift, g.size)
+		dst = merge(idx, dst, g.key&^(mask<<shift)|uint64(uint32(parent))<<shift, g.size)
 	}
 	return dst
 }
 
 // merge adds size to the pair keyed pk in dst, appending the pair on its
-// first appearance since the last reset of e.idx.
-func (e *LatticeEvaluator) merge(dst []sizedGroup, pk uint64, size int) []sizedGroup {
-	i, found := e.idx.lookup(pk, int32(len(dst)))
+// first appearance since the last reset of idx.
+func merge(idx *keyTable, dst []sizedGroup, pk uint64, size int) []sizedGroup {
+	i, found := idx.lookup(pk, int32(len(dst)))
 	if found {
 		dst[i].size += size
 		return dst

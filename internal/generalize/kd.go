@@ -169,7 +169,10 @@ type kdLayout struct {
 	norm        []float64 // per attribute, domain size − 1: the span divisor
 }
 
-func newKDLayout(s *dataset.Schema) *kdLayout {
+// LaneWidth is the bit width of one code lane when a schema's QI codes are
+// packed into uint64 words: 8, 16 or 32, the narrowest that holds the
+// widest QI domain's largest code.
+func LaneWidth(s *dataset.Schema) uint {
 	widest := 0
 	for _, a := range s.QI {
 		widest = max(widest, a.Size()-1)
@@ -178,6 +181,11 @@ func newKDLayout(s *dataset.Schema) *kdLayout {
 	for widest>>lane != 0 {
 		lane *= 2
 	}
+	return lane
+}
+
+func newKDLayout(s *dataset.Schema) *kdLayout {
+	lane := LaneWidth(s)
 	l := &kdLayout{d: s.D(), per: 64 / int(lane), lane: lane, laneMask: 1<<lane - 1}
 	l.wpr = max(1, (l.d+l.per-1)/l.per)
 	l.msb = ^uint64(0) / l.laneMask << (lane - 1)

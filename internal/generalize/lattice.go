@@ -2,10 +2,13 @@ package generalize
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"pgpub/internal/dataset"
 	"pgpub/internal/hierarchy"
 	"pgpub/internal/obs"
+	"pgpub/internal/par"
 )
 
 // maxExhaustive bounds the lattice size for exhaustive search (which finds
@@ -93,6 +96,8 @@ func SearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg FullDo
 	if latticeSize <= maxExhaustive {
 		return s.exhaustive()
 	}
+	s.startRaisers(par.N(cfg.Workers))
+	defer s.stopRaisers()
 	return s.greedy()
 }
 
@@ -104,9 +109,67 @@ type fullDomainSearch struct {
 	heights []int
 	scored  *obs.Counter
 
-	// next and scratch are bestRaise's pair buffers: the best candidate so
-	// far and the one being scored.
-	next, scratch []sizedGroup
+	// next holds the pairs of bestRaise's winning raise.
+	next []sizedGroup
+	// raisers score a greedy round's one-level raises: raisers[0] on the
+	// caller's goroutine, each other one on a helper goroutine woken once
+	// per round. They take the round's attributes from nextAttr, so each
+	// raise is scored once, by whichever raiser is free. round counts the
+	// helpers still scoring a round, or, in stopRaisers, still running.
+	raisers  []*raiser
+	round    sync.WaitGroup
+	nextAttr atomic.Int32
+	// levels and cur are the node the round raises, set before the helpers
+	// are woken.
+	levels []int
+	cur    []sizedGroup
+}
+
+// raiser is one goroutine's share of a greedy round: its own merge table
+// and pair buffers, and the best raise it has scored in the round.
+type raiser struct {
+	idx           *keyTable
+	best, scratch []sizedGroup
+	j, min        int
+	loss          float64
+	wake          chan struct{} // nil for raisers[0]
+}
+
+// startRaisers sets up bestRaise's raisers, one per worker up to one per
+// attribute, and starts the helpers. raisers[0] merges through the
+// evaluator's own table. Every pair buffer is allocated at the base group
+// count, which no lattice node exceeds, so no scoring pass grows one.
+func (s *fullDomainSearch) startRaisers(workers int) {
+	n := len(s.eval.base.Keys)
+	s.next = make([]sizedGroup, 0, n)
+	workers = max(1, min(workers, len(s.heights)))
+	s.raisers = make([]*raiser, workers)
+	for w := range s.raisers {
+		r := &raiser{idx: &s.eval.idx, best: make([]sizedGroup, 0, n), scratch: make([]sizedGroup, 0, n)}
+		if w > 0 {
+			t := newKeyTable(n)
+			r.idx, r.wake = &t, make(chan struct{})
+			go func() {
+				for range r.wake {
+					s.scoreRaises(r)
+					s.round.Done()
+				}
+				s.round.Done()
+			}()
+		}
+		s.raisers[w] = r
+	}
+}
+
+// stopRaisers ends the helper goroutines and returns once they have
+// exited.
+func (s *fullDomainSearch) stopRaisers() {
+	s.round.Add(len(s.raisers) - 1)
+	for _, r := range s.raisers[1:] {
+		close(r.wake)
+	}
+	s.round.Wait()
+	s.raisers = nil
 }
 
 // result materializes the chosen level vector: its recoding and its groups.
@@ -183,23 +246,64 @@ func (s *fullDomainSearch) greedy() (*FullDomainResult, error) {
 }
 
 // bestRaise scores every one-level raise of the node at levels, whose pairs
-// are cur, from group sizes alone. It returns the winning attribute — the
-// largest minimum group size, then the least loss, then the lowest index —
-// and leaves its pairs in s.next; -1 means every attribute is at its top.
-// Once the buffers have grown to the base group count it allocates nothing.
+// are cur, from group sizes alone, spread over the raisers. It returns the
+// winning attribute — the largest minimum group size, then the least loss,
+// then the lowest index, so the winner does not depend on which raiser
+// scored what — and leaves its pairs in s.next; -1 means every attribute is
+// at its top. It allocates nothing.
 func (s *fullDomainSearch) bestRaise(levels []int, cur []sizedGroup) int {
-	bestJ, bestMin, bestLoss := -1, -1, 0.0
-	for j := range levels {
-		if levels[j] >= s.heights[j] {
+	s.levels, s.cur = levels, cur
+	s.nextAttr.Store(0)
+	s.round.Add(len(s.raisers) - 1)
+	for _, r := range s.raisers[1:] {
+		r.wake <- struct{}{}
+	}
+	s.scoreRaises(s.raisers[0])
+	s.round.Wait()
+	win := s.raisers[0]
+	for _, r := range s.raisers[1:] {
+		if r.beats(win) {
+			win = r
+		}
+	}
+	if win.j >= 0 {
+		s.next, win.best = win.best, s.next[:0]
+	}
+	return win.j
+}
+
+// beats reports whether r's best raise of the round ranks above o's.
+func (r *raiser) beats(o *raiser) bool {
+	switch {
+	case r.j < 0 || o.j < 0:
+		return o.j < 0 && r.j >= 0
+	case r.min != o.min:
+		return r.min > o.min
+	case r.loss != o.loss:
+		return r.loss < o.loss
+	}
+	return r.j < o.j
+}
+
+// scoreRaises scores the round's raises r takes and keeps the best in
+// r.best. A raiser takes attributes in ascending order, so keeping the
+// first of equal scores keeps the lowest index.
+func (s *fullDomainSearch) scoreRaises(r *raiser) {
+	r.j, r.min, r.loss = -1, -1, 0
+	for {
+		j := int(s.nextAttr.Add(1)) - 1
+		if j >= len(s.levels) {
+			return
+		}
+		if s.levels[j] >= s.heights[j] {
 			continue
 		}
 		s.scored.Inc()
-		s.scratch = s.eval.raise(cur, j, s.scratch[:0])
-		minSize, loss := sizeScore(s.scratch)
-		if minSize > bestMin || (minSize == bestMin && loss < bestLoss) {
-			bestJ, bestMin, bestLoss = j, minSize, loss
-			s.next, s.scratch = s.scratch, s.next
+		r.scratch = s.eval.raise(r.idx, s.cur, j, r.scratch[:0])
+		minSize, loss := sizeScore(r.scratch)
+		if minSize > r.min || (minSize == r.min && loss < r.loss) {
+			r.j, r.min, r.loss = j, minSize, loss
+			r.best, r.scratch = r.scratch, r.best
 		}
 	}
-	return bestJ
 }

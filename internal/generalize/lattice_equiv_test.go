@@ -222,8 +222,9 @@ func TestSearchFullDomainMatchesReference(t *testing.T) {
 }
 
 // One greedy scoring pass — every candidate raise of a node scored from its
-// pairs — allocates nothing once its buffers have grown: the pair buffers
-// and the merge map are reused, whatever the group count.
+// pairs — allocates nothing, serial or spread over helper goroutines: the
+// pair buffers are allocated at the base group count when the raisers are
+// set up, and the merge tables are reused, whatever the group count.
 func TestGreedyScoringAllocations(t *testing.T) {
 	tbl, hiers := benchGenTable(20_000)
 	eval, err := NewLatticeEvaluator(tbl, hiers, 1)
@@ -234,19 +235,22 @@ func TestGreedyScoringAllocations(t *testing.T) {
 	for j, h := range hiers {
 		heights[j] = h.Height()
 	}
-	s := &fullDomainSearch{k: 6, eval: eval, heights: heights}
 	levels := make([]int, len(hiers))
 	cur := eval.sizesAt(levels, nil)
 	if len(cur) < 100 {
 		t.Fatalf("only %d base groups; the table should yield hundreds", len(cur))
 	}
-	s.bestRaise(levels, cur) // grow the buffers
-	allocs := testing.AllocsPerRun(20, func() {
-		if s.bestRaise(levels, cur) < 0 {
-			t.Fatal("no raise possible at the lattice bottom")
+	for _, workers := range []int{1, 2} {
+		s := &fullDomainSearch{k: 6, eval: eval, heights: heights}
+		s.startRaisers(workers)
+		allocs := testing.AllocsPerRun(20, func() {
+			if s.bestRaise(levels, cur) < 0 {
+				t.Fatal("no raise possible at the lattice bottom")
+			}
+		})
+		s.stopRaisers()
+		if allocs > 0 {
+			t.Fatalf("greedy scoring pass over %d groups with %d workers allocates %v times; want 0", len(cur), workers, allocs)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("greedy scoring pass over %d groups allocates %v times; want 0", len(cur), allocs)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"pgpub/internal/dataset"
 	"pgpub/internal/hierarchy"
 	"pgpub/internal/obs"
+	"pgpub/internal/par"
 )
 
 // TDSConfig parameterizes top-down specialization (Fung, Wang, Yu, ICDE'05),
@@ -29,12 +30,13 @@ type TDSConfig struct {
 	// Class is set.
 	NumClasses int
 
-	// Workers bounds the goroutines of the initial sharded grouping scan.
-	// 0 means GOMAXPROCS; the result is identical for every value.
+	// Workers bounds the goroutines that take the groups' split counts, one
+	// attribute each. 0 means GOMAXPROCS; the result is identical for every
+	// value.
 	Workers int
 
 	// Metrics optionally receives search diagnostics: rounds run, groups
-	// split, final group count, and rows scanned by the initial grouping
+	// split, final group count, and rows scanned by the initial count
 	// (generalize.tds.* and generalize.groupby.rows_scanned). nil disables.
 	Metrics *obs.Registry
 }
@@ -51,8 +53,8 @@ type TDSResult struct {
 // grouping is k-anonymous and, subject to that, has (greedily) maximal
 // information gain about the class labels.
 //
-// Grouping is incremental: the table is grouped once under the starting
-// (fully suppressed) recoding, and each specialization round splits only the
+// Grouping is incremental: the search starts from the one group of the
+// fully suppressed recoding, and each specialization round splits only the
 // groups whose key contains the refined cut node — O(affected rows) instead
 // of a full-table re-scan — while candidate scores are maintained from the
 // per-group child statistics the engine keeps between rounds.
@@ -91,7 +93,7 @@ func TDS(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg TDSConfig) (*TDSRes
 	if err != nil {
 		return nil, err
 	}
-	eng := newTDSEngine(t, hiers, rec, class, numClasses, cfg.K, cfg.Workers)
+	eng := newTDSEngine(t, hiers, class, numClasses, cfg.K, cfg.Workers)
 
 	// A cut can be refined at most once per internal node.
 	maxRounds := 0
@@ -197,30 +199,42 @@ type tdsEngine struct {
 	class      []int
 	numClasses int
 	k          int
+	workers    int
 	groups     []*tdsGroup
-	cands      map[[2]int32]*tdsCand
+	// scratch is refine's partition buffer, one slot per table row.
+	scratch []int
+	cands   map[[2]int32]*tdsCand
 	// splits counts the groups broken apart across all refine calls.
 	splits int
 }
 
-func newTDSEngine(t *dataset.Table, hiers []*hierarchy.Hierarchy, rec *Recoding, class []int, numClasses, k, workers int) *tdsEngine {
+func newTDSEngine(t *dataset.Table, hiers []*hierarchy.Hierarchy, class []int, numClasses, k, workers int) *tdsEngine {
 	e := &tdsEngine{
 		t:          t,
 		hiers:      make([]tdsHier, len(hiers)),
 		class:      class,
 		numClasses: numClasses,
 		k:          k,
+		workers:    workers,
 		cands:      make(map[[2]int32]*tdsCand),
 	}
 	for a, h := range hiers {
 		e.hiers[a] = newTDSHier(h)
 	}
-	g := GroupByWorkers(t, rec, workers)
-	for gi := range g.Keys {
-		grp := &tdsGroup{key: g.Keys[gi], rows: g.Rows[gi]}
-		e.addGroup(grp, -1)
-		e.groups = append(e.groups, grp)
+	// Under the fully suppressed recoding every row has the same key, the
+	// hierarchies' roots, so the initial partition is one group of the
+	// whole table, found without a scan.
+	key := make([]int32, len(hiers))
+	for a, h := range hiers {
+		key[a] = h.Root()
 	}
+	rows := make([]int, t.Len())
+	for i := range rows {
+		rows[i] = i
+	}
+	e.groups = []*tdsGroup{{key: key, rows: rows}}
+	e.scratch = make([]int, t.Len())
+	e.count([]tdsFamily{{kids: e.groups}}, -1, t.Len())
 	return e
 }
 
@@ -232,37 +246,106 @@ func (e *tdsEngine) childOrds(a int, v int32) []int32 {
 	return th.ordAt[th.h.Depth(v)+1]
 }
 
-// addGroup scans the group's rows once, building its per-attribute child
-// split counts and merging its class statistics into the candidates of
-// attribute candAttr (-1 means every refinable attribute — used for the
-// initial grouping, where every candidate is new).
-func (e *tdsEngine) addGroup(grp *tdsGroup, candAttr int) {
-	d := len(grp.key)
-	grp.split = make([][]int, d)
-	for a := 0; a < d; a++ {
-		v := grp.key[a]
-		h := e.hiers[a].h
-		if h.IsLeaf(v) {
-			continue
-		}
-		nKids := len(h.Children(v))
-		split := make([]int, nKids)
-		grp.split[a] = split
-		var c *tdsCand
-		if a == candAttr || candAttr < 0 {
-			ck := [2]int32{int32(a), v}
-			c = e.cands[ck]
-			if c == nil {
-				c = &tdsCand{total: make([]int, e.numClasses), perChild: make([]int, nKids*e.numClasses)}
-				e.cands[ck] = c
+// tdsFamily is a set of new groups to count. With a parent, the kids are
+// the sub-groups one refine split it into: on every attribute but the
+// refined one they share the parent's key, so their split counts add up
+// to the parent's, and the largest kid's are the parent's minus its
+// siblings' — exact integers, taken without reading its rows.
+type tdsFamily struct {
+	parent *tdsGroup // nil: every kid is counted from its rows
+	kids   []*tdsGroup
+	big    int // the kid that inherits the parent's counts
+}
+
+// tdsParallelRows is the fewest rows a count spans before its attributes
+// are counted on separate goroutines.
+const tdsParallelRows = 1 << 12
+
+// count builds the per-attribute child split counts of every kid of fams,
+// which together hold rows rows, and merges their class statistics into
+// the candidates of attribute candAttr (-1 means every refinable attribute
+// — the initial grouping, where every candidate is new). The candidates are
+// created first, so the attributes, which touch disjoint counts and
+// candidates, are then counted concurrently; integer counts do not depend
+// on the order they are taken in.
+func (e *tdsEngine) count(fams []tdsFamily, candAttr, rows int) {
+	d := len(e.hiers)
+	for _, f := range fams {
+		for _, grp := range f.kids {
+			grp.split = make([][]int, d)
+			for a := 0; a < d; a++ {
+				v := grp.key[a]
+				h := e.hiers[a].h
+				if h.IsLeaf(v) || (a != candAttr && candAttr >= 0) {
+					continue
+				}
+				if ck := [2]int32{int32(a), v}; e.cands[ck] == nil {
+					nKids := len(h.Children(v))
+					e.cands[ck] = &tdsCand{total: make([]int, e.numClasses), perChild: make([]int, nKids*e.numClasses)}
+				}
 			}
 		}
-		ords, col := e.childOrds(a, v), e.t.QICol(a)
-		if u8 := col.U8(); u8 != nil {
-			countChildren(u8, grp.rows, ords, split, c, e.class, e.numClasses)
-		} else {
-			countChildren(col.I32(), grp.rows, ords, split, c, e.class, e.numClasses)
+	}
+	workers := e.workers
+	if rows < tdsParallelRows {
+		workers = 1
+	}
+	// Attributes are handed out from candAttr on: its count, over every
+	// kid's rows with class statistics, is the longest, so it starts first.
+	par.ForEach(workers, d, func(i int) {
+		a := (i + max(candAttr, 0)) % d
+		e.countAttr(fams, a, a == candAttr || candAttr < 0)
+	})
+}
+
+// countAttr builds attribute a's split counts of every kid of fams, adding
+// its rows to the candidate of the kid's node when withCand is set.
+func (e *tdsEngine) countAttr(fams []tdsFamily, a int, withCand bool) {
+	h, col := e.hiers[a].h, e.t.QICol(a)
+	for _, f := range fams {
+		if f.parent != nil && !withCand {
+			if h.IsLeaf(f.parent.key[a]) {
+				continue
+			}
+			// The parent is gone once it is split; its counts become the
+			// big kid's.
+			split := f.parent.split[a]
+			for ki, grp := range f.kids {
+				if ki != f.big {
+					e.countGroup(grp, a, h, col, nil)
+					for c, n := range grp.split[a] {
+						split[c] -= n
+					}
+				}
+			}
+			f.kids[f.big].split[a] = split
+			continue
 		}
+		for _, grp := range f.kids {
+			v := grp.key[a]
+			if h.IsLeaf(v) {
+				continue
+			}
+			var c *tdsCand
+			if withCand {
+				c = e.cands[[2]int32{int32(a), v}]
+			}
+			e.countGroup(grp, a, h, col, c)
+		}
+	}
+}
+
+// countGroup scans the group's rows for attribute a, whose key node is
+// internal, into a new split count, and into c when it is non-nil.
+func (e *tdsEngine) countGroup(grp *tdsGroup, a int, h *hierarchy.Hierarchy, col *dataset.Column, c *tdsCand) {
+	v := grp.key[a]
+	split := make([]int, len(h.Children(v)))
+	grp.split[a] = split
+	ords := e.childOrds(a, v)
+	if u8 := col.U8(); u8 != nil {
+		countChildren(u8, grp.rows, ords, split, c, e.class, e.numClasses)
+	} else {
+		countChildren(col.I32(), grp.rows, ords, split, c, e.class, e.numClasses)
 	}
 }
 
@@ -360,41 +443,74 @@ func (e *tdsEngine) bestSpecialization() (attr int, node int32, ok bool) {
 // contains the node is split by the node's children, in one pass over the
 // affected rows only. Unaffected groups — and the candidate statistics of
 // every other attribute — are reused as-is. The sub-groups of one group are
-// spawned in first-appearance order of their child among its rows.
+// spawned in first-appearance order of their child among its rows; the
+// largest of them takes its split counts on every other attribute from the
+// parent's (see tdsFamily).
+//
+// A group's rows are partitioned by child in place, stably, through the
+// engine's row scratch: the parent's split counts on attr size every
+// child's run in advance, and each sub-group's rows are then its run of the
+// parent's row slice, so splitting allocates no row lists.
 func (e *tdsEngine) refine(attr int, node int32) {
 	kids := e.hiers[attr].h.Children(node)
 	delete(e.cands, [2]int32{int32(attr), node})
 	ords, col := e.childOrds(attr, node), e.t.QICol(attr)
-	sub := make([]*tdsGroup, len(kids))
+	first := make([]int, len(kids))
+	pos := make([]int, len(kids))
 	order := make([]int32, 0, len(kids))
 	out := e.groups[:0]
 	var spawned []*tdsGroup
+	var fams []tdsFamily
+	rows := 0
 	for _, grp := range e.groups {
 		if grp.key[attr] != node {
 			out = append(out, grp)
 			continue
 		}
 		e.splits++
-		clear(sub)
-		order = order[:0]
-		for _, i := range grp.rows {
-			o := ords[col.Get(i)]
-			sg := sub[o]
-			if sg == nil {
-				key := append([]int32(nil), grp.key...)
-				key[attr] = kids[o]
-				sg = &tdsGroup{key: key, rows: make([]int, 0, grp.split[attr][o])}
-				sub[o] = sg
-				order = append(order, o)
+		rows += len(grp.rows)
+		off := 0
+		for o, n := range grp.split[attr] {
+			first[o], pos[o] = off, off
+			off += n
+		}
+		if u8 := col.U8(); u8 != nil {
+			order = partitionRows(u8, grp.rows, e.scratch, ords, first, pos, order[:0])
+		} else {
+			order = partitionRows(col.I32(), grp.rows, e.scratch, ords, first, pos, order[:0])
+		}
+		copy(grp.rows, e.scratch[:len(grp.rows)])
+		f := tdsFamily{parent: grp, kids: make([]*tdsGroup, len(order))}
+		for ki, o := range order {
+			key := append([]int32(nil), grp.key...)
+			key[attr] = kids[o]
+			run := grp.rows[first[o]:pos[o]:pos[o]]
+			f.kids[ki] = &tdsGroup{key: key, rows: run}
+			if len(run) > len(f.kids[f.big].rows) {
+				f.big = ki
 			}
-			sg.rows = append(sg.rows, i)
 		}
-		for _, o := range order {
-			e.addGroup(sub[o], attr)
-			spawned = append(spawned, sub[o])
-		}
+		spawned = append(spawned, f.kids...)
+		fams = append(fams, f)
 	}
+	e.count(fams, attr, rows)
 	e.groups = append(out, spawned...)
+}
+
+// partitionRows writes rows into out by child position, stably: a row whose
+// child is o goes to out[pos[o]], and pos[o] advances. first[o] is where
+// child o's run begins; the children are appended to order as they first
+// appear.
+func partitionRows[T uint8 | int32](codes []T, rows, out []int, ords []int32, first, pos []int, order []int32) []int32 {
+	for _, i := range rows {
+		o := ords[codes[i]]
+		if pos[o] == first[o] {
+			order = append(order, o)
+		}
+		out[pos[o]] = i
+		pos[o]++
+	}
+	return order
 }
 
 // finish canonicalizes the partition into the GroupBy contract: groups in

@@ -2,6 +2,7 @@ package generalize
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -237,7 +238,8 @@ func randomHierarchy(n int, rng *rand.Rand) *hierarchy.Hierarchy {
 
 // TestTDSMatchesReference pins TDS to the full-rescan reference: equal
 // groups, keys and round counts on random tables over random hierarchies,
-// with explicit and default class labels.
+// with explicit and default class labels, at one to three workers, on some
+// tables large enough that the split counts are taken concurrently.
 func TestTDSMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 150; trial++ {
@@ -251,6 +253,10 @@ func TestTDSMatchesReference(t *testing.T) {
 		}
 		tbl := dataset.NewTable(dataset.MustSchema(attrs, dataset.MustAttribute("S", "s0", "s1", "s2")))
 		n := 20 + rng.Intn(600)
+		if trial%25 == 0 {
+			// Large enough that the counts run on separate goroutines.
+			n = tdsParallelRows + rng.Intn(4000)
+		}
 		row := make([]int32, d+1)
 		for i := 0; i < n; i++ {
 			for j := range attrs {
@@ -260,7 +266,7 @@ func TestTDSMatchesReference(t *testing.T) {
 			tbl.MustAppend(row)
 		}
 		k := 1 + rng.Intn(6)
-		cfg := TDSConfig{K: k, Workers: 1}
+		cfg := TDSConfig{K: k, Workers: 1 + trial%3}
 		class, nc := make([]int, n), tbl.Schema.SensitiveDomain()
 		for i := range class {
 			class[i] = int(tbl.Sensitive(i))
@@ -289,6 +295,79 @@ func TestTDSMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTDSSplitCountsMatchesReference checks the engine's state after every
+// round against counts taken from scratch: each group's split counts on
+// every refinable attribute — those a refine derives by subtraction
+// included — and each live candidate's class histograms, at one to three
+// workers, on tables below and above the concurrent-count threshold.
+func TestTDSSplitCountsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 24; trial++ {
+		n := 100 + rng.Intn(500)
+		if trial%4 == 0 {
+			n = tdsParallelRows + rng.Intn(3000)
+		}
+		tbl, hiers := engineTable(n, rng)
+		class := make([]int, n)
+		for i := range class {
+			class[i] = int(tbl.Sensitive(i))
+		}
+		nc := tbl.Schema.SensitiveDomain()
+		e := newTDSEngine(tbl, hiers, class, nc, 1+rng.Intn(4), 1+trial%3)
+		for round := 0; ; round++ {
+			if err := checkTDSCounts(e); err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
+			}
+			attr, node, ok := e.bestSpecialization()
+			if !ok {
+				break
+			}
+			e.refine(attr, node)
+		}
+	}
+}
+
+// checkTDSCounts recounts every group's split counts and every candidate's
+// class histograms from the rows and compares them with the engine's.
+func checkTDSCounts(e *tdsEngine) error {
+	fresh := map[[2]int32]*tdsCand{}
+	for gi, grp := range e.groups {
+		for a, v := range grp.key {
+			h := e.hiers[a].h
+			if h.IsLeaf(v) {
+				if grp.split[a] != nil {
+					return fmt.Errorf("group %d has split counts on leaf attribute %d", gi, a)
+				}
+				continue
+			}
+			ords, nKids := e.childOrds(a, v), len(h.Children(v))
+			ck := [2]int32{int32(a), v}
+			c := fresh[ck]
+			if c == nil {
+				c = &tdsCand{total: make([]int, e.numClasses), perChild: make([]int, nKids*e.numClasses)}
+				fresh[ck] = c
+			}
+			split := make([]int, nKids)
+			for _, i := range grp.rows {
+				o := int(ords[e.t.QI(i, a)])
+				split[o]++
+				c.total[e.class[i]]++
+				c.perChild[o*e.numClasses+e.class[i]]++
+			}
+			if !slices.Equal(split, grp.split[a]) {
+				return fmt.Errorf("group %d attribute %d: split %v, rows give %v", gi, a, grp.split[a], split)
+			}
+		}
+	}
+	for ck, c := range e.cands {
+		want := fresh[ck]
+		if want == nil || !slices.Equal(c.total, want.total) || !slices.Equal(c.perChild, want.perChild) {
+			return fmt.Errorf("candidate %v: class histograms differ from the rows'", ck)
+		}
+	}
+	return nil
 }
 
 // TestInfoGainMatchesReference compares the dense infoGain with the

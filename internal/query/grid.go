@@ -1,8 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 
 	"pgpub/internal/dataset"
 	"pgpub/internal/par"
@@ -65,7 +66,8 @@ func (g *pairGrid) rng(u1, u2, v1, v2, y1, y2 int32) float64 {
 // are stride apart. The lines advance together, one contiguous row of stride
 // cells per step, so the pass streams through memory; sum and comp carry the
 // lines' running state and need stride cells. Every line still sees its own
-// cells in order, so the result is the same as summing it alone.
+// cells in order, so the result is the same as summing it alone. A stride-1
+// pass has one line per block and takes neumaierRuns instead.
 func neumaierLines(buf []float64, blocks, extent, stride int, sum, comp []float64) {
 	sum, comp = sum[:stride], comp[:stride]
 	for blk := 0; blk < blocks; blk++ {
@@ -75,18 +77,55 @@ func neumaierLines(buf []float64, blocks, extent, stride int, sum, comp []float6
 		for i := 0; i < extent; i++ {
 			row := buf[base+i*stride : base+(i+1)*stride]
 			for b, x := range row {
-				s := sum[b]
-				t := s + x
-				if math.Abs(s) >= math.Abs(x) {
-					comp[b] += (s - t) + x
-				} else {
-					comp[b] += (x - t) + s
-				}
-				sum[b] = t
-				row[b] = t + comp[b]
+				sum[b], comp[b] = neumaierStep(sum[b], comp[b], x)
+				row[b] = sum[b] + comp[b]
 			}
 		}
 	}
+}
+
+// neumaierRuns is neumaierLines for stride 1: blocks lines of extent
+// consecutive cells each. One line's running sum is a chain of dependent
+// additions, so four lines advance in lockstep to keep the adder busy; each
+// line still sees its own cells in order, with the same arithmetic, so the
+// result is the same as summing it alone.
+func neumaierRuns(buf []float64, blocks, extent int) {
+	blk := 0
+	for ; blk+4 <= blocks; blk += 4 {
+		base := blk * extent
+		l0 := buf[base : base+extent]
+		l1 := buf[base+extent : base+2*extent]
+		l2 := buf[base+2*extent : base+3*extent]
+		l3 := buf[base+3*extent : base+4*extent]
+		var s0, s1, s2, s3, c0, c1, c2, c3 float64
+		for i := range l0 {
+			s0, c0 = neumaierStep(s0, c0, l0[i])
+			s1, c1 = neumaierStep(s1, c1, l1[i])
+			s2, c2 = neumaierStep(s2, c2, l2[i])
+			s3, c3 = neumaierStep(s3, c3, l3[i])
+			l0[i], l1[i], l2[i], l3[i] = s0+c0, s1+c1, s2+c2, s3+c3
+		}
+	}
+	for ; blk < blocks; blk++ {
+		line := buf[blk*extent : (blk+1)*extent]
+		var sum, comp float64
+		for i, x := range line {
+			sum, comp = neumaierStep(sum, comp, x)
+			line[i] = sum + comp
+		}
+	}
+}
+
+// neumaierStep adds x to a running compensated sum and returns the new sum
+// and compensation. Neumaier's step adds the rounding error of sum+x to the
+// compensation, computed with a branch on which operand is larger; Knuth's
+// TwoSum, used here, computes that same error exactly without the branch,
+// so the compensation — and every table cell — is identical bit for bit.
+func neumaierStep(sum, comp, x float64) (float64, float64) {
+	t := sum + x
+	xr := t - sum
+	sr := t - xr
+	return t, comp + ((sum - sr) + (x - xr))
 }
 
 // gridLayout enumerates the pair tables a schema gets, in canonical (a<b)
@@ -112,7 +151,8 @@ func gridLayout(s *dataset.Schema) (pairs [][2]int, sizes []int, total int) {
 // Every table is a sub-slice of the single returned backing array — the
 // form the snapshot writer serializes and sliceGrids re-wraps. The tables
 // are disjoint, so they are built in parallel, each worker reusing one
-// gridScratch; a table's cells do not depend on which worker built it.
+// gridScratch; a table's cells do not depend on which worker built it, or
+// when.
 func (ix *Index) buildGrids() ([]pairGrid, []float64) {
 	if ix.schema.D() < 2 {
 		return nil, nil
@@ -127,12 +167,20 @@ func (ix *Index) buildGrids() ([]pairGrid, []float64) {
 		offs[i+1] = offs[i] + sz
 	}
 	grids := make([]pairGrid, len(pairs))
+	// Largest tables first, so the last table a worker picks up is a small
+	// one and the workers finish together.
+	bySize := make([]int, len(pairs))
+	for i := range bySize {
+		bySize[i] = i
+	}
+	slices.SortStableFunc(bySize, func(x, y int) int { return cmp.Compare(sizes[y], sizes[x]) })
 	workers := min(par.N(0), len(pairs))
 	scratch := make(chan *gridScratch, workers)
 	for w := 0; w < workers; w++ {
 		scratch <- &gridScratch{}
 	}
-	par.ForEach(workers, len(pairs), func(i int) {
+	par.ForEach(workers, len(pairs), func(k int) {
+		i := bySize[k]
 		sc := <-scratch
 		grids[i] = ix.buildPair(pairs[i][0], pairs[i][1], backing[offs[i]:offs[i+1]:offs[i+1]], sc)
 		scratch <- sc
@@ -226,7 +274,7 @@ func (ix *Index) buildPair(a, b int, sat []float64, sc *gridScratch) pairGrid {
 	}
 	neumaierLines(g.sat, 1, du, dv*dy, sc.sum, sc.comp)
 	neumaierLines(g.sat, du, dv, dy, sc.sum, sc.comp)
-	neumaierLines(g.sat, du*dv, dy, 1, sc.sum, sc.comp)
+	neumaierRuns(g.sat, du*dv, dy)
 	return g
 }
 

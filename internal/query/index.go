@@ -1,13 +1,14 @@
 package query
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"pgpub/internal/dataset"
 	"pgpub/internal/generalize"
 	"pgpub/internal/obs"
+	"pgpub/internal/par"
 	"pgpub/internal/pg"
 )
 
@@ -151,9 +152,7 @@ func newIndex(pub *pg.Published) (*Index, error) {
 		root:   -1,
 	}
 	b := newIndexBuilder(ix, aggs)
-	if n := len(b.ids); n > 0 {
-		ix.root = b.build(0, n, -1)
-	}
+	ix.root = b.buildTree()
 	b.freezeEntries()
 	ix.finish()
 	ix.grids, ix.gridSat = ix.buildGrids()
@@ -233,11 +232,17 @@ func (ix *Index) P() float64 { return ix.p }
 // minima/maxima, independent of the entry order — so the builder partitions
 // each internal node by selection and fully sorts only the leaf ranges,
 // whose order is stored. Entries are ranked once by the lexicographic
-// tie-break, so along a split dimension an entry's sort key is one uint64:
-// center<<32 | rank. The node
-// shape depends on the entry count alone, so the node arrays are allocated
-// up front, and children are written before their parent (the frozen order
-// is a valid bottom-up evaluation order).
+// tie-break (rankEntries), so along a split dimension an entry's sort key
+// is one uint64: center<<32 | rank.
+//
+// The node shape depends on the entry count alone, so the node arrays are
+// allocated up front and every node's number is fixed before it is built:
+// the subtree over n entries takes countNodes(n) consecutive numbers in
+// post order (left subtree, right subtree, then the node), so children are
+// written before their parent and the frozen order is a valid bottom-up
+// evaluation order. That lets the top levels build their two subtrees on
+// separate goroutines: the subtrees own disjoint position ranges of ids and
+// keys and disjoint node numbers, and each has its own bound scratch.
 type indexBuilder struct {
 	ix *Index
 	d  int
@@ -253,31 +258,25 @@ type indexBuilder struct {
 	// ids is the entry order under construction, as ranks, starting from
 	// the publication's order (which a root leaf keeps); keys is the sort
 	// key scratch over the same positions.
-	ids   []uint32
-	keys  []uint64
-	box   generalize.Box // bound scratch
-	nodes int32          // nodes written so far
+	ids  []uint32
+	keys []uint64
 }
+
+// subtreeBuild is one goroutine's share of the tree build: its bound
+// scratch and the next node number it assigns.
+type subtreeBuild struct {
+	box  generalize.Box
+	next int32
+}
+
+// spawnMin is the smallest subtree, in entries, whose two halves are built
+// on separate goroutines; below it a goroutine costs more than it saves.
+const spawnMin = 2048
 
 func newIndexBuilder(ix *Index, aggs []pg.BoxAggregate) *indexBuilder {
 	d, nE := ix.schema.D(), len(aggs)
 	b := &indexBuilder{ix: ix, d: d}
-	byRank := make([]int32, nE)
-	for i := range byRank {
-		byRank[i] = int32(i)
-	}
-	slices.SortFunc(byRank, func(x, y int32) int {
-		bx, by := &aggs[x].Box, &aggs[y].Box
-		for j := 0; j < d; j++ {
-			if c := cmp.Compare(bx.Lo[j], by.Lo[j]); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(bx.Hi[j], by.Hi[j]); c != 0 {
-				return c
-			}
-		}
-		return cmp.Compare(x, y)
-	})
+	byRank := rankEntries(ix.schema, aggs)
 	b.lo, b.hi = make([]int32, d*nE), make([]int32, d*nE)
 	b.g = make([]float64, nE)
 	b.valOff = make([]int32, nE+1)
@@ -299,7 +298,6 @@ func newIndexBuilder(ix *Index, aggs []pg.BoxAggregate) *indexBuilder {
 		b.ids[a] = uint32(r)
 	}
 	b.keys = make([]uint64, nE)
-	b.box = generalize.Box{Lo: make([]int32, d), Hi: make([]int32, d)}
 
 	nN := countNodes(nE)
 	dom := ix.schema.SensitiveDomain()
@@ -315,6 +313,75 @@ func newIndexBuilder(ix *Index, aggs []pg.BoxAggregate) *indexBuilder {
 	return b
 }
 
+// rankEntries returns the aggregates' indices in lexicographic box order:
+// Lo then Hi of dimension 0, then of dimension 1, and so on. Each box is
+// packed into lanes of the width kd's packed rows use (LaneWidth), its
+// first bound in the top lane of its first word, so comparing the words in
+// turn as unsigned integers compares the boxes lexicographically, and the
+// sort is a radix sort over the words instead of a comparator chasing each
+// box's bound slices.
+func rankEntries(s *dataset.Schema, aggs []pg.BoxAggregate) []int32 {
+	d, nE := s.D(), len(aggs)
+	lane := generalize.LaneWidth(s)
+	per := int(64 / lane)
+	wpr := max(1, (2*d+per-1)/per) // words per box
+	words := make([]uint64, nE*wpr)
+	for a := range aggs {
+		row, box := words[a*wpr:(a+1)*wpr], &aggs[a].Box
+		w, shift := 0, 64-lane
+		for j := 0; j < d; j++ {
+			row[w] |= uint64(uint32(box.Lo[j])) << shift
+			w, shift = nextLane(w, shift, lane)
+			row[w] |= uint64(uint32(box.Hi[j])) << shift
+			w, shift = nextLane(w, shift, lane)
+		}
+	}
+	// LSD radix sort, one byte a pass from the last word's lowest byte up.
+	// Every pass is stable, so the order is lexicographic over the words
+	// and boxes with equal words keep their publication order. The word a
+	// pass reads is gathered next to the permutation first, so the passes
+	// stream; a pass whose byte is the same for every entry is skipped.
+	byRank, perm := make([]int32, nE), make([]int32, nE)
+	for i := range byRank {
+		byRank[i] = int32(i)
+	}
+	keys, tmp := make([]uint64, nE), make([]uint64, nE)
+	var count [257]int
+	for w := wpr - 1; w >= 0 && nE > 0; w-- {
+		for i, a := range byRank {
+			keys[i] = words[int(a)*wpr+w]
+		}
+		for shift := uint(0); shift < 64; shift += 8 {
+			clear(count[:])
+			for _, k := range keys {
+				count[k>>shift&0xff+1]++
+			}
+			if count[keys[0]>>shift&0xff+1] == nE {
+				continue
+			}
+			for c := 1; c < len(count); c++ {
+				count[c] += count[c-1]
+			}
+			for i, k := range keys {
+				c := k >> shift & 0xff
+				tmp[count[c]], perm[count[c]] = k, byRank[i]
+				count[c]++
+			}
+			keys, tmp = tmp, keys
+			byRank, perm = perm, byRank
+		}
+	}
+	return byRank
+}
+
+// nextLane steps a packing cursor (word w, bit shift) to the next lane.
+func nextLane(w int, shift, lane uint) (int, uint) {
+	if shift < lane {
+		return w + 1, 64 - lane
+	}
+	return w, shift - lane
+}
+
 // countNodes is the node count of the tree over n entries: a leaf holds at
 // most indexLeafSize entries, and an internal node splits at the middle.
 func countNodes(n int) int {
@@ -327,13 +394,30 @@ func countNodes(n int) int {
 	return 1 + countNodes(n/2) + countNodes(n-n/2)
 }
 
+// buildTree builds the whole tree and returns the root's node number (-1
+// over zero entries). The top par.SpawnDepth(GOMAXPROCS) levels build their
+// subtrees concurrently.
+func (b *indexBuilder) buildTree() int32 {
+	n := len(b.ids)
+	if n == 0 {
+		return -1
+	}
+	return b.build(b.newSubtree(0), 0, n, -1, par.SpawnDepth(par.N(0)))
+}
+
+func (b *indexBuilder) newSubtree(next int32) *subtreeBuild {
+	return &subtreeBuild{box: generalize.Box{Lo: make([]int32, b.d), Hi: make([]int32, b.d)}, next: next}
+}
+
 // build constructs the subtree over positions [lo, hi) and returns its node
-// index. parentDim is the split dimension of the parent (-1 at the root): a
-// leaf's entries are stored in the parent's center order. The recursion
-// is deterministic: the split dimension is the widest normalized bound
-// extent (lowest dimension on ties) and the keys are distinct, so the tree
-// depends only on the entry set.
-func (b *indexBuilder) build(lo, hi, parentDim int) int32 {
+// number, numbering the subtree's nodes from st.next on. parentDim is the
+// split dimension of the parent (-1 at the root): a leaf's entries are
+// stored in the parent's center order. The recursion is deterministic: the
+// split dimension is the widest normalized bound extent (lowest dimension
+// on ties) and the keys are distinct, so the tree depends only on the
+// entry set. While spawn is positive, the right subtree is built on a new
+// goroutine, starting at the node number the left subtree's size fixes.
+func (b *indexBuilder) build(st *subtreeBuild, lo, hi, parentDim, spawn int) int32 {
 	ix := b.ix
 	if hi-lo <= indexLeafSize {
 		if parentDim >= 0 {
@@ -341,9 +425,10 @@ func (b *indexBuilder) build(lo, hi, parentDim int) int32 {
 			slices.Sort(b.keys[lo:hi])
 			b.unkey(lo, hi)
 		}
-		ni := b.node()
-		b.bound(lo, hi)
-		b.setBound(ni, b.box.Lo, b.box.Hi)
+		ni := st.next
+		st.next++
+		b.bound(st.box, lo, hi)
+		b.setBound(ni, st.box.Lo, st.box.Hi)
 		ix.nodeLeft[ni], ix.nodeRight[ni] = -1, -1
 		ix.nodeELo[ni], ix.nodeEHi[ni] = int32(lo), int32(hi)
 		dom := ix.schema.SensitiveDomain()
@@ -357,22 +442,28 @@ func (b *indexBuilder) build(lo, hi, parentDim int) int32 {
 		b.prefix(ni)
 		return ni
 	}
-	b.bound(lo, hi)
-	dim := widestDim(ix.schema, b.box)
+	b.bound(st.box, lo, hi)
+	dim := widestDim(ix.schema, st.box)
 	mid := (lo + hi) / 2
 	b.order(lo, hi, dim)
 	selectKth(b.keys[lo:hi], mid-lo)
 	b.unkey(lo, hi)
-	left := b.build(lo, mid, dim)
-	right := b.build(mid, hi, dim)
-	ni := b.node()
+	var left, right int32
+	if spawn > 0 && hi-lo >= spawnMin {
+		left, right = b.buildHalves(st, lo, mid, hi, dim, spawn-1)
+	} else {
+		left = b.build(st, lo, mid, dim, 0)
+		right = b.build(st, mid, hi, dim, 0)
+	}
+	ni := st.next
+	st.next++
 	nN := len(ix.nodeG)
 	for j := 0; j < b.d; j++ {
 		o := j * nN
-		b.box.Lo[j] = min(ix.nodeLo[o+int(left)], ix.nodeLo[o+int(right)])
-		b.box.Hi[j] = max(ix.nodeHi[o+int(left)], ix.nodeHi[o+int(right)])
+		st.box.Lo[j] = min(ix.nodeLo[o+int(left)], ix.nodeLo[o+int(right)])
+		st.box.Hi[j] = max(ix.nodeHi[o+int(left)], ix.nodeHi[o+int(right)])
 	}
-	b.setBound(ni, b.box.Lo, b.box.Hi)
+	b.setBound(ni, st.box.Lo, st.box.Hi)
 	ix.nodeLeft[ni], ix.nodeRight[ni] = left, right
 	ix.nodeG[ni] = ix.nodeG[left] + ix.nodeG[right]
 	dom := ix.schema.SensitiveDomain()
@@ -386,11 +477,27 @@ func (b *indexBuilder) build(lo, hi, parentDim int) int32 {
 	return ni
 }
 
+// buildHalves builds the subtrees over [lo, mid) and [mid, hi) at once, the
+// right one on a new goroutine with its own scratch, numbered from where
+// the left one's countNodes(mid-lo) nodes end.
+func (b *indexBuilder) buildHalves(st *subtreeBuild, lo, mid, hi, dim, spawn int) (left, right int32) {
+	rst := b.newSubtree(st.next + int32(countNodes(mid-lo)))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		right = b.build(rst, mid, hi, dim, spawn)
+	}()
+	left = b.build(st, lo, mid, dim, spawn)
+	wg.Wait()
+	st.next = rst.next
+	return left, right
+}
+
 // bound writes the bounding box of the entries at positions [lo, hi) into
-// the scratch box.
-func (b *indexBuilder) bound(lo, hi int) {
+// box.
+func (b *indexBuilder) bound(box generalize.Box, lo, hi int) {
 	nE := len(b.ids)
-	box := b.box
 	for j := 0; j < b.d; j++ {
 		los, his := b.lo[j*nE:(j+1)*nE], b.hi[j*nE:(j+1)*nE]
 		l, h := los[b.ids[lo]], his[b.ids[lo]]
@@ -399,12 +506,6 @@ func (b *indexBuilder) bound(lo, hi int) {
 		}
 		box.Lo[j], box.Hi[j] = l, h
 	}
-}
-
-// node allocates the next node index.
-func (b *indexBuilder) node() int32 {
-	b.nodes++
-	return b.nodes - 1
 }
 
 // setBound writes node ni's bounding box.

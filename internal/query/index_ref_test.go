@@ -364,6 +364,20 @@ func refPublications(t *testing.T) map[string]*pg.Published {
 			pubs[fmt.Sprintf("sal-%d-%v", n, alg)] = pub
 		}
 	}
+	// Enough kd boxes (over spawnMin) that the top levels of the tree are
+	// built on separate goroutines when GOMAXPROCS allows it.
+	d, err := sal.Generate(40000, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{K: 6, P: 0.3, Algorithm: pg.KD, Seed: 44})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(pub.Aggregates()); n < 2*spawnMin {
+		t.Fatalf("sal-40000-kd has %d boxes; the parallel build needs at least %d", n, 2*spawnMin)
+	}
+	pubs["sal-40000-kd"] = pub
 	s := dataset.MustSchema([]*dataset.Attribute{
 		dataset.MustIntAttribute("A", 0, 3),
 		dataset.MustIntAttribute("B", 0, 3),
@@ -387,12 +401,13 @@ func refPublications(t *testing.T) map[string]*pg.Published {
 	return pubs
 }
 
-// TestIndexBuildMatchesReference pins the selection-based builder and the
-// parallel pair tables to the sort-based serial builder they replaced: every
-// frozen array equal, floats bit for bit, at GOMAXPROCS 1 and 2.
+// TestIndexBuildMatchesReference pins the selection-based builder, its
+// concurrent subtree build and the parallel pair tables to the sort-based
+// serial builder they replaced: every frozen array equal, floats bit for
+// bit, at GOMAXPROCS 1, 2 and 4.
 func TestIndexBuildMatchesReference(t *testing.T) {
 	pubs := refPublications(t)
-	for _, procs := range []int{1, 2} {
+	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for name, pub := range pubs {
 			ix, err := NewIndex(pub)
@@ -404,6 +419,61 @@ func TestIndexBuildMatchesReference(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestRankEntriesMatchesReference checks the packed radix rank against the
+// comparator sort it replaced — Lo then Hi per dimension, then publication
+// order — on random boxes over schemas of every lane width (8, 16 and 32
+// bits) and of one to nine attributes, so boxes span one to several words
+// and the last word may be partly empty. Boxes repeat, so equal keys must
+// keep publication order.
+func TestRankEntriesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 120; trial++ {
+		d := 1 + rng.Intn(9)
+		widest := []int{200, 3000, 70000}[trial%3]
+		attrs := make([]*dataset.Attribute, d)
+		for j := range attrs {
+			size := 1 + rng.Intn(12)
+			if j == trial%d {
+				size = widest
+			}
+			attrs[j] = dataset.MustIntAttribute(fmt.Sprintf("A%d", j), 0, size-1)
+		}
+		s := dataset.MustSchema(attrs, dataset.MustAttribute("S", "s0", "s1"))
+		aggs := make([]pg.BoxAggregate, rng.Intn(400))
+		for i := range aggs {
+			if i > 0 && rng.Intn(5) == 0 {
+				aggs[i].Box = aggs[rng.Intn(i)].Box
+				continue
+			}
+			box := generalize.Box{Lo: make([]int32, d), Hi: make([]int32, d)}
+			for j, a := range attrs {
+				lo, hi := rng.Intn(a.Size()), rng.Intn(a.Size())
+				box.Lo[j], box.Hi[j] = int32(min(lo, hi)), int32(max(lo, hi))
+			}
+			aggs[i].Box = box
+		}
+		want := make([]int32, len(aggs))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(x, y int32) int {
+			bx, by := aggs[x].Box, aggs[y].Box
+			for j := 0; j < d; j++ {
+				if bx.Lo[j] != by.Lo[j] {
+					return int(bx.Lo[j]) - int(by.Lo[j])
+				}
+				if bx.Hi[j] != by.Hi[j] {
+					return int(bx.Hi[j]) - int(by.Hi[j])
+				}
+			}
+			return 0
+		})
+		if got := rankEntries(s, aggs); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (d=%d, widest domain %d): rank differs from the comparator sort", trial, d, widest)
+		}
 	}
 }
 
