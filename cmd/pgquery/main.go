@@ -5,8 +5,9 @@
 //
 // Usage:
 //
-// Workload mode builds the serving index once and answers the whole batch
-// through it, reporting queries/sec.
+// Workload mode answers the whole batch through the serving index — the
+// one a snapshot stores, or one built once from a CSV — reporting
+// queries/sec.
 //
 //	pgquery -in anonymized.csv -p 0.2996 -where "Age=30..50,Gender=M..M" -income 25..49
 //	pgquery -in anonymized.csv -p 0.2996 -workload 50 -truth sal.csv -workers 4
@@ -24,9 +25,9 @@
 //
 // With -manifest the query is answered against a sharded release
 // (pgpublish -shards): every shard snapshot is checksum-verified against
-// the manifest, indexed, and answers compose in shard order — the same
-// arithmetic a pgserve coordinator applies over HTTP, so the two agree bit
-// for bit.
+// the manifest and serves its stored index, and answers compose in shard
+// order — the same arithmetic a pgserve coordinator applies over HTTP, so
+// the two agree bit for bit.
 package main
 
 import (
@@ -176,17 +177,20 @@ func main() {
 	}
 
 	// A single-snapshot server keys its DP noise on the snapshot header CRC;
-	// a CSV-backed server has no CRC and keys on release 0.
+	// a CSV-backed server has no CRC and keys on release 0. A snapshot
+	// brings its serving index; a CSV is indexed only for a workload.
 	var (
 		pub *pg.Published
 		crc uint32
+		ix  *query.Index
 	)
 	if *snap != "" {
-		rel, err := snapshot.Load(*snap)
+		m, err := snapshot.Load(*snap)
 		if err != nil {
 			fail(err)
 		}
-		pub, crc = rel.Pub, rel.CRC
+		pub, crc, ix = m.Pub, m.CRC, m.Index
+		ix.Observe(reg)
 	} else {
 		if *metaPath != "" {
 			mf, err := os.Open(*metaPath)
@@ -217,13 +221,15 @@ func main() {
 	fmt.Fprintf(os.Stderr, "pgquery: loaded %d published tuples (k=%d, p=%.4f)\n", pub.Len(), pub.K, pub.P)
 
 	if *workload > 0 {
-		start := time.Now()
-		ix, err := query.NewIndexObserved(pub, reg)
-		if err != nil {
-			fail(err)
+		if ix == nil {
+			start := time.Now()
+			var err error
+			if ix, err = query.NewIndexObserved(pub, reg); err != nil {
+				fail(err)
+			}
+			fmt.Fprintf(os.Stderr, "pgquery: indexed %d groups in %v\n",
+				ix.Groups(), time.Since(start).Round(time.Millisecond))
 		}
-		fmt.Fprintf(os.Stderr, "pgquery: indexed %d groups in %v\n",
-			ix.Groups(), time.Since(start).Round(time.Millisecond))
 		runWorkload(schema, ix, *workload, *seed, *truth, *workers, fail)
 		return
 	}

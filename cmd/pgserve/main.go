@@ -1,9 +1,10 @@
-// Command pgserve serves a published release over HTTP: it loads a
-// publication snapshot (pgpublish -snapshot) or a published CSV, builds the
-// interval-grid serving index once, and answers aggregate queries through
-// the hardened API in internal/serve — the long-running counterpart to the
-// one-shot pgquery. SIGINT/SIGTERM trigger a graceful drain: the listener
-// closes, in-flight requests complete, and the process exits 0.
+// Command pgserve serves a published release over HTTP: it opens a
+// publication snapshot (pgpublish -snapshot) and adopts the serving index
+// stored in it, or loads a published CSV and builds the index once, and
+// answers aggregate queries through the hardened API in internal/serve —
+// the long-running counterpart to the one-shot pgquery. SIGINT/SIGTERM
+// trigger a graceful drain: the listener closes, in-flight requests
+// complete, and the process exits 0.
 //
 // Usage:
 //
@@ -14,8 +15,10 @@
 //	    -shard-urls http://h0:8081,http://h1:8081 -addr :8080
 //
 // With -mmap the snapshot's column blocks and prebuilt serving index are
-// adopted straight from the file's pages (read-only memory map) instead of
-// being parsed and rebuilt: the cold start costs page faults, not a decode.
+// adopted straight from the file's pages (read-only memory map) and only
+// the metadata is checksummed: the cold start costs page faults, not a read
+// of the file. Without it the file is read into memory and fully verified
+// (every block CRC and the publication validator) before it serves.
 //
 // With -coordinator the process holds no data at all: it loads the shard
 // manifest (pgpublish -shards -manifest), validates each shard server
@@ -246,40 +249,28 @@ func main() {
 		return
 	}
 
-	// Load the release: snapshot (parsed or mapped in place) or CSV +
-	// announced p. The mapped path also adopts the snapshot's prebuilt
-	// serving index, so ix is already set when it succeeds.
+	// Load the release. A snapshot comes through the Source a reload uses —
+	// mapped in place with -mmap, read and verified otherwise — and serves
+	// the index it stores; a CSV with its announced p is indexed here.
 	var (
-		pub       *pg.Published
-		guarantee *pg.GuaranteeMetadata
-		chain     *snapshot.ChainMetadata
-		crc       uint32
-		source    func() (*serve.ReleaseData, error)
-		ix        *query.Index
+		first  *serve.ReleaseData
+		source func() (*serve.ReleaseData, error)
 	)
 	coldStart := time.Now()
 	switch {
 	case o.snap != "":
 		source = serve.SnapshotSource(o.snap, o.mmap)
-		if o.mmap {
-			m, err := snapshot.OpenMappedObserved(o.snap, reg)
-			if err != nil {
-				fail(err)
-			}
-			pub, guarantee, chain, crc, ix = m.Pub, m.Guarantee, m.Chain, m.CRC, m.Index
-			mode := "mapped"
-			if !m.Mmapped() {
-				mode = "read into memory (mmap unavailable)"
-			}
-			fmt.Fprintf(os.Stderr, "pgserve: snapshot %s in %v\n", mode, time.Since(coldStart).Round(time.Microsecond))
-		} else {
-			rel, err := snapshot.Load(o.snap)
-			if err != nil {
-				fail(err)
-			}
-			pub, guarantee, chain, crc = rel.Pub, rel.Guarantee, rel.Chain, rel.CRC
+		if first, err = source(); err != nil {
+			fail(err)
 		}
+		first.Index.Observe(reg)
+		mode := "read and verified"
+		if o.mmap {
+			mode = "mapped"
+		}
+		fmt.Fprintf(os.Stderr, "pgserve: snapshot %s in %v\n", mode, time.Since(coldStart).Round(time.Microsecond))
 	case o.in != "":
+		var guarantee *pg.GuaranteeMetadata
 		if o.metaPath != "" {
 			mf, err := os.Open(o.metaPath)
 			if err != nil {
@@ -300,47 +291,44 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		pub, err = pg.ReadCSV(sal.Schema(), bufio.NewReader(f), o.p)
+		pub, err := pg.ReadCSV(sal.Schema(), bufio.NewReader(f), o.p)
 		f.Close()
 		if err != nil {
 			fail(err)
 		}
-	default:
-		fail(fmt.Errorf("-snapshot or -in is required"))
-	}
-	fmt.Fprintf(os.Stderr, "pgserve: loaded %d published tuples (%v, k=%d, p=%.4f)\n",
-		pub.Len(), pub.Algorithm, pub.K, pub.P)
-
-	if ix == nil {
 		start := time.Now()
-		ix, err = query.NewIndexObserved(pub, reg)
+		ix, err := query.NewIndexObserved(pub, reg)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "pgserve: indexed %d groups in %v\n",
 			ix.Groups(), time.Since(start).Round(time.Millisecond))
+		first = &serve.ReleaseData{Index: ix, Meta: pg.Metadata{
+			P: pub.P, K: pub.K, Algorithm: pub.Algorithm.String(), Rows: pub.Len(),
+			Guarantee: guarantee,
+		}}
+	default:
+		fail(fmt.Errorf("-snapshot or -in is required"))
 	}
+	meta := first.Meta
+	fmt.Fprintf(os.Stderr, "pgserve: loaded %d published tuples (%s, k=%d, p=%.4f)\n",
+		meta.Rows, meta.Algorithm, meta.K, meta.P)
 	fmt.Fprintf(os.Stderr, "pgserve: cold start complete in %v (%d groups)\n",
-		time.Since(coldStart).Round(time.Microsecond), ix.Groups())
-
-	meta := pg.Metadata{
-		P: pub.P, K: pub.K, Algorithm: pub.Algorithm.String(), Rows: pub.Len(),
-		Guarantee: guarantee,
-	}
-	if chain != nil {
+		time.Since(coldStart).Round(time.Microsecond), first.Index.Groups())
+	if first.Chain != nil {
 		fmt.Fprintf(os.Stderr, "pgserve: release %d of a chain (CRC %08x); SIGHUP or POST /v1/admin/reload hot-swaps to its successor\n",
-			chain.Release, crc)
+			first.Chain.Release, first.CRC)
 	}
 	srv, err := serve.New(serve.Config{
-		Index:          ix,
+		Index:          first.Index,
 		Meta:           meta,
 		MaxInFlight:    o.maxInFlight,
 		RequestTimeout: o.timeout,
 		CacheEntries:   o.cacheEntries,
 		Workers:        o.workers,
 		Metrics:        reg,
-		CRC:            crc,
-		Chain:          chain,
+		CRC:            first.CRC,
+		Chain:          first.Chain,
 		Source:         source,
 		DP:             dpCfg,
 	})

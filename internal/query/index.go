@@ -89,7 +89,7 @@ type Index struct {
 	partner []int // partner[a] = smallest other dim, pairing 1-dim queries
 	tinyB   float64
 
-	// met holds the serving-path instruments, wired by NewIndexObserved.
+	// met holds the serving-path instruments, wired by Observe.
 	// Every query increments exactly one of the three answer-path counters,
 	// so their sum equals the queries gathered and the split is invariant
 	// under AnswerWorkload's worker count. All fields are nil — disabled —
@@ -125,13 +125,17 @@ func NewIndexObserved(pub *pg.Published, reg *obs.Registry) (*Index, error) {
 		return nil, err
 	}
 	sp.End()
-	ix.observe(reg)
+	ix.Observe(reg)
 	return ix, nil
 }
 
-// observe wires the serving-path instruments (shared by the build and
-// from-parts constructors).
-func (ix *Index) observe(reg *obs.Registry) {
+// Observe wires the serving-path instruments into reg: the query.index.*
+// size gauges take this index's sizes, and every query it answers counts in
+// query.answered.* and records Count latency in query.count.latency. Call
+// it before the index serves — typically once, on an index adopted from a
+// snapshot (NewIndexObserved calls it on the indexes it builds). A nil
+// registry disables the instruments.
+func (ix *Index) Observe(reg *obs.Registry) {
 	reg.Gauge("query.index.entries").Set(int64(ix.nE))
 	reg.Gauge("query.index.nodes").Set(int64(len(ix.nodeG)))
 	reg.Gauge("query.index.grids").Set(int64(len(ix.grids)))

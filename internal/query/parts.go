@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pgpub/internal/dataset"
-	"pgpub/internal/obs"
 )
 
 // IndexParts is the frozen serving representation of an Index as plain
@@ -81,12 +80,6 @@ func (ix *Index) Parts() IndexParts {
 // Answers are bit-identical to the index the parts were taken from: the
 // arrays fully determine the traversal.
 func NewIndexFromParts(schema *dataset.Schema, parts IndexParts) (*Index, error) {
-	return NewIndexFromPartsObserved(schema, parts, nil)
-}
-
-// NewIndexFromPartsObserved is NewIndexFromParts with the same serving-path
-// instrumentation NewIndexObserved wires. A nil registry disables it.
-func NewIndexFromPartsObserved(schema *dataset.Schema, parts IndexParts, reg *obs.Registry) (*Index, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("query: index parts need a schema")
 	}
@@ -190,6 +183,5 @@ func NewIndexFromPartsObserved(schema *dataset.Schema, parts IndexParts, reg *ob
 		ix.grids, ix.gridSat = grids, parts.GridSat
 		ix.wireGrids()
 	}
-	ix.observe(reg)
 	return ix, nil
 }

@@ -14,8 +14,8 @@
 // aggregate.go) read the whole release per query and are the reference
 // implementation. Index (index.go, grid.go, serve.go) precomputes per-box
 // aggregates, an interval grid and a kd-tree from one publication and
-// answers the same queries orders of magnitude faster; NewIndexObserved
-// additionally records build/answer metrics (internal/obs). Workload
+// answers the same queries orders of magnitude faster; NewIndexObserved and
+// Index.Observe additionally record build/answer metrics (internal/obs). Workload
 // generates random query sets and AnswerWorkload fans them across workers
 // deterministically.
 package query

@@ -41,8 +41,8 @@ func maskValuer(mask []bool) valuer {
 }
 
 // Count is the indexed Estimate: the PG count estimator of the query,
-// answered from the precomputed per-box aggregates. On an index built with
-// NewIndexObserved each call records its wall clock into the
+// answered from the precomputed per-box aggregates. On an observed index
+// (see Observe) each call records its wall clock into the
 // query.count.latency histogram.
 func (ix *Index) Count(q CountQuery) (float64, error) {
 	if h := ix.met.latency; h != nil {

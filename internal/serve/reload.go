@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pgpub/internal/dataset"
+	"pgpub/internal/obs"
 	"pgpub/internal/pg"
 	"pgpub/internal/query"
 	"pgpub/internal/snapshot"
@@ -32,8 +33,8 @@ import (
 //	rejected 409  serve.reload.rejected  the source's content is not the
 //	              successor of the serving release (or there is no source);
 //	              serving is untouched
-//	failed   500  serve.reload.errors    the source could not be read or
-//	              indexed; serving is untouched
+//	failed   500  serve.reload.errors    the source could not be read;
+//	              serving is untouched
 
 // ReleaseData is what Config.Source returns: one loaded release, ready to
 // serve. Index is required; Schema defaults to Index.Schema(). CRC and
@@ -116,8 +117,8 @@ func (s *Server) swap(ctx context.Context) (*ReloadResult, error) {
 
 // sourceLoader is the reload loader of a Config.Source: it accepts the
 // source's content only when it is the chain successor of the serving
-// release.
-func sourceLoader(source func() (*ReleaseData, error)) func(context.Context, *release) (*release, error) {
+// release, and wires the accepted index's instruments into reg.
+func sourceLoader(source func() (*ReleaseData, error), reg *obs.Registry) func(context.Context, *release) (*release, error) {
 	return func(_ context.Context, cur *release) (*release, error) {
 		next, err := source()
 		if err != nil {
@@ -143,6 +144,7 @@ func sourceLoader(source func() (*ReleaseData, error)) func(context.Context, *re
 			return nil, rejectf("release %d names parent CRC %08x, the serving snapshot's header CRC is %08x — not a successor of the serving release",
 				next.Chain.Release, next.Chain.ParentCRC, cur.crc)
 		}
+		next.Index.Observe(reg)
 		rel := &release{
 			answer:   local{next.Index},
 			computed: "computed",
@@ -181,41 +183,32 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// SnapshotSource builds a Config.Source that re-opens the snapshot at path,
-// mapped or parsed — the pgserve wiring. The returned loader reads the
-// publication, its chain block and its header CRC from one open of the file,
-// so a rename between reloads can never pair one file's CRC with another's
-// content, and builds (or, mapped, adopts) the serving index.
+// SnapshotSource builds a Config.Source that re-opens the snapshot at path —
+// the pgserve wiring. mapped picks the depth of the open: OpenMapped (map,
+// shallow check) or Load (read into memory, full check). Either way the
+// loader adopts the serving index the snapshot stores, and it reads the
+// publication, its chain block and its header CRC from one open of the
+// file, so a rename between reloads can never pair one file's CRC with
+// another's content.
 func SnapshotSource(path string, mapped bool) func() (*ReleaseData, error) {
+	open := snapshot.Load
+	if mapped {
+		open = snapshot.OpenMapped
+	}
 	return func() (*ReleaseData, error) {
-		var (
-			rel *snapshot.Release
-			ix  *query.Index
-		)
-		if mapped {
-			m, err := snapshot.OpenMapped(path)
-			if err != nil {
-				return nil, err
-			}
-			rel, ix = &m.Release, m.Index
-		} else {
-			var err error
-			if rel, err = snapshot.Load(path); err != nil {
-				return nil, err
-			}
-			if ix, err = query.NewIndex(rel.Pub); err != nil {
-				return nil, err
-			}
+		m, err := open(path)
+		if err != nil {
+			return nil, err
 		}
-		pub := rel.Pub
+		pub := m.Pub
 		return &ReleaseData{
-			Index: ix,
+			Index: m.Index,
 			Meta: pg.Metadata{
 				P: pub.P, K: pub.K, Algorithm: pub.Algorithm.String(), Rows: pub.Len(),
-				Guarantee: rel.Guarantee,
+				Guarantee: m.Guarantee,
 			},
-			CRC:   rel.CRC,
-			Chain: rel.Chain,
+			CRC:   m.CRC,
+			Chain: m.Chain,
 		}, nil
 	}
 }

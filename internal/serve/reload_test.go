@@ -3,15 +3,20 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pgpub/internal/dataset"
+	"pgpub/internal/hierarchy"
 	"pgpub/internal/obs"
 	"pgpub/internal/pg"
 	"pgpub/internal/query"
@@ -385,5 +390,112 @@ func TestCoordinatorReload(t *testing.T) {
 	bare.coord.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/admin/reload", nil))
 	if w.Code != http.StatusConflict || !strings.Contains(w.Body.String(), "no manifest path") {
 		t.Fatalf("coordinator reload without a source: HTTP %d %q, want 409", w.Code, w.Body.String())
+	}
+}
+
+// TestReloadObservesSwappedIndex pins that a hot-swap keeps the query.*
+// instruments live: the server observes every index it installs from
+// Source into Config.Metrics, so after a reload the new release's queries
+// count in query.answered.* and query.count.latency, and the
+// query.index.* gauges report the new release's sizes.
+func TestReloadObservesSwappedIndex(t *testing.T) {
+	dir := t.TempDir()
+	paths, counts := buildServeChain(t, dir, 2, 37)
+	live := filepath.Join(dir, "live.pgsnap")
+	replaceFile(t, live, paths[0])
+	reg := obs.NewRegistry()
+	s := newChainServer(t, live, reg)
+
+	replaceFile(t, live, paths[1])
+	if _, err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	answered := func() int64 {
+		return reg.Counter("query.answered.grid").Value() +
+			reg.Counter("query.answered.exact_reanswer").Value() +
+			reg.Counter("query.answered.kd").Value()
+	}
+	latency := reg.Histogram("query.count.latency", "ns")
+	before, beforeLat := answered(), latency.Count()
+	var resp QueryResponse
+	if post(t, s.Handler(), "/v1/query", QueryRequest{}, &resp); resp.Estimate != counts[1] {
+		t.Fatalf("after the swap, count = %v, want release 1's %v", resp.Estimate, counts[1])
+	}
+	if got := answered(); got != before+1 {
+		t.Fatalf("query.answered.* total went %d → %d across one query on the swapped index", before, got)
+	}
+	if got := latency.Count(); got != beforeLat+1 {
+		t.Fatalf("query.count.latency count went %d → %d across one query on the swapped index", beforeLat, got)
+	}
+	m, err := snapshot.Load(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Gauge("query.index.entries").Value(), int64(len(m.Index.Parts().EntG)); got != want {
+		t.Fatalf("query.index.entries = %d, want release 1's %d", got, want)
+	}
+}
+
+// TestSnapshotSourceDepthsAgree pins that the two depths of SnapshotSource
+// — read and verified, or mapped — are one decoder: for every Phase-2
+// algorithm they return the same CRC, chain block and metadata, and indexes
+// whose answers are bit-identical.
+func TestSnapshotSourceDepthsAgree(t *testing.T) {
+	d := dataset.Hospital()
+	hs := []*hierarchy.Hierarchy{
+		hierarchy.MustInterval(d.Schema.QI[0].Size(), 5, 20),
+		hierarchy.MustFlat(d.Schema.QI[1].Size()),
+		hierarchy.MustInterval(d.Schema.QI[2].Size(), 5, 20),
+	}
+	value := func(c int32) float64 { return float64(c) }
+	chain := &snapshot.ChainMetadata{Release: 1, ParentCRC: 0xfeedface, SourceRows: d.Len(), OddsRatio: 1.5, ComposedDelta: 0.3}
+	for _, alg := range []pg.Algorithm{pg.KD, pg.TDS, pg.FullDomain} {
+		t.Run(alg.String(), func(t *testing.T) {
+			pub, err := pg.Publish(d, hs, pg.Config{K: 2, P: 0.25, Seed: 7, Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta, err := pub.Metadata(0.1, 0.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "r.pgsnap")
+			if err := snapshot.SaveRelease(path, pub, meta.Guarantee, chain); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := SnapshotSource(path, false)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped, err := SnapshotSource(path, true)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.CRC != mapped.CRC || !reflect.DeepEqual(loaded.Chain, mapped.Chain) || !reflect.DeepEqual(loaded.Meta, mapped.Meta) {
+				t.Fatalf("depths disagree on identity: CRC %08x/%08x, chain %+v/%+v, meta %+v/%+v",
+					loaded.CRC, mapped.CRC, loaded.Chain, mapped.Chain, loaded.Meta, mapped.Meta)
+			}
+			qs, err := query.Workload(pub.Schema, query.WorkloadConfig{
+				Queries: 60, QIFraction: 0.5, SensitiveFraction: 0.4, Rng: rand.New(rand.NewSource(5)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range qs {
+				a, errA := loaded.Index.Count(q)
+				b, errB := mapped.Index.Count(q)
+				if math.Float64bits(a) != math.Float64bits(b) || (errA == nil) != (errB == nil) {
+					t.Fatalf("query %d: count %v (%v) read, %v (%v) mapped", i, a, errA, b, errB)
+				}
+				na, _ := loaded.Index.Naive(q)
+				nb, _ := mapped.Index.Naive(q)
+				sa, wa, _ := loaded.Index.AvgParts(q, value)
+				sb, wb, _ := mapped.Index.AvgParts(q, value)
+				if math.Float64bits(na) != math.Float64bits(nb) ||
+					math.Float64bits(sa) != math.Float64bits(sb) || math.Float64bits(wa) != math.Float64bits(wb) {
+					t.Fatalf("query %d: naive %v / avg parts (%v, %v) read, naive %v / (%v, %v) mapped", i, na, sa, wa, nb, sb, wb)
+				}
+			}
+		})
 	}
 }

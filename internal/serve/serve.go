@@ -113,7 +113,9 @@ type Config struct {
 	// Workers is the /v1/batch fan-out (par semantics: 0 = GOMAXPROCS).
 	// Batch answers are byte-identical for every value.
 	Workers int
-	// Metrics optionally receives the serve.* instrumentation. nil disables.
+	// Metrics optionally receives the serve.* instrumentation, and the
+	// query.* instruments of every index a reload installs from Source (the
+	// caller observes Index itself; see query.Index.Observe). nil disables.
 	Metrics *obs.Registry
 	// CRC is the serving snapshot's header CRC — the identity a successor
 	// release's chain block must name as its parent. 0 (unknown) makes the
@@ -249,7 +251,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	if cfg.Source != nil {
-		s.load = sourceLoader(cfg.Source)
+		s.load = sourceLoader(cfg.Source, cfg.Metrics)
 	}
 	s.install(rel)
 	return s, nil

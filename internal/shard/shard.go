@@ -249,8 +249,8 @@ func WriteRelease(manifestPath, snapshotBase string, pubs []*pg.Published, g *pg
 // manifest is read and validated, every shard snapshot is re-checksummed
 // against its manifest CRC, loaded with the fully-verifying snapshot
 // reader, and cross-checked against the manifest's shared parameters and
-// per-shard row counts before an index is built over it. reg receives the
-// index instrumentation; nil disables it.
+// per-shard row counts; each shard serves the index its snapshot stores.
+// reg receives the index instrumentation; nil disables it.
 func OpenObserved(manifestPath string, reg *obs.Registry) (*Group, error) {
 	m, err := snapshot.LoadManifest(manifestPath)
 	if err != nil {
@@ -265,16 +265,12 @@ func OpenObserved(manifestPath string, reg *obs.Registry) (*Group, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: loading shard %d: %w", s, err)
 		}
-		pub := rel.Pub
-		if err := checkShard(m, s, pub); err != nil {
+		if err := checkShard(m, s, rel.Pub); err != nil {
 			return nil, err
 		}
-		ix, err := query.NewIndexObserved(pub, reg)
-		if err != nil {
-			return nil, fmt.Errorf("shard: indexing shard %d: %w", s, err)
-		}
-		g.Indexes[s] = ix
-		g.rows += pub.Len()
+		rel.Index.Observe(reg)
+		g.Indexes[s] = rel.Index
+		g.rows += rel.Pub.Len()
 	}
 	return g, nil
 }

@@ -159,9 +159,14 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 	if bodyLen > maxBodyLen {
 		return nil, fmt.Errorf("snapshot: manifest body length %d exceeds the %d limit", bodyLen, maxBodyLen)
 	}
-	body, err := readClaimed(r, int(bodyLen))
+	// A claim the stream does not back costs what the stream holds, not
+	// what the header says.
+	body, err := io.ReadAll(io.LimitReader(r, int64(bodyLen)))
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: manifest body truncated: %w", err)
+		return nil, fmt.Errorf("snapshot: reading manifest body: %w", err)
+	}
+	if uint64(len(body)) != bodyLen {
+		return nil, fmt.Errorf("snapshot: manifest body truncated at %d of %d bytes", len(body), bodyLen)
 	}
 	if extra, err := io.Copy(io.Discard, io.LimitReader(r, 1)); err == nil && extra > 0 {
 		return nil, fmt.Errorf("snapshot: trailing garbage after manifest body")

@@ -4,18 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"os"
 
-	"pgpub/internal/obs"
 	"pgpub/internal/pg"
 	"pgpub/internal/query"
 )
 
-// Mapped is a version-2/3 snapshot opened in place: the publication's row
-// columns and the serving index alias the file's pages (read-only mmap on
-// linux/darwin, an in-memory copy elsewhere or when mapping fails). Close
-// releases the mapping — after Close every slice that aliased it is invalid,
-// so drop the Mapped only when the serving structures built from it are no
-// longer in use.
+// Mapped is an opened version-2/3 snapshot: the publication's row columns
+// and the serving index alias the file image (a read-only mmap from
+// OpenMapped on linux/darwin; an in-memory copy from Load and Read,
+// elsewhere, or when mapping fails). Close releases a mapping — after Close
+// every slice that aliased it is invalid, so drop the Mapped only when the
+// serving structures built from it are no longer in use.
 type Mapped struct {
 	// Release is the publication in columnar form (Rows nil; see
 	// pg.Published.EnsureRows — but note materializing rows copies out of the
@@ -37,22 +38,18 @@ type Mapped struct {
 // the cost of a cold start is the metadata pages plus the page faults the
 // first queries take — not a decode of the whole file.
 //
-// Integrity at open is deliberately shallower than Read's: the header and
+// Integrity at open is deliberately shallower than Load's: the header and
 // metadata body are fully CRC-verified and every structural array the index
 // traversal depends on is validated, but the bulk column payloads are NOT
 // checksummed (that would fault in every page, which is exactly the cost
 // being avoided) and the publication validator is not run. Call Verify to
-// pay that cost when wanted; Read/Load remain the fully-verifying path.
-func OpenMapped(path string) (*Mapped, error) { return OpenMappedObserved(path, nil) }
-
-// OpenMappedObserved is OpenMapped with the serving-path instrumentation
-// NewIndexObserved wires. A nil registry disables it.
-func OpenMappedObserved(path string, reg *obs.Registry) (*Mapped, error) {
+// pay that cost when wanted; Load and Read are the same open plus Verify.
+func OpenMapped(path string) (*Mapped, error) {
 	data, mapped, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	m, err := newMapped(data, mapped, reg)
+	m, err := newMapped(data, mapped)
 	if err != nil {
 		if mapped {
 			unmapFile(data)
@@ -62,8 +59,46 @@ func OpenMappedObserved(path string, reg *obs.Registry) (*Mapped, error) {
 	return m, nil
 }
 
+// Load reads the snapshot at path into memory and opens it with the full
+// integrity check: OpenMapped's decode, then Verify. The publication's
+// columns and the serving index alias the in-memory copy, so Close is a
+// no-op and the collector reclaims it with the last reference.
+func Load(path string) (*Mapped, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return openVerified(data)
+}
+
+// Read is Load over a stream: it reads r to its end — at most the format's
+// largest file — and requires those bytes to be exactly one snapshot, so
+// trailing bytes are refused the way they are in a file.
+func Read(r io.Reader) (*Mapped, error) {
+	data, err := io.ReadAll(io.LimitReader(r, maxFileLen+1))
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: reading snapshot: %w", err)
+	}
+	if int64(len(data)) > maxFileLen {
+		return nil, fmt.Errorf("snapshot: stream exceeds the %d-byte file limit", uint64(maxFileLen))
+	}
+	return openVerified(data)
+}
+
+// openVerified opens an in-memory image and runs Verify on it.
+func openVerified(data []byte) (*Mapped, error) {
+	m, err := newMapped(data, false)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Verify(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // newMapped builds the serving view over a snapshot image.
-func newMapped(data []byte, mapped bool, reg *obs.Registry) (*Mapped, error) {
+func newMapped(data []byte, mapped bool) (*Mapped, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("snapshot: %d-byte file shorter than the %d-byte header (truncated file?)", len(data), headerLen)
 	}
@@ -75,7 +110,10 @@ func newMapped(data []byte, mapped bool, reg *obs.Registry) (*Mapped, error) {
 		return nil, unsupportedVersion(version)
 	}
 	n := binary.LittleEndian.Uint64(data[8:16])
-	if n > maxBodyLen || headerLen+int(n) > len(data) {
+	if n > maxBodyLen {
+		return nil, fmt.Errorf("snapshot: metadata length %d exceeds the %d-byte limit", n, maxBodyLen)
+	}
+	if headerLen+int(n) > len(data) {
 		return nil, fmt.Errorf("snapshot: metadata length %d exceeds the file (truncated file?)", n)
 	}
 	meta := data[headerLen : headerLen+int(n)]
@@ -118,7 +156,7 @@ func newMapped(data []byte, mapped bool, reg *obs.Registry) (*Mapped, error) {
 	if rel.Pub, err = pg.FromColumns(*rel.Pub, cols); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	ix, err := query.NewIndexFromPartsObserved(rel.Pub.Schema, v2IndexParts(rel.Pub.P, root, payloads), reg)
+	ix, err := query.NewIndexFromParts(rel.Pub.Schema, v2IndexParts(rel.Pub.P, root, payloads))
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: mapped serving index invalid: %w", err)
 	}
@@ -134,7 +172,10 @@ func (m *Mapped) Mmapped() bool { return m.mapped }
 // whole file — use it when corruption matters more than cold-start latency
 // (e.g. a one-time check after copying a snapshot between hosts).
 func (m *Mapped) Verify() error {
-	if _, err := verifyV2Blocks(m.data[m.base:], m.base, m.dirs); err != nil {
+	if err := verifyBlocks(m.data, m.base, m.dirs); err != nil {
+		return err
+	}
+	if err := checkRowRanges(m.Pub.Columns()); err != nil {
 		return err
 	}
 	if m.Pub.Len() > 0 {

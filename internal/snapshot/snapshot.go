@@ -26,25 +26,34 @@
 // Versions 2 and 3 (the two this package reads) split the file in two: the
 // header's body is just the *metadata* (schema, parameters, recoding,
 // guarantee, row count, index root, and a block directory), and the rows
-// plus a prebuilt query-serving index follow as page-aligned, length-prefixed, individually-CRC'd column
-// blocks — one contiguous array per logical field. The layout lives in
-// v2.go; the field-level spec is docs/SERVING.md. Page alignment is what
-// makes the mmap serving path (OpenMapped) possible: a cold start maps the
-// file and adopts the arrays in place, paying page faults instead of a
-// parse.
+// plus a prebuilt query-serving index follow as page-aligned,
+// length-prefixed, individually-CRC'd column blocks — one contiguous array
+// per logical field. The layout lives in v2.go; the field-level spec is
+// docs/SERVING.md. Page alignment is what lets a reader adopt the arrays in
+// place instead of parsing them.
 //
 // Version 3 (what Write emits) is version 2 plus one metadata field: an
 // optional release-chain block (ChainMetadata) between the guarantee block
 // and the row count, recording the snapshot's position in a re-publication
 // chain. The field-level spec is docs/REPUBLICATION.md.
 //
-// The encoding is deterministic — the same publication always
-// produces the same bytes — so snapshots can be content-addressed and
-// diffed, and Read rejects anything it cannot vouch for: a short or
-// oversized header, an unknown version, a body shorter or longer than the
-// header promises (truncation), any checksum mismatch (corruption), nonzero
-// padding or trailing garbage, and any decoded structure the validators of
-// dataset, hierarchy, generalize, or pg refuse.
+// # Reading
+//
+// There is one decoder, at two depths. OpenMapped maps the file and adopts
+// its columns and its stored serving index without checksumming the column
+// payloads — a cold start pays page faults, not a parse. Load (a file read
+// into memory) and Read (a whole stream) run the same open and then
+// Mapped.Verify, which checks every block CRC and padding byte, the row
+// value ranges and the full publication validator. Every path serves the
+// index Write stored; none rebuilds it.
+//
+// The encoding is deterministic — the same publication always produces the
+// same bytes — so snapshots can be content-addressed and diffed, and the
+// verified open rejects anything it cannot vouch for: a short or oversized
+// header, an unknown version, a file shorter or longer than its directory
+// (truncation, trailing bytes), any checksum mismatch (corruption), nonzero
+// padding, and any decoded structure the validators of dataset, hierarchy,
+// generalize, query or pg refuse.
 package snapshot
 
 import (
@@ -55,7 +64,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 
 	"pgpub/internal/dataset"
 	"pgpub/internal/generalize"
@@ -67,8 +75,8 @@ import (
 const Version = 3
 
 // versionV2 is the first columnar format, identical to version 3 except
-// that its metadata body has no release-chain block. Read and OpenMapped
-// still accept it (Chain loads as nil).
+// that its metadata body has no release-chain block. Every reader still
+// accepts it (Chain loads as nil).
 const versionV2 = 2
 
 // magic identifies a snapshot file; it never changes across versions.
@@ -76,32 +84,11 @@ var magic = [6]byte{'P', 'G', 'S', 'N', 'A', 'P'}
 
 const headerLen = 6 + 2 + 8 + 4
 
-// maxBodyLen caps the body a reader will buffer (1 GiB), so a corrupted
-// length field cannot ask Read to allocate the advertised 2^64 bytes.
+// maxBodyLen caps a metadata body, column block or manifest body (1 GiB),
+// so a corrupted length field is refused before any arithmetic on it.
 const maxBodyLen = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// claimChunk is the largest length claim readClaimed allocates up front.
-const claimChunk = 16 << 20
-
-// readClaimed reads the n bytes a length field claims. Claims up to
-// claimChunk are allocated at once; beyond that the buffer doubles as the
-// bytes arrive, so a claim the stream does not back costs about what the
-// stream holds, not what the header says.
-func readClaimed(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, 0, min(n, claimChunk))
-	for len(buf) < n {
-		next := min(n, max(2*len(buf), claimChunk))
-		buf = slices.Grow(buf, next-len(buf))
-		m, err := io.ReadFull(r, buf[len(buf):next])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
 
 // Release is one decoded snapshot: the publication, its certified
 // guarantee metadata (nil when absent), its release-chain block (nil for
@@ -145,42 +132,6 @@ func makeHeader(version uint16, body []byte) []byte {
 	return hdr
 }
 
-// Read loads a snapshot written by Write (version 2 or 3), verifying
-// the magic, version, body length and every checksum before decoding, and
-// re-validating every structure it reconstructs.
-//
-// A version-2 publication is returned in columnar form (pg.FromColumns):
-// Rows is nil until a consumer that needs row-major tuples calls
-// pg.Published.EnsureRows. Every serving path (aggregation, indexing, CSV
-// export, scan estimation, crucial-tuple lookup) works directly on the
-// columns.
-func Read(r io.Reader) (*Release, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: reading header (truncated file?): %w", err)
-	}
-	if [6]byte(hdr[:6]) != magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q — not a snapshot file", hdr[:6])
-	}
-	version := binary.LittleEndian.Uint16(hdr[6:8])
-	n := binary.LittleEndian.Uint64(hdr[8:16])
-	if n > maxBodyLen {
-		return nil, fmt.Errorf("snapshot: body length %d exceeds the %d-byte limit", n, maxBodyLen)
-	}
-	body, err := readClaimed(r, int(n))
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: reading %d-byte body (truncated file?): %w", n, err)
-	}
-	crc := binary.LittleEndian.Uint32(hdr[16:20])
-	if crc32.Checksum(body, castagnoli) != crc {
-		return nil, fmt.Errorf("snapshot: body checksum mismatch (corrupted file)")
-	}
-	if version != versionV2 && version != Version {
-		return nil, unsupportedVersion(version)
-	}
-	return readV2(r, body, version, crc)
-}
-
 // Save writes the snapshot to path atomically enough for the single-writer
 // case: a temporary file in the same directory renamed over the target, so a
 // crash mid-write never leaves a half-written .pgsnap behind.
@@ -214,16 +165,6 @@ func SaveRelease(path string, pub *pg.Published, g *pg.GuaranteeMetadata, chain 
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	return nil
-}
-
-// Load reads the snapshot at path (see Read).
-func Load(path string) (*Release, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	return Read(bufio.NewReader(f))
 }
 
 func dirOf(path string) string {

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -106,6 +107,22 @@ func v2Payloads(cols *pg.RowColumns, parts query.IndexParts) [][]byte {
 	}
 }
 
+// checkRowRanges refuses the row values the format does not carry: a
+// group size G outside [1, MaxInt32] or a source row outside
+// [-1, MaxInt32]. Write runs it before encoding and Verify after decoding,
+// so no image Write could not have produced passes Verify.
+func checkRowRanges(cols *pg.RowColumns) error {
+	for i := 0; i < cols.N; i++ {
+		if cols.G[i] < 1 || cols.G[i] > math.MaxInt32 {
+			return fmt.Errorf("snapshot: row %d has G = %d", i, cols.G[i])
+		}
+		if cols.SourceRow[i] < -1 || cols.SourceRow[i] > math.MaxInt32 {
+			return fmt.Errorf("snapshot: row %d has source row %d", i, cols.SourceRow[i])
+		}
+	}
+	return nil
+}
+
 // writeV2 emits the current (version 3) format: metadata body, then the row
 // columns and the prebuilt serving index as page-aligned blocks. The index
 // is built here — publish time — so every cold start afterwards adopts it
@@ -115,13 +132,8 @@ func writeV2(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata, chain *Cha
 	if err := cols.Check(); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	for i := 0; i < cols.N; i++ {
-		if cols.G[i] < 1 || cols.G[i] > math.MaxInt32 {
-			return fmt.Errorf("snapshot: row %d has G = %d", i, cols.G[i])
-		}
-		if cols.SourceRow[i] < -1 || cols.SourceRow[i] > math.MaxInt32 {
-			return fmt.Errorf("snapshot: row %d has source row %d", i, cols.SourceRow[i])
-		}
+	if err := checkRowRanges(cols); err != nil {
+		return err
 	}
 	// The index is built over a columnar view of the same publication, so
 	// the row-major → columnar conversion above is the only one.
@@ -257,74 +269,39 @@ func decodeMeta(meta []byte, version uint16, crc uint32) (rel *Release, rowN int
 	return rel, int(n), root, dirs, nil
 }
 
-// verifyV2Blocks checks the block region bytes against the directory: zero
-// padding between blocks, length prefixes matching the directory, payload
-// CRCs, and nothing after the last block. data starts at file offset base
-// (the first byte after the metadata). Returns the payload slices
-// (subslices of data, in v2Blocks order).
-func verifyV2Blocks(data []byte, base int, dirs []blockDir) ([][]byte, error) {
-	payloads := make([][]byte, len(dirs))
+// verifyBlocks checks the block bytes newMapped leaves unread: every
+// padding byte is zero and every payload matches its directory CRC. The
+// geometry — ascending blocks, length prefixes equal to the directory, the
+// file ending at the last block — newMapped has already pinned. base is the
+// file offset of the first byte after the metadata.
+func verifyBlocks(data []byte, base int, dirs []blockDir) error {
 	pos := base
 	for i, dd := range dirs {
 		b := v2Blocks[i]
+		if !allZero(data[pos:dd.off]) {
+			return fmt.Errorf("snapshot: nonzero padding before the %s block", b.name)
+		}
 		end := int(dd.off) + prefixLen + int(dd.n)
-		if end > base+len(data) {
-			return nil, fmt.Errorf("snapshot: %s block extends past the file end (truncated file?)", b.name)
+		if crc32.Checksum(data[int(dd.off)+prefixLen:end], castagnoli) != dd.crc {
+			return fmt.Errorf("snapshot: %s block checksum mismatch (corrupted file)", b.name)
 		}
-		for _, z := range data[pos-base : int(dd.off)-base] {
-			if z != 0 {
-				return nil, fmt.Errorf("snapshot: nonzero padding before the %s block", b.name)
-			}
-		}
-		pre := binary.LittleEndian.Uint64(data[int(dd.off)-base:])
-		if pre != dd.n {
-			return nil, fmt.Errorf("snapshot: %s block length prefix %d disagrees with directory %d", b.name, pre, dd.n)
-		}
-		p := data[int(dd.off)+prefixLen-base : end-base]
-		if crc32.Checksum(p, castagnoli) != dd.crc {
-			return nil, fmt.Errorf("snapshot: %s block checksum mismatch (corrupted file)", b.name)
-		}
-		payloads[i] = p
 		pos = end
 	}
-	if pos != base+len(data) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after the %s block",
-			base+len(data)-pos, v2Blocks[len(v2Blocks)-1].name)
-	}
-	return payloads, nil
+	return nil
 }
 
-// v2Rows assembles the publication from the decoded metadata shell and the
-// five row-column payloads, re-validating everything the row-major decoder
-// would: G and source-row ranges, then the full publication validator.
-func v2Rows(pub *pg.Published, rowN int, payloads [][]byte) (*pg.Published, error) {
-	cols := &pg.RowColumns{
-		N:         rowN,
-		D:         pub.Schema.D(),
-		Lo:        bytesToI32(payloads[0]),
-		Hi:        bytesToI32(payloads[1]),
-		Value:     bytesToI32(payloads[2]),
-		G:         bytesToI64(payloads[3]),
-		SourceRow: bytesToI64(payloads[4]),
-	}
-	out, err := pg.FromColumns(*pub, cols)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	for i := 0; i < cols.N; i++ {
-		if cols.G[i] < 1 || cols.G[i] > math.MaxInt32 {
-			return nil, fmt.Errorf("snapshot: row %d has G = %d", i, cols.G[i])
+// allZero reports whether every byte of b is zero, comparing a page at a
+// time.
+func allZero(b []byte) bool {
+	var zero [pageAlign]byte
+	for len(b) > 0 {
+		n := min(len(b), pageAlign)
+		if !bytes.Equal(b[:n], zero[:n]) {
+			return false
 		}
-		if cols.SourceRow[i] < -1 || cols.SourceRow[i] > math.MaxInt32 {
-			return nil, fmt.Errorf("snapshot: row %d has source row %d", i, cols.SourceRow[i])
-		}
+		b = b[n:]
 	}
-	if cols.N > 0 {
-		if err := out.Validate(); err != nil {
-			return nil, fmt.Errorf("snapshot: loaded publication invalid: %w", err)
-		}
-	}
-	return out, nil
+	return true
 }
 
 // v2IndexParts wraps the 16 index payloads as query.IndexParts.
@@ -349,40 +326,4 @@ func v2IndexParts(p float64, root int32, payloads [][]byte) query.IndexParts {
 		NodeEHi:   bytesToI32(payloads[19]),
 		GridSat:   bytesToF64(payloads[20]),
 	}
-}
-
-// readV2 finishes Read for a version-2/3 stream: meta is the already
-// CRC-verified metadata body, crc its header checksum, and r is positioned
-// at the first byte after it. Every block CRC, every length prefix, all
-// padding and the exact file end are verified; the index blocks are
-// additionally checked structurally (by reconstructing an index from them),
-// though the streaming Read returns only the publication — Write rebuilds
-// the index deterministically, which is what keeps save(load(save))
-// byte-identical.
-func readV2(r io.Reader, meta []byte, version uint16, crc uint32) (*Release, error) {
-	rel, rowN, root, dirs, err := decodeMeta(meta, version, crc)
-	if err != nil {
-		return nil, err
-	}
-	// Consume exactly the bytes the directory describes: Read leaves
-	// anything after the snapshot unread, so it can be layered
-	// over concatenated streams. (OpenMapped, which sees the whole file,
-	// additionally requires the file to end at the last block.)
-	last := dirs[len(dirs)-1]
-	base := headerLen + len(meta)
-	data, err := readClaimed(r, int(last.off)+prefixLen+int(last.n)-base)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: reading column blocks (truncated file?): %w", err)
-	}
-	payloads, err := verifyV2Blocks(data, base, dirs)
-	if err != nil {
-		return nil, err
-	}
-	if rel.Pub, err = v2Rows(rel.Pub, rowN, payloads); err != nil {
-		return nil, err
-	}
-	if _, err := query.NewIndexFromParts(rel.Pub.Schema, v2IndexParts(rel.Pub.P, root, payloads)); err != nil {
-		return nil, fmt.Errorf("snapshot: loaded serving index invalid: %w", err)
-	}
-	return rel, nil
 }

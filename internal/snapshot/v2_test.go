@@ -103,7 +103,7 @@ func TestMappedVerifyCatchesEveryByte(t *testing.T) {
 	data := buf.Bytes()
 	for i := range data {
 		data[i] ^= 0x5a
-		m, err := newMapped(data, false, nil)
+		m, err := newMapped(data, false)
 		if err == nil {
 			err = m.Verify()
 		}
@@ -116,11 +116,11 @@ func TestMappedVerifyCatchesEveryByte(t *testing.T) {
 	// Truncation and extension are rejected at open: a mapped file must end
 	// exactly at the last block.
 	for _, n := range []int{0, 1, headerLen - 1, headerLen, len(data) / 2, len(data) - 1} {
-		if _, err := newMapped(data[:n], false, nil); err == nil {
+		if _, err := newMapped(data[:n], false); err == nil {
 			t.Fatalf("truncation to %d of %d bytes accepted at open", n, len(data))
 		}
 	}
-	if _, err := newMapped(append(append([]byte(nil), data...), 0), false, nil); err == nil {
+	if _, err := newMapped(append(append([]byte(nil), data...), 0), false); err == nil {
 		t.Fatal("trailing byte accepted at open")
 	}
 }

@@ -370,18 +370,20 @@ var (
 var (
 	// SaveSnapshot writes a publication snapshot atomically to a file.
 	SaveSnapshot = snapshot.Save
-	// LoadSnapshot reads a snapshot file back as a SnapshotRelease; the
-	// loaded publication reproduces the original's WriteCSV bytes and
-	// Metadata exactly.
+	// LoadSnapshot reads a snapshot file into memory and opens it fully
+	// verified; the loaded publication reproduces the original's WriteCSV
+	// bytes and Metadata exactly, and its stored query index serves as is.
 	LoadSnapshot = snapshot.Load
 	// WriteSnapshot serializes a publication snapshot, with an optional
 	// release-chain block, to a writer.
 	WriteSnapshot = snapshot.Write
-	// ReadSnapshot deserializes a publication snapshot from a reader.
+	// ReadSnapshot is LoadSnapshot over a reader holding exactly one
+	// snapshot.
 	ReadSnapshot = snapshot.Read
 	// OpenSnapshot maps a version-2/3 snapshot for serving in place: the
 	// column blocks and the prebuilt query index adopt the file's pages, so
-	// a cold start costs page faults instead of a parse.
+	// a cold start costs page faults instead of a read. Only the metadata
+	// is checksummed; MappedSnapshot.Verify runs LoadSnapshot's full check.
 	OpenSnapshot = snapshot.OpenMapped
 )
 
@@ -389,8 +391,9 @@ var (
 // release-chain block and the header CRC that identifies the release.
 type SnapshotRelease = snapshot.Release
 
-// MappedSnapshot is a snapshot opened in place by OpenSnapshot: a
-// SnapshotRelease and serving index aliasing the mapped file.
+// MappedSnapshot is an opened snapshot, from LoadSnapshot, ReadSnapshot or
+// OpenSnapshot: a SnapshotRelease and the stored serving index, both
+// aliasing the file image.
 type MappedSnapshot = snapshot.Mapped
 
 // Network serving layer (cmd/pgserve; API reference in docs/SERVING.md).
