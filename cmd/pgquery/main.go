@@ -190,7 +190,7 @@ func main() {
 			fail(err)
 		}
 		pub, crc, ix = m.Pub, m.CRC, m.Index
-		ix.Observe(reg)
+		query.Observe(reg, ix)
 	} else {
 		if *metaPath != "" {
 			mf, err := os.Open(*metaPath)

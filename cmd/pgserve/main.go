@@ -263,7 +263,7 @@ func main() {
 		if first, err = source(); err != nil {
 			fail(err)
 		}
-		first.Index.Observe(reg)
+		query.Observe(reg, first.Index)
 		mode := "read and verified"
 		if o.mmap {
 			mode = "mapped"

@@ -15,7 +15,7 @@ func TestParseFlagsRejectsFlagsTheModeIgnores(t *testing.T) {
 		args string
 		bad  string // the rejected flag; "" means the flags are accepted
 	}{
-		// The invocations the docs and CI smoke jobs use.
+		// The invocations the docs and the end-to-end test use.
 		{"-snapshot r.pgsnap -addr 127.0.0.1:8931", ""},
 		{"-snapshot r.pgsnap -mmap -addr 127.0.0.1:8932", ""},
 		{"-snapshot r.pgsnap -dp-budgets b.txt -dp-seed 7 -debug-addr :6060", ""},

@@ -66,8 +66,8 @@ func TestFleetSharded(t *testing.T) {
 }
 
 // serveShardedRelease publishes a sharded SAL release and stands up the
-// full deployment — shard servers plus coordinator — the way the shard-smoke
-// CI job does, returning the coordinator's base URL.
+// full deployment — shard servers plus coordinator — the way pgserve does
+// in cmd's end-to-end test, returning the coordinator's base URL.
 func serveShardedRelease(t *testing.T, n, shards int, seed int64, k int, p float64) string {
 	t.Helper()
 	d, err := sal.Generate(n, seed)

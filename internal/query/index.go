@@ -125,24 +125,31 @@ func NewIndexObserved(pub *pg.Published, reg *obs.Registry) (*Index, error) {
 		return nil, err
 	}
 	sp.End()
-	ix.Observe(reg)
+	Observe(reg, ix)
 	return ix, nil
 }
 
-// Observe wires the serving-path instruments into reg: the query.index.*
-// size gauges take this index's sizes, and every query it answers counts in
-// query.answered.* and records Count latency in query.count.latency. Call
-// it before the index serves — typically once, on an index adopted from a
-// snapshot (NewIndexObserved calls it on the indexes it builds). A nil
-// registry disables the instruments.
-func (ix *Index) Observe(reg *obs.Registry) {
-	reg.Gauge("query.index.entries").Set(int64(ix.nE))
-	reg.Gauge("query.index.nodes").Set(int64(len(ix.nodeG)))
-	reg.Gauge("query.index.grids").Set(int64(len(ix.grids)))
-	ix.met.grid = reg.Counter("query.answered.grid")
-	ix.met.reanswer = reg.Counter("query.answered.exact_reanswer")
-	ix.met.kd = reg.Counter("query.answered.kd")
-	ix.met.latency = reg.Histogram("query.count.latency", "ns")
+// Observe wires the serving-path instruments of the indexes that serve one
+// release into reg — a single index, or the shards of a sharded group: the
+// query.index.* size gauges take their total sizes, and every query each of
+// them answers counts in query.answered.* and records Count latency in
+// query.count.latency. Call it before the indexes serve — typically once,
+// on indexes adopted from snapshots (NewIndexObserved calls it on the index
+// it builds). A nil registry disables the instruments.
+func Observe(reg *obs.Registry, ixs ...*Index) {
+	var entries, nodes, grids int
+	for _, ix := range ixs {
+		entries += ix.nE
+		nodes += len(ix.nodeG)
+		grids += len(ix.grids)
+		ix.met.grid = reg.Counter("query.answered.grid")
+		ix.met.reanswer = reg.Counter("query.answered.exact_reanswer")
+		ix.met.kd = reg.Counter("query.answered.kd")
+		ix.met.latency = reg.Histogram("query.count.latency", "ns")
+	}
+	reg.Gauge("query.index.entries").Set(int64(entries))
+	reg.Gauge("query.index.nodes").Set(int64(nodes))
+	reg.Gauge("query.index.grids").Set(int64(grids))
 }
 
 func newIndex(pub *pg.Published) (*Index, error) {

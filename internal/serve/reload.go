@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"pgpub/internal/dataset"
 	"pgpub/internal/obs"
 	"pgpub/internal/pg"
 	"pgpub/internal/query"
@@ -37,16 +36,14 @@ import (
 //	              serving is untouched
 
 // ReleaseData is what Config.Source returns: one loaded release, ready to
-// serve. Index is required; Schema defaults to Index.Schema(). CRC and
-// Chain carry the snapshot's identity and release-chain block, which Reload
-// validates against the serving release before swapping.
+// serve. Index is required. CRC and Chain carry the snapshot's identity and
+// release-chain block, which Reload validates against the serving release
+// before swapping.
 type ReleaseData struct {
-	Index  *query.Index
-	Schema *dataset.Schema
-	Meta   pg.Metadata
-	Groups int
-	CRC    uint32
-	Chain  *snapshot.ChainMetadata
+	Index *query.Index
+	Meta  pg.Metadata
+	CRC   uint32
+	Chain *snapshot.ChainMetadata
 }
 
 // ErrReloadRejected marks a reload refused by chain validation (or by the
@@ -144,24 +141,8 @@ func sourceLoader(source func() (*ReleaseData, error), reg *obs.Registry) func(c
 			return nil, rejectf("release %d names parent CRC %08x, the serving snapshot's header CRC is %08x — not a successor of the serving release",
 				next.Chain.Release, next.Chain.ParentCRC, cur.crc)
 		}
-		next.Index.Observe(reg)
-		rel := &release{
-			answer:   local{next.Index},
-			computed: "computed",
-			schema:   next.Schema,
-			meta:     next.Meta,
-			groups:   next.Groups,
-			number:   next.Chain.Release,
-			crc:      next.CRC,
-			chain:    next.Chain,
-		}
-		if rel.schema == nil {
-			rel.schema = next.Index.Schema()
-		}
-		if rel.groups == 0 {
-			rel.groups = next.Index.Groups()
-		}
-		return rel, nil
+		query.Observe(reg, next.Index)
+		return localRelease(next), nil
 	}
 }
 

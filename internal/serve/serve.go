@@ -89,18 +89,11 @@ func (l local) AnswerWorkload(_ context.Context, qs []query.CountQuery, workers 
 
 // Config parameterizes a Server.
 type Config struct {
-	// Index is the serving index (required unless Answerer is set).
+	// Index is the serving index (required); /v1/metadata reports its schema
+	// and distinct-box count.
 	Index *query.Index
-	// Answerer overrides the index as the answering backend; Schema must
-	// then be set too. Intended for tests.
-	Answerer Answerer
-	// Schema is the publication schema; defaults to Index.Schema().
-	Schema *dataset.Schema
 	// Meta is the release metadata served at /v1/metadata.
 	Meta pg.Metadata
-	// Groups is the distinct-box count reported in /v1/metadata; defaults to
-	// Index.Groups().
-	Groups int
 	// MaxInFlight bounds concurrently admitted /v1/query + /v1/batch
 	// requests; excess load is shed with 429. Default 8×GOMAXPROCS.
 	MaxInFlight int
@@ -115,7 +108,7 @@ type Config struct {
 	Workers int
 	// Metrics optionally receives the serve.* instrumentation, and the
 	// query.* instruments of every index a reload installs from Source (the
-	// caller observes Index itself; see query.Index.Observe). nil disables.
+	// caller observes Index itself; see query.Observe). nil disables.
 	Metrics *obs.Registry
 	// CRC is the serving snapshot's header CRC — the identity a successor
 	// release's chain block must name as its parent. 0 (unknown) makes the
@@ -218,33 +211,8 @@ type Server struct {
 
 // New validates the configuration and builds a Server.
 func New(cfg Config) (*Server, error) {
-	rel := &release{
-		answer:   cfg.Answerer,
-		computed: "computed",
-		schema:   cfg.Schema,
-		meta:     cfg.Meta,
-		groups:   cfg.Groups,
-		number:   -1,
-		crc:      cfg.CRC,
-	}
-	if rel.answer == nil {
-		if cfg.Index == nil {
-			return nil, fmt.Errorf("serve: Config.Index (or Answerer) is required")
-		}
-		rel.answer = local{cfg.Index}
-	}
-	if rel.schema == nil {
-		if cfg.Index == nil {
-			return nil, fmt.Errorf("serve: Config.Schema is required with a custom Answerer")
-		}
-		rel.schema = cfg.Index.Schema()
-	}
-	if rel.groups == 0 && cfg.Index != nil {
-		rel.groups = cfg.Index.Groups()
-	}
-	if cfg.Chain != nil {
-		rel.number = cfg.Chain.Release
-		rel.chain = cfg.Chain
+	if cfg.Index == nil {
+		return nil, fmt.Errorf("serve: Config.Index is required")
 	}
 	s, err := newServer(cfg)
 	if err != nil {
@@ -253,8 +221,27 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Source != nil {
 		s.load = sourceLoader(cfg.Source, cfg.Metrics)
 	}
-	s.install(rel)
+	s.install(localRelease(&ReleaseData{Index: cfg.Index, Meta: cfg.Meta, CRC: cfg.CRC, Chain: cfg.Chain}))
 	return s, nil
+}
+
+// localRelease is the serving state of one release answered from its own
+// index: the one New starts on, and each one a Source reload swaps in.
+func localRelease(d *ReleaseData) *release {
+	rel := &release{
+		answer:   local{d.Index},
+		computed: "computed",
+		schema:   d.Index.Schema(),
+		meta:     d.Meta,
+		groups:   d.Index.Groups(),
+		number:   -1,
+		crc:      d.CRC,
+		chain:    d.Chain,
+	}
+	if d.Chain != nil {
+		rel.number = d.Chain.Release
+	}
+	return rel
 }
 
 // newServer builds a Server with no release installed: New installs the

@@ -249,11 +249,16 @@ func (f *fakeAnswerer) AnswerWorkload(ctx context.Context, qs []query.CountQuery
 	return out, nil
 }
 
-func fakeConfig(f *fakeAnswerer) Config {
-	return Config{
-		Answerer: f,
-		Schema:   dataset.Hospital().Schema,
+// newFakeServer builds a Server with cfg's settings over the backend f, a
+// release over the hospital schema.
+func newFakeServer(t testing.TB, f Answerer, cfg Config) *Server {
+	t.Helper()
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	s.install(&release{answer: f, computed: "computed", schema: dataset.Hospital().Schema, number: -1})
+	return s
 }
 
 // TestCacheEviction drives more distinct queries than the cache holds and
@@ -262,10 +267,10 @@ func fakeConfig(f *fakeAnswerer) Config {
 func TestCacheEviction(t *testing.T) {
 	f := &fakeAnswerer{}
 	reg := obs.NewRegistry()
-	cfg := fakeConfig(f)
+	var cfg Config
 	cfg.CacheEntries = cacheShards // one entry per shard
 	cfg.Metrics = reg
-	s := newTestServer(t, cfg)
+	s := newFakeServer(t, f, cfg)
 	h := s.Handler()
 
 	const distinct = 4 * cacheShards
@@ -305,10 +310,10 @@ func intp(v int) *int { return &v }
 func TestSingleflightCoalesces(t *testing.T) {
 	f := &fakeAnswerer{gate: make(chan struct{})}
 	reg := obs.NewRegistry()
-	cfg := fakeConfig(f)
+	var cfg Config
 	cfg.Metrics = reg
 	cfg.MaxInFlight = 64
-	s := newTestServer(t, cfg)
+	s := newFakeServer(t, f, cfg)
 	h := s.Handler()
 
 	const n = 16
@@ -371,10 +376,10 @@ func TestSingleflightCoalesces(t *testing.T) {
 func TestLimiterShedsWithRetryAfter(t *testing.T) {
 	f := &fakeAnswerer{gate: make(chan struct{})}
 	reg := obs.NewRegistry()
-	cfg := fakeConfig(f)
+	var cfg Config
 	cfg.MaxInFlight = 1
 	cfg.Metrics = reg
-	s := newTestServer(t, cfg)
+	s := newFakeServer(t, f, cfg)
 	h := s.Handler()
 
 	firstDone := make(chan int, 1)
@@ -424,10 +429,10 @@ func TestLimiterShedsWithRetryAfter(t *testing.T) {
 func TestTimeoutCutsOffSlowQueries(t *testing.T) {
 	f := &fakeAnswerer{delay: 300 * time.Millisecond}
 	reg := obs.NewRegistry()
-	cfg := fakeConfig(f)
+	var cfg Config
 	cfg.RequestTimeout = 20 * time.Millisecond
 	cfg.Metrics = reg
-	s := newTestServer(t, cfg)
+	s := newFakeServer(t, f, cfg)
 
 	var resp errorResponse
 	if code := post(t, s.Handler(), "/v1/query", QueryRequest{
@@ -481,7 +486,7 @@ func (g *codeGated) Count(ctx context.Context, q query.CountQuery) (float64, err
 func TestGracefulShutdownDrains(t *testing.T) {
 	httpGate, frameGate := make(chan struct{}), make(chan struct{})
 	f := &codeGated{gates: map[int32]chan struct{}{4: httpGate, 3: frameGate}}
-	s := newTestServer(t, Config{Answerer: f, Schema: dataset.Hospital().Schema})
+	s := newFakeServer(t, f, Config{})
 	hs, err := s.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -33,11 +33,11 @@ import (
 func TestSoakDrainUnderAdversarialLoad(t *testing.T) {
 	f := &fakeAnswerer{delay: 2 * time.Millisecond}
 	reg := obs.NewRegistry()
-	cfg := fakeConfig(f)
+	var cfg Config
 	cfg.Metrics = reg
 	cfg.MaxInFlight = 4
 	cfg.CacheEntries = cacheShards // one entry per shard: constant eviction
-	s := newTestServer(t, cfg)
+	s := newFakeServer(t, f, cfg)
 
 	hs, err := s.Serve("127.0.0.1:0")
 	if err != nil {

@@ -57,11 +57,6 @@ type Group struct {
 // NewGroup builds an in-process group over shard publications (the output
 // of pg.PublishSharded), constructing one index per shard.
 func NewGroup(pubs []*pg.Published) (*Group, error) {
-	return NewGroupObserved(pubs, nil)
-}
-
-// NewGroupObserved is NewGroup with per-shard index instrumentation.
-func NewGroupObserved(pubs []*pg.Published, reg *obs.Registry) (*Group, error) {
 	if len(pubs) == 0 {
 		return nil, fmt.Errorf("shard: group over zero shards")
 	}
@@ -74,7 +69,7 @@ func NewGroupObserved(pubs []*pg.Published, reg *obs.Registry) (*Group, error) {
 			return nil, fmt.Errorf("shard: shard %d params (%v, p=%v, k=%d) differ from shard 0's",
 				s, p.Algorithm, p.P, p.K)
 		}
-		ix, err := query.NewIndexObserved(p, reg)
+		ix, err := query.NewIndex(p)
 		if err != nil {
 			return nil, fmt.Errorf("shard: indexing shard %d: %w", s, err)
 		}
@@ -250,7 +245,8 @@ func WriteRelease(manifestPath, snapshotBase string, pubs []*pg.Published, g *pg
 // against its manifest CRC, loaded with the fully-verifying snapshot
 // reader, and cross-checked against the manifest's shared parameters and
 // per-shard row counts; each shard serves the index its snapshot stores.
-// reg receives the index instrumentation; nil disables it.
+// reg receives the index instrumentation, its query.index.* gauges the
+// group's totals; nil disables it.
 func OpenObserved(manifestPath string, reg *obs.Registry) (*Group, error) {
 	m, err := snapshot.LoadManifest(manifestPath)
 	if err != nil {
@@ -268,10 +264,10 @@ func OpenObserved(manifestPath string, reg *obs.Registry) (*Group, error) {
 		if err := checkShard(m, s, rel.Pub); err != nil {
 			return nil, err
 		}
-		rel.Index.Observe(reg)
 		g.Indexes[s] = rel.Index
 		g.rows += rel.Pub.Len()
 	}
+	query.Observe(reg, g.Indexes...)
 	return g, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pgpub/internal/obs"
 	"pgpub/internal/pg"
 	"pgpub/internal/query"
 	"pgpub/internal/sal"
@@ -274,6 +275,41 @@ func TestWriteReleaseOpenRoundtrip(t *testing.T) {
 		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("query %d: opened %v, in-process %v", i, a, b)
 		}
+	}
+}
+
+// TestOpenObservedGaugesTotalGroup opens a 4-shard release with a registry:
+// the query.index.* gauges describe the whole group, not the last shard
+// observed, and every shard's answers land in the shared counters.
+func TestOpenObservedGaugesTotalGroup(t *testing.T) {
+	dir := t.TempDir()
+	pubs := publishSharded(t, 2000, 4, 0, pg.KD)
+	manPath := filepath.Join(dir, "rel.pgman")
+	if _, err := WriteRelease(manPath, filepath.Join(dir, "rel.pgsnap"), pubs, nil, 11, 2000); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	g, err := OpenObserved(manPath, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, ix := range g.Indexes {
+		if ix.Groups() == g.Groups() {
+			t.Fatalf("shard %d holds all %d groups; the check below could not tell a total from one shard", s, g.Groups())
+		}
+	}
+	if got := reg.Snapshot().Gauges["query.index.entries"]; got != int64(g.Groups()) {
+		t.Fatalf("query.index.entries = %d, want the group's %d", got, g.Groups())
+	}
+	q := query.CountQuery{QI: make([]query.Range, g.Schema().D())}
+	for j, a := range g.Schema().QI {
+		q.QI[j] = query.Range{Lo: 0, Hi: int32(a.Size() - 1)}
+	}
+	if _, err := g.Count(q); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Histograms["query.count.latency"].Count; got != int64(g.Shards()) {
+		t.Fatalf("query.count.latency count = %d after one composed COUNT, want one per shard (%d)", got, g.Shards())
 	}
 }
 
