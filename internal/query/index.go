@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -46,6 +47,11 @@ import (
 // leaves sharpen pruning; 8 keeps the tree shallow enough that node overhead
 // stays negligible.
 const indexLeafSize = 8
+
+// maxIndexHeight bounds the levels of a tree NewIndexFromParts accepts. The
+// builder's median split over fewer than 2^31 entries, indexLeafSize to a
+// leaf, is at most 29 levels high.
+const maxIndexHeight = 64
 
 // Index is a precomputed query-serving structure over one publication. It is
 // immutable after construction and safe for concurrent use — AnswerWorkload
@@ -668,44 +674,66 @@ func (ix *Index) activeRanges(q []Range) []activeRange {
 	return act
 }
 
-// relateNode classifies node ni's bound against the restricting ranges.
-func (ix *Index) relateNode(ni int32, act []activeRange) int {
-	nN := int32(len(ix.nodeG))
-	rel := relContained
-	for _, r := range act {
-		o := int32(r.dim)*nN + ni
-		lo, hi := ix.nodeLo[o], ix.nodeHi[o]
-		if hi < r.lo || r.hi < lo {
-			return relDisjoint
-		}
-		if r.lo > lo || hi > r.hi {
-			rel = relPartial
-		}
+// A cut set names the restricting ranges that cut a node's bound — the
+// ranges along which the bound is not inside the query — as a bitmask over
+// act: bit k stands for act[k]. A child's bound lies inside its parent's,
+// so a range that contains the parent's bound along its dimension contains
+// every bound below: the walk hands a node's cut set down, and its children
+// test only those ranges. Bit tailBit stands for act[tailBit:] together, so
+// a query restricting more than 63 attributes tests that tail wherever one
+// of its ranges cuts; a range tested where it does not cut still
+// classifies and weights exactly.
+const tailBit = 63
+
+// cutAll is the cut set of n ranges: the root's.
+func cutAll(n int) uint64 {
+	if n > tailBit {
+		return ^uint64(0)
 	}
-	return rel
+	return 1<<n - 1
 }
 
-// vfEntry is volumeFraction of entry i over the restricting dims only.
-// Factors multiply in act (= dim) order, matching the scan path's partial
-// products bit for bit.
-func (ix *Index) vfEntry(i int, act []activeRange) float64 {
-	f := 1.0
-	for _, r := range act {
-		o := r.dim*ix.nE + i
-		a, b := ix.entLo[o], ix.entHi[o]
-		lo, hi := a, b
-		if r.lo > lo {
-			lo = r.lo
+// relateNode classifies node ni's bound against the ranges of the cut set
+// its parent handed down, and returns the ranges that cut it. It branches
+// once per node, not once per range.
+func (ix *Index) relateNode(ni int32, act []activeRange, cut uint64) (rel int, sub uint64) {
+	var miss int32 // negative once a range misses the bound
+	for m := cut &^ (1 << tailBit); m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		ov, cuts := ix.overlap(ni, &act[k])
+		miss |= ov
+		var bit uint64
+		if cuts {
+			bit = 1 << k
 		}
-		if r.hi < hi {
-			hi = r.hi
-		}
-		if lo > hi {
-			return 0
-		}
-		f *= float64(hi-lo+1) / float64(b-a+1)
+		sub |= bit
 	}
-	return f
+	if cut>>tailBit != 0 {
+		for k := tailBit; k < len(act); k++ {
+			ov, cuts := ix.overlap(ni, &act[k])
+			miss |= ov
+			if cuts {
+				sub |= 1 << tailBit
+			}
+		}
+	}
+	switch {
+	case miss < 0:
+		return relDisjoint, 0
+	case sub == 0:
+		return relContained, 0
+	}
+	return relPartial, sub
+}
+
+// overlap measures node ni's bound [lo, hi] against r along r's
+// dimension: ov is the overlap's width less one, negative when the two are
+// disjoint, and cuts reports that the bound is not inside r.
+func (ix *Index) overlap(ni int32, r *activeRange) (ov int32, cuts bool) {
+	o := r.dim*len(ix.nodeG) + int(ni)
+	lo, hi := ix.nodeLo[o], ix.nodeHi[o]
+	ov = min(hi, r.hi) - max(lo, r.lo)
+	return ov, ov != hi-lo
 }
 
 // valuer is the per-sensitive-value weighting a traversal applies: nothing
@@ -718,55 +746,97 @@ type valuer struct {
 	lo, hi int32
 }
 
-// walk accumulates the two sums every estimator is built from over the
-// subtree at ni:
+// walk adds the two sums every estimator is built from over the subtree at
+// ni to the running sums a and b, and returns them:
 //
 //	b  += Σ G · volFrac(box, q)                  (the region weight)
 //	a  += Σ G · volFrac(box, q) · wv[value]      (the value-weighted part)
 //
-// Disjoint subtrees contribute nothing; fully-contained subtrees contribute
-// their pre-aggregates (volFrac is 1 for every box inside); only boxes
-// straddling the region boundary are resolved per entry. Traversal order is
-// fixed by the tree, so a query's answer is bit-identical no matter which
-// goroutine computes it.
-func (ix *Index) walk(ni int32, act []activeRange, v *valuer, a, b *float64) {
-	switch ix.relateNode(ni, act) {
+// cut is the cut set of ni's parent (every range at the root). Disjoint
+// subtrees contribute nothing; fully-contained subtrees contribute their
+// pre-aggregates (volFrac is 1 for every box inside); only the leaves that
+// straddle the region boundary are resolved entry by entry (leaf).
+// Traversal order is fixed by the tree and every term is added to the one
+// running sum in that order, so a query's answer is bit-identical no matter
+// which goroutine computes it.
+func (ix *Index) walk(ni int32, act []activeRange, cut uint64, v *valuer, a, b float64) (float64, float64) {
+	rel, cut := ix.relateNode(ni, act, cut)
+	switch rel {
 	case relDisjoint:
-		return
+		return a, b
 	case relContained:
-		*b += ix.nodeG[ni]
+		b += ix.nodeG[ni]
 		dom := ix.schema.SensitiveDomain()
 		switch {
 		case v.wv == nil:
 		case v.band:
 			pref := ix.nodePref[int(ni)*(dom+1) : (int(ni)+1)*(dom+1)]
-			*a += pref[v.hi+1] - pref[v.lo]
+			a += pref[v.hi+1] - pref[v.lo]
 		default:
 			hist := ix.nodeHist[int(ni)*dom : (int(ni)+1)*dom]
 			for code, h := range hist {
 				if h != 0 {
-					*a += h * v.wv[code]
+					a += h * v.wv[code]
 				}
 			}
 		}
-		return
+		return a, b
 	}
 	if l := ix.nodeLeft[ni]; l >= 0 {
-		ix.walk(l, act, v, a, b)
-		ix.walk(ix.nodeRight[ni], act, v, a, b)
-		return
+		a, b = ix.walk(l, act, cut, v, a, b)
+		return ix.walk(ix.nodeRight[ni], act, cut, v, a, b)
 	}
-	for i := int(ix.nodeELo[ni]); i < int(ix.nodeEHi[ni]); i++ {
-		vf := ix.vfEntry(i, act)
-		if vf == 0 {
-			continue
+	return ix.leaf(ni, act, cut, v, a, b)
+}
+
+// leaf resolves a partial leaf column by column. Each entry's volume
+// fraction is the product, in dimension order, of its factors along the
+// ranges that cut the leaf, each computed without a branch as
+//
+//	max(min(hi, r.hi) − max(lo, r.lo) + 1, 0) / (hi − lo + 1)
+//
+// over one contiguous bound stream per range; then the leaf's terms are
+// added in entry order. That is the per-entry product bit for bit: a range
+// that does not cut the leaf contains each entry's bound, whose factor
+// there is exactly 1.0, and the factors left multiply in the same order.
+// An entry outside the region has a factor +0 and adds G·0 = +0 to b. The
+// value-weighted sum skips it, as a value map may hold ±Inf or NaN, whose
+// product with 0 is NaN.
+func (ix *Index) leaf(ni int32, act []activeRange, cut uint64, v *valuer, a, b float64) (float64, float64) {
+	lo := int(ix.nodeELo[ni])
+	var scratch [indexLeafSize]float64
+	vf := scratch[:int(ix.nodeEHi[ni])-lo]
+	for k := range vf {
+		vf[k] = 1
+	}
+	for m := cut &^ (1 << tailBit); m != 0; m &= m - 1 {
+		ix.scale(vf, lo, &act[bits.TrailingZeros64(m)])
+	}
+	if cut>>tailBit != 0 {
+		for k := tailBit; k < len(act); k++ {
+			ix.scale(vf, lo, &act[k])
 		}
-		*b += ix.entG[i] * vf
-		if v.wv != nil {
+	}
+	for k, f := range vf {
+		i := lo + k
+		b += ix.entG[i] * f
+		if v.wv != nil && f != 0 {
 			for o := ix.valOff[i]; o < ix.valOff[i+1]; o++ {
-				*a += ix.valW[o] * vf * v.wv[ix.valCode[o]]
+				a += ix.valW[o] * f * v.wv[ix.valCode[o]]
 			}
 		}
+	}
+	return a, b
+}
+
+// scale multiplies the volume fractions vf of the entries from lo on by
+// their factors along r.
+func (ix *Index) scale(vf []float64, lo int, r *activeRange) {
+	o := r.dim*ix.nE + lo
+	los, his := ix.entLo[o:o+len(vf)], ix.entHi[o:o+len(vf)]
+	for k := range vf {
+		l, h := los[k], his[k]
+		vf[k] *= float64(max(min(h, r.hi)-max(l, r.lo)+1, 0)) / float64(h-l+1)
 	}
 }
 
@@ -794,7 +864,7 @@ func (ix *Index) gather(q []Range, v *valuer) (a, b float64) {
 		ix.met.kd.Inc()
 	}
 	if ix.root >= 0 {
-		ix.walk(ix.root, act, v, &a, &b)
+		a, b = ix.walk(ix.root, act, cutAll(len(act)), v, 0, 0)
 	}
 	return a, b
 }

@@ -135,22 +135,41 @@ func NewIndexFromParts(schema *dataset.Schema, parts IndexParts) (*Index, error)
 	} else if parts.Root < 0 || int(parts.Root) >= nN {
 		return nil, fmt.Errorf("query: index parts: root %d outside [0,%d)", parts.Root, nN)
 	}
+	// Children precede parents in the frozen order (the build writes
+	// bottom-up), which makes the link check a cycle check, and lets one
+	// ascending pass measure each node's height before its parent needs it.
+	// The walk resolves a leaf in a fixed indexLeafSize-entry scratch and
+	// recurses once per level, so a leaf over that size, a tree deeper than
+	// maxIndexHeight, or a node reached from two parents (a shared subtree,
+	// walked once per path) is refused here rather than met mid-query.
+	height := make([]uint8, nN)
+	parented := make([]bool, nN)
 	for i := 0; i < nN; i++ {
 		l, r := parts.NodeLeft[i], parts.NodeRight[i]
 		if (l < 0) != (r < 0) {
 			return nil, fmt.Errorf("query: index parts: node %d has one child", i)
 		}
 		if l >= 0 {
-			// Children precede parents in the frozen order (the build appends
-			// bottom-up), which also makes the link check a cycle check.
 			if int(l) >= i || int(r) >= i {
 				return nil, fmt.Errorf("query: index parts: node %d links forward to %d/%d", i, l, r)
+			}
+			if l == r || parented[l] || parented[r] {
+				return nil, fmt.Errorf("query: index parts: node %d shares a child %d/%d", i, l, r)
+			}
+			parented[l], parented[r] = true, true
+			height[i] = 1 + max(height[l], height[r])
+			if height[i] > maxIndexHeight {
+				return nil, fmt.Errorf("query: index parts: node %d is %d levels high, limit %d", i, height[i], maxIndexHeight)
 			}
 		} else {
 			lo, hi := parts.NodeELo[i], parts.NodeEHi[i]
 			if lo < 0 || lo > hi || int(hi) > nE {
 				return nil, fmt.Errorf("query: index parts: node %d entry range [%d,%d) outside [0,%d]", i, lo, hi, nE)
 			}
+			if hi-lo > indexLeafSize {
+				return nil, fmt.Errorf("query: index parts: leaf %d holds %d entries, limit %d", i, hi-lo, indexLeafSize)
+			}
+			height[i] = 1
 		}
 	}
 	ix := &Index{
