@@ -78,7 +78,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var dpo *dpOffline
+	var dpb *dp.Budget // the key whose served noise to reproduce
 	if *dpBudgets != "" {
 		if *dpKey == "" {
 			fail(fmt.Errorf("-dp-budgets needs -dp-key"))
@@ -87,15 +87,13 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		b := ledger.Key(*dpKey)
-		if b == nil {
+		if dpb = ledger.Key(*dpKey); dpb == nil {
 			fail(fmt.Errorf("key %q is not provisioned in %s", *dpKey, *dpBudgets))
 		}
-		dpo = &dpOffline{key: *dpKey, eps: b.PerQuery, seed: *dpSeed}
 	} else if *dpKey != "" || *dpSeed != 0 {
 		fail(fmt.Errorf("-dp-key/-dp-seed need -dp-budgets"))
 	}
-	if dpo != nil && (*workload > 0 || *chain != "") {
+	if dpb != nil && (*workload > 0 || *chain != "") {
 		fail(fmt.Errorf("-dp-budgets reproduces one served answer; drop -workload/-chain"))
 	}
 
@@ -164,13 +162,13 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if dpo != nil {
+		if dpb != nil {
 			// The coordinator keys its noise on the manifest file's CRC.
 			crc, err := snapshot.FileCRC(*manifest)
 			if err != nil {
 				fail(err)
 			}
-			est = dpo.noised(crc, g.Schema(), q, est)
+			est = dpNoised(dpb, *dpSeed, crc, g.Schema(), q, est)
 		}
 		fmt.Printf("estimated count: %.1f\n", est)
 		return
@@ -242,27 +240,22 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if dpo != nil {
-		est = dpo.noised(crc, schema, q, est)
+	if dpb != nil {
+		est = dpNoised(dpb, *dpSeed, crc, schema, q, est)
 	}
 	fmt.Printf("estimated count: %.1f\n", est)
 }
 
-// dpOffline reproduces a DP server's noise for one COUNT answer: same
-// mechanism, same keying inputs (seed, API key, release CRC, canonical query
-// encoding), so the printed estimate matches the served answer bit for bit —
-// the offline half of the serving equivalence contract (docs/DP.md).
-type dpOffline struct {
-	key  string
-	eps  float64
-	seed int64
-}
-
-func (o *dpOffline) noised(crc uint32, schema *dataset.Schema, q query.CountQuery, est float64) float64 {
-	m := dp.Mechanism{Seed: o.seed, CRC: crc}
+// dpNoised reproduces a DP server's noise for one COUNT answer under key b:
+// same mechanism, same keying inputs (seed, API key, release CRC, canonical
+// query encoding), so the printed estimate matches the served answer bit
+// for bit — the offline half of the serving equivalence contract
+// (docs/DP.md).
+func dpNoised(b *dp.Budget, seed int64, crc uint32, schema *dataset.Schema, q query.CountQuery, est float64) float64 {
 	fmt.Fprintf(os.Stderr, "pgquery: DP mode — reproducing key %q's Laplace draw (ε=%g, release CRC %08x)\n",
-		o.key, o.eps, crc)
-	return est + m.Noise(o.key, serve.QueryKey(schema, "count", q, nil), 0, 1/o.eps)
+		b.Key, b.PerQuery, crc)
+	est, _ = dp.Mechanism{Seed: seed, CRC: crc}.Answer(b.Key, serve.QueryKey(schema, "count", q, nil), "count", est, 0, 0, b.PerQuery, 1) // a count is never refused
+	return est
 }
 
 // parseQuery builds a CountQuery from the -where / -income flags.

@@ -23,6 +23,8 @@ package dp
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/fnv"
 )
 
@@ -49,6 +51,31 @@ func (m Mechanism) Noise(apiKey, queryKey string, draw int, scale float64) float
 		return 0
 	}
 	return LaplaceQuantile(m.Uniform(apiKey, queryKey, draw), scale)
+}
+
+// Answer is the one place a Laplace scale is derived from ε: it noises one
+// exact answer of op, charged eps — the estimate est of a count or naive
+// count, the region's sum and weight of a sum or avg — with sens a sum's
+// global sensitivity. COUNT and NAIVE add Lap(1/ε) (GS = 1), SUM adds
+// Lap(sens/ε), and AVG splits ε in half between the region sum
+// (Lap(sens/(ε/2)), draw 0) and weight (Lap(1/(ε/2)), draw 1) and returns
+// their quotient — an error when the noised weight is not positive.
+func (m Mechanism) Answer(apiKey, queryKey, op string, est, sum, weight, eps, sens float64) (float64, error) {
+	switch op {
+	case "count", "naive":
+		return est + m.Noise(apiKey, queryKey, 0, 1/eps), nil
+	case "sum":
+		return sum + m.Noise(apiKey, queryKey, 0, sens/eps), nil
+	case "avg":
+		half := eps / 2
+		sum += m.Noise(apiKey, queryKey, 0, sens/half)
+		weight += m.Noise(apiKey, queryKey, 1, 1/half)
+		if weight <= 0 {
+			return 0, errors.New("region estimated empty under DP noise")
+		}
+		return sum / weight, nil
+	}
+	return 0, fmt.Errorf("unknown op %q", op)
 }
 
 // Uniform derives the draw's uniform in (0,1): the keying material is

@@ -114,3 +114,32 @@ func TestMechanismKeying(t *testing.T) {
 		t.Errorf("scale must be linear in b: got %v, want %v", got, want)
 	}
 }
+
+// TestAnswerScalesAndDraws pins the scale and draw index of every op
+// against Noise: count and naive at 1/ε, sum at sens/ε on draw 0, avg at
+// sens/(ε/2) on draw 0 over 1/(ε/2) on draw 1, and an avg whose noised
+// weight is not positive refused.
+func TestAnswerScalesAndDraws(t *testing.T) {
+	m := Mechanism{Seed: 11, CRC: 0xfeed}
+	const eps, sens, est, sum, weight = 0.4, 9.0, 120.0, 700.0, 35.0
+	half := eps / 2
+	for _, c := range []struct {
+		op   string
+		want float64
+	}{
+		{"count", est + m.Noise("k", "q", 0, 1/eps)},
+		{"naive", est + m.Noise("k", "q", 0, 1/eps)},
+		{"sum", sum + m.Noise("k", "q", 0, sens/eps)},
+		{"avg", (sum + m.Noise("k", "q", 0, sens/half)) / (weight + m.Noise("k", "q", 1, 1/half))},
+	} {
+		if got, err := m.Answer("k", "q", c.op, est, sum, weight, eps, sens); err != nil || got != c.want {
+			t.Errorf("%s: Answer = %v, %v; want %v", c.op, got, err, c.want)
+		}
+	}
+	if _, err := m.Answer("k", "q", "avg", est, sum, -1000, eps, sens); err == nil {
+		t.Error("avg with a negative noised weight answered")
+	}
+	if _, err := m.Answer("k", "q", "median", est, sum, weight, eps, sens); err == nil {
+		t.Error("unknown op answered")
+	}
+}

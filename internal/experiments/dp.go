@@ -122,7 +122,7 @@ func DPUtility(n int, seed int64, k int, p float64, epsilons []float64) (*DPRepo
 		apiKey := fmt.Sprintf("analyst-eps-%g", eps)
 		var rels, absNoise []float64
 		for _, b := range base {
-			noise := mech.Noise(apiKey, b.key, 0, 1/eps)
+			noise, _ := mech.Answer(apiKey, b.key, "count", 0, 0, 0, eps, 1) // the draw alone; a count is never refused
 			rels = append(rels, math.Abs(b.est+noise-b.truth)/b.truth)
 			absNoise = append(absNoise, math.Abs(noise))
 		}

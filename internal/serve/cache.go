@@ -41,7 +41,6 @@ type answerVal struct {
 	est    float64
 	sum    float64
 	weight float64
-	parts  bool // sum/weight are meaningful (op was sum or avg)
 }
 
 type cacheEntry struct {

@@ -419,7 +419,7 @@ func TestCoordinatorHedging(t *testing.T) {
 		if calls.Add(1) == 1 {
 			time.Sleep(stall)
 		}
-		w.Write(appendQueryReply(nil, answerVal{est: 42}))
+		w.Write(appendQueryReply(nil, QueryResponse{Estimate: 42}))
 	})
 	c, reg := startFakeCoordinator(t, []string{url}, func(cc *CoordConfig) {
 		cc.HedgeAfter = 10 * time.Millisecond
@@ -540,7 +540,7 @@ func countingShard(t *testing.T, est float64, gate chan struct{}) (string, *atom
 		if gate != nil {
 			<-gate
 		}
-		w.Write(appendQueryReply(nil, answerVal{est: est}))
+		w.Write(appendQueryReply(nil, QueryResponse{Estimate: est}))
 	})
 	return url, &calls
 }

@@ -106,62 +106,33 @@ func (sd *serverDP) authorize(w http.ResponseWriter, r *http.Request) (*dp.Budge
 	return b, true
 }
 
-// charge spends cost from the key's budget, or writes the 429. Budgets do
-// not replenish on their own — Retry-After is a polite pacing hint; the key
-// stays exhausted until the operator provisions a new ledger.
-func (sd *serverDP) charge(w http.ResponseWriter, b *dp.Budget, cost float64) (remaining float64, ok bool) {
-	ok, remaining = sd.ledger.Charge(b, cost)
+// charge spends n queries' ε from the request's budget, or writes the 429.
+// Budgets do not replenish on their own — Retry-After is a polite pacing
+// hint; the key stays exhausted until the operator provisions a new ledger.
+func (rq *request) charge(n int) bool {
+	b, cost := rq.budget, float64(n)*rq.budget.PerQuery
+	ok, rem := rq.s.dp.ledger.Charge(b, cost)
 	if !ok {
-		w.Header().Set("Retry-After", "3600")
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{
+		rq.w.Header().Set("Retry-After", "3600")
+		writeJSON(rq.w, http.StatusTooManyRequests, errorResponse{
 			Error: fmt.Sprintf("ε-budget exhausted for key %q: %.6g of ε_total %.6g spent, %.6g needed", b.Key, b.Spent(), b.Total, cost),
 		})
 	}
-	return remaining, ok
+	rq.rem = rem
+	return ok
 }
 
-// dpAnswer is the keying and accounting material of one charged answer.
-type dpAnswer struct {
-	crc    uint32  // release identity: snapshot header CRC or manifest file CRC
-	apiKey string  // the charged tenant
-	qkey   string  // canonical query encoding (QueryKey) — the noise identity
-	op     string  // the requested op
-	eps    float64 // ε charged for this answer
-	sens   float64 // sum-sensitivity (opSensitivity); counts use GS=1
-	rem    float64 // budget remaining after the charge
-	source string
-}
-
-// noised applies the Laplace mechanism to one exact answer. COUNT and NAIVE
-// add Lap(1/ε) (GS = 1: one row moves a count by one). SUM adds
-// Lap(sens/ε). AVG composes sequentially: its ε splits in half between the
-// region sum (Lap(sens/(ε/2)), draw 0) and the region weight
-// (Lap(1/(ε/2)), draw 1), and the answer is their quotient — which can
-// legitimately fail when the noised weight lands at or below zero (a region
-// estimated empty under noise). The compose pair is withheld from DP
-// responses: publishing noised parts alongside the quotient would spend ε
-// the accounting never charged.
-func (sd *serverDP) noised(a dpAnswer, val answerVal) (QueryResponse, error) {
-	m := dp.Mechanism{Seed: sd.seed, CRC: a.crc}
-	resp := QueryResponse{Op: a.op, Source: a.source, DP: &DPInfo{Epsilon: a.eps, Remaining: a.rem}}
-	switch a.op {
-	case "count", "naive":
-		resp.Estimate = val.est + m.Noise(a.apiKey, a.qkey, 0, 1/a.eps)
-	case "sum":
-		resp.Estimate = val.sum + m.Noise(a.apiKey, a.qkey, 0, a.sens/a.eps)
-	case "avg":
-		half := a.eps / 2
-		noisedSum := val.sum + m.Noise(a.apiKey, a.qkey, 0, a.sens/half)
-		noisedWeight := val.weight + m.Noise(a.apiKey, a.qkey, 1, 1/half)
-		if noisedWeight <= 0 {
-			return resp, fmt.Errorf("region estimated empty under DP noise")
-		}
-		resp.Estimate = noisedSum / noisedWeight
-	default:
-		return resp, fmt.Errorf("unknown op %q", a.op)
+// noised is the DP answer to the request's query: val through
+// dp.Mechanism.Answer at the charged ε. The compose pair is withheld from
+// DP responses: publishing noised parts alongside the quotient would spend
+// ε the accounting never charged.
+func (rq *request) noised(val answerVal) (float64, error) {
+	m := dp.Mechanism{Seed: rq.s.dp.seed, CRC: rq.rel.crc}
+	est, err := m.Answer(rq.budget.Key, rq.key, rq.op, val.est, val.sum, val.weight, rq.budget.PerQuery, sumSensitivity(rq.rel.schema, rq.values))
+	if err == nil {
+		rq.s.dp.met.queries.Inc()
 	}
-	sd.met.queries.Inc()
-	return resp, nil
+	return est, err
 }
 
 // handleBudget is GET /v1/dp/budget: the authenticated key's own account.
@@ -188,16 +159,12 @@ func (sd *serverDP) metadata() *DPMetadata {
 	return &DPMetadata{Mechanism: "laplace", Keys: sd.ledger.Len()}
 }
 
-// opSensitivity is the global sensitivity the sum/avg scale is built from:
-// one row contributes at most the largest |value| in the sensitive domain.
-// The default value vector maps each code to itself, so its bound is the
-// domain width minus one; counts and naive weights move by at most 1 per
-// row and ignore this. (The bound is stated over the published table the
-// estimates reconstruct from, matching the issue's GS prescription.)
-func opSensitivity(op string, schema *dataset.Schema, values []float64) float64 {
-	if op != "sum" && op != "avg" {
-		return 1
-	}
+// sumSensitivity is the global sensitivity the sum/avg scale is built
+// from: one row contributes at most the largest |value| in the sensitive
+// domain. The default value vector maps each code to itself, so its bound
+// is the domain width minus one. (The bound is stated over the published
+// table the estimates reconstruct from.)
+func sumSensitivity(schema *dataset.Schema, values []float64) float64 {
 	if values == nil {
 		return float64(schema.SensitiveDomain() - 1)
 	}

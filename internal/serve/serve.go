@@ -31,7 +31,8 @@
 // Coordinator (coord.go) — the shard servers of a sharded release, reached
 // over a persistent framed stream per connection (stream.go) in a binary
 // codec of their own (shardcodec.go). The request path above is the same
-// for both, and for a frame off a shard stream.
+// for both, and JSON handlers and shard-stream frames build the same
+// request value (request) for it.
 package serve
 
 import (
@@ -587,12 +588,95 @@ func (s *Server) requirePost(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// grant is an admitted aggregate request: its limiter slot and, in DP
-// mode, the budget it was charged against.
-type grant struct {
-	done   func()
-	budget *dp.Budget // nil outside DP mode
+// maxBodyBytes bounds a request body: a JSON /v1/query or /v1/batch body
+// over HTTP, which gets 413 past it, and a shard-stream frame, whose stream
+// is closed on a longer length claim before anything is allocated for it.
+// It is far above any batch a client, the coordinator or the attack fleet
+// sends.
+const maxBodyBytes = 64 << 20
+
+// decodeJSON reads a POST's JSON body of at most maxBodyBytes into v — a
+// body declared longer is refused before any of it is read — or fails the
+// request and returns false.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if !s.requirePost(w, r) {
+		return false
+	}
+	body, err := r.Body, error(nil)
+	switch {
+	case r.ContentLength > maxBodyBytes:
+		err = &http.MaxBytesError{Limit: maxBodyBytes}
+	case r.ContentLength < 0:
+		// A declared length bounds the body already: net/http reads no
+		// further. Only a chunked body needs the limit enforced as it is read.
+		body = http.MaxBytesReader(w, body, maxBodyBytes)
+	}
+	if err == nil {
+		err = json.NewDecoder(body).Decode(v)
+	}
+	if err != nil {
+		s.fail(w, fmt.Errorf("decoding request: %w", err))
+	}
+	return err == nil
+}
+
+// request is one aggregate request — a /v1/query or /v1/batch body, or a
+// query or batch frame off a shard stream — pinned to one release from
+// decode to reply. JSON handlers and frames build it the same way
+// (Server.request) and differ only in how they decode the body into it.
+type request struct {
+	s     *Server
+	w     http.ResponseWriter
+	r     *http.Request
+	frame *frameWriter // a shard stream's reply frame, for a shard-codec reply; nil for JSON
+	rel   *release
+
+	// The decoded query, or a batch's queries.
+	op     string
+	q      query.CountQuery
+	values []float64
+	qs     []query.CountQuery
+
+	// answer answers the query, key is its canonical encoding — its identity
+	// in the cache and in the DP noise — and source labels a computed answer.
+	answer      Answerer
+	key, source string
+
+	budget *dp.Budget // the API key's budget a DP request is charged against; nil outside DP mode
 	rem    float64    // the budget left after the charge
+}
+
+// request starts an aggregate request: one pointer load pins it to the
+// serving release even if a reload swaps it mid-request. Written to a shard
+// stream's frameWriter it replies in the shard codec; otherwise it names the
+// release in X-PG-Release, so a client can detect a hot-swap mid-session.
+func (s *Server) request(w http.ResponseWriter, r *http.Request) request {
+	rq := request{s: s, w: w, r: r, rel: s.rel.Load()}
+	if rq.frame, _ = w.(*frameWriter); rq.frame == nil && rq.rel.crc != 0 {
+		w.Header().Set("X-PG-Release", fmt.Sprintf("%08x", rq.rel.crc))
+	}
+	return rq
+}
+
+// setQuery sets the decoded query and what answers it: the release's
+// backend or, when shard pins the query, that one shard's.
+func (rq *request) setQuery(op string, q query.CountQuery, values []float64, shard *int) error {
+	rel := rq.rel
+	rq.op, rq.q, rq.values = op, q, values
+	rq.answer, rq.key, rq.source = rel.answer, QueryKey(rel.schema, op, q, values), rel.computed
+	switch {
+	case shard == nil:
+	case rel.pins == nil:
+		return fmt.Errorf("shard pinning is a coordinator feature; this server holds one snapshot")
+	case *shard < 0 || *shard >= len(rel.pins):
+		return fmt.Errorf("shard %d outside [0,%d]", *shard, len(rel.pins)-1)
+	default:
+		// The prefix keys a pinned answer apart from the whole-release answer
+		// to the same query, in the cache and in the DP noise: they are
+		// different observations and must not share a draw.
+		rq.answer, rq.key, rq.source = rel.pins[*shard], fmt.Sprintf("shard:%d|", *shard)+rq.key, "shard"
+	}
+	return nil
 }
 
 // admit is the gate every aggregate request passes before it is answered:
@@ -602,175 +686,106 @@ type grant struct {
 // before the computation: an admitted DP query is charged even when it
 // then errors, because data-dependent failures — an AVG region estimated
 // empty under noise, a timeout — are observations too. On refusal admit
-// has written the response; otherwise g.done must be called exactly once.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) (g grant, ok bool) {
+// has written the response; otherwise the caller must free its limiter
+// slot when it returns.
+func (rq *request) admit(n int) bool {
+	s := rq.s
 	if s.dp != nil {
-		if g.budget, ok = s.dp.authorize(w, r); !ok {
-			return g, false
+		var ok bool
+		if rq.budget, ok = s.dp.authorize(rq.w, rq.r); !ok {
+			return false
 		}
 	}
 	select {
 	case s.sem <- struct{}{}:
-		g.done = func() { <-s.sem }
 	default:
 		s.met.shed.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "server saturated, retry later"})
-		return g, false
+		rq.w.Header().Set("Retry-After", "1")
+		writeJSON(rq.w, http.StatusTooManyRequests, errorResponse{Error: "server saturated, retry later"})
+		return false
 	}
-	if g.budget != nil {
-		if g.rem, ok = s.dp.charge(w, g.budget, float64(n)*g.budget.PerQuery); !ok {
-			g.done()
-			return g, false
-		}
+	if rq.budget != nil && !rq.charge(n) {
+		<-s.sem
+		return false
 	}
-	return g, true
+	return true
 }
 
-// target is what one /v1/query answers from: the backend, the canonical
-// key that identifies the answer in the cache and in the DP noise, and
-// the Source label of a computed answer.
-type target struct {
-	answer Answerer
-	key    string
-	source string
-}
-
-// maxBodyBytes bounds a request body: a JSON /v1/query or /v1/batch body
-// over HTTP, which gets 413 past it, and a shard-stream frame, whose stream
-// is closed on a longer length claim before anything is allocated for it.
-// It is far above any batch a client, the coordinator or the attack fleet
-// sends.
-const maxBodyBytes = 64 << 20
-
-// decodeJSON reads a JSON request body of at most maxBodyBytes into v; a
-// body declared longer is refused before any of it is read.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	body := r.Body
-	switch {
-	case r.ContentLength > maxBodyBytes:
-		return fmt.Errorf("decoding request: %w", &http.MaxBytesError{Limit: maxBodyBytes})
-	case r.ContentLength < 0:
-		// A declared length bounds the body already: net/http reads no
-		// further. Only a chunked body needs the limit enforced as it is read.
-		body = http.MaxBytesReader(w, body, maxBodyBytes)
+// reply writes the failure err, or resp: as JSON, or on a frame its exact
+// answer in the shard codec (a DP server takes no frames).
+func (rq *request) reply(resp any, err error) {
+	switch one, isOne := resp.(QueryResponse); {
+	case err != nil:
+		rq.s.fail(rq.w, err)
+	case rq.frame == nil:
+		writeJSON(rq.w, http.StatusOK, resp)
+	case isOne:
+		rq.frame.buf = appendQueryReply(rq.frame.buf, one)
+	default:
+		rq.frame.buf = appendEstimates(rq.frame.buf, resp.(BatchResponse).Estimates)
 	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	return nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.met.reqQuery.Inc()
-	if !s.requirePost(w, r) {
-		return
-	}
 	var req QueryRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.fail(w, err)
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	// One pointer load pins this request to one release: parse, cache,
-	// compute and respond all against the same backend, even if a reload
-	// swaps the serving release mid-request.
-	rel := s.rel.Load()
-	setReleaseHeader(w, rel.crc)
-	op, q, values, err := parseQuery(rel.schema, &req)
+	rq := s.request(w, r)
+	op, q, values, err := parseQuery(rq.rel.schema, &req)
+	if err == nil {
+		err = rq.setQuery(op, q, values, req.Shard)
+	}
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	t := target{answer: rel.answer, key: QueryKey(rel.schema, op, q, values), source: rel.computed}
-	if req.Shard != nil {
-		sh := *req.Shard
-		switch {
-		case rel.pins == nil:
-			s.fail(w, fmt.Errorf("shard pinning is a coordinator feature; this server holds one snapshot"))
-			return
-		case sh < 0 || sh >= len(rel.pins):
-			s.fail(w, fmt.Errorf("shard %d outside [0,%d]", sh, len(rel.pins)-1))
-			return
-		}
-		// The prefix keys a pinned answer apart from the whole-release answer
-		// to the same query, in the cache and in the DP noise: they are
-		// different observations and must not share a draw.
-		t = target{answer: rel.pins[sh], key: fmt.Sprintf("shard:%d|", sh) + t.key, source: "shard"}
-	}
-	s.answerQuery(w, r, rel, t, op, q, values, false)
+	rq.answerQuery()
 }
 
-// answerQuery answers a parsed query: admission, the answer path, DP noise
-// and the reply — JSON, or the shard codec's when codec is set (a frame off
-// a shard stream, which a DP server never accepts).
-func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, rel *release, t target, op string, q query.CountQuery, values []float64, codec bool) {
-	g, ok := s.admit(w, r, 1)
-	if !ok {
+// answerQuery answers the decoded query: admission, the answer path, DP
+// noise and the reply.
+func (rq *request) answerQuery() {
+	if !rq.admit(1) {
 		return
 	}
-	defer g.done()
+	defer func() { <-rq.s.sem }()
 
 	t0 := time.Now()
-	val, source, err := s.answerOne(r.Context(), rel, t, op, q, values)
-	s.met.latQuery.Observe(time.Since(t0).Nanoseconds())
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	resp := QueryResponse{Op: op, Estimate: val.est, Source: source}
+	val, source, err := rq.answerOne()
+	rq.s.met.latQuery.Observe(time.Since(t0).Nanoseconds())
+	resp := QueryResponse{Op: rq.op, Estimate: val.est, Source: source}
 	switch {
-	case s.dp != nil:
+	case err != nil: // reply fails the request
+	case rq.budget != nil:
 		// Under DP only the noised weight decides whether an AVG region is
 		// empty: the exact weight is never observed.
-		resp, err = s.dp.noised(dpAnswer{
-			crc: rel.crc, apiKey: g.budget.Key, qkey: t.key, op: op, eps: g.budget.PerQuery,
-			sens: opSensitivity(op, rel.schema, values), rem: g.rem, source: source,
-		}, val)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-	case op == "avg" && val.weight == 0:
-		s.fail(w, errors.New("region estimated empty"))
-		return
-	case codec:
-		w.Write(appendQueryReply(make([]byte, 0, 24), val)) //nolint:errcheck // a frame reply is written to memory
-		return
-	case val.parts:
-		sum, weight := val.sum, val.weight
-		resp.Sum, resp.Weight = &sum, &weight
+		resp.Estimate, err = rq.noised(val)
+		resp.DP = &DPInfo{Epsilon: rq.budget.PerQuery, Remaining: rq.rem}
+	case rq.op == "avg" && val.weight == 0:
+		err = errors.New("region estimated empty")
+	case rq.op == "sum" || rq.op == "avg":
+		pair := [2]float64{val.sum, val.weight}
+		resp.Sum, resp.Weight = &pair[0], &pair[1]
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// setReleaseHeader advertises the serving release's identity on every
-// aggregate response, so a client — the attack fleet included — can detect
-// a hot-swap mid-session instead of silently mixing releases.
-func setReleaseHeader(w http.ResponseWriter, crc uint32) {
-	if crc != 0 {
-		w.Header().Set("X-PG-Release", fmt.Sprintf("%08x", crc))
-	}
+	rq.reply(resp, err)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.met.reqBatch.Inc()
-	if !s.requirePost(w, r) {
-		return
-	}
 	var req BatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.fail(w, err)
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	rel := s.rel.Load()
-	setReleaseHeader(w, rel.crc)
-	qs := make([]query.CountQuery, len(req.Queries))
-	for i := range qs {
+	rq := s.request(w, r)
+	rq.qs = make([]query.CountQuery, len(req.Queries))
+	for i := range rq.qs {
 		if req.Queries[i].Shard != nil {
 			s.fail(w, fmt.Errorf("query %d: shard pinning is not available in batches", i))
 			return
 		}
-		op, q, _, err := parseQuery(rel.schema, &req.Queries[i])
+		op, q, _, err := parseQuery(rq.rel.schema, &req.Queries[i])
 		if err == nil && op != "count" {
 			err = fmt.Errorf("batch answers COUNT only, got op %q", op)
 		}
@@ -778,53 +793,44 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, fmt.Errorf("query %d: %w", i, err))
 			return
 		}
-		qs[i] = q
+		rq.qs[i] = q
 	}
-	s.answerBatch(w, r, rel, qs, false)
+	rq.answerBatch()
 }
 
-// answerBatch answers a parsed COUNT workload, in JSON or, when codec is
-// set, in the shard codec.
-func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, rel *release, qs []query.CountQuery, codec bool) {
+// answerBatch answers the decoded COUNT workload.
+func (rq *request) answerBatch() {
+	s, rel, qs := rq.s, rq.rel, rq.qs
 	// One combined charge of n·ε_per_query: the batch answers n queries, so
 	// it costs n queries' worth of budget — batching is a transport
 	// convenience, not a discount.
-	g, ok := s.admit(w, r, len(qs))
-	if !ok {
+	if !rq.admit(len(qs)) {
 		return
 	}
-	defer g.done()
+	defer func() { <-rq.s.sem }()
 
 	t0 := time.Now()
-	ests, err := withDeadline(r.Context(), s.timeout, func(ctx context.Context) ([]float64, error) {
+	ests, err := withDeadline(rq.r.Context(), s.timeout, func(ctx context.Context) ([]float64, error) {
 		return rel.answer.AnswerWorkload(ctx, qs, s.workers)
 	})
 	s.met.latBatch.Observe(time.Since(t0).Nanoseconds())
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if codec {
-		w.Write(appendEstimates(make([]byte, 0, 8*len(ests)), ests)) //nolint:errcheck // a frame reply is written to memory
-		return
-	}
 	if ests == nil {
 		ests = []float64{}
 	}
 	resp := BatchResponse{Estimates: ests}
-	if s.dp != nil {
+	if rq.budget != nil && err == nil {
 		// Each estimate is noised under its own query's canonical key, so a
 		// batched query answers identically to the same query sent alone
 		// under the same key and release.
 		m := dp.Mechanism{Seed: s.dp.seed, CRC: rel.crc}
 		for i := range ests {
 			k := QueryKey(rel.schema, "count", qs[i], nil)
-			ests[i] += m.Noise(g.budget.Key, k, 0, 1/g.budget.PerQuery)
+			ests[i], _ = m.Answer(rq.budget.Key, k, "count", ests[i], 0, 0, rq.budget.PerQuery, 1) // a count is never refused
 		}
-		resp.DP = &DPInfo{Epsilon: float64(len(qs)) * g.budget.PerQuery, Remaining: g.rem}
+		resp.DP = &DPInfo{Epsilon: float64(len(qs)) * rq.budget.PerQuery, Remaining: rq.rem}
 		s.dp.met.queries.Add(int64(len(qs)))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	rq.reply(resp, err)
 }
 
 func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
@@ -839,12 +845,14 @@ func (s *Server) handleMetadata(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // Answer path: cache → singleflight → backend, under a deadline
 
-// answerOne resolves one aggregate query through the release's cache,
-// coalescing concurrent duplicates, bounded by the request timeout. Cache
-// and singleflight belong to the release, so a leader that outlives a
-// hot-swap still populates (only) its own release's cache.
-func (s *Server) answerOne(ctx context.Context, rel *release, t target, op string, q query.CountQuery, values []float64) (val answerVal, source string, err error) {
-	if v, ok := rel.cache.get(t.key); ok {
+// answerOne resolves the query through the release's cache, coalescing
+// concurrent duplicates, bounded by the request timeout. Cache and
+// singleflight belong to the release, so a leader that outlives a hot-swap
+// still populates (only) its own release's cache. The computation gets
+// copies of what it needs, never the request: it may outlive the handler.
+func (rq *request) answerOne() (val answerVal, source string, err error) {
+	s, rel, key, answer, op, q, values := rq.s, rq.rel, rq.key, rq.answer, rq.op, rq.q, rq.values
+	if v, ok := rel.cache.get(key); ok {
 		s.met.cacheHits.Inc()
 		return v, "cache", nil
 	}
@@ -854,10 +862,10 @@ func (s *Server) answerOne(ctx context.Context, rel *release, t target, op strin
 		v      answerVal
 		shared bool
 	}
-	r, err := withDeadline(ctx, s.timeout, func(ctx context.Context) (result, error) {
-		v, shared, err := rel.flight.do(t.key, func() (answerVal, error) {
-			v, err := compute(ctx, t.answer, op, q, values)
-			if err == nil && rel.cache.put(t.key, v) {
+	r, err := withDeadline(rq.r.Context(), s.timeout, func(ctx context.Context) (result, error) {
+		v, shared, err := rel.flight.do(key, func() (answerVal, error) {
+			v, err := compute(ctx, answer, op, q, values)
+			if err == nil && rel.cache.put(key, v) {
 				s.met.cacheEvict.Inc()
 			}
 			return v, err
@@ -871,7 +879,7 @@ func (s *Server) answerOne(ctx context.Context, rel *release, t target, op strin
 		s.met.coalesced.Inc()
 		return r.v, "coalesced", nil
 	default:
-		return r.v, t.source, nil
+		return r.v, rq.source, nil
 	}
 }
 
@@ -918,7 +926,7 @@ func compute(ctx context.Context, answer Answerer, op string, q query.CountQuery
 		return answerVal{est: est}, err
 	case "sum", "avg":
 		sum, weight, err := answer.AvgParts(ctx, q, values)
-		v := answerVal{est: sum, sum: sum, weight: weight, parts: true}
+		v := answerVal{est: sum, sum: sum, weight: weight}
 		if op == "avg" && weight != 0 {
 			v.est = sum / weight
 		}

@@ -258,11 +258,11 @@ func decodeShardBatch(schema *dataset.Schema, body []byte) ([]query.CountQuery, 
 
 // appendQueryReply appends the codec reply to one query: the estimate, then
 // the compose pair when the answer carries one.
-func appendQueryReply(b []byte, v answerVal) []byte {
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.est))
-	if v.parts {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.sum))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.weight))
+func appendQueryReply(b []byte, r QueryResponse) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Estimate))
+	if r.Sum != nil {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*r.Sum))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(*r.Weight))
 	}
 	return b
 }

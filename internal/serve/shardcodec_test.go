@@ -144,7 +144,8 @@ func TestShardCodecAllocs(t *testing.T) {
 	q.Sensitive[1] = true
 	values := make([]float64, schema.SensitiveDomain())
 	qs := []query.CountQuery{q, q, q}
-	reply := appendQueryReply(nil, answerVal{est: 1, sum: 2, weight: 3, parts: true})
+	sum, weight := 2.0, 3.0
+	reply := appendQueryReply(nil, QueryResponse{Estimate: 1, Sum: &sum, Weight: &weight})
 	batch := appendEstimates(nil, []float64{1, 2, 3})
 	buf := make([]byte, 0, 256)
 	out := make([]float64, len(qs))

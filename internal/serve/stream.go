@@ -83,27 +83,29 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	serveStream(w, r, s.serveFrame)
 }
 
-// serveFrame answers one frame of a shard stream.
+// serveFrame answers one frame of a shard stream as a JSON request is answered.
 func (s *Server) serveFrame(w http.ResponseWriter, r *http.Request, kind byte, body []byte) {
-	rel := s.rel.Load()
+	rq := s.request(w, r)
 	switch kind {
 	case frameQuery:
 		s.met.reqQuery.Inc()
-		op, q, values, err := decodeShardQuery(rel.schema, body)
+		op, q, values, err := decodeShardQuery(rq.rel.schema, body)
+		if err == nil {
+			err = rq.setQuery(op, q, values, nil)
+		}
 		if err != nil {
 			s.fail(w, err)
 			return
 		}
-		t := target{answer: rel.answer, key: QueryKey(rel.schema, op, q, values), source: rel.computed}
-		s.answerQuery(w, r, rel, t, op, q, values, true)
+		rq.answerQuery()
 	case frameBatch:
 		s.met.reqBatch.Inc()
-		qs, err := decodeShardBatch(rel.schema, body)
-		if err != nil {
+		var err error
+		if rq.qs, err = decodeShardBatch(rq.rel.schema, body); err != nil {
 			s.fail(w, err)
 			return
 		}
-		s.answerBatch(w, r, rel, qs, true)
+		rq.answerBatch()
 	default:
 		s.fail(w, fmt.Errorf("unknown frame kind %d", kind))
 	}
@@ -223,7 +225,8 @@ func readFrameBody(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
 }
 
 // frameWriter is the ResponseWriter a frame is answered into: the reply
-// frame, whose head frame fills in once the handler has written the body.
+// frame, whose head frame fills in once the handler has written the body
+// (a codec answer, which request.reply appends to buf, or a JSON error).
 type frameWriter struct {
 	header http.Header
 	status int

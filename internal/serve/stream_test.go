@@ -24,7 +24,7 @@ import (
 
 // echoFrame answers every frame with a one-query codec reply.
 func echoFrame(w http.ResponseWriter, _ *http.Request, _ byte, _ []byte) {
-	w.Write(appendQueryReply(nil, answerVal{est: 7}))
+	w.Write(appendQueryReply(nil, QueryResponse{Estimate: 7}))
 }
 
 // streamServer serves a shard stream answered by serve on loopback. It

@@ -224,22 +224,29 @@ func tinyPublication(t testing.TB) *pg.Published {
 }
 
 // TestRejectsCorruption flips every single byte of a valid snapshot in turn
-// and requires Read to reject each mutant: header damage is caught by the
-// magic/version/length checks, metadata damage by its CRC-32C, block damage
-// by the per-block CRCs, padding damage by the zero check.
+// and requires Read's decoder to reject each mutant: header damage is
+// caught by the magic/version/length checks, metadata damage by its
+// CRC-32C, block damage by the per-block CRCs, padding damage by the zero
+// check.
 func TestRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, tinyPublication(t), &pg.GuaranteeMetadata{Lambda: 0.1, Rho1: 0.2, Rho2: 0.4, Delta: 0.2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
+	// The sweep runs the decoder Read hands its bytes to, in place; one Read
+	// of a corrupted image keeps Read's own wrapper covered.
 	for i := range data {
 		data[i] ^= 0x5a
-		_, err := Read(bytes.NewReader(data))
+		_, err := openVerified(data)
 		data[i] ^= 0x5a
 		if err == nil {
 			t.Fatalf("byte %d of %d: corruption accepted", i, len(data))
 		}
+	}
+	data[len(data)/2] ^= 0x5a
+	if _, err := Read(bytes.NewReader(data)); err == nil {
+		t.Fatal("Read accepted a corrupted image")
 	}
 }
 
@@ -276,10 +283,16 @@ func TestRejectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
+	// As in TestRejectsCorruption: the sweep runs Read's decoder, each
+	// prefix capped so nothing past it is reachable, and one Read of a
+	// truncated image keeps the wrapper covered.
 	for n := 0; n < len(data); n++ {
-		if _, err := Read(bytes.NewReader(data[:n])); err == nil {
+		if _, err := openVerified(data[:n:n]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes accepted", n, len(data))
 		}
+	}
+	if _, err := Read(bytes.NewReader(data[:len(data)-1])); err == nil {
+		t.Fatal("Read accepted a truncated image")
 	}
 }
 
