@@ -5,9 +5,10 @@
 //
 // Usage:
 //
-// Workload mode answers the whole batch through the serving index — the
-// one a snapshot stores, or one built once from a CSV — reporting
-// queries/sec.
+// Every answer comes from the serving index — the one a snapshot stores,
+// or one built once from a CSV — so a single query prints what a server
+// over the same release answers. Workload mode answers the whole batch
+// and reports queries/sec.
 //
 //	pgquery -in anonymized.csv -p 0.2996 -where "Age=30..50,Gender=M..M" -income 25..49
 //	pgquery -in anonymized.csv -p 0.2996 -workload 50 -truth sal.csv -workers 4
@@ -175,8 +176,9 @@ func main() {
 	}
 
 	// A single-snapshot server keys its DP noise on the snapshot header CRC;
-	// a CSV-backed server has no CRC and keys on release 0. A snapshot
-	// brings its serving index; a CSV is indexed only for a workload.
+	// a CSV-backed server has no CRC and keys on release 0. Every answer
+	// comes from the serving index, as a server's does: a snapshot brings
+	// its own, a CSV is indexed on load.
 	var (
 		pub *pg.Published
 		crc uint32
@@ -214,20 +216,17 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		start := time.Now()
+		if ix, err = query.NewIndexObserved(pub, reg); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "pgquery: indexed %d groups in %v\n",
+			ix.Groups(), time.Since(start).Round(time.Millisecond))
 	}
 	schema := pub.Schema
 	fmt.Fprintf(os.Stderr, "pgquery: loaded %d published tuples (k=%d, p=%.4f)\n", pub.Len(), pub.K, pub.P)
 
 	if *workload > 0 {
-		if ix == nil {
-			start := time.Now()
-			var err error
-			if ix, err = query.NewIndexObserved(pub, reg); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "pgquery: indexed %d groups in %v\n",
-				ix.Groups(), time.Since(start).Round(time.Millisecond))
-		}
 		runWorkload(schema, ix, *workload, *seed, *truth, *workers, fail)
 		return
 	}
@@ -236,7 +235,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	est, err := query.Estimate(pub, q)
+	est, err := ix.Count(q)
 	if err != nil {
 		fail(err)
 	}

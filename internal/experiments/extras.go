@@ -174,11 +174,11 @@ func AblationGeneralizer(n int, seed int64, k int, p float64) ([]AblationGenRow,
 			ErrPG:     1 - mining.Accuracy(clf.Predict, d, classOf),
 		}
 		min, sum := int(^uint(0)>>1), 0
-		for _, r := range pub.Rows {
-			if r.G < min {
-				min = r.G
+		for _, g := range pub.Columns().G {
+			if int(g) < min {
+				min = int(g)
 			}
-			sum += r.G
+			sum += int(g)
 		}
 		row.MinGroup = min
 		row.AvgGroup = float64(sum) / float64(pub.Len())

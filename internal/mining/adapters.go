@@ -101,16 +101,13 @@ func TrainPG(pub *pg.Published, classOf func(int32) int, numClasses int, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range pub.EnsureRows() {
-		feats := make([]int32, d)
-		for j := 0; j < d; j++ {
-			feats[j] = (r.Box.Lo[j] + r.Box.Hi[j]) / 2
-		}
+	c := pub.Columns()
+	for i := 0; i < c.N; i++ {
 		target := structureDS
-		if i%2 == 1 && pub.Len() > 1 {
+		if i%2 == 1 && c.N > 1 {
 			target = labelDS
 		}
-		if err := target.Add(feats, classOf(r.Value), float64(r.G)); err != nil {
+		if err := target.Add(boxMidpoints(c, i), classOf(c.Value[i]), float64(c.G[i])); err != nil {
 			return nil, err
 		}
 	}
@@ -178,6 +175,16 @@ func classFractions(domain int, classOf func(int32) int, numClasses int) ([]floa
 
 // Predict classifies a raw QI vector.
 func (c *PGClassifier) Predict(qi []int32) int { return c.Tree.Predict(qi) }
+
+// boxMidpoints is published row i's feature vector: the midpoint code of its
+// generalized box on every QI attribute.
+func boxMidpoints(c *pg.RowColumns, i int) []int32 {
+	feats := make([]int32, c.D)
+	for j := range feats {
+		feats[j] = (c.Lo[j*c.N+i] + c.Hi[j*c.N+i]) / 2
+	}
+	return feats
+}
 
 // Accuracy evaluates a raw-QI classifier against a microdata table: the
 // fraction of tuples whose predicted class matches classOf(true sensitive),

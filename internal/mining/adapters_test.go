@@ -144,9 +144,11 @@ func TestTrainPGErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := *pub
-	empty.Rows = nil
-	if _, err := TrainPG(&empty, classOf, 2, Config{}); err == nil {
+	empty, err := pg.FromColumns(*pub, &pg.RowColumns{D: pub.Schema.D()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TrainPG(empty, classOf, 2, Config{}); err == nil {
 		t.Fatal("empty publication: want error")
 	}
 	// classOf returning out-of-range classes must be caught.

@@ -171,12 +171,9 @@ func TrainNBPG(pub *pg.Published, classOf func(int32) int, numClasses int, cfg N
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range pub.Rows {
-		feats := make([]int32, d)
-		for j := 0; j < d; j++ {
-			feats[j] = (r.Box.Lo[j] + r.Box.Hi[j]) / 2
-		}
-		if err := ds.Add(feats, classOf(r.Value), float64(r.G)); err != nil {
+	c := pub.Columns()
+	for i := 0; i < c.N; i++ {
+		if err := ds.Add(boxMidpoints(c, i), classOf(c.Value[i]), float64(c.G[i])); err != nil {
 			return nil, err
 		}
 	}

@@ -139,9 +139,11 @@ func TestTrainNBPGErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := *pub
-	empty.Rows = nil
-	if _, err := TrainNBPG(&empty, classOf, 2, NBConfig{}); err == nil {
+	empty, err := pg.FromColumns(*pub, &pg.RowColumns{D: pub.Schema.D()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TrainNBPG(empty, classOf, 2, NBConfig{}); err == nil {
 		t.Fatal("empty publication: want error")
 	}
 	if _, err := TrainNBPG(pub, func(int32) int { return 9 }, 2, NBConfig{}); err == nil {

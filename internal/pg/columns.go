@@ -6,12 +6,13 @@ import (
 	"pgpub/internal/generalize"
 )
 
-// RowColumns is the struct-of-arrays form of a publication's rows: one
-// contiguous array per logical field, with the box bounds dim-major
-// (Lo[j*N+i] is row i's lower bound along QI attribute j). It is the layout
-// the snapshot format stores rows in and the layout columnar consumers — the
-// aggregate collapse, the publication validator — sweep, one cache-linear
-// stream per field instead of a heap box per row.
+// RowColumns holds the rows of D*, the one form a Published stores them in:
+// one contiguous array per logical field, with the box bounds dim-major
+// (Lo[j*N+i] is row i's lower bound along QI attribute j). It is also the
+// layout the snapshot format stores rows in, so a loaded or mmap'd snapshot
+// adopts the arrays as they are, and every consumer — the scan estimators,
+// the aggregate collapse, the validator, the miners, the CSV writer —
+// sweeps one cache-linear stream per field instead of a heap box per row.
 //
 // A RowColumns is a value view: consumers must treat the arrays as
 // read-only. In particular the arrays may alias a read-only mmap'd snapshot,
@@ -30,6 +31,19 @@ type RowColumns struct {
 	SourceRow []int64
 }
 
+// newRowColumns allocates zeroed columns for n rows of d dimensions.
+func newRowColumns(n, d int) *RowColumns {
+	return &RowColumns{
+		N:         n,
+		D:         d,
+		Lo:        make([]int32, d*n),
+		Hi:        make([]int32, d*n),
+		Value:     make([]int32, n),
+		G:         make([]int64, n),
+		SourceRow: make([]int64, n),
+	}
+}
+
 // Check validates the arrays' shape: every field N long and the bounds D*N.
 func (c *RowColumns) Check() error {
 	if c.N < 0 || c.D < 0 {
@@ -45,7 +59,8 @@ func (c *RowColumns) Check() error {
 	return nil
 }
 
-// Row materializes row i as a row-major Row (fresh bound slices).
+// Row copies row i out as a Row value (fresh bound slices), the one-tuple
+// view FindCrucial hands the linking attack.
 func (c *RowColumns) Row(i int) Row {
 	box := generalize.Box{Lo: make([]int32, c.D), Hi: make([]int32, c.D)}
 	for j := 0; j < c.D; j++ {
@@ -76,50 +91,19 @@ func (c *RowColumns) covers(i int, vq []int32) bool {
 	return true
 }
 
-// Columns returns the publication's rows in struct-of-arrays form: the
-// installed columnar view when the publication was built from one
-// (FromColumns), otherwise a fresh conversion of Rows. Callers must treat
-// the arrays as read-only.
-func (p *Published) Columns() *RowColumns {
-	if p.Rows == nil && p.cols != nil {
-		return p.cols
-	}
-	d, n := p.Schema.D(), len(p.Rows)
-	c := &RowColumns{
-		N:         n,
-		D:         d,
-		Lo:        make([]int32, d*n),
-		Hi:        make([]int32, d*n),
-		Value:     make([]int32, n),
-		G:         make([]int64, n),
-		SourceRow: make([]int64, n),
-	}
-	for i := range p.Rows {
-		r := &p.Rows[i]
-		for j := 0; j < d; j++ {
-			c.Lo[j*n+i] = r.Box.Lo[j]
-			c.Hi[j*n+i] = r.Box.Hi[j]
-		}
-		c.Value[i] = r.Value
-		c.G[i] = int64(r.G)
-		c.SourceRow[i] = int64(r.SourceRow)
-	}
-	return c
-}
+// Columns returns the rows of D*. Callers must treat the arrays as
+// read-only.
+func (p *Published) Columns() *RowColumns { return p.cols }
 
-// FromColumns builds a publication around a columnar row view without
-// materializing []Row — the serving path from a snapshot never needs the
-// row-major form, so a load (or an mmap) stays O(columns adopted), not
-// O(rows rebuilt). meta supplies the publication metadata (Schema,
-// Algorithm, Recoding, P, K); its Rows must be nil. The view is adopted,
-// not copied. Consumers that do need row-major rows (the attack simulators)
-// call EnsureRows first.
+// FromColumns builds a publication around columnar rows; it is the one
+// constructor every publication goes through (Publish, ReadCSV, Merge and
+// the snapshot decoder) and the one shape check. meta supplies the
+// publication metadata (Schema, Algorithm, Recoding, P, K); any rows it
+// carries are replaced. The columns are adopted, not copied, so a load (or
+// an mmap) stays O(columns adopted), not O(rows rebuilt).
 func FromColumns(meta Published, cols *RowColumns) (*Published, error) {
 	if meta.Schema == nil {
 		return nil, fmt.Errorf("pg: columnar publication needs a schema")
-	}
-	if meta.Rows != nil {
-		return nil, fmt.Errorf("pg: columnar publication must not also carry rows")
 	}
 	if err := cols.Check(); err != nil {
 		return nil, err
@@ -130,18 +114,4 @@ func FromColumns(meta Published, cols *RowColumns) (*Published, error) {
 	p := meta
 	p.cols = cols
 	return &p, nil
-}
-
-// EnsureRows materializes p.Rows from the installed columnar view when the
-// publication was built by FromColumns; it is a no-op when Rows already
-// exist. It returns the rows for convenience.
-func (p *Published) EnsureRows() []Row {
-	if p.Rows == nil && p.cols != nil && p.cols.N > 0 {
-		rows := make([]Row, p.cols.N)
-		for i := range rows {
-			rows[i] = p.cols.Row(i)
-		}
-		p.Rows = rows
-	}
-	return p.Rows
 }

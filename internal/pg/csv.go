@@ -11,8 +11,8 @@ import (
 // value labels: the exact label for degenerate intervals, "*" for the full
 // domain, "[lo-hi]" otherwise — the presentation of Table IIc.
 func (p *Published) BoxLabel(row, attr int) string {
-	a := p.Schema.QI[attr]
-	lo, hi := p.Rows[row].Box.Lo[attr], p.Rows[row].Box.Hi[attr]
+	a, c := p.Schema.QI[attr], p.cols
+	lo, hi := c.Lo[attr*c.N+row], c.Hi[attr*c.N+row]
 	switch {
 	case lo == hi:
 		return a.Label(lo)
@@ -36,12 +36,13 @@ func (p *Published) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return fmt.Errorf("pg: writing CSV header: %w", err)
 	}
-	for i, r := range p.EnsureRows() {
+	c := p.cols
+	for i := 0; i < c.N; i++ {
 		rec := make([]string, 0, len(header))
 		for j := range p.Schema.QI {
 			rec = append(rec, p.BoxLabel(i, j))
 		}
-		rec = append(rec, p.Schema.Sensitive.Label(r.Value), strconv.Itoa(r.G))
+		rec = append(rec, p.Schema.Sensitive.Label(c.Value[i]), strconv.FormatInt(c.G[i], 10))
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("pg: writing CSV row %d: %w", i, err)
 		}

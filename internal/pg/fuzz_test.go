@@ -1,6 +1,7 @@
 package pg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,7 +36,8 @@ func FuzzParseBoxLabel(f *testing.F) {
 }
 
 // FuzzReadCSV exercises the publication loader with arbitrary CSV bodies:
-// never panic; every accepted publication must validate.
+// never panic; every accepted publication must validate, and must write
+// back through WriteCSV and read back to identical columns.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("Age,Gender,Zipcode,Disease,G\n*,M,*,bronchitis,2\n")
 	f.Add("Age,Gender,Zipcode,Disease,G\n[20-39],F,[10-29],pneumonia,3\n")
@@ -66,6 +68,17 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if err := pub.Validate(); err != nil {
 			t.Fatalf("accepted invalid publication: %v", err)
+		}
+		var buf strings.Builder
+		if err := pub.WriteCSV(&buf); err != nil {
+			t.Fatalf("WriteCSV of an accepted publication: %v", err)
+		}
+		back, err := ReadCSV(schema, strings.NewReader(buf.String()), 0.3)
+		if err != nil {
+			t.Fatalf("rewritten CSV refused: %v\n%s", err, buf.String())
+		}
+		if back.K != pub.K || !reflect.DeepEqual(back.Columns(), pub.Columns()) {
+			t.Fatalf("columns drifted through WriteCSV:\n%s", buf.String())
 		}
 	})
 }

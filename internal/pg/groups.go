@@ -37,9 +37,8 @@ type BoxAggregate struct {
 // aggregates estimates every region weight as 0, so COUNT and SUM estimate
 // 0 for every query and AVG reports the region as empty (see query.Index).
 func (p *Published) Aggregates() []BoxAggregate {
-	// The collapse sweeps the columnar view — dim-major bound streams plus
-	// the value and G columns — so a publication served straight from a
-	// snapshot's column blocks never materializes row-major rows. Each box
+	// The collapse sweeps the columns — dim-major bound streams plus the
+	// value and G columns. Each box
 	// is hashed to a uint64 (one pass per bound stream) and probed in a
 	// flat table; a hit is confirmed against the bounds of the entry's
 	// first row. Rows are visited in order, so entries appear in first

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pgpub/internal/dataset"
 	"pgpub/internal/generalize"
 	"pgpub/internal/hierarchy"
 	"pgpub/internal/sal"
@@ -22,11 +23,11 @@ func TestAggregatesCollapse(t *testing.T) {
 		}
 		return b
 	}
-	pub := &Published{Schema: s, P: 0.3, K: 2, Rows: []Row{
+	pub := fromRows(t, s, []Row{
 		{Box: box(0, 3), Value: 0, G: 2},
 		{Box: box(4, 7), Value: 1, G: 4},
 		{Box: box(0, 3), Value: 1, G: 3},
-	}}
+	})
 	aggs := pub.Aggregates()
 	if len(aggs) != 2 {
 		t.Fatalf("got %d aggregates, want 2", len(aggs))
@@ -77,7 +78,7 @@ func TestAggregatesWeights(t *testing.T) {
 // An empty publication aggregates to an empty, non-nil slice — the contract
 // index construction relies on (see query.NewIndex).
 func TestAggregatesEmpty(t *testing.T) {
-	pub := &Published{Schema: sal.Schema(), P: 0.3, K: 2}
+	pub := fromRows(t, sal.Schema(), nil)
 	aggs := pub.Aggregates()
 	if len(aggs) != 0 {
 		t.Fatalf("empty publication gave %d aggregates", len(aggs))
@@ -115,8 +116,8 @@ func refAggregates(p *Published) []BoxAggregate {
 }
 
 // Aggregates equals the map-keyed reference on releases of all three
-// Phase-2 algorithms, on the same releases served from their columns, on
-// boxes that repeat out of order, and on an empty release.
+// Phase-2 algorithms, on boxes that repeat out of order, and on an empty
+// release.
 func TestAggregatesMatchesReference(t *testing.T) {
 	d, err := sal.Generate(4000, 61)
 	if err != nil {
@@ -135,13 +136,6 @@ func TestAggregatesMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(alg.String(), pub)
-		meta := *pub
-		meta.Rows = nil
-		cpub, err := FromColumns(meta, pub.Columns())
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(alg.String()+" from columns", cpub)
 	}
 
 	s := sal.Schema()
@@ -158,6 +152,25 @@ func TestAggregatesMatchesReference(t *testing.T) {
 		b := int32(i*7) % 13
 		rows = append(rows, Row{Box: box(b, b+1), Value: int32(i % 3), G: 1 + i%5})
 	}
-	check("repeated boxes", &Published{Schema: s, P: 0.3, K: 2, Rows: rows})
-	check("empty", &Published{Schema: s, P: 0.3, K: 2})
+	check("repeated boxes", fromRows(t, s, rows))
+	check("empty", fromRows(t, s, nil))
+}
+
+// fromRows builds a publication (P 0.3, K 2) from rows written out as Row
+// values.
+func fromRows(t *testing.T, s *dataset.Schema, rows []Row) *Published {
+	t.Helper()
+	n, d := len(rows), s.D()
+	c := newRowColumns(n, d)
+	for i, r := range rows {
+		for j := 0; j < d; j++ {
+			c.Lo[j*n+i], c.Hi[j*n+i] = r.Box.Lo[j], r.Box.Hi[j]
+		}
+		c.Value[i], c.G[i], c.SourceRow[i] = r.Value, int64(r.G), int64(r.SourceRow)
+	}
+	pub, err := FromColumns(Published{Schema: s, P: 0.3, K: 2}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pub
 }

@@ -90,11 +90,11 @@ func TestPublishInvariantsRandomized(t *testing.T) {
 				t.Fatalf("%s workers=%d: Validate: %v", name, workers, err)
 			}
 			sum := 0
-			for _, r := range pub.Rows {
-				if r.G < k {
-					t.Fatalf("%s workers=%d: G = %d below floor %d", name, workers, r.G, k)
+			for _, g := range pub.Columns().G {
+				if g < int64(k) {
+					t.Fatalf("%s workers=%d: G = %d below floor %d", name, workers, g, k)
 				}
-				sum += r.G
+				sum += int(g)
 			}
 			if sum != d.Len() {
 				t.Fatalf("%s workers=%d: G values sum to %d, want |D| = %d", name, workers, sum, d.Len())
@@ -109,8 +109,8 @@ func TestPublishInvariantsRandomized(t *testing.T) {
 		if seq.Len() != par8.Len() {
 			t.Fatalf("%s: sequential published %d rows, parallel %d", name, seq.Len(), par8.Len())
 		}
-		for i := range seq.Rows {
-			a, b := seq.Rows[i], par8.Rows[i]
+		for i := 0; i < seq.Len(); i++ {
+			a, b := seq.Columns().Row(i), par8.Columns().Row(i)
 			if !a.Box.Equal(b.Box) || a.Value != b.Value || a.G != b.G || a.SourceRow != b.SourceRow {
 				t.Fatalf("%s: row %d differs between sequential and parallel run", name, i)
 			}

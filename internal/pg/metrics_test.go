@@ -74,7 +74,7 @@ func TestPublishMetricsNilIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(base.Rows, instr.Rows) {
+	if !reflect.DeepEqual(base.Columns(), instr.Columns()) {
 		t.Fatal("instrumented publication differs from uninstrumented one")
 	}
 }

@@ -116,7 +116,8 @@ type Config struct {
 
 // Row is one published tuple of D*: the generalized QI box, the observed —
 // possibly perturbed — sensitive value y, and the source QI-group size G
-// (step S3).
+// (step S3). It is a copy of one row (see RowColumns.Row and FindCrucial),
+// not a second way to store D*.
 type Row struct {
 	Box   generalize.Box
 	Value int32
@@ -132,20 +133,16 @@ type Row struct {
 // metadata a data consumer legitimately knows: the schema, the retention
 // probability P (required for reconstruction-based mining), the group-size
 // floor K, and the Phase-2 algorithm. Recoding is non-nil for the cut-based
-// algorithms (TDS, FullDomain) and nil for KD.
+// algorithms (TDS, FullDomain) and nil for KD. The rows are stored as
+// columns only (see Columns). Build a publication with Publish, ReadCSV,
+// Merge or FromColumns; a Published literal carries metadata and no rows.
 type Published struct {
 	Schema    *dataset.Schema
 	Algorithm Algorithm
 	Recoding  *generalize.Recoding
-	Rows      []Row
 	P         float64
 	K         int
 
-	// cols is the adopted columnar row view of a publication built by
-	// FromColumns (snapshot serving path); nil for a publication whose rows
-	// were materialized directly. When Rows is nil and cols is set, Len,
-	// Columns, Aggregates, Validate and FindCrucial serve from the columns
-	// and never materialize row-major rows.
 	cols *RowColumns
 }
 
@@ -214,7 +211,6 @@ func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached 
 
 	// Phase 2: generalization (global recoding, Properties G1–G3), unless a
 	// still-valid grouping was handed down.
-	pub := &Published{Schema: d.Schema, Algorithm: cfg.Algorithm, P: cfg.P, K: k}
 	grp := cached
 	if grp == nil {
 		sp2 := met.Span("pg.phase2")
@@ -225,7 +221,6 @@ func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached 
 		sp2.End()
 		met.Counter("pg.phase2.groups").Add(int64(len(grp.groupRows)))
 	}
-	pub.Recoding = grp.recoding
 
 	// Phase 3: stratified sampling (S1–S4), sharded across the workers.
 	sp3 := met.Span("pg.phase3")
@@ -233,16 +228,26 @@ func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached 
 	if err != nil {
 		return nil, nil, fmt.Errorf("pg: phase 3: %w", err)
 	}
-	for _, st := range strata {
-		pub.Rows = append(pub.Rows, Row{
-			Box:       grp.boxes[st.Group],
-			Value:     dp.Sensitive(st.Row),
-			G:         st.GroupSize,
-			SourceRow: st.Row,
-		})
+	n, dim := len(strata), d.Schema.D()
+	cols := newRowColumns(n, dim)
+	for i, st := range strata {
+		box := grp.boxes[st.Group]
+		for j := 0; j < dim; j++ {
+			cols.Lo[j*n+i] = box.Lo[j]
+			cols.Hi[j*n+i] = box.Hi[j]
+		}
+		cols.Value[i] = dp.Sensitive(st.Row)
+		cols.G[i] = int64(st.GroupSize)
+		cols.SourceRow[i] = int64(st.Row)
+	}
+	pub, err := FromColumns(Published{
+		Schema: d.Schema, Algorithm: cfg.Algorithm, Recoding: grp.recoding, P: cfg.P, K: k,
+	}, cols)
+	if err != nil {
+		return nil, nil, err
 	}
 	sp3.End()
-	met.Counter("pg.rows.published").Add(int64(len(pub.Rows)))
+	met.Counter("pg.rows.published").Add(int64(n))
 	spTotal.End()
 	return pub, grp, nil
 }
@@ -315,29 +320,16 @@ func resolveK(cfg Config) (int, error) {
 }
 
 // Len returns |D*|.
-func (p *Published) Len() int {
-	if p.Rows == nil && p.cols != nil {
-		return p.cols.N
-	}
-	return len(p.Rows)
-}
+func (p *Published) Len() int { return p.cols.N }
 
 // FindCrucial performs step A1 of a linking attack: it retrieves the unique
 // row whose generalized QI box covers vq. Uniqueness is guaranteed by
 // Property G3 plus step S2; ok is false when no row matches (possible only
 // for QI regions whose group was empty in the microdata).
 func (p *Published) FindCrucial(vq []int32) (Row, bool) {
-	if p.Rows == nil && p.cols != nil {
-		for i := 0; i < p.cols.N; i++ {
-			if p.cols.covers(i, vq) {
-				return p.cols.Row(i), true
-			}
-		}
-		return Row{}, false
-	}
-	for _, r := range p.Rows {
-		if r.Box.Covers(vq) {
-			return r, true
+	for i := 0; i < p.cols.N; i++ {
+		if p.cols.covers(i, vq) {
+			return p.cols.Row(i), true
 		}
 	}
 	return Row{}, false
@@ -345,29 +337,15 @@ func (p *Published) FindCrucial(vq []int32) (Row, bool) {
 
 // Validate checks the structural invariants of D*: every G at least K,
 // sensitive values in domain, boxes inside the QI domain, and — Property
-// G3 — pairwise-disjoint boxes. The per-row checks run as columnar sweeps
-// over the struct-of-arrays view, one contiguous stream per field. The
-// disjointness check is quadratic and skipped beyond 4000 rows
+// G3 — pairwise-disjoint boxes. The per-row checks run as sweeps over the
+// columns, one contiguous stream per field; their shape is FromColumns'
+// check. The disjointness check is quadratic and skipped beyond 4000 rows
 // (construction guarantees it; tests exercise the small case exhaustively).
 func (p *Published) Validate() error {
 	if p.K < 1 {
 		return fmt.Errorf("pg: K = %d", p.K)
 	}
-	d := p.Schema.D()
-	// Malformed row-major boxes must be reported, not tripped over by the
-	// columnar conversion, so the shape check precedes it.
-	for i := range p.Rows {
-		if len(p.Rows[i].Box.Lo) != d || len(p.Rows[i].Box.Hi) != d {
-			return fmt.Errorf("pg: row %d box has wrong dimensionality", i)
-		}
-	}
-	c := p.Columns()
-	if err := c.Check(); err != nil {
-		return err
-	}
-	if c.D != d {
-		return fmt.Errorf("pg: rows have %d-dimensional boxes for %d QI attributes", c.D, d)
-	}
+	c := p.cols
 	for i, g := range c.G {
 		if g < int64(p.K) {
 			return fmt.Errorf("pg: row %d has G = %d < K = %d", i, g, p.K)
@@ -378,7 +356,7 @@ func (p *Published) Validate() error {
 			return fmt.Errorf("pg: row %d sensitive value %d out of domain", i, v)
 		}
 	}
-	for j := 0; j < d; j++ {
+	for j := 0; j < c.D; j++ {
 		lo, hi := c.Lo[j*c.N:(j+1)*c.N], c.Hi[j*c.N:(j+1)*c.N]
 		size := int32(p.Schema.QI[j].Size())
 		for i := range lo {
@@ -399,7 +377,7 @@ func (p *Published) Validate() error {
 	return nil
 }
 
-// boxesOverlap reports whether rows i and j of the columnar view intersect.
+// boxesOverlap reports whether the boxes of rows i and j intersect.
 func boxesOverlap(c *RowColumns, i, j int) bool {
 	for a := 0; a < c.D; a++ {
 		o := a * c.N

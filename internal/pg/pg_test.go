@@ -40,8 +40,8 @@ func TestPublishTableII(t *testing.T) {
 	// Each published tuple's G is its stratum size, and the G values sum to
 	// |D| (the strata partition the microdata).
 	sum := 0
-	for _, r := range pub.Rows {
-		sum += r.G
+	for _, g := range pub.Columns().G {
+		sum += int(g)
 	}
 	if sum != d.Len() {
 		t.Fatalf("sum of G = %d, want %d", sum, d.Len())
@@ -58,9 +58,9 @@ func TestPublishKDirect(t *testing.T) {
 	if pub.K != 4 {
 		t.Fatalf("K = %d", pub.K)
 	}
-	for _, r := range pub.Rows {
-		if r.G < 4 {
-			t.Fatalf("G = %d < 4", r.G)
+	for _, g := range pub.Columns().G {
+		if g < 4 {
+			t.Fatalf("G = %d < 4", g)
 		}
 	}
 }
@@ -117,8 +117,8 @@ func TestFindCrucial(t *testing.T) {
 			t.Fatalf("no crucial tuple for row %d", i)
 		}
 		matches := 0
-		for _, rr := range pub.Rows {
-			if rr.Box.Covers(d.QIVector(i)) {
+		for j := 0; j < pub.Len(); j++ {
+			if pub.Columns().Row(j).Box.Covers(d.QIVector(i)) {
 				matches++
 			}
 		}
@@ -198,33 +198,38 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	good := pub.Rows[0]
-	pub.Rows[0].G = 1
+	// The test corrupts the publication's own columns in place, one field
+	// at a time, restoring each before the next.
+	c := pub.Columns()
+	good := c.Row(0)
+	c.G[0] = 1
 	if err := pub.Validate(); err == nil {
 		t.Fatal("G < K: want error")
 	}
-	pub.Rows[0] = good
-	pub.Rows[0].Value = 999
+	c.G[0] = int64(good.G)
+	c.Value[0] = 999
 	if err := pub.Validate(); err == nil {
 		t.Fatal("bad sensitive value: want error")
 	}
-	pub.Rows[0] = good
-	if len(pub.Rows) > 1 {
-		saved := pub.Rows[1]
-		pub.Rows[1] = pub.Rows[0] // duplicate box: a G3 violation
+	c.Value[0] = good.Value
+	if c.N > 1 {
+		saved := c.Row(1)
+		for j := 0; j < c.D; j++ { // duplicate box: a G3 violation
+			c.Lo[j*c.N+1], c.Hi[j*c.N+1] = good.Box.Lo[j], good.Box.Hi[j]
+		}
 		if err := pub.Validate(); err == nil {
 			t.Fatal("overlapping boxes: want error")
 		}
-		pub.Rows[1] = saved
+		for j := 0; j < c.D; j++ {
+			c.Lo[j*c.N+1], c.Hi[j*c.N+1] = saved.Box.Lo[j], saved.Box.Hi[j]
+		}
 	}
-	savedBox := pub.Rows[0].Box
-	pub.Rows[0].Box.Lo = pub.Rows[0].Box.Lo[:1]
-	if err := pub.Validate(); err == nil {
+	short := *c
+	short.Lo = c.Lo[:len(c.Lo)-1]
+	if _, err := FromColumns(*pub, &short); err == nil {
 		t.Fatal("short box: want error")
 	}
-	pub.Rows[0].Box = savedBox
-	pub.Rows[0].Box.Lo = append([]int32(nil), savedBox.Lo...)
-	pub.Rows[0].Box.Lo[0] = -1
+	c.Lo[0] = -1
 	if err := pub.Validate(); err == nil {
 		t.Fatal("negative box bound: want error")
 	}
@@ -248,8 +253,8 @@ func TestPublishKD(t *testing.T) {
 		t.Fatal("KD cells must cover the whole QI space")
 	}
 	sum := 0
-	for _, r := range pub.Rows {
-		sum += r.G
+	for _, g := range pub.Columns().G {
+		sum += int(g)
 	}
 	if sum != d.Len() {
 		t.Fatalf("sum of G = %d, want %d", sum, d.Len())
@@ -272,8 +277,8 @@ func TestPublishInvariants(t *testing.T) {
 			return false
 		}
 		sum := 0
-		for _, r := range pub.Rows {
-			sum += r.G
+		for _, g := range pub.Columns().G {
+			sum += int(g)
 		}
 		return sum == d.Len() && pub.Len() <= d.Len()/k
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"pgpub/internal/dataset"
-	"pgpub/internal/generalize"
 )
 
 // ReadCSV loads a publication written by WriteCSV back into a Published
@@ -40,43 +39,48 @@ func ReadCSV(schema *dataset.Schema, r io.Reader, p float64) (*Published, error)
 			return nil, fmt.Errorf("pg: CSV column %d is %q, want %q", j, header[j], want[j])
 		}
 	}
-	pub := &Published{Schema: schema, Algorithm: KD, P: p, K: 0}
-	for line := 2; ; line++ {
+	var recs [][]string
+	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("pg: reading CSV line %d: %w", line, err)
+			return nil, fmt.Errorf("pg: reading CSV line %d: %w", len(recs)+2, err)
 		}
-		row := Row{
-			Box:       generalize.Box{Lo: make([]int32, schema.D()), Hi: make([]int32, schema.D())},
-			SourceRow: -1,
-		}
+		recs = append(recs, rec)
+	}
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("pg: CSV contains no published tuples")
+	}
+	n, d := len(recs), schema.D()
+	c := newRowColumns(n, d)
+	k := 0
+	for i, rec := range recs {
+		line := i + 2
 		for j, a := range schema.QI {
 			lo, hi, err := parseBoxLabel(rec[j], a)
 			if err != nil {
 				return nil, fmt.Errorf("pg: CSV line %d, column %q: %w", line, a.Name, err)
 			}
-			row.Box.Lo[j], row.Box.Hi[j] = lo, hi
+			c.Lo[j*n+i], c.Hi[j*n+i] = lo, hi
 		}
-		v, err := schema.Sensitive.Code(rec[schema.D()])
+		v, err := schema.Sensitive.Code(rec[d])
 		if err != nil {
 			return nil, fmt.Errorf("pg: CSV line %d: %w", line, err)
 		}
-		row.Value = v
-		g, err := strconv.Atoi(rec[schema.D()+1])
+		g, err := strconv.Atoi(rec[d+1])
 		if err != nil || g < 1 {
-			return nil, fmt.Errorf("pg: CSV line %d: bad G %q", line, rec[schema.D()+1])
+			return nil, fmt.Errorf("pg: CSV line %d: bad G %q", line, rec[d+1])
 		}
-		row.G = g
-		if pub.K == 0 || g < pub.K {
-			pub.K = g
+		if k == 0 || g < k {
+			k = g
 		}
-		pub.Rows = append(pub.Rows, row)
+		c.Value[i], c.G[i], c.SourceRow[i] = v, int64(g), -1
 	}
-	if pub.Len() == 0 {
-		return nil, fmt.Errorf("pg: CSV contains no published tuples")
+	pub, err := FromColumns(Published{Schema: schema, Algorithm: KD, P: p, K: k}, c)
+	if err != nil {
+		return nil, err
 	}
 	if err := pub.Validate(); err != nil {
 		return nil, fmt.Errorf("pg: loaded publication invalid: %w", err)

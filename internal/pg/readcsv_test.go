@@ -26,14 +26,15 @@ func TestReadCSVRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: len %d/%d K %d/%d P %v/%v",
 			got.Len(), pub.Len(), got.K, pub.K, got.P, pub.P)
 	}
-	for i := range pub.Rows {
-		if !got.Rows[i].Box.Equal(pub.Rows[i].Box) {
-			t.Fatalf("row %d box differs: %v vs %v", i, got.Rows[i].Box, pub.Rows[i].Box)
+	for i := 0; i < pub.Len(); i++ {
+		g, w := got.Columns().Row(i), pub.Columns().Row(i)
+		if !g.Box.Equal(w.Box) {
+			t.Fatalf("row %d box differs: %v vs %v", i, g.Box, w.Box)
 		}
-		if got.Rows[i].Value != pub.Rows[i].Value || got.Rows[i].G != pub.Rows[i].G {
+		if g.Value != w.Value || g.G != w.G {
 			t.Fatalf("row %d value/G differs", i)
 		}
-		if got.Rows[i].SourceRow != -1 {
+		if g.SourceRow != -1 {
 			t.Fatal("loaded rows must not claim a source row")
 		}
 	}

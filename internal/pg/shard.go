@@ -72,24 +72,19 @@ func PublishSharded(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, 
 	return pubs, nil
 }
 
-// Merge concatenates shard publications into one table-of-rows view with
-// the shared metadata, for building a single reference query index over the
-// whole sharded release. The result is *not* a standalone PG release: boxes
-// from different shards overlap (Property G3 holds only within a shard), so
-// FindCrucial is ambiguous on it and Validate would reject it. Aggregate
-// estimation (query.NewIndex, query.Estimate) is well-defined — COUNT, NAIVE
-// and SUM are additive over rows regardless of disjointness.
+// Merge concatenates shard publications' rows, shard by shard, into one
+// publication with the shared metadata, for building a single reference
+// query index over the whole sharded release. The result is *not* a
+// standalone PG release: boxes from different shards overlap (Property G3
+// holds only within a shard), so FindCrucial is ambiguous on it and
+// Validate would reject it. Aggregate estimation (query.NewIndex,
+// query.Estimate) is well-defined — COUNT, NAIVE and SUM are additive over
+// rows regardless of disjointness.
 func Merge(pubs []*Published) (*Published, error) {
 	if len(pubs) == 0 {
 		return nil, fmt.Errorf("pg: merging zero publications")
 	}
 	first := pubs[0]
-	out := &Published{
-		Schema:    first.Schema,
-		Algorithm: first.Algorithm,
-		P:         first.P,
-		K:         first.K,
-	}
 	total := 0
 	for i, p := range pubs {
 		if p.Schema != first.Schema {
@@ -102,10 +97,21 @@ func Merge(pubs []*Published) (*Published, error) {
 		}
 		total += p.Len()
 	}
-	out.Rows = make([]Row, 0, total)
+	d := first.Schema.D()
+	out := newRowColumns(total, d)
+	at := 0
 	for _, p := range pubs {
-		p.EnsureRows()
-		out.Rows = append(out.Rows, p.Rows...)
+		c := p.cols
+		for j := 0; j < d; j++ {
+			copy(out.Lo[j*total+at:], c.Lo[j*c.N:(j+1)*c.N])
+			copy(out.Hi[j*total+at:], c.Hi[j*c.N:(j+1)*c.N])
+		}
+		copy(out.Value[at:], c.Value)
+		copy(out.G[at:], c.G)
+		copy(out.SourceRow[at:], c.SourceRow)
+		at += c.N
 	}
-	return out, nil
+	return FromColumns(Published{
+		Schema: first.Schema, Algorithm: first.Algorithm, P: first.P, K: first.K,
+	}, out)
 }

@@ -61,13 +61,14 @@ func sumWeight(pub *pg.Published, q CountQuery, value SensitiveValue) (a, b floa
 	if pub.P <= 0 {
 		return 0, 0, fmt.Errorf("query: SUM estimation needs retention probability > 0, publication has p = %v", pub.P)
 	}
-	for _, r := range pub.EnsureRows() {
-		vf := volumeFraction(r.Box.Lo, r.Box.Hi, q.QI)
+	c := pub.Columns()
+	for i := 0; i < c.N; i++ {
+		vf := volumeFraction(c, i, q.QI)
 		if vf == 0 {
 			continue
 		}
-		w := float64(r.G) * vf
-		a += w * value(r.Value)
+		w := float64(c.G[i]) * vf
+		a += w * value(c.Value[i])
 		b += w
 	}
 	return a, b, nil

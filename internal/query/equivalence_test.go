@@ -3,42 +3,25 @@ package query
 import (
 	"math/rand"
 	"testing"
-
-	"pgpub/internal/pg"
 )
 
-// TestIndexColumnarRowEquivalence pins the tentpole's core promise at the
-// query layer: an index built from a columnar publication (rows
-// materialised on demand), one built from the original row-backed
-// publication, and one reassembled from Parts() answer every estimator
-// bit-identically — not merely within tolerance — because all three walk the
-// same tree in the same order. Covers all three Phase-2 algorithms.
-func TestIndexColumnarRowEquivalence(t *testing.T) {
+// TestIndexPartsEquivalence pins that an index reassembled from its Parts()
+// — the arrays a snapshot stores — answers every estimator bit-identically
+// to the index it came from, not merely within tolerance, because both walk
+// the same tree in the same order. Covers all three Phase-2 algorithms.
+func TestIndexPartsEquivalence(t *testing.T) {
 	d, pubs := indexPubs(t, 2500, 31)
-	for name, rowPub := range pubs {
-		// A columnar twin: same metadata, rows dropped, columns adopted.
-		meta := *rowPub
-		meta.Rows = nil
-		colPub, err := pg.FromColumns(meta, rowPub.Columns())
-		if err != nil {
-			t.Fatalf("%s: FromColumns: %v", name, err)
-		}
-
-		ixRow, err := NewIndex(rowPub)
+	for name, pub := range pubs {
+		ix, err := NewIndex(pub)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ixCol, err := NewIndex(colPub)
+		ixParts, err := NewIndexFromParts(pub.Schema, ix.Parts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ixParts, err := NewIndexFromParts(rowPub.Schema, ixRow.Parts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ixRow.Groups() != ixCol.Groups() || ixRow.Groups() != ixParts.Groups() {
-			t.Fatalf("%s: group counts diverge: row %d, columnar %d, parts %d",
-				name, ixRow.Groups(), ixCol.Groups(), ixParts.Groups())
+		if ix.Groups() != ixParts.Groups() {
+			t.Fatalf("%s: group counts diverge: built %d, parts %d", name, ix.Groups(), ixParts.Groups())
 		}
 
 		rng := rand.New(rand.NewSource(32))
@@ -63,19 +46,16 @@ func TestIndexColumnarRowEquivalence(t *testing.T) {
 					est{"Avg", func(ix *Index) (float64, error) { return ix.Avg(q, IncomeMidpoint) }})
 			}
 			for _, e := range ests {
-				row, errRow := e.f(ixRow)
-				col, errCol := e.f(ixCol)
+				built, errBuilt := e.f(ix)
 				parts, errParts := e.f(ixParts)
-				if (errRow == nil) != (errCol == nil) || (errRow == nil) != (errParts == nil) {
-					t.Fatalf("%s q%d %s: errors diverge: row %v, columnar %v, parts %v",
-						name, qi, e.label, errRow, errCol, errParts)
+				if (errBuilt == nil) != (errParts == nil) {
+					t.Fatalf("%s q%d %s: errors diverge: built %v, parts %v", name, qi, e.label, errBuilt, errParts)
 				}
-				if errRow != nil {
+				if errBuilt != nil {
 					continue
 				}
-				if row != col || row != parts {
-					t.Fatalf("%s q%d %s: row %v, columnar %v, parts %v (must be bit-identical)",
-						name, qi, e.label, row, col, parts)
+				if built != parts {
+					t.Fatalf("%s q%d %s: built %v, parts %v (must be bit-identical)", name, qi, e.label, built, parts)
 				}
 			}
 		}

@@ -146,7 +146,10 @@ func TestIndexEdgeRanges(t *testing.T) {
 // same way the scan path does.
 func TestIndexEmptyPublication(t *testing.T) {
 	s := sal.Schema()
-	pub := &pg.Published{Schema: s, P: 0.3, K: 6}
+	pub, err := pg.FromColumns(pg.Published{Schema: s, P: 0.3, K: 6}, &pg.RowColumns{D: s.D()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ix, err := NewIndex(pub)
 	if err != nil {
 		t.Fatal(err)

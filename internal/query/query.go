@@ -119,14 +119,15 @@ func Estimate(pub *pg.Published, q CountQuery) (float64, error) {
 		return 0, fmt.Errorf("query: sensitive predicates need retention probability > 0, publication has p = %v", pub.P)
 	}
 	a, b := 0.0, 0.0
-	for _, r := range pub.EnsureRows() {
-		vf := volumeFraction(r.Box.Lo, r.Box.Hi, q.QI)
+	c := pub.Columns()
+	for i := 0; i < c.N; i++ {
+		vf := volumeFraction(c, i, q.QI)
 		if vf == 0 {
 			continue
 		}
-		w := float64(r.G) * vf
+		w := float64(c.G[i]) * vf
 		b += w
-		if q.Sensitive == nil || q.Sensitive[r.Value] {
+		if q.Sensitive == nil || q.Sensitive[c.Value[i]] {
 			a += w
 		}
 	}
@@ -151,24 +152,26 @@ func EstimateNaive(pub *pg.Published, q CountQuery) (float64, error) {
 		return 0, err
 	}
 	total := 0.0
-	for _, r := range pub.EnsureRows() {
-		vf := volumeFraction(r.Box.Lo, r.Box.Hi, q.QI)
+	c := pub.Columns()
+	for i := 0; i < c.N; i++ {
+		vf := volumeFraction(c, i, q.QI)
 		if vf == 0 {
 			continue
 		}
-		if q.Sensitive != nil && !q.Sensitive[r.Value] {
+		if q.Sensitive != nil && !q.Sensitive[c.Value[i]] {
 			continue
 		}
-		total += float64(r.G) * vf
+		total += float64(c.G[i]) * vf
 	}
 	return total, nil
 }
 
-// volumeFraction is the fraction of the box covered by the query ranges.
-func volumeFraction(lo, hi []int32, ranges []Range) float64 {
+// volumeFraction is the fraction of row i's box covered by the query ranges.
+func volumeFraction(c *pg.RowColumns, i int, ranges []Range) float64 {
 	f := 1.0
 	for j, r := range ranges {
-		a, b := lo[j], hi[j]
+		lo, hi := c.Lo[j*c.N+i], c.Hi[j*c.N+i]
+		a, b := lo, hi
 		if r.Lo > a {
 			a = r.Lo
 		}
@@ -178,7 +181,7 @@ func volumeFraction(lo, hi []int32, ranges []Range) float64 {
 		if a > b {
 			return 0
 		}
-		f *= float64(b-a+1) / float64(hi[j]-lo[j]+1)
+		f *= float64(b-a+1) / float64(hi-lo+1)
 	}
 	return f
 }

@@ -38,7 +38,7 @@ func TestPublishSeries(t *testing.T) {
 	// Releases must differ (fresh randomness): compare observed values.
 	same := true
 	for i := 0; i < s.Releases[0].Len() && i < s.Releases[1].Len(); i++ {
-		if s.Releases[0].Rows[i].Value != s.Releases[1].Rows[i].Value {
+		if s.Releases[0].Columns().Value[i] != s.Releases[1].Columns().Value[i] {
 			same = false
 		}
 	}

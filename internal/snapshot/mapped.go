@@ -18,10 +18,9 @@ import (
 // every slice that aliased it is invalid, so drop the Mapped only when the
 // serving structures built from it are no longer in use.
 type Mapped struct {
-	// Release is the publication in columnar form (Rows nil; see
-	// pg.Published.EnsureRows — but note materializing rows copies out of the
-	// mapping, defeating the point on the serving path), its guarantee and
-	// chain blocks, and the header CRC read from the mapped header itself.
+	// Release is the publication, its row columns adopted from the image,
+	// its guarantee and chain blocks, and the header CRC read from the
+	// mapped header itself.
 	Release
 	// Index is the serving index, reconstructed around the mapped arrays
 	// without a rebuild.

@@ -67,7 +67,7 @@ func TestRoundTripAllAlgorithms(t *testing.T) {
 			t.Fatalf("%v: parameters drifted: %v/%v p=%v/%v k=%d/%d",
 				alg, got.Algorithm, pub.Algorithm, got.P, pub.P, got.K, pub.K)
 		}
-		if !reflect.DeepEqual(got.EnsureRows(), pub.Rows) {
+		if !reflect.DeepEqual(got.Columns(), pub.Columns()) {
 			t.Fatalf("%v: rows drifted across the round trip", alg)
 		}
 
@@ -147,7 +147,7 @@ func TestRoundTripSAL(t *testing.T) {
 	if g == nil || g.Rho2 != 0.45 {
 		t.Fatalf("guarantee block drifted: %+v", g)
 	}
-	if !reflect.DeepEqual(got.EnsureRows(), pub.Rows) {
+	if !reflect.DeepEqual(got.Columns(), pub.Columns()) {
 		t.Fatal("rows drifted across the round trip")
 	}
 	for j, a := range pub.Schema.QI {
@@ -177,7 +177,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if g != nil {
 		t.Fatal("unexpected guarantee block")
 	}
-	if !reflect.DeepEqual(got.EnsureRows(), pub.Rows) {
+	if !reflect.DeepEqual(got.Columns(), pub.Columns()) {
 		t.Fatal("rows drifted through the file round trip")
 	}
 }

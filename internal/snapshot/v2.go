@@ -129,21 +129,10 @@ func checkRowRanges(cols *pg.RowColumns) error {
 // instead of rebuilding it.
 func writeV2(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata, chain *ChainMetadata) error {
 	cols := pub.Columns()
-	if err := cols.Check(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
 	if err := checkRowRanges(cols); err != nil {
 		return err
 	}
-	// The index is built over a columnar view of the same publication, so
-	// the row-major → columnar conversion above is the only one.
-	view := *pub
-	view.Rows = nil
-	colPub, err := pg.FromColumns(view, cols)
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	ix, err := query.NewIndex(colPub)
+	ix, err := query.NewIndex(pub)
 	if err != nil {
 		return fmt.Errorf("snapshot: building serving index: %w", err)
 	}

@@ -79,12 +79,13 @@ type (
 type (
 	// Config parameterizes Publish (K or S, retention probability P, ...).
 	Config = pg.Config
-	// Published is the anonymized table D*.
+	// Published is the anonymized table D*, its rows stored as RowColumns.
 	Published = pg.Published
-	// Row is one published tuple (generalized box, observed value, G).
+	// Row is a copy of one published tuple (generalized box, observed
+	// value, G), as FindCrucial returns it.
 	Row = pg.Row
-	// RowColumns is the struct-of-arrays view of the published rows (one
-	// contiguous array per field, box bounds dim-major).
+	// RowColumns holds the published rows, the one form Published stores
+	// them in: one contiguous array per field, box bounds dim-major.
 	RowColumns = pg.RowColumns
 	// Algorithm selects the Phase-2 recoding algorithm.
 	Algorithm = pg.Algorithm
