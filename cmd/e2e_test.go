@@ -63,6 +63,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		"-out", os.DevNull, "-snapshot", snap)
 
 	t.Run("snapshot", func(t *testing.T) { t.Parallel(); testSnapshot(t, e, snap) })
+	t.Run("csv", func(t *testing.T) { t.Parallel(); testCSV(t, e) })
 	t.Run("fleet", func(t *testing.T) { t.Parallel(); testFleet(t, e, snap) })
 	t.Run("dp", func(t *testing.T) { t.Parallel(); testDP(t, e, snap) })
 	t.Run("shards", func(t *testing.T) { t.Parallel(); testShards(t, e) })
@@ -101,6 +102,30 @@ func testSnapshot(t *testing.T, e *env, snap string) {
 	served := srv.estimate(t, "", ageQuery)
 	if off := e.offline(t, append([]string{"-snapshot", snap}, ageQueryFlags...)...); fmt.Sprintf("%.1f", served) != off {
 		t.Fatalf("served estimate %.1f, pgquery -snapshot prints %s", served, off)
+	}
+	srv.stop(t)
+}
+
+// testCSV: a server on a CSV release announces the algorithm and k of the
+// metadata file published with it, and serves the estimate pgquery prints
+// over the same CSV and metadata.
+func testCSV(t *testing.T, e *env) {
+	dir := t.TempDir()
+	csv, meta := filepath.Join(dir, "tds.csv"), filepath.Join(dir, "tds.json")
+	e.run(t, "pgpublish", "-dataset", "sal", "-n", "5000", "-k", "6", "-p", "0.3", "-seed", "5",
+		"-algorithm", "tds", "-out", csv, "-meta", meta)
+	srv := e.serve(t, "-in", csv, "-meta", meta)
+	var md struct {
+		Algorithm string `json:"algorithm"`
+		K         int    `json:"k"`
+	}
+	code, _, body := srv.call(t, "GET", "/v1/metadata", "", "")
+	if code != http.StatusOK || !decode(t, body, &md) || md.Algorithm != "tds" || md.K != 6 {
+		t.Fatalf("/v1/metadata of a TDS CSV release: %d %s, want algorithm tds and k 6", code, body)
+	}
+	served := srv.estimate(t, "", ageQuery)
+	if off := e.offline(t, append([]string{"-in", csv, "-meta", meta}, ageQueryFlags...)...); fmt.Sprintf("%.1f", served) != off {
+		t.Fatalf("served estimate %.1f, pgquery -in -meta prints %s", served, off)
 	}
 	srv.stop(t)
 }

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 
 	"pgpub/internal/attack"
@@ -90,46 +89,43 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	var reg *obs.Registry
-	if *metrics || *debugAddr != "" {
-		reg = obs.NewRegistry()
-		if err := reg.PublishExpvar("pgpub"); err != nil {
-			fmt.Fprintf(os.Stderr, "pgattack: %v\n", err)
-		}
+	reg, stop, err := obs.CLI{Name: "pgattack", Metrics: *metrics, DebugAddr: *debugAddr}.Start()
+	if err != nil {
+		fail(err)
 	}
-	if *debugAddr != "" {
-		srv, err := reg.Serve(*debugAddr)
-		if err != nil {
-			fail(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "pgattack: debug server on http://%s (/metrics, /healthz, /debug/pprof/)\n", srv.Addr)
-	}
-	if *metrics {
-		defer reg.WriteText(os.Stderr)
-	}
+	defer stop()
 
 	switch *exp {
 	case "":
-	case "fleet":
-		if err := runFleet(fleetOptions{
-			set: set, reg: reg,
-			n: *n, seed: *seed, k: *k, p: *p, algorithm: *algorithm,
-			url: *url, shards: *shards, victims: *victims, fractions: *fractions,
-			workers: *workers, soak: *soak,
-			jsonOut: *jsonOut, benchout: *benchout,
-		}); err != nil {
+	case "fleet", "repub":
+		// -p/-k default to the hospital attack's values; an experiment gets
+		// them only when set explicitly, so a fleet adopts the served ones.
+		var ek int
+		var ep float64
+		if set["k"] {
+			ek = *k
+		}
+		if set["p"] {
+			ep = *p
+		}
+		fr, err := parseFractions(*fractions)
+		if err != nil {
 			fail(err)
 		}
-		return
-	case "repub":
-		if err := runRepub(repubOptions{
-			set: set, reg: reg,
-			n: *n, seed: *seed, k: *k, p: *p, algorithm: *algorithm,
-			releases: *releases, churn: *churn, victims: *victims,
-			fractions: *fractions, workers: *workers,
-			jsonOut: *jsonOut, benchout: *benchout,
-		}); err != nil {
+		if *exp == "fleet" {
+			err = runFleet(attackfleet.Config{
+				BaseURL: *url, N: *n, Seed: *seed, K: ek, P: ep, Algorithm: *algorithm,
+				Shards: *shards, Victims: *victims, Fractions: fr, Workers: *workers,
+				Soak: *soak, Metrics: reg,
+			}, *jsonOut, *benchout)
+		} else {
+			err = runRepub(attackfleet.MultiReleaseConfig{
+				N: *n, Seed: *seed, K: ek, P: ep, Algorithm: *algorithm,
+				Releases: *releases, Churn: *churn, Victims: *victims, Fractions: fr,
+				Workers: *workers, Metrics: reg,
+			}, *jsonOut, *benchout)
+		}
+		if err != nil {
 			fail(err)
 		}
 		return
@@ -138,11 +134,7 @@ func main() {
 	}
 
 	d := dataset.Hospital()
-	hiers := []*hierarchy.Hierarchy{
-		hierarchy.MustInterval(d.Schema.QI[0].Size(), 5, 20),
-		hierarchy.MustFlat(d.Schema.QI[1].Size()),
-		hierarchy.MustInterval(d.Schema.QI[2].Size(), 5, 20),
-	}
+	hiers := hierarchy.Hospital(d.Schema)
 
 	// The attack target's Phase-2 algorithm (trial republication only; with
 	// -snapshot the release's own algorithm is validated and adopted below).
@@ -288,71 +280,17 @@ func main() {
 	}
 }
 
-// fleetOptions carries the -exp fleet flag values plus the set of flags the
-// user typed explicitly — unset publication parameters are adopted from the
-// served release's metadata, explicit ones must match it.
-type fleetOptions struct {
-	set       map[string]bool
-	reg       *obs.Registry
-	n         int
-	seed      int64
-	k         int
-	p         float64
-	algorithm string
-	url       string
-	shards    int
-	victims   int
-	fractions string
-	workers   int
-	soak      bool
-	jsonOut   string
-	benchout  string
-}
-
 // runFleet runs the adversary-at-scale attack fleet and emits its report.
 // A bound violation is a non-zero exit, after the report has been written.
-func runFleet(o fleetOptions) error {
-	var err error
-	cfg := attackfleet.Config{
-		BaseURL: o.url, N: o.n, Seed: o.seed, Algorithm: o.algorithm,
-		Shards: o.shards, Victims: o.victims, Workers: o.workers,
-		Soak: o.soak, Metrics: o.reg,
-	}
-	// -p/-k defaults describe the hospital attack, not the fleet; only pass
-	// them when given explicitly so BaseURL mode can adopt the served values.
-	if o.set["p"] {
-		cfg.P = o.p
-	}
-	if o.set["k"] {
-		cfg.K = o.k
-	}
-	if cfg.Fractions, err = parseFractions(o.fractions); err != nil {
-		return err
-	}
-
+func runFleet(cfg attackfleet.Config, jsonOut, benchout string) error {
 	rep, err := attackfleet.Run(cfg)
 	if err != nil {
 		return err
 	}
 	renderFleet(rep)
 
-	if o.jsonOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if o.jsonOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(o.jsonOut, data, 0o644); err != nil {
-			return err
-		}
-	}
-	if o.benchout != "" {
-		if err := mergeFleetBench(o.benchout, rep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.benchout)
+	if err := writeReport(rep, jsonOut, benchout, func(pr *experiments.PerfReport) { pr.PutFleet(rep) }); err != nil {
+		return err
 	}
 	if rep.Violations > 0 {
 		return fmt.Errorf("%d Theorem 1-3 bound violations — please report this as a bug", rep.Violations)
@@ -416,68 +354,18 @@ func parseFractions(s string) ([]float64, error) {
 	return out, nil
 }
 
-// repubOptions carries the -exp repub flag values.
-type repubOptions struct {
-	set       map[string]bool
-	reg       *obs.Registry
-	n         int
-	seed      int64
-	k         int
-	p         float64
-	algorithm string
-	releases  int
-	churn     int
-	victims   int
-	fractions string
-	workers   int
-	jsonOut   string
-	benchout  string
-}
-
 // runRepub runs the multi-release chain adversary (internal/attackfleet
 // MultiRelease) and emits the breach-vs-release-count curve. A composed
 // bound violation is a non-zero exit, after the report has been written.
-func runRepub(o repubOptions) error {
-	cfg := attackfleet.MultiReleaseConfig{
-		N: o.n, Seed: o.seed, Algorithm: o.algorithm,
-		Releases: o.releases, Churn: o.churn, Victims: o.victims,
-		Workers: o.workers, Metrics: o.reg,
-	}
-	// -p/-k defaults describe the hospital attack; only pass explicit ones.
-	if o.set["p"] {
-		cfg.P = o.p
-	}
-	if o.set["k"] {
-		cfg.K = o.k
-	}
-	var err error
-	if cfg.Fractions, err = parseFractions(o.fractions); err != nil {
-		return err
-	}
-
+func runRepub(cfg attackfleet.MultiReleaseConfig, jsonOut, benchout string) error {
 	rep, err := attackfleet.MultiRelease(cfg)
 	if err != nil {
 		return err
 	}
 	renderRepub(rep)
 
-	if o.jsonOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if o.jsonOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(o.jsonOut, data, 0o644); err != nil {
-			return err
-		}
-	}
-	if o.benchout != "" {
-		if err := mergeRepubBench(o.benchout, rep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.benchout)
+	if err := writeReport(rep, jsonOut, benchout, func(pr *experiments.PerfReport) { pr.PutRepub(rep) }); err != nil {
+		return err
 	}
 	if rep.Violations > 0 {
 		return fmt.Errorf("%d composed-bound violations — please report this as a bug", rep.Violations)
@@ -501,76 +389,27 @@ func renderRepub(rep *attackfleet.MultiReleaseReport) {
 	fmt.Println()
 }
 
-// mergeRepubBench merges the report into the tracked perf report's `repub`
-// block, keyed by (n, algorithm, releases), without clobbering the other
-// sections.
-func mergeRepubBench(path string, rep *attackfleet.MultiReleaseReport) error {
-	var pr experiments.PerfReport
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &pr); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
+// writeReport writes a fleet or repub report as indented JSON to jsonOut
+// ('-' for stdout) and stores it, with put, in the tracked perf report at
+// benchout; an empty path skips that output.
+func writeReport(rep any, jsonOut, benchout string, put func(*experiments.PerfReport)) error {
+	if jsonOut != "" {
+		data, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			return err
+		}
+		data = append(data, '\n')
+		if jsonOut == "-" {
+			os.Stdout.Write(data)
+		} else if err := os.WriteFile(jsonOut, data, 0o644); err != nil {
+			return err
 		}
 	}
-	replaced := false
-	for i, old := range pr.Repub {
-		if old.N == rep.N && old.Algorithm == rep.Algorithm && old.Releases == rep.Releases {
-			pr.Repub[i] = rep
-			replaced = true
-			break
+	if benchout != "" {
+		if err := experiments.UpdateReport(benchout, put); err != nil {
+			return err
 		}
+		fmt.Printf("wrote %s\n", benchout)
 	}
-	if !replaced {
-		pr.Repub = append(pr.Repub, rep)
-	}
-	sort.Slice(pr.Repub, func(i, j int) bool {
-		if pr.Repub[i].N != pr.Repub[j].N {
-			return pr.Repub[i].N < pr.Repub[j].N
-		}
-		if pr.Repub[i].Algorithm != pr.Repub[j].Algorithm {
-			return pr.Repub[i].Algorithm < pr.Repub[j].Algorithm
-		}
-		return pr.Repub[i].Releases < pr.Repub[j].Releases
-	})
-	data, err := json.MarshalIndent(&pr, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// mergeFleetBench merges the report into the tracked perf report's `fleet`
-// block, keyed by (n, algorithm, shards), without clobbering the other
-// sections.
-func mergeFleetBench(path string, rep *attackfleet.Report) error {
-	var pr experiments.PerfReport
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &pr); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-	}
-	replaced := false
-	for i, old := range pr.Fleet {
-		if old.N == rep.N && old.Algorithm == rep.Algorithm && old.Shards == rep.Shards {
-			pr.Fleet[i] = rep
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		pr.Fleet = append(pr.Fleet, rep)
-	}
-	sort.Slice(pr.Fleet, func(i, j int) bool {
-		if pr.Fleet[i].N != pr.Fleet[j].N {
-			return pr.Fleet[i].N < pr.Fleet[j].N
-		}
-		if pr.Fleet[i].Algorithm != pr.Fleet[j].Algorithm {
-			return pr.Fleet[i].Algorithm < pr.Fleet[j].Algorithm
-		}
-		return pr.Fleet[i].Shards < pr.Fleet[j].Shards
-	})
-	data, err := json.MarshalIndent(&pr, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return nil
 }

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,29 +34,16 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :6060)")
 	flag.Parse()
 
-	var reg *obs.Registry
-	if *metrics || *debugAddr != "" {
-		reg = obs.NewRegistry()
-		if err := reg.PublishExpvar("pgpub"); err != nil {
-			fmt.Fprintf(os.Stderr, "pgbench: %v\n", err)
-		}
+	reg, stop, err := obs.CLI{
+		Name: "pgbench", Metrics: *metrics, DebugAddr: *debugAddr,
+		Report: os.Stdout, Header: "=== metrics ===\n",
+	}.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pgbench: %v\n", err)
+		os.Exit(1)
 	}
+	defer stop()
 	experiments.SetMetrics(reg)
-	if *debugAddr != "" {
-		srv, err := reg.Serve(*debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pgbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "pgbench: debug server on http://%s (/metrics, /healthz, /debug/pprof/)\n", srv.Addr)
-	}
-	if *metrics {
-		defer func() {
-			fmt.Println("=== metrics ===")
-			reg.WriteText(os.Stdout)
-		}()
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -212,12 +198,7 @@ func main() {
 		fmt.Printf("DP: COUNT accuracy under the Laplace serving mechanism vs epsilon (k=6, p=0.3, n=%d)\n", *n)
 		fmt.Print(experiments.RenderDP(drep))
 		if *benchout != "" {
-			rep, err := readBenchJSON(*benchout)
-			if err != nil {
-				rep = &experiments.PerfReport{}
-			}
-			rep.DP = drep
-			if err := writeBenchJSON(*benchout, rep); err != nil {
+			if err := experiments.UpdateReport(*benchout, func(rep *experiments.PerfReport) { rep.DP = drep }); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", *benchout)
@@ -233,26 +214,4 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// readBenchJSON loads the tracked report, so an experiment can merge its
-// block without clobbering the others'.
-func readBenchJSON(path string) (*experiments.PerfReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep experiments.PerfReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
-func writeBenchJSON(path string, rep *experiments.PerfReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -81,29 +81,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	var reg *obs.Registry
-	if *metrics || *debugAddr != "" {
-		reg = obs.NewRegistry()
-		if err := reg.PublishExpvar("pgpub"); err != nil {
-			fmt.Fprintf(os.Stderr, "pgpublish: %v\n", err)
-		}
+	reg, stop, err := obs.CLI{Name: "pgpublish", Metrics: *metrics, DebugAddr: *debugAddr}.Start()
+	if err != nil {
+		fail(err)
 	}
-	if *debugAddr != "" {
-		srv, err := reg.Serve(*debugAddr)
-		if err != nil {
-			fail(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "pgpublish: debug server on http://%s (/metrics, /healthz, /debug/pprof/)\n", srv.Addr)
-	}
-	if *metrics {
-		defer reg.WriteText(os.Stderr)
-	}
+	defer stop()
 
 	var (
 		d     *dataset.Table
 		hiers []*hierarchy.Hierarchy
-		err   error
 	)
 	switch {
 	case *in != "":
@@ -119,11 +105,7 @@ func main() {
 		hiers = sal.Hierarchies(d.Schema)
 	case *ds == "hospital":
 		d = dataset.Hospital()
-		hiers = []*hierarchy.Hierarchy{
-			hierarchy.MustInterval(d.Schema.QI[0].Size(), 5, 20),
-			hierarchy.MustFlat(d.Schema.QI[1].Size()),
-			hierarchy.MustInterval(d.Schema.QI[2].Size(), 5, 20),
-		}
+		hiers = hierarchy.Hospital(d.Schema)
 	case *ds == "sal":
 		d, err = sal.Generate(*n, *seed)
 		if err != nil {
@@ -179,16 +161,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pgpublish: solved retention probability p = %.4f\n", retention)
 	}
 
-	var algorithm pg.Algorithm
-	switch *alg {
-	case "kd":
-		algorithm = pg.KD
-	case "tds":
-		algorithm = pg.TDS
-	case "full-domain":
-		algorithm = pg.FullDomain
-	default:
-		fail(fmt.Errorf("unknown algorithm %q", *alg))
+	algorithm, err := pg.ParseAlgorithm(*alg)
+	if err != nil {
+		fail(err)
 	}
 
 	cfg := pg.Config{

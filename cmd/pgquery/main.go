@@ -1,20 +1,22 @@
-// Command pgquery answers aggregate COUNT queries against a published D*
-// CSV (SAL schema, as produced by pgpublish) using the stratified,
-// perturbation-corrected estimator — the consumer-side workflow: the
-// analyst holds only the release plus its announced retention probability.
+// Command pgquery answers aggregate COUNT queries against a published
+// release — a D* CSV (SAL schema, as produced by pgpublish), a snapshot or
+// a sharded release — using the stratified, perturbation-corrected
+// estimator: the consumer-side workflow, where the analyst holds only the
+// release plus what its publisher announced (pgpublish -meta, or the
+// retention probability alone with -p).
 //
 // Usage:
+//
+//	pgquery -in anonymized.csv -meta anonymized.json -where "Age=30..50,Gender=M..M" -income 25..49
+//	pgquery -in anonymized.csv -p 0.2996 -workload 50 -truth sal.csv -workers 4
+//	pgquery -snapshot release.pgsnap -where "Age=30..50" -income 25..49
+//	pgquery -manifest release.pgman -where "Age=30..50" -income 25..49
+//	pgquery -chain r0.pgsnap,r1.pgsnap,r2.pgsnap
 //
 // Every answer comes from the serving index — the one a snapshot stores,
 // or one built once from a CSV — so a single query prints what a server
 // over the same release answers. Workload mode answers the whole batch
 // and reports queries/sec.
-//
-//	pgquery -in anonymized.csv -p 0.2996 -where "Age=30..50,Gender=M..M" -income 25..49
-//	pgquery -in anonymized.csv -p 0.2996 -workload 50 -truth sal.csv -workers 4
-//	pgquery -snapshot release.pgsnap -where "Age=30..50" -income 25..49
-//	pgquery -manifest release.pgman -where "Age=30..50" -income 25..49
-//	pgquery -chain r0.pgsnap,r1.pgsnap,r2.pgsnap
 //
 // With -chain pgquery audits a release chain instead of answering a
 // query: every snapshot is fully verified, the parent-CRC links and
@@ -45,7 +47,6 @@ import (
 	"pgpub/internal/dataset"
 	"pgpub/internal/dp"
 	"pgpub/internal/obs"
-	"pgpub/internal/pg"
 	"pgpub/internal/query"
 	"pgpub/internal/repub"
 	"pgpub/internal/sal"
@@ -122,125 +123,70 @@ func main() {
 		return
 	}
 
-	var reg *obs.Registry
-	if *metrics || *debugAddr != "" {
-		reg = obs.NewRegistry()
-		if err := reg.PublishExpvar("pgpub"); err != nil {
-			fmt.Fprintf(os.Stderr, "pgquery: %v\n", err)
-		}
+	reg, stop, err := obs.CLI{Name: "pgquery", Metrics: *metrics, DebugAddr: *debugAddr}.Start()
+	if err != nil {
+		fail(err)
 	}
-	if *debugAddr != "" {
-		srv, err := reg.Serve(*debugAddr)
-		if err != nil {
-			fail(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "pgquery: debug server on http://%s (/metrics, /healthz, /debug/pprof/)\n", srv.Addr)
-	}
-	if *metrics {
-		defer reg.WriteText(os.Stderr)
-	}
-	if *manifest != "" {
+	defer stop()
+
+	// Every answer comes from what a server over the same release answers
+	// from: a sharded release's compose group, a snapshot's stored index,
+	// or a CSV's index built on load. crc is the release identity a DP
+	// server keys its noise on: the manifest file's CRC at a coordinator,
+	// the snapshot header CRC at a single server, 0 for a CSV.
+	var (
+		b   backend
+		crc uint32
+	)
+	start := time.Now()
+	switch {
+	case *manifest != "":
 		if *snap != "" || *in != "" {
 			fail(fmt.Errorf("-manifest composes a sharded release; drop -snapshot/-in"))
 		}
-		start := time.Now()
 		g, err := shard.OpenObserved(*manifest, reg)
 		if err != nil {
 			fail(err)
 		}
+		if crc, err = snapshot.FileCRC(*manifest); err != nil {
+			fail(err)
+		}
 		fmt.Fprintf(os.Stderr, "pgquery: opened %d shards (%d published tuples, k=%d, p=%.4f) in %v\n",
 			g.Shards(), g.Rows(), g.Manifest.K, g.Manifest.P, time.Since(start).Round(time.Millisecond))
-		if *workload > 0 {
-			runWorkload(g.Schema(), g, *workload, *seed, *truth, *workers, fail)
-			return
-		}
-		q, err := parseQuery(g.Schema(), *where, *income)
-		if err != nil {
-			fail(err)
-		}
-		est, err := g.Count(q)
-		if err != nil {
-			fail(err)
-		}
-		if dpb != nil {
-			// The coordinator keys its noise on the manifest file's CRC.
-			crc, err := snapshot.FileCRC(*manifest)
-			if err != nil {
-				fail(err)
+		b = g
+	case *snap != "" || *in != "":
+		var rel *serve.ReleaseData
+		if *snap != "" {
+			if rel, err = serve.SnapshotSource(*snap, false)(); err == nil {
+				query.Observe(reg, rel.Index)
 			}
-			est = dpNoised(dpb, *dpSeed, crc, g.Schema(), q, est)
+		} else {
+			rel, err = serve.OpenCSV(sal.Schema(), *in, *metaPath, *p, reg)
 		}
-		fmt.Printf("estimated count: %.1f\n", est)
-		return
+		if err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "pgquery: loaded %d published tuples (k=%d, p=%.4f) in %v\n",
+			rel.Meta.Rows, rel.Meta.K, rel.Meta.P, time.Since(start).Round(time.Millisecond))
+		b, crc = rel.Index, rel.CRC
+	default:
+		fail(fmt.Errorf("-in (with -p or -meta), -snapshot or -manifest is required"))
 	}
-
-	// A single-snapshot server keys its DP noise on the snapshot header CRC;
-	// a CSV-backed server has no CRC and keys on release 0. Every answer
-	// comes from the serving index, as a server's does: a snapshot brings
-	// its own, a CSV is indexed on load.
-	var (
-		pub *pg.Published
-		crc uint32
-		ix  *query.Index
-	)
-	if *snap != "" {
-		m, err := snapshot.Load(*snap)
-		if err != nil {
-			fail(err)
-		}
-		pub, crc, ix = m.Pub, m.CRC, m.Index
-		query.Observe(reg, ix)
-	} else {
-		if *metaPath != "" {
-			mf, err := os.Open(*metaPath)
-			if err != nil {
-				fail(err)
-			}
-			m, err := pg.ReadMetadata(bufio.NewReader(mf))
-			mf.Close()
-			if err != nil {
-				fail(err)
-			}
-			*p = m.P
-		}
-		if *in == "" || *p < 0 {
-			fail(fmt.Errorf("-in and -p (or -meta), or -snapshot, are required"))
-		}
-		f, err := os.Open(*in)
-		if err != nil {
-			fail(err)
-		}
-		pub, err = pg.ReadCSV(sal.Schema(), bufio.NewReader(f), *p)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-		start := time.Now()
-		if ix, err = query.NewIndexObserved(pub, reg); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "pgquery: indexed %d groups in %v\n",
-			ix.Groups(), time.Since(start).Round(time.Millisecond))
-	}
-	schema := pub.Schema
-	fmt.Fprintf(os.Stderr, "pgquery: loaded %d published tuples (k=%d, p=%.4f)\n", pub.Len(), pub.K, pub.P)
 
 	if *workload > 0 {
-		runWorkload(schema, ix, *workload, *seed, *truth, *workers, fail)
+		runWorkload(b, *workload, *seed, *truth, *workers, fail)
 		return
 	}
-
-	q, err := parseQuery(schema, *where, *income)
+	q, err := parseQuery(b.Schema(), *where, *income)
 	if err != nil {
 		fail(err)
 	}
-	est, err := ix.Count(q)
+	est, err := b.Count(q)
 	if err != nil {
 		fail(err)
 	}
 	if dpb != nil {
-		est = dpNoised(dpb, *dpSeed, crc, schema, q, est)
+		est = dpNoised(dpb, *dpSeed, crc, b.Schema(), q, est)
 	}
 	fmt.Printf("estimated count: %.1f\n", est)
 }
@@ -312,15 +258,18 @@ func parseQuery(schema *dataset.Schema, where, income string) (query.CountQuery,
 	return q, nil
 }
 
-// workloadAnswerer is what runWorkload needs from its backend: a single
-// serving index or a sharded release's compose group.
-type workloadAnswerer interface {
+// backend answers the COUNT queries of one release: a serving index or a
+// sharded release's compose group.
+type backend interface {
+	Schema() *dataset.Schema
+	Count(q query.CountQuery) (float64, error)
 	AnswerWorkload(qs []query.CountQuery, workers int) ([]float64, error)
 }
 
 // runWorkload evaluates N random queries through an already-built answering
 // backend, optionally against ground truth, in a single batched pass.
-func runWorkload(schema *dataset.Schema, ix workloadAnswerer, n int, seed int64, truthPath string, workers int, fail func(error)) {
+func runWorkload(b backend, n int, seed int64, truthPath string, workers int, fail func(error)) {
+	schema := b.Schema()
 	rng := rand.New(rand.NewSource(seed))
 	qs, err := query.Workload(schema, query.WorkloadConfig{
 		Queries: n, QIFraction: 0.5, RestrictAttrs: 2, SensitiveFraction: 0.4, Rng: rng,
@@ -341,7 +290,7 @@ func runWorkload(schema *dataset.Schema, ix workloadAnswerer, n int, seed int64,
 		}
 	}
 	start := time.Now()
-	ests, err := ix.AnswerWorkload(qs, workers)
+	ests, err := b.AnswerWorkload(qs, workers)
 	if err != nil {
 		fail(err)
 	}

@@ -1,6 +1,7 @@
 // Command pgserve serves a published release over HTTP: it opens a
 // publication snapshot (pgpublish -snapshot) and adopts the serving index
-// stored in it, or loads a published CSV and builds the index once, and
+// stored in it, or loads a published CSV with the metadata published
+// beside it (pgpublish -meta) and builds the index once, and
 // answers aggregate queries through the hardened API in internal/serve —
 // the long-running counterpart to the one-shot pgquery. SIGINT/SIGTERM
 // trigger a graceful drain: the listener closes, in-flight requests
@@ -10,7 +11,7 @@
 //
 //	pgserve -snapshot release.pgsnap -addr :8080
 //	pgserve -snapshot release.pgsnap -mmap -addr :8080
-//	pgserve -in anonymized.csv -p 0.2996 -addr :8080 -debug-addr :6060
+//	pgserve -in anonymized.csv -meta anonymized.json -addr :8080 -debug-addr :6060
 //	pgserve -coordinator -manifest release.pgman \
 //	    -shard-urls http://h0:8081,http://h1:8081 -addr :8080
 //
@@ -36,7 +37,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -51,7 +51,6 @@ import (
 
 	"pgpub/internal/dp"
 	"pgpub/internal/obs"
-	"pgpub/internal/pg"
 	"pgpub/internal/query"
 	"pgpub/internal/sal"
 	"pgpub/internal/serve"
@@ -162,21 +161,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	reg := obs.NewRegistry()
-	if err := reg.PublishExpvar("pgpub"); err != nil {
-		fmt.Fprintf(os.Stderr, "pgserve: %v\n", err)
+	reg, stop, err := obs.CLI{Name: "pgserve", Always: true, Metrics: o.metrics, DebugAddr: o.debugAddr}.Start()
+	if err != nil {
+		fail(err)
 	}
-	if o.debugAddr != "" {
-		srv, err := reg.Serve(o.debugAddr)
-		if err != nil {
-			fail(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "pgserve: debug server on http://%s (/metrics, /healthz, /debug/pprof/)\n", srv.Addr)
-	}
-	if o.metrics {
-		defer reg.WriteText(os.Stderr)
-	}
+	defer stop()
 
 	var dpCfg *serve.DPConfig
 	if o.dpBudgets != "" {
@@ -251,10 +240,12 @@ func main() {
 
 	// Load the release. A snapshot comes through the Source a reload uses —
 	// mapped in place with -mmap, read and verified otherwise — and serves
-	// the index it stores; a CSV with its announced p is indexed here.
+	// the index it stores; a CSV is read with its announced metadata (or
+	// -p) and indexed here, and has no Source to reload from.
 	var (
 		first  *serve.ReleaseData
 		source func() (*serve.ReleaseData, error)
+		opened string
 	)
 	coldStart := time.Now()
 	switch {
@@ -264,55 +255,26 @@ func main() {
 			fail(err)
 		}
 		query.Observe(reg, first.Index)
-		mode := "read and verified"
+		opened = "snapshot read and verified"
 		if o.mmap {
-			mode = "mapped"
+			opened = "snapshot mapped"
 		}
-		fmt.Fprintf(os.Stderr, "pgserve: snapshot %s in %v\n", mode, time.Since(coldStart).Round(time.Microsecond))
 	case o.in != "":
-		var guarantee *pg.GuaranteeMetadata
-		if o.metaPath != "" {
-			mf, err := os.Open(o.metaPath)
-			if err != nil {
-				fail(err)
-			}
-			m, err := pg.ReadMetadata(bufio.NewReader(mf))
-			mf.Close()
-			if err != nil {
-				fail(err)
-			}
-			o.p = m.P
-			guarantee = m.Guarantee
-		}
-		if o.p < 0 {
-			fail(fmt.Errorf("-p (or -meta) is required with -in"))
-		}
-		f, err := os.Open(o.in)
-		if err != nil {
+		if first, err = serve.OpenCSV(sal.Schema(), o.in, o.metaPath, o.p, reg); err != nil {
 			fail(err)
 		}
-		pub, err := pg.ReadCSV(sal.Schema(), bufio.NewReader(f), o.p)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-		start := time.Now()
-		ix, err := query.NewIndexObserved(pub, reg)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "pgserve: indexed %d groups in %v\n",
-			ix.Groups(), time.Since(start).Round(time.Millisecond))
-		first = &serve.ReleaseData{Index: ix, Meta: pg.Metadata{
-			P: pub.P, K: pub.K, Algorithm: pub.Algorithm.String(), Rows: pub.Len(),
-			Guarantee: guarantee,
-		}}
+		opened = "CSV read and indexed"
 	default:
 		fail(fmt.Errorf("-snapshot or -in is required"))
 	}
+	fmt.Fprintf(os.Stderr, "pgserve: %s in %v\n", opened, time.Since(coldStart).Round(time.Microsecond))
 	meta := first.Meta
+	alg := meta.Algorithm
+	if alg == "" {
+		alg = "algorithm unannounced"
+	}
 	fmt.Fprintf(os.Stderr, "pgserve: loaded %d published tuples (%s, k=%d, p=%.4f)\n",
-		meta.Rows, meta.Algorithm, meta.K, meta.P)
+		meta.Rows, alg, meta.K, meta.P)
 	fmt.Fprintf(os.Stderr, "pgserve: cold start complete in %v (%d groups)\n",
 		time.Since(coldStart).Round(time.Microsecond), first.Index.Groups())
 	if first.Chain != nil {

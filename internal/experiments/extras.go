@@ -69,7 +69,7 @@ func BreachValidation(cfg BreachConfig) ([]BreachScenario, error) {
 
 	// Hospital scenarios.
 	hosp := dataset.Hospital()
-	hospHiers := hospitalHiers(hosp.Schema)
+	hospHiers := hierarchy.Hospital(hosp.Schema)
 	for _, corrupt := range []float64{0, 0.5, 1} {
 		res, err := attack.MonteCarlo(hosp, dataset.HospitalVoterQI(), hospHiers, attack.MonteCarloConfig{
 			PG:              pg.Config{K: 2, P: 0.3, Metrics: metrics},
@@ -107,15 +107,6 @@ func BreachValidation(cfg BreachConfig) ([]BreachScenario, error) {
 	}
 	out = append(out, BreachScenario{Name: "sal k=6 p=0.3 corrupt=100%", Result: res})
 	return out, nil
-}
-
-// hospitalHiers mirrors the Table Ic granularity for the hospital schema.
-func hospitalHiers(s *dataset.Schema) []*hierarchy.Hierarchy {
-	return []*hierarchy.Hierarchy{
-		hierarchy.MustInterval(s.QI[0].Size(), 5, 20),
-		hierarchy.MustFlat(s.QI[1].Size()),
-		hierarchy.MustInterval(s.QI[2].Size(), 5, 20),
-	}
 }
 
 // RenderBreach formats breach-validation scenarios.

@@ -9,6 +9,7 @@ import (
 
 	"pgpub/internal/attack"
 	"pgpub/internal/dataset"
+	"pgpub/internal/hierarchy"
 	"pgpub/internal/mining"
 	"pgpub/internal/pg"
 	"pgpub/internal/privacy"
@@ -156,7 +157,7 @@ func Republication(trials int, seed int64, target float64) ([]RepubRow, error) {
 		}
 		maxGrowth := 0.0
 		for trial := 0; trial < trials; trial++ {
-			s, err := repub.PublishSeries(d, hospitalHiers(d.Schema), pg.Config{K: k, P: p, Metrics: metrics}, T, rng)
+			s, err := repub.PublishSeries(d, hierarchy.Hospital(d.Schema), pg.Config{K: k, P: p, Metrics: metrics}, T, rng)
 			if err != nil {
 				return nil, err
 			}

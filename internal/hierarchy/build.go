@@ -1,6 +1,10 @@
 package hierarchy
 
-import "fmt"
+import (
+	"fmt"
+
+	"pgpub/internal/dataset"
+)
 
 // NewInterval builds a uniform hierarchy over n codes from a list of strictly
 // increasing group widths, one per generalization level above the leaves.
@@ -145,4 +149,15 @@ func MustFlat(n int) *Hierarchy {
 		panic(err)
 	}
 	return h
+}
+
+// Hospital builds the hierarchies of the paper's Table Ic over the hospital
+// schema (dataset.HospitalSchema): Age and Zipcode in 5- then 20-wide
+// intervals, Gender flat.
+func Hospital(s *dataset.Schema) []*Hierarchy {
+	return []*Hierarchy{
+		MustInterval(s.QI[0].Size(), 5, 20),
+		MustFlat(s.QI[1].Size()),
+		MustInterval(s.QI[2].Size(), 5, 20),
+	}
 }

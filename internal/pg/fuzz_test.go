@@ -85,7 +85,8 @@ func FuzzReadCSV(f *testing.F) {
 
 // FuzzReadMetadata exercises the release-metadata parser with arbitrary —
 // including malformed — documents: never panic, and every accepted document
-// must carry fields inside their documented ranges.
+// must carry fields inside their documented ranges and name a known
+// Phase-2 algorithm.
 func FuzzReadMetadata(f *testing.F) {
 	f.Add(`{"retention_probability":0.3,"k":6,"algorithm":"kd","rows":100}`)
 	f.Add(`{"retention_probability":-1,"k":6,"algorithm":"kd","rows":100}`)
@@ -98,6 +99,8 @@ func FuzzReadMetadata(f *testing.F) {
 	f.Add(``)
 	f.Add(`null`)
 	f.Add("{\"retention_probability\":0.3,\"k\":6,\"rows\":1}\n{\"k\":2}")
+	f.Add(`{"retention_probability":0.3,"k":6,"algorithm":"tds","rows":100}`)
+	f.Add(`{"retention_probability":0.3,"k":6,"algorithm":"mondrian","rows":100}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		m, err := ReadMetadata(strings.NewReader(body))
 		if err != nil {
@@ -105,6 +108,9 @@ func FuzzReadMetadata(f *testing.F) {
 		}
 		if m.P < 0 || m.P > 1 || m.K < 1 || m.Rows < 0 {
 			t.Fatalf("accepted out-of-range metadata: %+v", m)
+		}
+		if _, err := ParseAlgorithm(m.Algorithm); err != nil {
+			t.Fatalf("accepted metadata naming an unknown algorithm: %+v", m)
 		}
 	})
 }

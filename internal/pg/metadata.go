@@ -62,7 +62,8 @@ func (m Metadata) Write(w io.Writer) error {
 	return nil
 }
 
-// ReadMetadata parses a metadata document and validates its fields.
+// ReadMetadata parses a metadata document and validates its fields; the
+// algorithm must be one ParseAlgorithm knows.
 func ReadMetadata(r io.Reader) (Metadata, error) {
 	var m Metadata
 	dec := json.NewDecoder(r)
@@ -78,6 +79,9 @@ func ReadMetadata(r io.Reader) (Metadata, error) {
 	}
 	if m.Rows < 0 {
 		return Metadata{}, fmt.Errorf("pg: metadata rows = %d", m.Rows)
+	}
+	if _, err := ParseAlgorithm(m.Algorithm); err != nil {
+		return Metadata{}, fmt.Errorf("pg: metadata: %w", err)
 	}
 	return m, nil
 }

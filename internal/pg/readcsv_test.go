@@ -159,6 +159,8 @@ func TestReadMetadataErrors(t *testing.T) {
 		`{"retention_probability": 2, "k": 2, "rows": 1, "algorithm": "kd"}`,
 		`{"retention_probability": 0.3, "k": 0, "rows": 1, "algorithm": "kd"}`,
 		`{"retention_probability": 0.3, "k": 2, "rows": -1, "algorithm": "kd"}`,
+		`{"retention_probability": 0.3, "k": 2, "rows": 1, "algorithm": "mondrian"}`,
+		`{"retention_probability": 0.3, "k": 2, "rows": 1}`,
 		`{"unknown_field": 1}`,
 	}
 	for _, in := range cases {

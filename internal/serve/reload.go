@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"time"
 
+	"pgpub/internal/dataset"
 	"pgpub/internal/obs"
 	"pgpub/internal/pg"
 	"pgpub/internal/query"
@@ -192,4 +196,55 @@ func SnapshotSource(path string, mapped bool) func() (*ReleaseData, error) {
 			Chain: m.Chain,
 		}, nil
 	}
+}
+
+// OpenCSV opens a release published as CSV (pgpublish -out) — the
+// counterpart of SnapshotSource for pgserve -in and pgquery -in. A CSV
+// carries the published tuples only, so what the publisher announced comes
+// from the metadata file at metaPath (pgpublish -meta): its retention
+// probability, k, algorithm and guarantee are served as they are, and the
+// CSV is refused unless it holds the announced number of tuples with no G
+// below the announced k. Without a metadata file p must be given (>= 0),
+// k is the smallest G in the file, and the algorithm is left empty: a CSV
+// does not say which Phase-2 recoder produced it. The index is built here,
+// timed into reg's query.index.build span. The release has no CRC and no
+// chain block, so a server on it refuses reloads.
+func OpenCSV(schema *dataset.Schema, csvPath, metaPath string, p float64, reg *obs.Registry) (*ReleaseData, error) {
+	var meta *pg.Metadata
+	if metaPath != "" {
+		m, err := readFile(metaPath, pg.ReadMetadata)
+		if err != nil {
+			return nil, err
+		}
+		meta, p = &m, m.P
+	}
+	if p < 0 {
+		return nil, fmt.Errorf("serve: a CSV release needs its retention probability (-p) or its metadata file (-meta)")
+	}
+	pub, err := readFile(csvPath, func(r io.Reader) (*pg.Published, error) { return pg.ReadCSV(schema, r, p) })
+	if err != nil {
+		return nil, err
+	}
+	if meta == nil {
+		meta = &pg.Metadata{P: p, K: pub.K, Rows: pub.Len()}
+	} else if meta.Rows != pub.Len() || pub.K < meta.K {
+		return nil, fmt.Errorf("serve: %s holds %d published tuples with smallest G %d; %s announces %d tuples with k=%d",
+			csvPath, pub.Len(), pub.K, metaPath, meta.Rows, meta.K)
+	}
+	ix, err := query.NewIndexObserved(pub, reg)
+	if err != nil {
+		return nil, err
+	}
+	return &ReleaseData{Index: ix, Meta: *meta}, nil
+}
+
+// readFile opens path and decodes it, buffered, with read.
+func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer f.Close()
+	return read(bufio.NewReader(f))
 }

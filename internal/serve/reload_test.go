@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -497,5 +498,97 @@ func TestSnapshotSourceDepthsAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOpenCSV pins the CSV release opener: with a metadata file the
+// release serves what the file announces (algorithm, k, p, guarantee) and
+// answers like the publication it was written from; a CSV that disagrees
+// with its metadata on the tuple count or falls below the announced k is
+// refused; without a metadata file the algorithm is unannounced and k is
+// the smallest G.
+func TestOpenCSV(t *testing.T) {
+	d, err := sal.Generate(3000, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{K: 6, P: 0.3, Seed: 5, Algorithm: pg.TDS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pub.Metadata(0.1, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	csvPath, metaPath := filepath.Join(dir, "tds.csv"), filepath.Join(dir, "tds.json")
+	var csv, meta strings.Builder
+	if err := pub.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Write(&meta); err != nil {
+		t.Fatal(err)
+	}
+	write := func(path, body string) string {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	write(csvPath, csv.String())
+	write(metaPath, meta.String())
+
+	reg := obs.NewRegistry()
+	rel, err := OpenCSV(d.Schema, csvPath, metaPath, -1, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rel.Meta, want) || rel.CRC != 0 || rel.Chain != nil {
+		t.Fatalf("CSV release metadata %+v (CRC %08x, chain %v), want %+v from the metadata file", rel.Meta, rel.CRC, rel.Chain, want)
+	}
+	if reg.Histogram("query.index.build", "ns").Count() != 1 {
+		t.Fatal("opening a CSV recorded no query.index.build span")
+	}
+	ix, err := query.NewIndex(pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.CountQuery{QI: make([]query.Range, d.Schema.D())}
+	for j, a := range d.Schema.QI {
+		q.QI[j] = query.Range{Lo: 0, Hi: int32(a.Size()-1) / 2}
+	}
+	got, err := rel.Index.Count(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp, _ := ix.Count(q); math.Float64bits(got) != math.Float64bits(exp) {
+		t.Fatalf("CSV release counts %v, the publication %v", got, exp)
+	}
+
+	// Without a metadata file nothing names the algorithm, and k is the
+	// smallest G (TDS groups can all stay above the announced k).
+	minG := slices.Min(pub.Columns().G)
+	bare, err := OpenCSV(d.Schema, csvPath, "", 0.3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := bare.Meta; m.Algorithm != "" || int64(m.K) != minG || m.P != 0.3 || m.Rows != pub.Len() || m.Guarantee != nil {
+		t.Fatalf("CSV release without metadata announces %+v, want no algorithm, k=%d, p=0.3, %d rows", m, minG, pub.Len())
+	}
+
+	// Metadata the CSV contradicts, and a missing p, are refused.
+	lines := strings.SplitAfter(csv.String(), "\n")
+	for name, c := range map[string]struct{ csv, meta string }{
+		"row count":              {strings.Join(lines[:len(lines)-2], ""), meta.String()},
+		"k above the smallest G": {csv.String(), strings.Replace(meta.String(), `"k": 6`, fmt.Sprintf(`"k": %d`, minG+1), 1)},
+	} {
+		_, err := OpenCSV(d.Schema, write(filepath.Join(dir, "bad.csv"), c.csv), write(filepath.Join(dir, "bad.json"), c.meta), -1, nil)
+		if err == nil || !strings.Contains(err.Error(), "announces") {
+			t.Errorf("%s: OpenCSV = %v, want a refusal naming the announced values", name, err)
+		}
+	}
+	if _, err := OpenCSV(d.Schema, csvPath, "", -1, nil); err == nil {
+		t.Error("OpenCSV without p or metadata: want error")
 	}
 }

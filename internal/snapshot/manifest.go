@@ -208,30 +208,7 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 // SaveManifest writes the manifest to path with the same atomic
 // temp-and-rename discipline Save uses for snapshots.
 func SaveManifest(path string, m *Manifest) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".pgman-*")
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	bw := bufio.NewWriter(tmp)
-	if err := WriteManifest(bw, m); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := bw.Flush(); err == nil {
-		err = tmp.Close()
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	return nil
+	return writeAtomic(path, ".pgman-*", func(w io.Writer) error { return WriteManifest(w, m) })
 }
 
 // LoadManifest reads the manifest at path.

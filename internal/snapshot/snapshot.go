@@ -64,6 +64,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"pgpub/internal/dataset"
 	"pgpub/internal/generalize"
@@ -141,12 +142,21 @@ func Save(path string, pub *pg.Published, g *pg.GuaranteeMetadata) error {
 
 // SaveRelease is Save with a release-chain block (see Write).
 func SaveRelease(path string, pub *pg.Published, g *pg.GuaranteeMetadata, chain *ChainMetadata) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".pgsnap-*")
+	return writeAtomic(path, ".pgsnap-*", func(w io.Writer) error { return Write(w, pub, g, chain) })
+}
+
+// writeAtomic is the write path of every snapshot-package file: write
+// fills a temporary file (named by pattern) in path's directory, which is
+// then renamed over path, so a crash mid-write never leaves a half-written
+// file behind. It is atomic enough for the single-writer case and does not
+// fsync.
+func writeAtomic(path, pattern string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	bw := bufio.NewWriter(tmp)
-	if err := Write(bw, pub, g, chain); err != nil {
+	if err := write(bw); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -156,24 +166,14 @@ func SaveRelease(path string, pub *pg.Published, g *pg.GuaranteeMetadata, chain 
 	} else {
 		tmp.Close()
 	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
 	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("snapshot: %w", err)
-	}
 	return nil
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			return path[:i+1]
-		}
-	}
-	return "."
 }
 
 // ---------------------------------------------------------------------------

@@ -246,21 +246,7 @@ func HospitalVoterQI() [][]int32 { return dataset.HospitalVoterQI() }
 
 // HospitalHierarchies builds generalization hierarchies at the granularity
 // of the paper's Table Ic for the hospital schema.
-func HospitalHierarchies(s *Schema) []*Hierarchy {
-	age, err := hierarchy.NewInterval(s.QI[0].Size(), 5, 20)
-	if err != nil {
-		panic(err) // the hospital schema's domains are static
-	}
-	gender, err := hierarchy.NewFlat(s.QI[1].Size())
-	if err != nil {
-		panic(err)
-	}
-	zip, err := hierarchy.NewInterval(s.QI[2].Size(), 5, 20)
-	if err != nil {
-		panic(err)
-	}
-	return []*Hierarchy{age, gender, zip}
-}
+func HospitalHierarchies(s *Schema) []*Hierarchy { return hierarchy.Hospital(s) }
 
 // SAL census substitute (Section VII-A; see DESIGN.md §3).
 var (
