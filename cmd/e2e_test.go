@@ -6,7 +6,8 @@
 // offline pgquery answers, signals hot-swap and drain the server, DP keys
 // are refused and exhausted over the wire, and the attack fleet finds no
 // bound violation against a live server. Everything an in-process test
-// already pins (soak, repub determinism across workers, metadata shape)
+// already pins (drain under load, repub determinism across workers,
+// metadata shape)
 // stays with that test.
 package cmd_test
 
@@ -195,13 +196,24 @@ func testDP(t *testing.T, e *env, snap string) {
 	srv.stop(t)
 }
 
-// testShards: a coordinator over four shard servers answers a merged query
-// equal to pgquery -manifest, and SIGTERM drains all five processes.
+// testShards: a sharded publish refuses a CSV output and writes nothing, a
+// coordinator over four shard servers answers a merged query equal to
+// pgquery -manifest, and SIGTERM drains all five processes.
 func testShards(t *testing.T, e *env) {
 	dir := t.TempDir()
 	base, man := filepath.Join(dir, "release.pgsnap"), filepath.Join(dir, "release.pgman")
-	e.run(t, "pgpublish", "-dataset", "sal", "-n", "5000", "-k", "6", "-p", "0.3", "-seed", "5",
-		"-shards", "4", "-out", os.DevNull, "-snapshot", base, "-manifest", man)
+	publish := []string{"-dataset", "sal", "-n", "5000", "-k", "6", "-p", "0.3", "-seed", "5",
+		"-shards", "4", "-snapshot", base, "-manifest", man}
+
+	refused := exec.Command(filepath.Join(e.bin, "pgpublish"), append(publish, "-out", filepath.Join(dir, "x.csv"))...)
+	if out, err := refused.CombinedOutput(); err == nil {
+		t.Fatalf("pgpublish -shards -out exited 0:\n%s", out)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("refused sharded publish left %v (%v)", left, err)
+	}
+
+	e.run(t, "pgpublish", publish...)
 
 	shards := make([]*server, 4)
 	urls := make([]string, len(shards))

@@ -15,7 +15,7 @@
 // snapshot — self-published on a loopback port, or an already-running
 // pgserve endpoint via -url:
 //
-//	pgattack -exp fleet -n 100000 -algorithm kd -soak -benchout BENCH_pg.json
+//	pgattack -exp fleet -n 100000 -algorithm kd -benchout BENCH_pg.json
 //	pgattack -exp fleet -url http://localhost:8080 -n 100000 -seed 42 -json fleet.json
 //
 // With -exp repub the command runs the multi-release chain adversary: it
@@ -68,7 +68,6 @@ func main() {
 	victims := flag.Int("victims", 0, "fleet: number of attacked owners (0 = 48)")
 	fractions := flag.String("fractions", "", "fleet: comma-separated corruption fractions (default 0,0.25,0.5,0.75,1)")
 	workers := flag.Int("workers", 0, "fleet: client-side parallelism (0 = GOMAXPROCS)")
-	soak := flag.Bool("soak", false, "fleet: run the serving soak phases (cache/singleflight/limiter/drain) after the attack")
 	releases := flag.Int("releases", 0, "repub: chain length T, the release count the adversary retains (0 = 4)")
 	churn := flag.Int("churn", 0, "repub: rows deleted and inserted per release (0 = n/50)")
 	jsonOut := flag.String("json", "", "fleet: write the report JSON to this file ('-' for stdout)")
@@ -116,7 +115,7 @@ func main() {
 			err = runFleet(attackfleet.Config{
 				BaseURL: *url, N: *n, Seed: *seed, K: ek, P: ep, Algorithm: *algorithm,
 				Shards: *shards, Victims: *victims, Fractions: fr, Workers: *workers,
-				Soak: *soak, Metrics: reg,
+				Metrics: reg,
 			}, *jsonOut, *benchout)
 		} else {
 			err = runRepub(attackfleet.MultiReleaseConfig{
@@ -299,7 +298,7 @@ func runFleet(cfg attackfleet.Config, jsonOut, benchout string) error {
 	return nil
 }
 
-// renderFleet prints the human-readable breach curves and soak summary.
+// renderFleet prints the human-readable breach curves.
 func renderFleet(rep *attackfleet.Report) {
 	sharded := ""
 	if rep.Shards > 0 {
@@ -328,12 +327,6 @@ func renderFleet(rep *attackfleet.Report) {
 				m.AgreeWithAware, rep.Victims, m.ProbeFallbacks)
 		}
 		fmt.Println()
-	}
-	if s := rep.Soak; s != nil {
-		fmt.Printf("soak: %d queries, %.0f qps, p50/p95/p99 = %.0f/%.0f/%.0f us\n",
-			s.Queries, s.QPS, s.P50us, s.P95us, s.P99us)
-		fmt.Printf("      computed=%d cache=%d coalesced=%d shed=%d timeouts=%d drain ok=%d dropped=%d\n",
-			s.Computed, s.CacheHits, s.Coalesced, s.Shed, s.Timeouts, s.DrainOK, s.DrainDropped)
 	}
 }
 

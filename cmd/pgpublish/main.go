@@ -21,7 +21,9 @@
 // from -seed, so shard bytes are stable for any worker count), saved to
 // release-00.pgsnap ... release-0{S-1}.pgsnap, and described by a
 // checksummed manifest (-manifest) that pgserve -coordinator and pgquery
-// -manifest consume. The CSV and -meta outputs then describe the union.
+// -manifest consume. Those are the whole release: a sharded publish writes
+// no CSV and refuses -out and -meta, because the union of the shards' boxes
+// overlaps across shards and is no PG release any reader accepts.
 //
 // With -delta the command publishes the next release of a re-publication
 // chain: the comma-separated delta files are replayed in order over the
@@ -231,6 +233,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pgpublish: release %d chains onto %s (parent CRC %08x)\n",
 			chain.Release, *base, parentCRC)
 	case *shards > 0:
+		if *out != "" || *meta != "" {
+			fail(fmt.Errorf("-shards writes no CSV or metadata file; a sharded release is its shard snapshots (-snapshot) and manifest (-manifest)"))
+		}
 		if *snap == "" || *manifestPath == "" {
 			fail(fmt.Errorf("-shards requires -snapshot (the per-shard base name) and -manifest"))
 		}
@@ -238,13 +243,9 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// The merged view backs the CSV/metadata outputs; it is not itself a
-		// PG release (boxes overlap across shards), which is why the sharded
-		// path never saves it as a snapshot.
-		pub, err = pg.Merge(pubs)
-		if err != nil {
-			fail(err)
-		}
+		// The shards share p and k, so shard 0 carries the release's
+		// guarantee.
+		pub = pubs[0]
 	default:
 		if *manifestPath != "" {
 			fail(fmt.Errorf("-manifest needs -shards"))
@@ -268,9 +269,16 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	rows := pub.Len()
+	if pubs != nil {
+		rows = 0
+		for _, sp := range pubs {
+			rows += sp.Len()
+		}
+	}
 	fmt.Fprintf(os.Stderr,
 		"pgpublish: published %d of %d tuples (k=%d, p=%.4f); guarantees: %.2f-to-%.2f, %.2f-growth\n",
-		pub.Len(), d.Len(), pub.K, pub.P, *rho1, r2, dl)
+		rows, d.Len(), pub.K, pub.P, *rho1, r2, dl)
 
 	if *meta != "" {
 		m, err := pub.Metadata(*lambda, *rho1)
@@ -298,12 +306,12 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "pgpublish: %d shard snapshots (%s ... %s) and manifest %s written\n",
 				len(pubs), shard.SnapshotPath(*snap, 0), shard.SnapshotPath(*snap, len(pubs)-1), *manifestPath)
-		} else {
-			if err := snapshot.SaveRelease(*snap, pub, g, chain); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "pgpublish: snapshot written to %s (release %d)\n", *snap, chain.Release)
+			return // the shard snapshots and the manifest are the whole release
 		}
+		if err := snapshot.SaveRelease(*snap, pub, g, chain); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "pgpublish: snapshot written to %s (release %d)\n", *snap, chain.Release)
 	}
 
 	w := os.Stdout

@@ -1,9 +1,13 @@
 package pgpub
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,7 +88,7 @@ func TestDocCatalogCoversMetrics(t *testing.T) {
 		"coord.hedge.won", "coord.shard.errors", "coord.shard.timeouts",
 		"fleet.queries", "fleet.retries", "fleet.latency.query",
 		"fleet.victims", "fleet.violations", "fleet.probe.fallbacks",
-		"fleet.cut.nodes", "fleet.soak.dropped",
+		"fleet.cut.nodes",
 		"repub.publish", "repub.delta.inserts", "repub.delta.deletes",
 		"repub.phase2.reused", "repub.phase2.recomputed",
 		"repub.releases", "repub.rows",
@@ -196,4 +200,75 @@ func TestDocCoversShardManifest(t *testing.T) {
 			t.Errorf("docs/SERVING.md: sharding fact %q missing from the spec", fact)
 		}
 	}
+}
+
+// docFlag matches one backquoted flag name, e.g. `-seed`.
+var docFlag = regexp.MustCompile("`-([a-z0-9-]+)`")
+
+// TestDocAttackFlagsDefined keeps docs/ATTACKS.md's flag table honest: every
+// flag the "Flags and output" table lists must be defined by
+// cmd/pgattack/main.go, so a row for a removed flag fails here.
+func TestDocAttackFlagsDefined(t *testing.T) {
+	data, err := os.ReadFile("docs/ATTACKS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(data), "## Flags and output")
+	if !ok {
+		t.Fatal(`docs/ATTACKS.md: no "Flags and output" section`)
+	}
+	if i := strings.Index(table, "\n## "); i >= 0 {
+		table = table[:i]
+	}
+	defined := definedFlags(t, "cmd/pgattack/main.go")
+	listed := 0
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, m := range docFlag.FindAllStringSubmatch(cells[1], -1) {
+			listed++
+			if !defined[m[1]] {
+				t.Errorf("docs/ATTACKS.md lists -%s, which cmd/pgattack does not define", m[1])
+			}
+		}
+	}
+	if listed == 0 {
+		t.Fatal("docs/ATTACKS.md: the flag table lists no flags")
+	}
+}
+
+// definedFlags parses a command's source and returns the names of the flags
+// it defines: the first argument of every flag.<Kind>(...) call.
+func definedFlags(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if name, err := strconv.Unquote(lit.Value); err == nil {
+				names[name] = true
+			}
+		}
+		return true
+	})
+	if len(names) == 0 {
+		t.Fatalf("%s defines no flags", path)
+	}
+	return names
 }

@@ -168,25 +168,6 @@ func (c *client) checkRelease(rel string) error {
 	return nil
 }
 
-// rawPost issues one request with no retry and classifies the outcome — the
-// soak phases use it to observe shedding and drain behavior directly.
-func (c *client) rawPost(hc *http.Client, body []byte) (status int, source string, err error) {
-	resp, err := hc.Post(c.base+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		var qr serve.QueryResponse
-		if derr := json.NewDecoder(resp.Body).Decode(&qr); derr != nil {
-			return resp.StatusCode, "", derr
-		}
-		return resp.StatusCode, qr.Source, nil
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // draining for keep-alive
-	return resp.StatusCode, "", nil
-}
-
 func drain(resp *http.Response) {
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck // draining for keep-alive
 	resp.Body.Close()

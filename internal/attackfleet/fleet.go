@@ -14,10 +14,7 @@
 //
 // Both feed the same per-victim estimator the in-process attack uses
 // (attack.Posterior), so over-HTTP and in-process breach estimates agree bit
-// for bit. The fleet's query mix deliberately stresses the serving layer —
-// low-locality point probes, duplicate bursts, admission ramps, and an
-// optional drain-under-load — making the run double as the serving soak
-// test (see soak.go).
+// for bit.
 package attackfleet
 
 import (
@@ -54,7 +51,7 @@ type Config struct {
 	// N is the SAL microdata cardinality (default 20000).
 	N int
 	// Seed drives every random choice: the publication (self-serve), the
-	// victim sample, the per-victim adversary plans and the soak traffic.
+	// victim sample and the per-victim adversary plans.
 	// Fleet streams are split from par.SplitSeed(Seed, 2) — pg.Publish owns
 	// shards 0 and 1 of the same root — so fleet and publication randomness
 	// never collide.
@@ -81,17 +78,13 @@ type Config struct {
 	// (default 0, 0.25, 0.5, 0.75, 1).
 	Fractions []float64
 	// Workers is the fleet's client-side parallelism. The report is
-	// byte-identical for every value (soak timings excepted).
+	// byte-identical for every value.
 	Workers int
 	// Lambda bounds the adversary prior's skew (default 0.1); Rho1 is the
 	// prior-confidence threshold conditioning the Theorem-2 check (default
 	// Lambda, mirroring the Monte-Carlo harness).
 	Lambda float64
 	Rho1   float64
-	// Soak enables the serving soak phases after the attack completes.
-	Soak bool
-	// SoakQueries sizes the low-locality sweep (default 256).
-	SoakQueries int
 	// Metrics optionally receives the fleet.* instrumentation.
 	Metrics *obs.Registry
 }
@@ -124,8 +117,8 @@ type ModeReport struct {
 	AgreeWithAware int `json:"agree_with_aware,omitempty"`
 }
 
-// Report is the `fleet` block emitted into BENCH_pg.json. Everything outside
-// Soak is byte-identical across runs and worker counts for a fixed Config.
+// Report is the `fleet` block emitted into BENCH_pg.json. It is
+// byte-identical across runs and worker counts for a fixed Config.
 type Report struct {
 	N          int          `json:"n"`
 	Rows       int          `json:"rows"`
@@ -144,7 +137,6 @@ type Report struct {
 	Queries    int64        `json:"queries"`
 	Modes      []ModeReport `json:"modes"`
 	Violations int          `json:"violations"`
-	Soak       *SoakReport  `json:"soak,omitempty"`
 
 	// details holds the per-victim outcomes for the in-process equivalence
 	// tests.
@@ -180,7 +172,6 @@ type fleetShared struct {
 		violations     *obs.Counter
 		probeFallbacks *obs.Counter
 		cutNodes       *obs.Counter
-		soakDropped    *obs.Counter
 	}
 }
 
@@ -229,17 +220,11 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("attackfleet: shard count %d must be non-negative", cfg.Shards)
 	}
-	if cfg.Soak && cfg.Shards > 0 {
-		return nil, fmt.Errorf("attackfleet: the soak phases drive a single-snapshot server; run them with Shards = 0")
-	}
 	if cfg.Lambda <= 0 {
 		cfg.Lambda = 0.1
 	}
 	if cfg.Rho1 <= 0 {
 		cfg.Rho1 = cfg.Lambda
-	}
-	if cfg.SoakQueries <= 0 {
-		cfg.SoakQueries = 256
 	}
 	selfServe := cfg.BaseURL == ""
 	if selfServe {
@@ -271,7 +256,6 @@ func Run(cfg Config) (*Report, error) {
 
 	// Target: self-serve a fresh publication (one server, or a shard fleet
 	// plus coordinator) or attach to BaseURL.
-	var hs *serve.HTTPServer
 	base := strings.TrimSuffix(cfg.BaseURL, "/")
 	if selfServe && cfg.Shards > 0 {
 		b, cleanup, err := selfServeSharded(d, hiers, cfg)
@@ -291,7 +275,7 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		hs, err = servePub(pub, cfg)
+		hs, err := servePub(pub, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -331,9 +315,6 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf(
 			"attackfleet: config wants %d shards but the served release reports %d", cfg.Shards, md.Shards)
 	}
-	if cfg.Soak && cfg.Shards > 0 {
-		return nil, fmt.Errorf("attackfleet: the soak phases drive a single-snapshot server, not a coordinator")
-	}
 	if _, err := pg.ParseAlgorithm(cfg.Algorithm); err != nil {
 		return nil, err
 	}
@@ -360,7 +341,6 @@ func Run(cfg Config) (*Report, error) {
 	sh.met.violations = cfg.Metrics.Counter("fleet.violations")
 	sh.met.probeFallbacks = cfg.Metrics.Counter("fleet.probe.fallbacks")
 	sh.met.cutNodes = cfg.Metrics.Counter("fleet.cut.nodes")
-	sh.met.soakDropped = cfg.Metrics.Counter("fleet.soak.dropped")
 
 	// One runner per target. Unsharded: a single runner over all of ℰ.
 	// Sharded: one per shard, with a pinned client and the round-robin owner
@@ -457,15 +437,6 @@ func Run(cfg Config) (*Report, error) {
 	rep.aggregate(details, cfg.Fractions, sh)
 	rep.Queries = cl.queries.Load()
 	sh.met.violations.Add(int64(rep.Violations))
-
-	if cfg.Soak {
-		soak, err := runners[0].soak(cfg, fleetRoot, hs)
-		if err != nil {
-			return nil, err
-		}
-		rep.Soak = soak
-		rep.Violations += soak.DrainDropped
-	}
 	return rep, nil
 }
 

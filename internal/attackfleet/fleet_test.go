@@ -51,12 +51,12 @@ func serveSnapshot(t *testing.T, n int, seed int64, k int, p float64, algorithm 
 }
 
 // runFleet runs a small self-served fleet and returns the report.
-func runFleet(t *testing.T, algorithm string, workers int, soak bool) *Report {
+func runFleet(t *testing.T, algorithm string, workers int) *Report {
 	t.Helper()
 	rep, err := Run(Config{
 		N: 1500, Seed: 7, K: 5, P: 0.3, Algorithm: algorithm,
 		Victims: 8, Fractions: []float64{0, 0.5, 1},
-		Workers: workers, Soak: soak, SoakQueries: 24,
+		Workers: workers,
 	})
 	if err != nil {
 		t.Fatalf("fleet %s/%d workers: %v", algorithm, workers, err)
@@ -73,7 +73,7 @@ func TestFleetEquivalence(t *testing.T) {
 		t.Run(algorithm, func(t *testing.T) {
 			var baseline []byte
 			for _, workers := range []int{1, 4, 16} {
-				rep := runFleet(t, algorithm, workers, false)
+				rep := runFleet(t, algorithm, workers)
 				if rep.Violations != 0 {
 					t.Fatalf("%d bound violations at %d workers", rep.Violations, workers)
 				}
@@ -170,28 +170,6 @@ func checkAgainstInProcess(t *testing.T, rep *Report) {
 	}
 }
 
-// TestFleetSoak exercises the soak phases against the self-served snapshot:
-// the drain must not drop in-flight queries and the duplicate bursts must
-// observe coalesced or cached answers.
-func TestFleetSoak(t *testing.T) {
-	rep := runFleet(t, "kd", 4, true)
-	if rep.Soak == nil {
-		t.Fatal("soak enabled but no soak report")
-	}
-	if rep.Soak.DrainDropped != 0 {
-		t.Fatalf("drain dropped %d in-flight queries", rep.Soak.DrainDropped)
-	}
-	if rep.Violations != 0 {
-		t.Fatalf("%d violations", rep.Violations)
-	}
-	if rep.Soak.CacheHits+rep.Soak.Coalesced == 0 {
-		t.Fatal("soak observed neither cache hits nor coalesced answers")
-	}
-	if rep.Soak.Queries == 0 || rep.Soak.DrainOK == 0 {
-		t.Fatalf("soak issued %d queries, drain answered %d", rep.Soak.Queries, rep.Soak.DrainOK)
-	}
-}
-
 // TestFleetMetadataConflict pins the BaseURL-mode validation: attacking a
 // served release with a conflicting attack config must error rather than
 // check the wrong guarantee.
@@ -222,7 +200,7 @@ func TestFleetMetadataConflict(t *testing.T) {
 	if rep.K != 5 || rep.P != 0.3 || rep.Algorithm != "kd" {
 		t.Fatalf("adopted metadata k=%d p=%v algorithm=%s", rep.K, rep.P, rep.Algorithm)
 	}
-	selfRep := runFleet(t, "kd", 4, false)
+	selfRep := runFleet(t, "kd", 4)
 	a, _ := json.Marshal(rep)
 	b, _ := json.Marshal(selfRep)
 	if !bytes.Equal(a, b) {

@@ -161,8 +161,8 @@ func TestFleetAdoptsShardCount(t *testing.T) {
 }
 
 // TestFleetShardConfigValidation pins the config cross-checks: a shard
-// count that contradicts the served release, and soak against a sharded
-// release, are both refused.
+// count that contradicts the served release, and a negative one, are both
+// refused.
 func TestFleetShardConfigValidation(t *testing.T) {
 	base, shutdown := serveSnapshot(t, 1200, 7, 5, 0.3, "kd")
 	defer shutdown()
@@ -172,14 +172,6 @@ func TestFleetShardConfigValidation(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "shard") {
 		t.Fatalf("sharded config against an unsharded release: %v", err)
-	}
-
-	_, err = Run(Config{
-		N: 1200, Seed: 7, Shards: 2, Soak: true,
-		Victims: 2, Fractions: []float64{0}, Workers: 2,
-	})
-	if err == nil || !strings.Contains(err.Error(), "soak") {
-		t.Fatalf("soak against a sharded release: %v", err)
 	}
 
 	_, err = Run(Config{N: 1200, Seed: 7, Shards: -1})

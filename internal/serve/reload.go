@@ -204,7 +204,8 @@ func SnapshotSource(path string, mapped bool) func() (*ReleaseData, error) {
 // from the metadata file at metaPath (pgpublish -meta): its retention
 // probability, k, algorithm and guarantee are served as they are, and the
 // CSV is refused unless it holds the announced number of tuples with no G
-// below the announced k. Without a metadata file p must be given (>= 0),
+// below the announced k. A p given as well (>= 0) must equal the announced
+// one; a negative p means none. Without a metadata file p must be given,
 // k is the smallest G in the file, and the algorithm is left empty: a CSV
 // does not say which Phase-2 recoder produced it. The index is built here,
 // timed into reg's query.index.build span. The release has no CRC and no
@@ -215,6 +216,9 @@ func OpenCSV(schema *dataset.Schema, csvPath, metaPath string, p float64, reg *o
 		m, err := readFile(metaPath, pg.ReadMetadata)
 		if err != nil {
 			return nil, err
+		}
+		if p >= 0 && p != m.P {
+			return nil, fmt.Errorf("serve: -p %v contradicts the retention probability %v that %s announces", p, m.P, metaPath)
 		}
 		meta, p = &m, m.P
 	}

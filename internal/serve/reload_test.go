@@ -591,4 +591,14 @@ func TestOpenCSV(t *testing.T) {
 	if _, err := OpenCSV(d.Schema, csvPath, "", -1, nil); err == nil {
 		t.Error("OpenCSV without p or metadata: want error")
 	}
+
+	// An explicit p must agree with the metadata's: the same value is
+	// accepted, another one refused with both values named.
+	if _, err := OpenCSV(d.Schema, csvPath, metaPath, 0.3, nil); err != nil {
+		t.Errorf("OpenCSV with the announced p: %v", err)
+	}
+	if _, err := OpenCSV(d.Schema, csvPath, metaPath, 0.9, nil); err == nil ||
+		!strings.Contains(err.Error(), "0.9") || !strings.Contains(err.Error(), "0.3") {
+		t.Errorf("OpenCSV with p 0.9 against metadata announcing 0.3 = %v, want a refusal naming both", err)
+	}
 }

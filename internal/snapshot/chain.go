@@ -9,7 +9,7 @@ import (
 	"reflect"
 )
 
-// ChainMetadata is the release-chain block a version-3 snapshot carries when
+// ChainMetadata is the release-chain block a snapshot carries when
 // it is one release of a re-publication series (pg.Republish). It names the
 // release's position in the chain, pins its parent by checksum, summarizes
 // the delta that produced it, and records the cross-release guarantee
@@ -18,7 +18,7 @@ import (
 // multi-release privacy contract without the microdata.
 //
 // The parent link is the parent file's header CRC (the CRC-32C of its
-// metadata body, read cheaply by HeaderCRC). Because the v2/v3 metadata
+// metadata body, read cheaply by HeaderCRC). Because the metadata
 // body embeds the per-block directory with each column block's own CRC,
 // that one checksum transitively pins the parent's entire byte content.
 type ChainMetadata struct {

@@ -3,7 +3,6 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -55,102 +54,29 @@ func TestChainRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChainV2ReadCompat pins version-2 read compatibility: a body with no
-// chain block under a version-2 header loads with Chain nil via both
-// readers, and Load/Read keep working unchanged.
-func TestChainV2ReadCompat(t *testing.T) {
-	pub := publishHospital(t, pg.TDS)
-	var buf bytes.Buffer
-	if err := Write(&buf, pub, nil, nil); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	v2 := v2Image(t, buf.Bytes())
-
-	rel, err := Read(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("Read(v2): %v", err)
-	}
-	pub2 := rel.Pub
-	if rel.Chain != nil {
-		t.Fatalf("v2 snapshot decoded chain %+v, want nil", rel.Chain)
-	}
-	if pub2.Len() != pub.Len() {
-		t.Fatalf("v2 snapshot decoded %d rows, want %d", pub2.Len(), pub.Len())
-	}
-
-	path := filepath.Join(t.TempDir(), "v2.pgsnap")
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
+// TestReleaseCRCMatchesHeaderCRC pins that the CRC a Release carries — read
+// by Load and OpenMapped from the same open as the content — is the header
+// CRC HeaderCRC reports for the file.
+func TestReleaseCRCMatchesHeaderCRC(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.pgsnap")
+	if err := Save(path, publishHospital(t, pg.KD), nil); err != nil {
 		t.Fatal(err)
+	}
+	want, err := HeaderCRC(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
 	}
 	m, err := OpenMapped(path)
 	if err != nil {
-		t.Fatalf("OpenMapped(v2): %v", err)
+		t.Fatalf("OpenMapped: %v", err)
 	}
 	defer m.Close()
-	if m.Chain != nil {
-		t.Fatalf("OpenMapped(v2) chain = %+v, want nil", m.Chain)
-	}
-}
-
-// v2Image rewrites a version-3 snapshot image with no chain block as the
-// equivalent version-2 image.
-func v2Image(t *testing.T, data []byte) []byte {
-	t.Helper()
-	// Rewrite the v3 file as v2: drop the one-byte absent-chain flag from
-	// the metadata body and restamp the header (version, length, CRC). The
-	// chain flag sits right after the guarantee flag; locate it by decoding
-	// the prefix like the reader does.
-	d := &dec{b: data[headerLen : headerLen+int(binary.LittleEndian.Uint64(data[8:16]))]}
-	if _, err := decodePubMeta(d); err != nil {
-		t.Fatalf("decodePubMeta: %v", err)
-	}
-	if _, err := decodeGuarantee(d); err != nil {
-		t.Fatalf("decodeGuarantee: %v", err)
-	}
-	metaEnd := headerLen + int(binary.LittleEndian.Uint64(data[8:16]))
-	cut := headerLen + d.off // offset of the chain presence flag
-	meta := append([]byte{}, data[headerLen:cut]...)
-	meta = append(meta, data[cut+1:metaEnd]...)
-
-	// The directory records absolute file offsets, so the page-aligned
-	// blocks must not move: pad the one removed byte back as part of the
-	// zero gap between the metadata and the first block.
-	v2 := append([]byte{}, makeHeader(versionV2, meta)...)
-	v2 = append(v2, meta...)
-	v2 = append(v2, 0)
-	v2 = append(v2, data[metaEnd:]...)
-	return v2
-}
-
-// TestReleaseCRCMatchesHeaderCRC pins that the CRC a Release carries — read
-// by Load and OpenMapped from the same open as the content — is the header
-// CRC HeaderCRC reports for the file, for version-2 and version-3 images.
-func TestReleaseCRCMatchesHeaderCRC(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, publishHospital(t, pg.KD), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"v3": buf.Bytes(), "v2": v2Image(t, buf.Bytes())} {
-		path := filepath.Join(t.TempDir(), name+".pgsnap")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		want, err := HeaderCRC(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel, err := Load(path)
-		if err != nil {
-			t.Fatalf("%s: Load: %v", name, err)
-		}
-		m, err := OpenMapped(path)
-		if err != nil {
-			t.Fatalf("%s: OpenMapped: %v", name, err)
-		}
-		if rel.CRC != want || m.CRC != want {
-			t.Fatalf("%s: Load CRC %08x, Mapped CRC %08x, HeaderCRC %08x", name, rel.CRC, m.CRC, want)
-		}
-		m.Close()
+	if rel.CRC != want || m.CRC != want {
+		t.Fatalf("Load CRC %08x, Mapped CRC %08x, HeaderCRC %08x", rel.CRC, m.CRC, want)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"pgpub/internal/query"
 )
 
-// Mapped is an opened version-2/3 snapshot: the publication's row columns
+// Mapped is an opened snapshot: the publication's row columns
 // and the serving index alias the file image (a read-only mmap from
 // OpenMapped on linux/darwin; an in-memory copy from Load and Read,
 // elsewhere, or when mapping fails). Close releases a mapping — after Close
@@ -32,7 +32,7 @@ type Mapped struct {
 	base   int
 }
 
-// OpenMapped opens a version-2/3 snapshot for serving without parsing it: the
+// OpenMapped opens a snapshot for serving without parsing it: the
 // file is mapped read-only and the column arrays are adopted in place, so
 // the cost of a cold start is the metadata pages plus the page faults the
 // first queries take — not a decode of the whole file.
@@ -105,7 +105,7 @@ func newMapped(data []byte, mapped bool) (*Mapped, error) {
 		return nil, fmt.Errorf("snapshot: bad magic %q — not a snapshot file", data[:6])
 	}
 	version := binary.LittleEndian.Uint16(data[6:8])
-	if version != versionV2 && version != Version {
+	if version != Version {
 		return nil, unsupportedVersion(version)
 	}
 	n := binary.LittleEndian.Uint64(data[8:16])
@@ -120,7 +120,7 @@ func newMapped(data []byte, mapped bool) (*Mapped, error) {
 	if crc32.Checksum(meta, castagnoli) != crc {
 		return nil, fmt.Errorf("snapshot: metadata checksum mismatch (corrupted file)")
 	}
-	rel, rowN, root, dirs, err := decodeMeta(meta, version, crc)
+	rel, rowN, root, dirs, err := decodeMeta(meta, crc)
 	if err != nil {
 		return nil, err
 	}

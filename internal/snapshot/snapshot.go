@@ -18,13 +18,13 @@
 //
 //	offset  size  field
 //	0       6     magic "PGSNAP"
-//	6       2     format version, little-endian uint16 (writer emits 3)
+//	6       2     format version, little-endian uint16 (3, the one read)
 //	8       8     body length in bytes, little-endian uint64
 //	16      4     CRC-32C (Castagnoli) of the body, little-endian uint32
 //	20      len   body
 //
-// Versions 2 and 3 (the two this package reads) split the file in two: the
-// header's body is just the *metadata* (schema, parameters, recoding,
+// Version 3, the one this package writes and reads, splits the file in
+// two: the header's body is just the *metadata* (schema, parameters, recoding,
 // guarantee, row count, index root, and a block directory), and the rows
 // plus a prebuilt query-serving index follow as page-aligned,
 // length-prefixed, individually-CRC'd column blocks — one contiguous array
@@ -32,10 +32,10 @@
 // docs/SERVING.md. Page alignment is what lets a reader adopt the arrays in
 // place instead of parsing them.
 //
-// Version 3 (what Write emits) is version 2 plus one metadata field: an
-// optional release-chain block (ChainMetadata) between the guarantee block
-// and the row count, recording the snapshot's position in a re-publication
-// chain. The field-level spec is docs/REPUBLICATION.md.
+// One metadata field, the optional release-chain block (ChainMetadata)
+// between the guarantee block and the row count, records the snapshot's
+// position in a re-publication chain; its field-level spec is
+// docs/REPUBLICATION.md.
 //
 // # Reading
 //
@@ -72,13 +72,9 @@ import (
 	"pgpub/internal/pg"
 )
 
-// Version is the current snapshot format version (what Write emits).
+// Version is the snapshot format version: the one Write emits and the one
+// every reader accepts.
 const Version = 3
-
-// versionV2 is the first columnar format, identical to version 3 except
-// that its metadata body has no release-chain block. Every reader still
-// accepts it (Chain loads as nil).
-const versionV2 = 2
 
 // magic identifies a snapshot file; it never changes across versions.
 var magic = [6]byte{'P', 'G', 'S', 'N', 'A', 'P'}
@@ -92,8 +88,8 @@ const maxBodyLen = 1 << 30
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Release is one decoded snapshot: the publication, its certified
-// guarantee metadata (nil when absent), its release-chain block (nil for
-// version-2 snapshots and for version-3 snapshots outside any chain) and the
+// guarantee metadata (nil when absent), its release-chain block (nil for a
+// snapshot outside any chain) and the
 // header CRC that identifies the release — the value a successor's
 // ChainMetadata.ParentCRC refers to and HeaderCRC reads from a path. The CRC
 // comes from the same read as the content, so the two always describe one
@@ -105,7 +101,7 @@ type Release struct {
 	CRC       uint32
 }
 
-// Write serializes the publication to w in the current (version 3) format:
+// Write serializes the publication to w in the version-3 format:
 // metadata body, then the rows and a prebuilt query-serving index as
 // page-aligned column blocks. The guarantee block is what pg.Metadata
 // carries beyond the publication itself; pass nil when no level was
@@ -120,14 +116,14 @@ func Write(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata, chain *Chain
 }
 
 func unsupportedVersion(v uint16) error {
-	return fmt.Errorf("snapshot: unsupported format version %d (reader supports %d and %d)", v, versionV2, Version)
+	return fmt.Errorf("snapshot: unsupported format version %d (reader supports %d)", v, Version)
 }
 
-// makeHeader builds the 20-byte header for a body of the given version.
-func makeHeader(version uint16, body []byte) []byte {
+// makeHeader builds the 20-byte header for a metadata body.
+func makeHeader(body []byte) []byte {
 	hdr := make([]byte, headerLen)
 	copy(hdr[:6], magic[:])
-	binary.LittleEndian.PutUint16(hdr[6:8], version)
+	binary.LittleEndian.PutUint16(hdr[6:8], Version)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(body)))
 	binary.LittleEndian.PutUint32(hdr[16:20], crc32.Checksum(body, castagnoli))
 	return hdr

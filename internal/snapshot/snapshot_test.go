@@ -251,17 +251,18 @@ func TestRejectsCorruption(t *testing.T) {
 }
 
 // TestRejectsUnsupportedVersion restamps a valid file's version field —
-// 1 (the retired flat-body format), 0 and a future 4 — and requires both
-// readers to refuse it by name.
+// 1 (the retired flat-body format), 2 (the retired chainless columnar
+// format), 0 and a future 4 — and requires both readers to refuse it by
+// name and to name the one version they read.
 func TestRejectsUnsupportedVersion(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, tinyPublication(t), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []uint16{0, 1, Version + 1} {
+	for _, v := range []uint16{0, 1, 2, Version + 1} {
 		data := append([]byte(nil), buf.Bytes()...)
 		binary.LittleEndian.PutUint16(data[6:8], v)
-		want := fmt.Sprintf("unsupported format version %d", v)
+		want := fmt.Sprintf("unsupported format version %d (reader supports %d)", v, Version)
 		if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Read of version %d: %v", v, err)
 		}

@@ -12,12 +12,12 @@ import (
 	"pgpub/internal/query"
 )
 
-// Version-2/3 layout. The header's body (CRC'd like any version's) is the
-// metadata:
+// The columnar layout (named v2 after the version that introduced it; the
+// file is stamped version 3). The header's body (CRC'd) is the metadata:
 //
 //	encodePubMeta        schema, algorithm, p, K, recoding
 //	encodeGuarantee      optional guarantee block
-//	encodeChain          optional release-chain block (version 3 only)
+//	encodeChain          optional release-chain block
 //	u64                  row count N
 //	i32                  serving-index kd-tree root (-1 when empty)
 //	u32                  block count (always len(v2Blocks))
@@ -123,7 +123,7 @@ func checkRowRanges(cols *pg.RowColumns) error {
 	return nil
 }
 
-// writeV2 emits the current (version 3) format: metadata body, then the row
+// writeV2 emits the version-3 format: metadata body, then the row
 // columns and the prebuilt serving index as page-aligned blocks. The index
 // is built here — publish time — so every cold start afterwards adopts it
 // instead of rebuilding it.
@@ -167,7 +167,7 @@ func writeV2(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata, chain *Cha
 		e.u32(dd.crc)
 	}
 
-	if _, err := w.Write(makeHeader(Version, e.b)); err != nil {
+	if _, err := w.Write(makeHeader(e.b)); err != nil {
 		return fmt.Errorf("snapshot: writing header: %w", err)
 	}
 	if _, err := w.Write(e.b); err != nil {
@@ -195,13 +195,12 @@ func writeV2(w io.Writer, pub *pg.Published, g *pg.GuaranteeMetadata, chain *Cha
 	return nil
 }
 
-// decodeMeta decodes a CRC-verified version-2/3 metadata body: the
-// publication prefix, the guarantee block and (version 3) the chain block
-// into a Release stamped with crc, then the v2 tail — row count, index root,
-// block directory. The directory is checked for shape here — count,
+// decodeMeta decodes a CRC-verified metadata body: the publication prefix,
+// the guarantee block and the chain block into a Release stamped with crc,
+// then the v2 tail — row count, index root, block directory. The directory is checked for shape here — count,
 // ascending page-aligned offsets, element-width divisibility — so every
 // later consumer can trust its geometry.
-func decodeMeta(meta []byte, version uint16, crc uint32) (rel *Release, rowN int, root int32, dirs []blockDir, err error) {
+func decodeMeta(meta []byte, crc uint32) (rel *Release, rowN int, root int32, dirs []blockDir, err error) {
 	d := &dec{b: meta}
 	rel = &Release{CRC: crc}
 	if rel.Pub, err = decodePubMeta(d); err != nil {
@@ -210,10 +209,8 @@ func decodeMeta(meta []byte, version uint16, crc uint32) (rel *Release, rowN int
 	if rel.Guarantee, err = decodeGuarantee(d); err != nil {
 		return nil, 0, 0, nil, err
 	}
-	if version == Version {
-		if rel.Chain, err = decodeChain(d); err != nil {
-			return nil, 0, 0, nil, err
-		}
+	if rel.Chain, err = decodeChain(d); err != nil {
+		return nil, 0, 0, nil, err
 	}
 	n := d.u64()
 	root = d.i32()
