@@ -71,23 +71,6 @@ func (c *Column) append(v int32) {
 	c.i32 = append(c.i32, v)
 }
 
-// grow pre-allocates capacity for n additional values.
-func (c *Column) grow(n int) {
-	if c.u8 != nil {
-		if cap(c.u8)-len(c.u8) < n {
-			nb := make([]uint8, len(c.u8), len(c.u8)+n)
-			copy(nb, c.u8)
-			c.u8 = nb
-		}
-		return
-	}
-	if cap(c.i32)-len(c.i32) < n {
-		nb := make([]int32, len(c.i32), len(c.i32)+n)
-		copy(nb, c.i32)
-		c.i32 = nb
-	}
-}
-
 // clone deep-copies the column.
 func (c *Column) clone() Column {
 	if c.u8 != nil {

@@ -44,14 +44,6 @@ func NewTable(schema *Schema) *Table {
 // Len returns |D|.
 func (t *Table) Len() int { return t.n }
 
-// Grow pre-allocates column capacity for n additional rows; purely an
-// optimization for bulk loaders (CSV, the SAL generator).
-func (t *Table) Grow(n int) {
-	for j := range t.cols {
-		t.cols[j].grow(n)
-	}
-}
-
 // Append adds a row after validating it against the schema. The slice is
 // copied into the columns; the caller keeps ownership.
 func (t *Table) Append(row []int32) error {
@@ -185,23 +177,6 @@ func (t *Table) RandomSubset(n int, rng *rand.Rand) (*Table, error) {
 	}
 	perm := rng.Perm(t.Len())
 	return t.Subset(perm[:n]), nil
-}
-
-// SensitiveHistogram counts occurrences of each sensitive code in one
-// column sweep.
-func (t *Table) SensitiveHistogram() []int {
-	h := make([]int, t.Schema.SensitiveDomain())
-	col := t.SensitiveCol()
-	if u8 := col.U8(); u8 != nil {
-		for _, v := range u8 {
-			h[v]++
-		}
-		return h
-	}
-	for _, v := range col.I32() {
-		h[v]++
-	}
-	return h
 }
 
 // Validate re-checks all rows against the schema; useful after external

@@ -161,16 +161,6 @@ func TestRandomSubset(t *testing.T) {
 	}
 }
 
-func TestSensitiveHistogram(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	for _, s := range []int32{0, 1, 1, 2, 2, 2} {
-		tb.MustAppend([]int32{0, 0, s})
-	}
-	if got := tb.SensitiveHistogram(); !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("histogram = %v", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	tb := NewTable(testSchema(t))
 	tb.MustAppend([]int32{1, 1, 1})

@@ -22,14 +22,6 @@ type TDSConfig struct {
 	// K is the minimum QI-group size (Property G2); must be >= 1.
 	K int
 
-	// Class holds the per-row class labels used by the information-gain
-	// score (the mining task the publication should serve, e.g. the income
-	// category). When nil, the sensitive codes themselves are used.
-	Class []int
-	// NumClasses is the number of distinct class labels; required when
-	// Class is set.
-	NumClasses int
-
 	// Workers bounds the goroutines that take the groups' split counts, one
 	// attribute each. 0 means GOMAXPROCS; the result is identical for every
 	// value.
@@ -51,7 +43,8 @@ type TDSResult struct {
 
 // TDS runs top-down specialization and returns a global recoding whose
 // grouping is k-anonymous and, subject to that, has (greedily) maximal
-// information gain about the class labels.
+// information gain about the table's sensitive values. Those are the values
+// the table holds when TDS runs: in the PG pipeline, the perturbed ones.
 //
 // Grouping is incremental: the search starts from the one group of the
 // fully suppressed recoding, and each specialization round splits only the
@@ -68,26 +61,13 @@ func TDS(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg TDSConfig) (*TDSRes
 	if t.Len() < cfg.K {
 		return nil, fmt.Errorf("generalize: table has %d rows, cannot be %d-anonymous", t.Len(), cfg.K)
 	}
-	class := cfg.Class
-	numClasses := cfg.NumClasses
-	if class == nil {
-		class = make([]int, t.Len())
-		for i := range class {
-			class[i] = int(t.Sensitive(i))
-		}
-		numClasses = t.Schema.SensitiveDomain()
+	// The information gain is scored on the table's sensitive codes, which
+	// dataset has already checked against the sensitive domain.
+	class := make([]int, t.Len())
+	for i := range class {
+		class[i] = int(t.Sensitive(i))
 	}
-	if len(class) != t.Len() {
-		return nil, fmt.Errorf("generalize: %d class labels for %d rows", len(class), t.Len())
-	}
-	if numClasses < 1 {
-		return nil, fmt.Errorf("generalize: NumClasses must be >= 1 when Class is set")
-	}
-	for i, c := range class {
-		if c < 0 || c >= numClasses {
-			return nil, fmt.Errorf("generalize: class label %d of row %d out of [0,%d)", c, i, numClasses)
-		}
-	}
+	numClasses := t.Schema.SensitiveDomain()
 
 	rec, err := TopRecoding(t.Schema, hiers)
 	if err != nil {

@@ -238,8 +238,8 @@ func randomHierarchy(n int, rng *rand.Rand) *hierarchy.Hierarchy {
 
 // TestTDSMatchesReference pins TDS to the full-rescan reference: equal
 // groups, keys and round counts on random tables over random hierarchies,
-// with explicit and default class labels, at one to three workers, on some
-// tables large enough that the split counts are taken concurrently.
+// with sensitive domains of one to four values, at one to three workers, on
+// some tables large enough that the split counts are taken concurrently.
 func TestTDSMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 150; trial++ {
@@ -251,7 +251,13 @@ func TestTDSMatchesReference(t *testing.T) {
 			attrs[j] = dataset.MustIntAttribute(string(rune('A'+j)), 0, size-1)
 			hiers[j] = randomHierarchy(size, rng)
 		}
-		tbl := dataset.NewTable(dataset.MustSchema(attrs, dataset.MustAttribute("S", "s0", "s1", "s2")))
+		// Odd trials vary the sensitive domain TDS scores its gain on.
+		nc := 3
+		if trial%2 == 1 {
+			nc = 1 + rng.Intn(4)
+		}
+		sens := dataset.MustAttribute("S", []string{"s0", "s1", "s2", "s3"}[:nc]...)
+		tbl := dataset.NewTable(dataset.MustSchema(attrs, sens))
 		n := 20 + rng.Intn(600)
 		if trial%25 == 0 {
 			// Large enough that the counts run on separate goroutines.
@@ -262,21 +268,14 @@ func TestTDSMatchesReference(t *testing.T) {
 			for j := range attrs {
 				row[j] = int32(min(int(rng.ExpFloat64()*float64(attrs[j].Size())/3), attrs[j].Size()-1))
 			}
-			row[d] = int32(rng.Intn(3))
+			row[d] = int32(rng.Intn(nc))
 			tbl.MustAppend(row)
 		}
 		k := 1 + rng.Intn(6)
 		cfg := TDSConfig{K: k, Workers: 1 + trial%3}
-		class, nc := make([]int, n), tbl.Schema.SensitiveDomain()
+		class := make([]int, n)
 		for i := range class {
 			class[i] = int(tbl.Sensitive(i))
-		}
-		if trial%2 == 1 {
-			nc = 1 + rng.Intn(4)
-			for i := range class {
-				class[i] = rng.Intn(nc)
-			}
-			cfg.Class, cfg.NumClasses = class, nc
 		}
 		want, wantRounds, err := legacyTDS(tbl, hiers, class, nc, k)
 		if err != nil {

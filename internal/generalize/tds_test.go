@@ -64,33 +64,6 @@ func TestTDSErrors(t *testing.T) {
 	if _, err := TDS(empty, hiers, TDSConfig{K: 1}); err == nil {
 		t.Fatal("empty table: want error")
 	}
-	if _, err := TDS(h, hiers, TDSConfig{K: 2, Class: []int{0}}); err == nil {
-		t.Fatal("short class slice: want error")
-	}
-	if _, err := TDS(h, hiers, TDSConfig{K: 2, Class: make([]int, h.Len())}); err == nil {
-		t.Fatal("Class without NumClasses: want error")
-	}
-	bad := make([]int, h.Len())
-	bad[0] = 5
-	if _, err := TDS(h, hiers, TDSConfig{K: 2, Class: bad, NumClasses: 2}); err == nil {
-		t.Fatal("out-of-range class label: want error")
-	}
-}
-
-func TestTDSWithExplicitClass(t *testing.T) {
-	h := dataset.Hospital()
-	hiers := hospitalHiers(h.Schema)
-	class := make([]int, h.Len())
-	for i := range class {
-		class[i] = i % 2
-	}
-	res, err := TDS(h, hiers, TDSConfig{K: 2, Class: class, NumClasses: 2})
-	if err != nil {
-		t.Fatalf("TDS: %v", err)
-	}
-	if !res.Groups.IsKAnonymous(2) {
-		t.Fatal("not 2-anonymous")
-	}
 }
 
 // TDS runs to its natural round bound: each round refines one internal

@@ -8,25 +8,19 @@ import (
 	"pgpub/internal/pg"
 )
 
+// nbAlpha is the Laplace smoothing pseudo-count, and nbBins the number of
+// equal-width bins ordered features are discretized into; categorical
+// features keep their codes.
+const (
+	nbAlpha = 1.0
+	nbBins  = 10
+)
+
 // NBConfig tunes the naive-Bayes classifier.
 type NBConfig struct {
-	// Alpha is the Laplace smoothing pseudo-count (default 1).
-	Alpha float64
-	// Bins discretizes ordered features into this many equal-width bins
-	// (default 10); categorical features keep their codes.
-	Bins int
 	// Adjust optionally corrects observed class histograms, exactly like
 	// Config.Adjust for trees (the perturbation-reconstruction hook).
 	Adjust func(obs []float64) []float64
-}
-
-func (c *NBConfig) setDefaults() {
-	if c.Alpha <= 0 {
-		c.Alpha = 1
-	}
-	if c.Bins <= 1 {
-		c.Bins = 10
-	}
 }
 
 // NB is a weighted naive-Bayes classifier over a Dataset's feature space:
@@ -48,7 +42,6 @@ func TrainNB(ds *Dataset, cfg NBConfig) (*NB, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("mining: empty dataset")
 	}
-	cfg.setDefaults()
 	nf := len(ds.NumValues)
 	nb := &NB{
 		numClasses: ds.NumClasses,
@@ -60,8 +53,8 @@ func TrainNB(ds *Dataset, cfg NBConfig) (*NB, error) {
 	for f := 0; f < nf; f++ {
 		nb.binWidth[f] = 1
 		nb.bins[f] = ds.NumValues[f]
-		if ds.Ordered[f] && ds.NumValues[f] > cfg.Bins {
-			nb.binWidth[f] = (ds.NumValues[f] + cfg.Bins - 1) / cfg.Bins
+		if ds.Ordered[f] && ds.NumValues[f] > nbBins {
+			nb.binWidth[f] = (ds.NumValues[f] + nbBins - 1) / nbBins
 			nb.bins[f] = (ds.NumValues[f] + nb.binWidth[f] - 1) / nb.binWidth[f]
 		}
 	}
@@ -90,7 +83,7 @@ func TrainNB(ds *Dataset, cfg NBConfig) (*NB, error) {
 		total += v
 	}
 	for c := range prior {
-		nb.logPrior[c] = math.Log((prior[c] + cfg.Alpha) / (total + cfg.Alpha*float64(ds.NumClasses)))
+		nb.logPrior[c] = math.Log((prior[c] + nbAlpha) / (total + nbAlpha*float64(ds.NumClasses)))
 	}
 
 	// Per-feature conditionals.
@@ -114,8 +107,8 @@ func TrainNB(ds *Dataset, cfg NBConfig) (*NB, error) {
 		for b := range counts {
 			for c := 0; c < ds.NumClasses; c++ {
 				cond[b*ds.NumClasses+c] = math.Log(
-					(counts[b][c] + cfg.Alpha) /
-						(classTotals[c] + cfg.Alpha*float64(nb.bins[f])))
+					(counts[b][c] + nbAlpha) /
+						(classTotals[c] + nbAlpha*float64(nb.bins[f])))
 			}
 		}
 		nb.logCond[f] = cond

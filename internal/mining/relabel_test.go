@@ -127,32 +127,3 @@ func TestRelabelCategoricalUnseenCode(t *testing.T) {
 		t.Fatal("relabel of categorical child failed")
 	}
 }
-
-func TestEntropyCriterion(t *testing.T) {
-	// Entropy and Gini should both learn a clean threshold.
-	ds := mustDataset(t, []int{10}, []bool{true}, 2)
-	for v := int32(0); v < 10; v++ {
-		c := 0
-		if v >= 3 {
-			c = 1
-		}
-		for rep := 0; rep < 15; rep++ {
-			if err := ds.Add([]int32{v}, c, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	tree, err := Build(ds, Config{MinLeafWeight: 5, Criterion: Entropy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Predict([]int32{0}) != 0 || tree.Predict([]int32{9}) != 1 {
-		t.Fatal("entropy criterion failed to learn the threshold")
-	}
-	if Gini.String() != "gini" || Entropy.String() != "entropy" {
-		t.Fatal("Criterion.String")
-	}
-	if Criterion(9).String() == "" {
-		t.Fatal("unknown criterion string empty")
-	}
-}

@@ -90,8 +90,6 @@ type Config struct {
 	// perturbed data. It must return a non-negative histogram of the same
 	// length; nil means identity.
 	Adjust func(obs []float64) []float64
-	// Criterion selects the impurity measure (default Gini).
-	Criterion Criterion
 }
 
 func (c *Config) setDefaults() {
@@ -211,7 +209,7 @@ func (b *builder) grow(rows []int, depth int, t *Tree) *node {
 	}
 	hist := b.adjust(b.histogram(rows))
 	n := &node{label: argmax(hist), feature: -1}
-	g, total := impurity(hist, b.cfg.Criterion)
+	g, total := gini(hist)
 	if depth >= b.cfg.MaxDepth || total < 2*b.cfg.MinLeafWeight || g == 0 {
 		return n
 	}
@@ -287,8 +285,8 @@ func (b *builder) bestThreshold(rows []int, f int, parentGini, total float64) (i
 		if empty {
 			continue
 		}
-		gl, wl := impurity(b.adjust(append([]float64(nil), left...)), b.cfg.Criterion)
-		gr, wr := impurity(b.adjust(append([]float64(nil), right...)), b.cfg.Criterion)
+		gl, wl := gini(b.adjust(append([]float64(nil), left...)))
+		gr, wr := gini(b.adjust(append([]float64(nil), right...)))
 		if wl == 0 || wr == 0 {
 			continue
 		}
@@ -318,7 +316,7 @@ func (b *builder) categoricalGain(rows []int, f int, parentGini, total float64) 
 	}
 	split, wsum := 0.0, 0.0
 	for _, h := range hists {
-		g, w := impurity(b.adjust(h), b.cfg.Criterion)
+		g, w := gini(b.adjust(h))
 		split += g * w
 		wsum += w
 	}

@@ -2,7 +2,7 @@
 // low-overhead metrics core shared by the PG publisher, the Phase-2
 // algorithms, and the query-serving engine. It provides three instrument
 // kinds — monotone Counters, last-value Gauges, and streaming latency
-// Histograms over fixed log-spaced buckets — plus a Span/Phase timer API,
+// Histograms over fixed log-spaced buckets — plus a Span timer API,
 // all collected in a Registry with deterministically ordered text and JSON
 // exporters, optional expvar publication, and an optional debug HTTP server
 // (net/http/pprof, /metrics, /healthz; see server.go).
@@ -320,14 +320,6 @@ func (r *Registry) Span(name string) Span {
 		return Span{}
 	}
 	return Span{h: r.Histogram(name, "ns"), t0: time.Now()}
-}
-
-// Phase times fn into the nanosecond histogram name — the closure form of
-// Span for whole pipeline phases. On a nil registry it just runs fn.
-func (r *Registry) Phase(name string, fn func()) {
-	sp := r.Span(name)
-	fn()
-	sp.End()
 }
 
 // sortedKeys returns the sorted names of one instrument map; callers hold

@@ -40,11 +40,6 @@ func TestNilRegistryFastPath(t *testing.T) {
 	if d := sp.End(); d != 0 {
 		t.Fatalf("inert span reported %v", d)
 	}
-	ran := false
-	r.Phase("x", func() { ran = true })
-	if !ran {
-		t.Fatalf("Phase on nil registry did not run fn")
-	}
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil registry WriteText: %v, %q", err, buf.String())
@@ -146,10 +141,6 @@ func TestSpanRecords(t *testing.T) {
 	h := r.Histogram("phase", "ns")
 	if h.Count() != 1 || h.Sum() < int64(time.Millisecond) {
 		t.Fatalf("span not recorded: count=%d sum=%d", h.Count(), h.Sum())
-	}
-	r.Phase("phase", func() {})
-	if h.Count() != 2 {
-		t.Fatalf("Phase not recorded: count=%d", h.Count())
 	}
 }
 

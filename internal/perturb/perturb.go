@@ -116,19 +116,3 @@ func (pb *Perturber) TransitionProb(a, b int32) float64 {
 	}
 	return off
 }
-
-// Matrix materializes the full |U^s| x |U^s| transition matrix M with
-// M[a][b] = P[a→b]. Every row sums to 1.
-func (pb *Perturber) Matrix() [][]float64 {
-	m := make([][]float64, pb.Domain)
-	off := (1 - pb.P) / float64(pb.Domain)
-	for a := range m {
-		row := make([]float64, pb.Domain)
-		for b := range row {
-			row[b] = off
-		}
-		row[a] += pb.P
-		m[a] = row
-	}
-	return m
-}

@@ -34,8 +34,8 @@ func TestTransitionProbEquation11(t *testing.T) {
 	}
 }
 
-// Property: every row of the transition matrix sums to 1 and matches
-// TransitionProb.
+// Property: Equation 11's transition matrix is stochastic — for every source
+// value a, TransitionProb(a, ·) sums to 1 over the domain.
 func TestMatrixStochastic(t *testing.T) {
 	f := func(pRaw uint8, nRaw uint8) bool {
 		p := float64(pRaw%101) / 100
@@ -44,14 +44,10 @@ func TestMatrixStochastic(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m := pb.Matrix()
-		for a := range m {
+		for a := int32(0); a < int32(n); a++ {
 			sum := 0.0
-			for b := range m[a] {
-				if m[a][b] != pb.TransitionProb(int32(a), int32(b)) {
-					return false
-				}
-				sum += m[a][b]
+			for b := int32(0); b < int32(n); b++ {
+				sum += pb.TransitionProb(a, b)
 			}
 			if math.Abs(sum-1) > 1e-12 {
 				return false

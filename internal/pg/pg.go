@@ -86,10 +86,6 @@ type Config struct {
 	P float64
 	// Algorithm selects the Phase-2 recoding algorithm (default KD).
 	Algorithm Algorithm
-	// Class and NumClasses optionally steer the TDS information-gain score
-	// toward the analyst's mining task (see generalize.TDSConfig).
-	Class      []int
-	NumClasses int
 	// Seed seeds the pipeline's randomness when Rng is nil.
 	Seed int64
 	// Rng overrides the random source (takes precedence over Seed). Publish
@@ -153,11 +149,13 @@ func Publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config) (*Publi
 }
 
 // phase2Grouping is Phase 2's output: the recoding (nil for KD), one
-// generalized box per QI-group, and each group's member rows. It is a pure
-// function of the QI columns and (k, algorithm, class steering) — Phase 1
-// never touches the QI attributes — which is what lets Republish reuse a
-// cached grouping across pure re-perturbation releases and still emit bytes
-// identical to a from-scratch publish.
+// generalized box per QI-group, and each group's member rows. For KD and
+// FullDomain it is a pure function of the QI columns, k and the algorithm —
+// Phase 1 never touches the QI attributes — which is what lets Republish
+// reuse a cached grouping across pure re-perturbation releases and still
+// emit bytes identical to a from-scratch publish. A TDS grouping is not: TDS
+// scores its cuts on the perturbed sensitive values, so it changes with the
+// Phase-1 seed.
 type phase2Grouping struct {
 	recoding  *generalize.Recoding
 	boxes     []generalize.Box
@@ -166,8 +164,8 @@ type phase2Grouping struct {
 
 // publish is the pipeline behind Publish and Republish. When cached is
 // non-nil, Phase 2 is skipped and the cached grouping adopted; the caller
-// guarantees it was computed over a table with identical QI columns under
-// identical (k, algorithm, class) parameters.
+// guarantees it was computed by KD or FullDomain over a table with identical
+// QI columns under identical (k, algorithm) parameters.
 func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached *phase2Grouping) (*Published, *phase2Grouping, error) {
 	if d.Len() == 0 {
 		return nil, nil, fmt.Errorf("pg: empty microdata")
@@ -259,8 +257,7 @@ func runPhase2(dp *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, k, w
 	switch cfg.Algorithm {
 	case TDS:
 		res, err := generalize.TDS(dp, hiers, generalize.TDSConfig{
-			K: k, Class: cfg.Class, NumClasses: cfg.NumClasses, Workers: workers,
-			Metrics: met,
+			K: k, Workers: workers, Metrics: met,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("pg: phase 2: %w", err)

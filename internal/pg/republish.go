@@ -37,9 +37,9 @@ type Chain struct {
 	hiers   []*hierarchy.Hierarchy
 	release int
 
-	// cache is the Phase-2 grouping of the current table, valid while the
-	// QI content is untouched; cacheK and cacheAlg record the parameters it
-	// was computed under.
+	// cache is the KD or FullDomain Phase-2 grouping of the current table,
+	// valid while the QI content is untouched; cacheK and cacheAlg record the
+	// parameters it was computed under.
 	cache    *phase2Grouping
 	cacheK   int
 	cacheAlg Algorithm
@@ -63,11 +63,13 @@ func (c *Chain) Table() *dataset.Table { return c.table }
 // under ReleaseSeed(root, r), and a from-scratch Publish of the post-delta
 // table with Seed = ReleaseSeed(root, r) produces the identical result.
 //
-// The incremental win is Phase 2: its grouping depends only on the QI
-// columns, so an empty delta (a pure re-perturbation release) reuses the
-// cached grouping and pays only Phases 1 and 3 — observable as
-// repub.phase2.reused. A delta that touches rows changes row indices and
-// QI content, so the grouping is recomputed (repub.phase2.recomputed);
+// The incremental win is Phase 2 under KD and FullDomain: their grouping
+// depends only on the QI columns, so an empty delta (a pure
+// re-perturbation release) reuses the cached grouping and pays only Phases
+// 1 and 3 — observable as repub.phase2.reused. TDS scores its cuts on the
+// perturbed sensitive values, which every release draws afresh, so a TDS
+// grouping is never reused. A delta that touches rows changes row indices
+// and QI content, so the grouping is recomputed (repub.phase2.recomputed);
 // anything less would break the byte-identity contract, since the Phase-2
 // algorithms are global (one moved median or frequency count can reshape
 // groups arbitrarily far from the edited rows).
@@ -98,7 +100,7 @@ func Republish(c *Chain, delta Delta, cfg Config) (*Published, error) {
 	met.Counter("repub.delta.deletes").Add(int64(len(delta.Deletes)))
 
 	cached := c.cache
-	if !delta.Empty() || cached == nil || c.cacheK != k || c.cacheAlg != cfg.Algorithm || cfg.Class != nil {
+	if !delta.Empty() || cached == nil || c.cacheK != k || c.cacheAlg != cfg.Algorithm {
 		cached = nil
 	}
 
@@ -116,11 +118,10 @@ func Republish(c *Chain, delta Delta, cfg Config) (*Published, error) {
 
 	c.table = next
 	c.release++
-	// Class-steered TDS groupings are not cached: the steering labels are
-	// indexed by row and the chain has no way to re-map them across deltas.
-	if cfg.Class == nil {
-		c.cache, c.cacheK, c.cacheAlg = grp, k, cfg.Algorithm
-	} else {
+	// A TDS grouping is not cached: TDS scores its cuts on the perturbed
+	// sensitive values, so the next release's Phase 1 can change it.
+	c.cache, c.cacheK, c.cacheAlg = grp, k, cfg.Algorithm
+	if cfg.Algorithm == TDS {
 		c.cache = nil
 	}
 	met.Counter("repub.releases").Inc()

@@ -150,6 +150,94 @@ func TestRepublishReusesPhase2(t *testing.T) {
 	if got := reg.Counter("repub.releases").Value(); got != 3 {
 		t.Fatalf("repub.releases = %d, want 3", got)
 	}
+
+	// TDS scores its cuts on the perturbed sensitive values, so an empty
+	// delta under TDS must recompute the grouping, never reuse it.
+	treg := obs.NewRegistry()
+	tc := NewChain(base, hiers)
+	tcfg := Config{K: 6, P: 0.3, Seed: 41, Algorithm: TDS, Metrics: treg}
+	for r := 0; r < 2; r++ {
+		if _, err := Republish(tc, Delta{}, tcfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := treg.Counter("repub.phase2.reused").Value(); got != 0 {
+		t.Fatalf("TDS repub.phase2.reused = %d after an empty delta, want 0", got)
+	}
+	if got := treg.Counter("repub.phase2.recomputed").Value(); got != 2 {
+		t.Fatalf("TDS repub.phase2.recomputed = %d, want 2 (release 0 and the empty delta)", got)
+	}
+}
+
+// TestRepublishEmptyDeltasMatchFromScratch pins the byte-identity contract
+// on the cached-grouping path for every Phase-2 algorithm over many chain
+// roots: each release of a chain of empty deltas equals a from-scratch
+// Publish under ReleaseSeed(root, r). A TDS grouping depends on the
+// Phase-1 draw, so a chain that reused it would fail here under most roots.
+func TestRepublishEmptyDeltasMatchFromScratch(t *testing.T) {
+	base, err := sal.Generate(1000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hiers := sal.Hierarchies(base.Schema)
+	for _, alg := range []Algorithm{KD, TDS, FullDomain} {
+		for root := int64(900); root < 920; root++ {
+			c := NewChain(base, hiers)
+			cfg := Config{K: 6, P: 0.3, Seed: root, Algorithm: alg, Workers: 1}
+			for r := 0; r < 4; r++ {
+				pub, err := Republish(c, Delta{}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scratch, err := Publish(base, hiers, Config{
+					K: 6, P: 0.3, Seed: ReleaseSeed(root, r), Algorithm: alg, Workers: 1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(pubBytes(t, pub), pubBytes(t, scratch)) {
+					t.Fatalf("%v root %d release %d: Republish differs from a from-scratch Publish", alg, root, r)
+				}
+			}
+		}
+	}
+}
+
+// TestPhase2GroupingIgnoresPhase1Seed pins what the cached-grouping path
+// rests on: the KD and FullDomain groupings read only the QI columns, so
+// they are the same under every Phase-1 seed.
+func TestPhase2GroupingIgnoresPhase1Seed(t *testing.T) {
+	base, err := sal.Generate(1000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hiers := sal.Hierarchies(base.Schema)
+	for _, alg := range []Algorithm{KD, FullDomain} {
+		var want *phase2Grouping
+		for seed := int64(0); seed < 6; seed++ {
+			_, grp, err := publish(base, hiers, Config{K: 6, P: 0.3, Seed: seed, Algorithm: alg, Workers: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = grp
+				continue
+			}
+			if !reflect.DeepEqual(grp.boxes, want.boxes) || !reflect.DeepEqual(grp.groupRows, want.groupRows) {
+				t.Fatalf("%v: the grouping under seed %d differs from seed 0's", alg, seed)
+			}
+			if (grp.recoding == nil) != (want.recoding == nil) {
+				t.Fatalf("%v: seed %d recoding presence differs", alg, seed)
+			}
+			if grp.recoding != nil {
+				for j, cut := range grp.recoding.Cuts {
+					if !reflect.DeepEqual(cut.Nodes(), want.recoding.Cuts[j].Nodes()) {
+						t.Fatalf("%v: seed %d cut on attribute %d differs from seed 0's", alg, seed, j)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestRepublishRejectsRng pins the statelessness requirement.

@@ -42,8 +42,14 @@ func TestIndexPartsEquivalence(t *testing.T) {
 			}
 			if q.Sensitive == nil {
 				ests = append(ests,
-					est{"Sum", func(ix *Index) (float64, error) { return ix.Sum(q, IncomeMidpoint) }},
-					est{"Avg", func(ix *Index) (float64, error) { return ix.Avg(q, IncomeMidpoint) }})
+					est{"AvgParts.sum", func(ix *Index) (float64, error) {
+						sum, _, err := ix.AvgParts(q, IncomeMidpoint)
+						return sum, err
+					}},
+					est{"AvgParts.weight", func(ix *Index) (float64, error) {
+						_, weight, err := ix.AvgParts(q, IncomeMidpoint)
+						return weight, err
+					}})
 			}
 			for _, e := range ests {
 				built, errBuilt := e.f(ix)

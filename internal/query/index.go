@@ -16,7 +16,7 @@ import (
 // This file is the structure half of the query-serving engine: a precomputed
 // Index over an immutable publication that answers aggregate queries in time
 // proportional to the boxes *intersecting* the query region rather than to
-// |D*|. The serving half (Count/Sum/Avg/Naive and the batched AnswerWorkload)
+// |D*|. The serving half (Count/Naive/AvgParts and the batched AnswerWorkload)
 // lives in serve.go; the scan-based estimators in query.go/aggregate.go stay
 // as the reference implementation the index is tested against.
 //

@@ -62,21 +62,21 @@ func checkAllEstimators(t *testing.T, pub *pg.Published, ix *Index, q CountQuery
 	if q.Sensitive != nil {
 		return // SUM/AVG take no sensitive mask
 	}
+	sum, weight, err2 := ix.AvgParts(q, IncomeMidpoint)
 	scan, err1 = EstimateSum(pub, q, IncomeMidpoint)
-	idx, err2 = ix.Sum(q, IncomeMidpoint)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("%s: Sum errors diverge: scan %v, index %v", label, err1, err2)
 	}
-	if err1 == nil && !agree(scan, idx) {
-		t.Fatalf("%s: Sum: scan %v, index %v", label, scan, idx)
+	if err1 == nil && !agree(scan, sum) {
+		t.Fatalf("%s: Sum: scan %v, index %v", label, scan, sum)
 	}
+	// AVG is the index's sum over its weight, undefined on an empty region.
 	scan, err1 = EstimateAvg(pub, q, IncomeMidpoint)
-	idx, err2 = ix.Avg(q, IncomeMidpoint)
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("%s: Avg errors diverge: scan %v, index %v", label, err1, err2)
+	if (err1 == nil) != (err2 == nil && weight != 0) {
+		t.Fatalf("%s: Avg errors diverge: scan %v, index %v (weight %v)", label, err1, err2, weight)
 	}
-	if err1 == nil && !agree(scan, idx) {
-		t.Fatalf("%s: Avg: scan %v, index %v", label, scan, idx)
+	if err1 == nil && !agree(scan, sum/weight) {
+		t.Fatalf("%s: Avg: scan %v, index %v", label, scan, sum/weight)
 	}
 }
 
@@ -167,11 +167,8 @@ func TestIndexEmptyPublication(t *testing.T) {
 	if got, err := ix.Count(q); err != nil || got != 0 {
 		t.Fatalf("empty masked Count = %v, %v", got, err)
 	}
-	if _, err := ix.Avg(fullQuery(s), IncomeMidpoint); err == nil {
-		t.Fatal("empty AVG: want region-empty error")
-	}
-	if got, err := ix.Sum(fullQuery(s), IncomeMidpoint); err != nil || got != 0 {
-		t.Fatalf("empty Sum = %v, %v, want 0", got, err)
+	if sum, weight, err := ix.AvgParts(fullQuery(s), IncomeMidpoint); err != nil || sum != 0 || weight != 0 {
+		t.Fatalf("empty AvgParts = %v, %v, %v, want 0, 0", sum, weight, err)
 	}
 	if got, err := ix.Naive(q); err != nil || got != 0 {
 		t.Fatalf("empty Naive = %v, %v, want 0", got, err)
@@ -200,12 +197,12 @@ func TestIndexValidation(t *testing.T) {
 	if _, err := ix.Naive(bad); err == nil {
 		t.Fatal("inverted range (naive): want error")
 	}
-	if _, err := ix.Sum(bad, IncomeMidpoint); err == nil {
+	if _, _, err := ix.AvgParts(bad, IncomeMidpoint); err == nil {
 		t.Fatal("inverted range (sum): want error")
 	}
 	masked := fullQuery(d.Schema)
 	masked.Sensitive = make([]bool, d.Schema.SensitiveDomain())
-	if _, err := ix.Sum(masked, IncomeMidpoint); err == nil {
+	if _, _, err := ix.AvgParts(masked, IncomeMidpoint); err == nil {
 		t.Fatal("sensitive mask on SUM: want error")
 	}
 	// p = 0 releases reject sensitive predicates on both paths.
@@ -223,7 +220,7 @@ func TestIndexValidation(t *testing.T) {
 	if _, err := ix0.Count(m); err == nil {
 		t.Fatal("sensitive predicate at p=0: want error")
 	}
-	if _, err := ix0.Sum(fullQuery(d.Schema), IncomeMidpoint); err == nil {
+	if _, _, err := ix0.AvgParts(fullQuery(d.Schema), IncomeMidpoint); err == nil {
 		t.Fatal("SUM at p=0: want error")
 	}
 	if _, err := NewIndex(nil); err == nil {

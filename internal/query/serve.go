@@ -91,7 +91,7 @@ func (ix *Index) Naive(q CountQuery) (float64, error) {
 	return a, nil
 }
 
-// sumWeight runs the SUM traversal shared by Sum and Avg: the value-weighted
+// sumWeight runs the SUM/AVG traversal behind AvgParts: the value-weighted
 // region sum a = Σ G·vf·value(y) and the region weight b = Σ G·vf.
 func (ix *Index) sumWeight(q CountQuery, value SensitiveValue) (a, b float64, err error) {
 	if q.Sensitive != nil {
@@ -124,27 +124,6 @@ func (ix *Index) AvgParts(q CountQuery, value SensitiveValue) (sum, weight float
 	}
 	sum = (a - (1-ix.p)*domainMean(ix.schema.SensitiveDomain(), value)*b) / ix.p
 	return sum, b, nil
-}
-
-// Sum is the indexed EstimateSum: SUM(value(sensitive)) over the query
-// region, inverted for perturbation in aggregate.
-func (ix *Index) Sum(q CountQuery, value SensitiveValue) (float64, error) {
-	sum, _, err := ix.AvgParts(q, value)
-	return sum, err
-}
-
-// Avg is the indexed EstimateAvg: one traversal yields both the SUM
-// inversion and the region's count estimate (the weight term b), so AVG
-// costs a single pass. Errors when the region is estimated empty.
-func (ix *Index) Avg(q CountQuery, value SensitiveValue) (float64, error) {
-	sum, b, err := ix.AvgParts(q, value)
-	if err != nil {
-		return 0, err
-	}
-	if b == 0 {
-		return 0, fmt.Errorf("query: region estimated empty")
-	}
-	return sum / b, nil
 }
 
 // AnswerWorkload answers a COUNT workload, fanning the queries across at

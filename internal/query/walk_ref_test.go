@@ -102,7 +102,7 @@ func (ix *Index) refGather(q []Range, v *valuer) (a, b float64) {
 	return a, b
 }
 
-// refEstimates answers q the way Count, Naive, AvgParts, Sum and Avg did
+// refEstimates answers q the way Count, Naive and AvgParts did
 // over the reference walk — the estimator formulas are theirs, unchanged —
 // labelled by estimator, with each error as its answer's text.
 func refEstimates(ix *Index, q CountQuery, value SensitiveValue) map[string]string {
@@ -139,12 +139,7 @@ func refEstimates(ix *Index, q CountQuery, value SensitiveValue) map[string]stri
 	}
 	a, b = ix.refGather(q.QI, &v)
 	sum := (a - (1-ix.p)*domainMean(ix.schema.SensitiveDomain(), value)*b) / ix.p
-	out["AvgParts.sum"], out["AvgParts.weight"], out["Sum"] = show(sum, nil), show(b, nil), show(sum, nil)
-	if b == 0 {
-		out["Avg"] = "error"
-	} else {
-		out["Avg"] = show(sum/b, nil)
-	}
+	out["AvgParts.sum"], out["AvgParts.weight"] = show(sum, nil), show(b, nil)
 	return out
 }
 
@@ -159,8 +154,6 @@ func estimates(ix *Index, q CountQuery, value SensitiveValue) map[string]string 
 	}
 	sum, w, err := ix.AvgParts(q, value)
 	out["AvgParts.sum"], out["AvgParts.weight"] = show(sum, err), show(w, err)
-	out["Sum"] = show(ix.Sum(q, value))
-	out["Avg"] = show(ix.Avg(q, value))
 	return out
 }
 
@@ -181,7 +174,7 @@ func WalkMatchesReference(ix *Index, q CountQuery, value SensitiveValue) error {
 		return fmt.Errorf("query restricts %d attributes; the kd walk answers 3 or more", n)
 	}
 	want, got := refEstimates(ix, q, value), estimates(ix, q, value)
-	for _, k := range []string{"Count", "Naive", "AvgParts.sum", "AvgParts.weight", "Sum", "Avg"} {
+	for _, k := range []string{"Count", "Naive", "AvgParts.sum", "AvgParts.weight"} {
 		if got[k] != want[k] {
 			return fmt.Errorf("%s: walk %s, reference %s", k, got[k], want[k])
 		}

@@ -304,11 +304,6 @@ func (s *Server) install(rel *release) {
 	s.met.releaseGauge.Set(int64(rel.number))
 }
 
-// InFlight reports the number of currently admitted requests — a drain test
-// hook: after HTTPServer.Shutdown returns, every admitted query must have
-// released its limiter slot.
-func (s *Server) InFlight() int { return len(s.sem) }
-
 // Handler returns the API mux. The debug/metrics surface is deliberately not
 // on it — expose that through obs.Registry.Serve on a separate port.
 func (s *Server) Handler() http.Handler {

@@ -123,10 +123,12 @@ func TestServedAnswersMatchIndex(t *testing.T) {
 		switch op {
 		case "naive":
 			want, err = ix.Naive(full())
-		case "sum":
-			want, err = ix.Sum(full(), func(c int32) float64 { return float64(c) })
-		case "avg":
-			want, err = ix.Avg(full(), func(c int32) float64 { return float64(c) })
+		case "sum", "avg":
+			var weight float64
+			want, weight, err = ix.AvgParts(full(), func(c int32) float64 { return float64(c) })
+			if op == "avg" {
+				want /= weight
+			}
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", op, err)
@@ -584,7 +586,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if n := s.InFlight(); n != 0 {
+	if n := len(s.sem); n != 0 {
 		t.Fatalf("%d requests still admitted after Shutdown", n)
 	}
 	if _, err := http.Get("http://" + hs.Addr + "/healthz"); err == nil {

@@ -24,7 +24,7 @@ import (
 //   - no admitted query is dropped: every 200 response carries a complete,
 //     decodable body, even for requests in flight when the drain started;
 //   - the drain itself completes and leaves no limiter slot occupied
-//     (Server.InFlight reports 0 after Shutdown returns);
+//     (the admission semaphore is empty after Shutdown returns);
 //   - the mix really exercised all three mechanisms (evictions, coalesced
 //     answers and sheds all observed).
 //
@@ -127,7 +127,7 @@ func TestSoakDrainUnderAdversarialLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := s.InFlight(); got != 0 {
+	if got := len(s.sem); got != 0 {
 		t.Fatalf("%d limiter slots still occupied after drain", got)
 	}
 	if n := truncated.Load(); n != 0 {

@@ -144,25 +144,6 @@ func (g *Group) AvgParts(q query.CountQuery, value query.SensitiveValue) (sum, w
 	return sum, weight, nil
 }
 
-// Sum composes the SUM estimator: additive over shards.
-func (g *Group) Sum(q query.CountQuery, value query.SensitiveValue) (float64, error) {
-	sum, _, err := g.AvgParts(q, value)
-	return sum, err
-}
-
-// Avg composes AVG from the shard parts: Σ sums / Σ weights. Errors when
-// the whole region is estimated empty (every shard's weight is zero).
-func (g *Group) Avg(q query.CountQuery, value query.SensitiveValue) (float64, error) {
-	sum, weight, err := g.AvgParts(q, value)
-	if err != nil {
-		return 0, err
-	}
-	if weight == 0 {
-		return 0, fmt.Errorf("shard: region estimated empty")
-	}
-	return sum / weight, nil
-}
-
 // AnswerWorkload answers a COUNT workload against the composed release,
 // fanning queries across at most workers goroutines. Each query is composed
 // wholly by one worker in shard order, and answers land at their query's

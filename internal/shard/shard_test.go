@@ -142,21 +142,20 @@ func TestGroupMatchesMergedIndex(t *testing.T) {
 					// SUM/AVG take no sensitive mask; reuse the query's region.
 					sq := q
 					sq.Sensitive = nil
-					gs, err1 := g.Sum(sq, query.IncomeMidpoint)
-					ms, err2 := ix.Sum(sq, query.IncomeMidpoint)
+					gs, gw, err1 := g.AvgParts(sq, query.IncomeMidpoint)
+					ms, mw, err2 := ix.AvgParts(sq, query.IncomeMidpoint)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("S=%d query %d sum: %v / %v", s, qi, err1, err2)
 					}
 					if !relClose(gs, ms, 1e-6) {
 						t.Fatalf("S=%d query %d: composed sum %v, merged %v", s, qi, gs, ms)
 					}
-					ga, err1 := g.Avg(sq, query.IncomeMidpoint)
-					ma, err2 := ix.Avg(sq, query.IncomeMidpoint)
-					if (err1 == nil) != (err2 == nil) {
-						t.Fatalf("S=%d query %d avg: composed err %v, merged err %v", s, qi, err1, err2)
+					// AVG is sum over weight, undefined on an empty region.
+					if (gw == 0) != (mw == 0) {
+						t.Fatalf("S=%d query %d avg: composed weight %v, merged weight %v", s, qi, gw, mw)
 					}
-					if err1 == nil && !relClose(ga, ma, 1e-6) {
-						t.Fatalf("S=%d query %d: composed avg %v, merged %v", s, qi, ga, ma)
+					if gw != 0 && !relClose(gs/gw, ms/mw, 1e-6) {
+						t.Fatalf("S=%d query %d: composed avg %v, merged %v", s, qi, gs/gw, ms/mw)
 					}
 				}
 			}

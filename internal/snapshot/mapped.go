@@ -162,10 +162,6 @@ func newMapped(data []byte, mapped bool) (*Mapped, error) {
 	return &Mapped{Release: *rel, Index: ix, data: data, mapped: mapped, dirs: dirs, base: base}, nil
 }
 
-// Mmapped reports whether the snapshot is actually memory-mapped (false on
-// platforms or filesystems where mapFile fell back to a read).
-func (m *Mapped) Mmapped() bool { return m.mapped }
-
 // Verify runs the integrity checks OpenMapped skipped: every block CRC,
 // every padding byte, and the full publication validator. It faults in the
 // whole file — use it when corruption matters more than cold-start latency

@@ -134,7 +134,8 @@ var (
 
 // Mining types.
 type (
-	// MiningConfig tunes the decision-tree growers.
+	// MiningConfig tunes the Gini decision-tree growers: depth cap, leaf
+	// weight floor, gain floor and the reconstruction hook.
 	MiningConfig = mining.Config
 	// PGClassifier is a tree mined from a PG publication.
 	PGClassifier = mining.PGClassifier
@@ -232,7 +233,8 @@ var (
 	Accuracy = mining.Accuracy
 )
 
-// NBConfig tunes the naive-Bayes miner.
+// NBConfig carries the naive-Bayes miner's reconstruction hook; its Laplace
+// smoothing (1) and ordered-feature binning (10 bins) are fixed.
 type NBConfig = mining.NBConfig
 
 // Hospital returns the paper's running example: the microdata of Table Ia.
@@ -283,7 +285,7 @@ var (
 // Indexed query serving: a precomputed structure over one publication that
 // answers the scan estimators' queries orders of magnitude faster.
 type (
-	// QueryIndex answers Count/Naive/Sum/Avg and batched workloads from
+	// QueryIndex answers Count/Naive/AvgParts and batched workloads from
 	// per-box aggregates under an interval grid and a kd-tree.
 	QueryIndex = query.Index
 )
