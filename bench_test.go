@@ -76,7 +76,7 @@ func BenchmarkFigure2(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{K: 6, P: 0.3, Rng: rng})
+		pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{K: 6, P: 0.3, Seed: rng.Int63()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkFigure3(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{K: 6, P: 0.45, Rng: rng})
+		pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{K: 6, P: 0.45, Seed: rng.Int63()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,8 @@ func BenchmarkBreachValidation(b *testing.B) {
 			Trials:          50,
 			Lambda:          0.1,
 			CorruptFraction: 1,
-			Rng:             rng,
+			Seed:            rng.Int63(),
+			Workers:         1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -205,7 +206,7 @@ func BenchmarkPublish(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Rng: rng}); err != nil {
+		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: rng.Int63()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,7 +222,7 @@ func BenchmarkPublishParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Rng: rng, Workers: runtime.GOMAXPROCS(0)}); err != nil {
+		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: rng.Int63(), Workers: runtime.GOMAXPROCS(0)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,7 +243,7 @@ func BenchmarkPublishParallelMetricsOn(b *testing.B) {
 	reg := obs.NewRegistry()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Rng: rng, Workers: runtime.GOMAXPROCS(0), Metrics: reg}); err != nil {
+		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: rng.Int63(), Workers: runtime.GOMAXPROCS(0), Metrics: reg}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -266,7 +267,7 @@ func benchPublishN(b *testing.B, n, workers int) {
 	rng := rand.New(rand.NewSource(5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Rng: rng, Workers: workers}); err != nil {
+		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: rng.Int63(), Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}

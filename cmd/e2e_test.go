@@ -65,6 +65,7 @@ func TestCLIEndToEnd(t *testing.T) {
 
 	t.Run("snapshot", func(t *testing.T) { t.Parallel(); testSnapshot(t, e, snap) })
 	t.Run("csv", func(t *testing.T) { t.Parallel(); testCSV(t, e) })
+	t.Run("cardinality", func(t *testing.T) { t.Parallel(); testCardinality(t, e) })
 	t.Run("fleet", func(t *testing.T) { t.Parallel(); testFleet(t, e, snap) })
 	t.Run("dp", func(t *testing.T) { t.Parallel(); testDP(t, e, snap) })
 	t.Run("shards", func(t *testing.T) { t.Parallel(); testShards(t, e) })
@@ -129,6 +130,26 @@ func testCSV(t *testing.T, e *env) {
 		t.Fatalf("served estimate %.1f, pgquery -in -meta prints %s", served, off)
 	}
 	srv.stop(t)
+}
+
+// testCardinality: pgpublish -s publishes under k = ceil(1/s), the same
+// bytes as the matching -k, and refuses -s outside (0,1] or next to -k.
+func testCardinality(t *testing.T, e *env) {
+	hospital := []string{"-dataset", "hospital", "-p", "0.25", "-seed", "2008"}
+	publish := func(flags ...string) string {
+		return e.run(t, "pgpublish", append(flags, hospital...)...)
+	}
+	for _, c := range []struct{ s, k string }{{"0.5", "2"}, {"0.3", "4"}} {
+		if got, want := publish("-s", c.s), publish("-k", c.k); got != want {
+			t.Fatalf("pgpublish -s %s:\n%s\nwant the bytes of -k %s:\n%s", c.s, got, c.k, want)
+		}
+	}
+	for _, flags := range [][]string{{"-k", "2", "-s", "0.1"}, {"-s", "1.5"}} {
+		cmd := exec.Command(filepath.Join(e.bin, "pgpublish"), append(flags, hospital...)...)
+		if out, err := cmd.CombinedOutput(); err == nil {
+			t.Fatalf("pgpublish %s exited 0:\n%s", strings.Join(flags, " "), out)
+		}
+	}
 }
 
 // testFleet: the attack fleet finds no Theorem 1-3 violation against a

@@ -21,7 +21,7 @@
 // With -exp repub the command runs the multi-release chain adversary: it
 // publishes a deterministic re-publication chain in-process (pg.Republish
 // over churned microdata), attacks every release with adversaries that
-// retain the whole chain, composes the evidence (repub.ComposePosterior),
+// retain the whole chain, composes the evidence (repub.MultiReleaseAttack),
 // and checks each T-release prefix against the composed growth bound the
 // release-chain blocks announce — the breach-vs-release-count curve of
 // docs/REPUBLICATION.md:
@@ -248,7 +248,7 @@ func main() {
 		pub := fixed
 		if pub == nil {
 			var err error
-			pub, err = pg.Publish(d, hiers, pg.Config{K: *k, P: *p, Algorithm: alg, Rng: rng, Metrics: reg})
+			pub, err = pg.Publish(d, hiers, pg.Config{K: *k, P: *p, Algorithm: alg, Seed: rng.Int63(), Metrics: reg})
 			if err != nil {
 				fail(err)
 			}

@@ -26,7 +26,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	reps := flag.Int("reps", 1, "repetitions per utility point (averaged)")
 	trials := flag.Int("trials", 200, "Monte-Carlo trials per breach scenario")
-	workers := flag.Int("workers", 0, "worker goroutines for sweeps and Monte Carlo (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker goroutines for sweeps and Monte Carlo (0 = GOMAXPROCS); output is identical for any value")
 	benchout := flag.String("benchout", "", "merge the dp block as JSON into this file (-exp dp), e.g. BENCH_pg.json; the other blocks are kept")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")

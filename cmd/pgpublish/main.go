@@ -77,6 +77,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "instrument the pipeline and print the counter/phase report to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :6060)")
 	flag.Parse()
+	if *k != 0 && *s != 0 {
+		fmt.Fprintln(os.Stderr, "pgpublish: set -k or -s, not both")
+		os.Exit(2)
+	}
 
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "pgpublish: %v\n", err)
@@ -118,7 +122,7 @@ func main() {
 		fail(fmt.Errorf("unknown dataset %q", *ds))
 	}
 
-	// Resolve k to solve guarantees before publication.
+	// Resolve k = ceil(1/s) to solve guarantees before publication.
 	kk := *k
 	if kk == 0 {
 		if *s <= 0 || *s > 1 {

@@ -11,7 +11,7 @@ import (
 func Example() {
 	d := pgpub.Hospital()
 	pub, err := pgpub.Publish(d, pgpub.HospitalHierarchies(d.Schema),
-		pgpub.Config{S: 0.5, P: 0.25, Seed: 2008})
+		pgpub.Config{K: 2, P: 0.25, Seed: 2008})
 	if err != nil {
 		panic(err)
 	}

@@ -68,7 +68,7 @@ func main() {
 	maxPost, maxGrowth := 0.0, 0.0
 	for trial := 0; trial < 200; trial++ {
 		pub, err := pgpub.Publish(d, pgpub.HospitalHierarchies(d.Schema),
-			pgpub.Config{K: k, P: p, Rng: rng})
+			pgpub.Config{K: k, P: p, Seed: rng.Int63()})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -33,6 +33,7 @@ func main() {
 	fmt.Println("Part 1 — composing repeated PG releases (worst-case corruption):")
 	fmt.Printf("%-4s %12s %12s %14s\n", "T", "maxGrowth", "bound", "planned p(T)")
 	rng := rand.New(rand.NewSource(1))
+	hiers := pgpub.HospitalHierarchies(d.Schema)
 	for _, T := range []int{1, 2, 4, 8} {
 		bound, err := pgpub.ComposedGrowthBound(T, p, lambda, k, domain)
 		if err != nil {
@@ -42,12 +43,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Every release is of the same microdata, so one ℰ links them all.
+		exts := make([]*pgpub.External, T)
+		for t := range exts {
+			exts[t] = ext
+		}
 		maxGrowth := 0.0
 		for trial := 0; trial < 40; trial++ {
-			series, err := pgpub.PublishSeries(d, pgpub.HospitalHierarchies(d.Schema),
-				pgpub.Config{K: k, P: p}, T, rng)
-			if err != nil {
-				log.Fatal(err)
+			releases := make([]*pgpub.Published, T)
+			for t := range releases {
+				releases[t], err = pgpub.Publish(d, hiers, pgpub.Config{K: k, P: p, Seed: rng.Int63()})
+				if err != nil {
+					log.Fatal(err)
+				}
 			}
 			victim := 1 // Calvin
 			adv := pgpub.Adversary{Background: pgpub.UniformPDF(domain), Corrupted: map[int]bool{}}
@@ -60,11 +68,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			_, prior, post, err := pgpub.MultiReleaseAttack(series, ext, victim, adv, q)
+			_, prior, posts, err := pgpub.MultiReleaseAttack(releases, exts, victim, adv, q)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if g := post - prior; g > maxGrowth {
+			if g := posts[T-1] - prior; g > maxGrowth {
 				maxGrowth = g
 			}
 		}

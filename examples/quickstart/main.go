@@ -28,7 +28,7 @@ func main() {
 	// Publish with the Table II parameters. Phase 1 perturbs Disease with
 	// retention probability 0.25; Phase 2 builds 2-anonymous QI-groups;
 	// Phase 3 samples one tuple per group and attaches the group size G.
-	pub, err := pgpub.Publish(d, hiers, pgpub.Config{S: 0.5, P: 0.25, Seed: 2008})
+	pub, err := pgpub.Publish(d, hiers, pgpub.Config{K: 2, P: 0.25, Seed: 2008})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package attack
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pgpub/internal/dataset"
@@ -10,6 +11,7 @@ import (
 	"pgpub/internal/hierarchy"
 	"pgpub/internal/pg"
 	"pgpub/internal/privacy"
+	"pgpub/internal/sal"
 )
 
 func hospitalHiers(s *dataset.Schema) []*hierarchy.Hierarchy {
@@ -197,7 +199,7 @@ func TestHBoundHolds(t *testing.T) {
 		p := float64(rng.Intn(90)) / 100
 		k := 1 + rng.Intn(4)
 		pub, err := pg.Publish(d, hospitalHiers(d.Schema),
-			pg.Config{K: k, P: p, Rng: rng})
+			pg.Config{K: k, P: p, Seed: rng.Int63()})
 		if err != nil {
 			t.Fatalf("Publish: %v", err)
 		}
@@ -232,7 +234,7 @@ func TestWorstCaseCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 200; trial++ {
-		pub, err := pg.Publish(d, hospitalHiers(d.Schema), pg.Config{K: k, P: p, Rng: rng})
+		pub, err := pg.Publish(d, hospitalHiers(d.Schema), pg.Config{K: k, P: p, Seed: rng.Int63()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +360,7 @@ func TestMonteCarloValidation(t *testing.T) {
 		Trials:          150,
 		Lambda:          0.1,
 		CorruptFraction: 0.6,
-		Rng:             rand.New(rand.NewSource(5)),
+		Seed:            5,
 	})
 	if err != nil {
 		t.Fatalf("MonteCarlo: %v", err)
@@ -377,11 +379,11 @@ func TestMonteCarloValidation(t *testing.T) {
 func TestMonteCarloValidationWorstCase(t *testing.T) {
 	d := dataset.Hospital()
 	res, err := MonteCarlo(d, dataset.HospitalVoterQI(), hospitalHiers(d.Schema), MonteCarloConfig{
-		PG:              pg.Config{S: 0.5, P: 0.25},
+		PG:              pg.Config{K: 2, P: 0.25},
 		Trials:          100,
 		Lambda:          0.2,
 		CorruptFraction: 1, // |C| = |E| - 1
-		Rng:             rand.New(rand.NewSource(6)),
+		Seed:            6,
 	})
 	if err != nil {
 		t.Fatalf("MonteCarlo: %v", err)
@@ -395,15 +397,14 @@ func TestMonteCarloErrors(t *testing.T) {
 	d := dataset.Hospital()
 	hiers := hospitalHiers(d.Schema)
 	voters := dataset.HospitalVoterQI()
-	rng := rand.New(rand.NewSource(1))
-	if _, err := MonteCarlo(d, voters, hiers, MonteCarloConfig{PG: pg.Config{K: 2, P: 0.3}, Trials: 0, Lambda: 0.1, Rng: rng}); err == nil {
+	if _, err := MonteCarlo(d, voters, hiers, MonteCarloConfig{PG: pg.Config{K: 2, P: 0.3}, Trials: 0, Lambda: 0.1}); err == nil {
 		t.Fatal("zero trials: want error")
 	}
-	if _, err := MonteCarlo(d, voters, hiers, MonteCarloConfig{PG: pg.Config{K: 2, P: 0.3}, Trials: 1, Lambda: 0.1}); err == nil {
-		t.Fatal("nil rng: want error")
-	}
-	if _, err := MonteCarlo(d, voters, hiers, MonteCarloConfig{PG: pg.Config{K: 2, P: 0.3}, Trials: 1, Lambda: 0, Rng: rng}); err == nil {
+	if _, err := MonteCarlo(d, voters, hiers, MonteCarloConfig{PG: pg.Config{K: 2, P: 0.3}, Trials: 1, Lambda: 0}); err == nil {
 		t.Fatal("lambda 0: want error")
+	}
+	if _, err := MonteCarlo(d, voters, hiers, MonteCarloConfig{PG: pg.Config{P: 0.3}, Trials: 1, Lambda: 0.1}); err == nil {
+		t.Fatal("K = 0: want error")
 	}
 }
 
@@ -414,8 +415,8 @@ func TestMonteCarloParallel(t *testing.T) {
 		Trials:          120,
 		Lambda:          0.1,
 		CorruptFraction: 0.8,
-		Rng:             rand.New(rand.NewSource(77)),
-		Parallel:        4,
+		Seed:            77,
+		Workers:         4,
 	})
 	if err != nil {
 		t.Fatalf("parallel MonteCarlo: %v", err)
@@ -426,26 +427,55 @@ func TestMonteCarloParallel(t *testing.T) {
 	if res.MaxH > res.MaxHBound+1e-9 {
 		t.Fatalf("MaxH %v above bound %v", res.MaxH, res.MaxHBound)
 	}
-	// Determinism for a fixed (seed, Parallel) pair.
-	res2, err := MonteCarlo(d, dataset.HospitalVoterQI(), hospitalHiers(d.Schema), MonteCarloConfig{
-		PG:              pg.Config{K: 2, P: 0.3},
-		Trials:          120,
-		Lambda:          0.1,
-		CorruptFraction: 0.8,
-		Rng:             rand.New(rand.NewSource(77)),
-		Parallel:        4,
-	})
+	// More workers than trials clamps cleanly.
+	if _, err := MonteCarlo(d, dataset.HospitalVoterQI(), hospitalHiers(d.Schema), MonteCarloConfig{
+		PG: pg.Config{K: 2, P: 0.3}, Trials: 3, Lambda: 0.1, Seed: 78, Workers: 16,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMonteCarloWorkerInvariant pins that the worker count only decides who
+// runs a trial: every trial draws from its own seed split and the fold runs
+// in trial order, so the result is the same at any Workers value.
+func TestMonteCarloWorkerInvariant(t *testing.T) {
+	hosp := dataset.Hospital()
+	salD, err := sal.Generate(400, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MaxH != res2.MaxH || res.MaxGrowth != res2.MaxGrowth {
-		t.Fatal("parallel MonteCarlo not deterministic for fixed seed")
+	salVoters := make([][]int32, salD.Len())
+	for i := range salVoters {
+		salVoters[i] = salD.QIVector(i)
 	}
-	// More workers than trials clamps cleanly.
-	if _, err := MonteCarlo(d, dataset.HospitalVoterQI(), hospitalHiers(d.Schema), MonteCarloConfig{
-		PG: pg.Config{K: 2, P: 0.3}, Trials: 3, Lambda: 0.1,
-		Rng: rand.New(rand.NewSource(78)), Parallel: 16,
-	}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		d      *dataset.Table
+		voters [][]int32
+		hiers  []*hierarchy.Hierarchy
+		cfg    MonteCarloConfig
+	}{
+		{"hospital", hosp, dataset.HospitalVoterQI(), hospitalHiers(hosp.Schema), MonteCarloConfig{
+			PG: pg.Config{K: 2, P: 0.3}, Trials: 40, Lambda: 0.1, CorruptFraction: 0.5, Seed: 21,
+		}},
+		{"sal", salD, salVoters, sal.Hierarchies(salD.Schema), MonteCarloConfig{
+			PG: pg.Config{K: 6, P: 0.3}, Trials: 12, Lambda: 0.1, CorruptFraction: 1, Seed: 22,
+		}},
+	}
+	for _, c := range cases {
+		var want *MonteCarloResult
+		for _, workers := range []int{1, 3, 8} {
+			cfg := c.cfg
+			cfg.Workers = workers
+			got, err := MonteCarlo(c.d, c.voters, c.hiers, cfg)
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", c.name, workers, err)
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %d workers give %+v, 1 worker gives %+v", c.name, workers, got, want)
+			}
+		}
 	}
 }

@@ -34,7 +34,7 @@ func calibScenario(rng *rand.Rand, p float64) (truth int32, res *Result, ownerOf
 		return 0, nil, 0, err
 	}
 	hiers := []*hierarchy.Hierarchy{hierarchy.MustInterval(4, 2)}
-	pub, err := pg.Publish(tbl, hiers, pg.Config{K: 2, P: p, Algorithm: pg.KD, Rng: rng})
+	pub, err := pg.Publish(tbl, hiers, pg.Config{K: 2, P: p, Algorithm: pg.KD, Seed: rng.Int63()})
 	if err != nil {
 		return 0, nil, 0, err
 	}

@@ -16,7 +16,8 @@ import (
 // attack a random victim with a random corruption set each trial, and track
 // the worst posterior/growth observed against the analytic bounds.
 type MonteCarloConfig struct {
-	// PG holds the publication parameters (K or S, P, Algorithm).
+	// PG holds the publication parameters (K, P, Algorithm). Its Seed is
+	// replaced per trial.
 	PG pg.Config
 	// Trials is the number of publish-attack rounds.
 	Trials int
@@ -26,13 +27,11 @@ type MonteCarloConfig struct {
 	// CorruptFraction is the expected fraction of ℰ−{victim} corrupted per
 	// trial; 1 reproduces the worst case |𝒞| = |ℰ|−1.
 	CorruptFraction float64
-	// Rng drives all randomness; required.
-	Rng *rand.Rand
-	// Parallel splits the trials across this many goroutines, each with a
-	// worker seed derived from Rng. Results are deterministic for a fixed
-	// (seed, Parallel) pair; different Parallel values draw different
-	// random streams. 0 or 1 runs serially.
-	Parallel int
+	// Seed drives all randomness: trial i draws from par.SplitSeed(Seed, i).
+	Seed int64
+	// Workers bounds the goroutines running trials (0 = GOMAXPROCS). The
+	// result is identical for every value.
+	Workers int
 }
 
 // MonteCarloResult aggregates the trials.
@@ -55,9 +54,6 @@ func MonteCarlo(d *dataset.Table, voterQI [][]int32, hiers []*hierarchy.Hierarch
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("attack: Trials must be positive")
 	}
-	if cfg.Rng == nil {
-		return nil, fmt.Errorf("attack: Rng is required")
-	}
 	if cfg.Lambda <= 0 || cfg.Lambda > 1 {
 		return nil, fmt.Errorf("attack: Lambda = %v outside (0,1]", cfg.Lambda)
 	}
@@ -67,21 +63,15 @@ func MonteCarlo(d *dataset.Table, voterQI [][]int32, hiers []*hierarchy.Hierarch
 	}
 	domain := d.Schema.SensitiveDomain()
 
-	// One publication to learn K (resolved from S if needed).
-	probe := cfg.PG
-	probe.Rng = cfg.Rng
-	pub0, err := pg.Publish(d, hiers, probe)
-	if err != nil {
-		return nil, err
-	}
 	res := &MonteCarloResult{Trials: cfg.Trials}
-	res.MaxHBound = privacy.HTop(pub0.P, cfg.Lambda, pub0.K, domain)
+	p, k := cfg.PG.P, cfg.PG.K
+	res.MaxHBound = privacy.HTop(p, cfg.Lambda, k, domain)
 	rho1 := cfg.Lambda // Excluding-style priors below keep prior <= lambda per value set... conservative: use lambda as rho1
-	res.Rho2Bound, err = privacy.MinRho2(pub0.P, cfg.Lambda, rho1, pub0.K, domain)
+	res.Rho2Bound, err = privacy.MinRho2(p, cfg.Lambda, rho1, k, domain)
 	if err != nil {
 		return nil, err
 	}
-	res.DeltaBound, err = privacy.MinDelta(pub0.P, cfg.Lambda, pub0.K, domain)
+	res.DeltaBound, err = privacy.MinDelta(p, cfg.Lambda, k, domain)
 	if err != nil {
 		return nil, err
 	}
@@ -97,143 +87,94 @@ func MonteCarlo(d *dataset.Table, voterQI [][]int32, hiers []*hierarchy.Hierarch
 		return nil, fmt.Errorf("attack: no microdata owners in the external database")
 	}
 
-	worker := func(trials int, rng *rand.Rand) (maxH, maxGrowth, maxPost float64, brRho, brDelta int, err error) {
-		for trial := 0; trial < trials; trial++ {
-			pcfg := cfg.PG
-			pcfg.Rng = rng
-			pub, err := pg.Publish(d, hiers, pcfg)
-			if err != nil {
-				return 0, 0, 0, 0, 0, err
-			}
-			victim := owners[rng.Intn(len(owners))]
-
-			adv := Adversary{
-				Background: privacy.Uniform(domain),
-				Corrupted:  map[int]bool{},
-			}
-			for id := 0; id < ext.Len(); id++ {
-				if id != victim && rng.Float64() < cfg.CorruptFraction {
-					adv.Corrupted[id] = true
-				}
-			}
-
-			// The uniform prior's skew 1/domain is <= Lambda whenever
-			// domain >= 1/Lambda; build a skewed prior otherwise by
-			// excluding values, capped so the skew stays within Lambda.
-			if cfg.Lambda > 1/float64(domain) {
-				keep := int(1/cfg.Lambda + 0.999999)
-				if keep < 1 {
-					keep = 1
-				}
-				if keep < domain {
-					var excluded []int32
-					truth := d.Sensitive(ext.RowOf(victim))
-					for x := int32(0); len(excluded) < domain-keep && int(x) < domain; x++ {
-						if x != truth { // honest background: never exclude the truth
-							excluded = append(excluded, x)
-						}
-					}
-					bg, err := privacy.Excluding(domain, excluded...)
-					if err != nil {
-						return 0, 0, 0, 0, 0, err
-					}
-					adv.Background = bg
-				}
-			}
-
-			// Attack with a predicate that contains the observed y.
-			t, ok := pub.FindCrucial(ext.QIOf(victim))
-			if !ok {
-				return 0, 0, 0, 0, 0, fmt.Errorf("attack: trial %d: no crucial tuple", trial)
-			}
-			values := []int32{t.Value}
-			for x := int32(0); int(x) < domain; x++ {
-				if x != t.Value && rng.Float64() < 0.2 {
-					values = append(values, x)
-				}
-			}
-			q, err := privacy.PredicateOf(domain, values...)
-			if err != nil {
-				return 0, 0, 0, 0, 0, err
-			}
-
-			r, err := LinkAttack(pub, ext, victim, adv, q)
-			if err != nil {
-				return 0, 0, 0, 0, 0, err
-			}
-			if r.H > maxH {
-				maxH = r.H
-			}
-			growth := r.Posterior - r.Prior
-			if growth > maxGrowth {
-				maxGrowth = growth
-			}
-			if growth > res.DeltaBound+1e-9 {
-				brDelta++
-			}
-			if r.Prior <= rho1+1e-12 {
-				if r.Posterior > maxPost {
-					maxPost = r.Posterior
-				}
-				if r.Posterior > res.Rho2Bound+1e-9 {
-					brRho++
-				}
-			}
-		}
-		return maxH, maxGrowth, maxPost, brRho, brDelta, nil
-	}
-
-	workers := cfg.Parallel
-	if workers <= 1 {
-		maxH, maxGrowth, maxPost, brRho, brDelta, err := worker(cfg.Trials, cfg.Rng)
+	// Each trial owns its random stream and its result slot, so the
+	// schedule cannot change what a trial draws or the order of the fold.
+	results := make([]*Result, cfg.Trials)
+	err = par.ForEachErr(cfg.Workers, cfg.Trials, func(trial int) error {
+		rng := rand.New(rand.NewSource(par.SplitSeed(cfg.Seed, trial)))
+		pcfg := cfg.PG
+		pcfg.Seed = rng.Int63()
+		pub, err := pg.Publish(d, hiers, pcfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.MaxH, res.MaxGrowth, res.MaxPosterior = maxH, maxGrowth, maxPost
-		res.BreachesRho, res.BreachesDelta = brRho, brDelta
-		return res, nil
-	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	type part struct {
-		maxH, maxGrowth, maxPost float64
-		brRho, brDelta           int
-	}
-	// Slot seeds are drawn sequentially before the fan-out, so results stay
-	// deterministic for a fixed (Rng state, Parallel) pair.
-	parts := make([]part, workers)
-	trials := make([]int, workers)
-	seeds := make([]int64, workers)
-	for w := 0; w < workers; w++ {
-		trials[w] = cfg.Trials / workers
-		if w < cfg.Trials%workers {
-			trials[w]++
+		victim := owners[rng.Intn(len(owners))]
+
+		adv := Adversary{
+			Background: privacy.Uniform(domain),
+			Corrupted:  map[int]bool{},
 		}
-		seeds[w] = cfg.Rng.Int63()
-	}
-	err = par.ForEachErr(workers, workers, func(slot int) error {
-		p := &parts[slot]
-		var werr error
-		p.maxH, p.maxGrowth, p.maxPost, p.brRho, p.brDelta, werr =
-			worker(trials[slot], rand.New(rand.NewSource(seeds[slot])))
-		return werr
+		for id := 0; id < ext.Len(); id++ {
+			if id != victim && rng.Float64() < cfg.CorruptFraction {
+				adv.Corrupted[id] = true
+			}
+		}
+
+		// The uniform prior's skew 1/domain is <= Lambda whenever
+		// domain >= 1/Lambda; build a skewed prior otherwise by
+		// excluding values, capped so the skew stays within Lambda.
+		if cfg.Lambda > 1/float64(domain) {
+			keep := int(1/cfg.Lambda + 0.999999)
+			if keep < 1 {
+				keep = 1
+			}
+			if keep < domain {
+				var excluded []int32
+				truth := d.Sensitive(ext.RowOf(victim))
+				for x := int32(0); len(excluded) < domain-keep && int(x) < domain; x++ {
+					if x != truth { // honest background: never exclude the truth
+						excluded = append(excluded, x)
+					}
+				}
+				bg, err := privacy.Excluding(domain, excluded...)
+				if err != nil {
+					return err
+				}
+				adv.Background = bg
+			}
+		}
+
+		// Attack with a predicate that contains the observed y.
+		t, ok := pub.FindCrucial(ext.QIOf(victim))
+		if !ok {
+			return fmt.Errorf("attack: trial %d: no crucial tuple", trial)
+		}
+		values := []int32{t.Value}
+		for x := int32(0); int(x) < domain; x++ {
+			if x != t.Value && rng.Float64() < 0.2 {
+				values = append(values, x)
+			}
+		}
+		q, err := privacy.PredicateOf(domain, values...)
+		if err != nil {
+			return err
+		}
+
+		results[trial], err = LinkAttack(pub, ext, victim, adv, q)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range parts {
-		if p.maxH > res.MaxH {
-			res.MaxH = p.maxH
+	for _, r := range results {
+		if r.H > res.MaxH {
+			res.MaxH = r.H
 		}
-		if p.maxGrowth > res.MaxGrowth {
-			res.MaxGrowth = p.maxGrowth
+		growth := r.Posterior - r.Prior
+		if growth > res.MaxGrowth {
+			res.MaxGrowth = growth
 		}
-		if p.maxPost > res.MaxPosterior {
-			res.MaxPosterior = p.maxPost
+		if growth > res.DeltaBound+1e-9 {
+			res.BreachesDelta++
 		}
-		res.BreachesRho += p.brRho
-		res.BreachesDelta += p.brDelta
+		if r.Prior <= rho1+1e-12 {
+			if r.Posterior > res.MaxPosterior {
+				res.MaxPosterior = r.Posterior
+			}
+			if r.Posterior > res.Rho2Bound+1e-9 {
+				res.BreachesRho++
+			}
+		}
 	}
 	return res, nil
 }

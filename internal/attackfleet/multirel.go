@@ -19,7 +19,7 @@ import (
 // release of a re-publication chain (pg.Republish over evolving microdata),
 // links the victim's crucial tuple in each release through the owner IDs
 // that survive deltas, composes the per-release observations with
-// repub.ComposePosterior, and checks the composed breach growth of every
+// repub.MultiReleaseAttack, and checks the composed breach growth of every
 // T-release prefix against repub.ComposedGrowthBound — the accounting the
 // release-chain blocks (snapshot.ChainMetadata) announce. The run is
 // byte-identical across worker counts: every random choice descends from
@@ -402,31 +402,18 @@ func attackChainVictim(exts []*attack.External, releases []*pg.Published, victim
 		if err != nil {
 			return nil, err
 		}
+		obsn, prior, posts, err := repub.MultiReleaseAttack(releases, exts, victim, adv, q)
+		if err != nil {
+			return nil, err
+		}
 		o := multirelOutcome{
 			h:         make([]float64, len(releases)),
-			posterior: make([]float64, len(releases)),
+			posterior: posts,
 			growth:    make([]float64, len(releases)),
 		}
-		var obsn []repub.Observation
-		var prior float64
-		for t, pub := range releases {
-			res, err := attack.LinkAttack(pub, exts[t], victim, adv, q)
-			if err != nil {
-				return nil, fmt.Errorf("release %d: %w", t, err)
-			}
-			o.h[t] = res.H
-			obsn = append(obsn, repub.Observation{Y: res.Y, H: res.H, P: pub.P})
-			prior = res.Prior
-			post, err := repub.ComposePosterior(adv.Background, obsn)
-			if err != nil {
-				return nil, fmt.Errorf("release %d: composing: %w", t, err)
-			}
-			conf, err := post.Confidence(q)
-			if err != nil {
-				return nil, fmt.Errorf("release %d: %w", t, err)
-			}
-			o.posterior[t] = conf
-			o.growth[t] = conf - prior
+		for t, ob := range obsn {
+			o.h[t] = ob.H
+			o.growth[t] = posts[t] - prior
 		}
 		out[fi] = o
 	}

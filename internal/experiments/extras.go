@@ -40,11 +40,11 @@ type BreachConfig struct {
 	N int
 	// Trials per scenario (default 200).
 	Trials int
-	// Seed drives all randomness.
+	// Seed drives all randomness; scenario i runs under
+	// par.SplitSeed(Seed, i).
 	Seed int64
-	// Workers splits each scenario's trials across goroutines via the
-	// Monte-Carlo harness's Parallel knob. 0 means GOMAXPROCS; results are
-	// deterministic for a fixed (Seed, Workers) pair.
+	// Workers bounds the goroutines running each scenario's trials (0 =
+	// GOMAXPROCS). The result is identical for every value.
 	Workers int
 }
 
@@ -64,20 +64,19 @@ func BreachValidation(cfg BreachConfig) ([]BreachScenario, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 200
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	var out []BreachScenario
 
 	// Hospital scenarios.
 	hosp := dataset.Hospital()
 	hospHiers := hierarchy.Hospital(hosp.Schema)
-	for _, corrupt := range []float64{0, 0.5, 1} {
+	for i, corrupt := range []float64{0, 0.5, 1} {
 		res, err := attack.MonteCarlo(hosp, dataset.HospitalVoterQI(), hospHiers, attack.MonteCarloConfig{
 			PG:              pg.Config{K: 2, P: 0.3, Metrics: metrics},
 			Trials:          cfg.Trials,
 			Lambda:          Lambda,
 			CorruptFraction: corrupt,
-			Rng:             rng,
-			Parallel:        par.N(cfg.Workers),
+			Seed:            par.SplitSeed(cfg.Seed, i),
+			Workers:         cfg.Workers,
 		})
 		if err != nil {
 			return nil, err
@@ -93,14 +92,15 @@ func BreachValidation(cfg BreachConfig) ([]BreachScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	voters := SALVoters(d, 0.1, rng)
+	seed := par.SplitSeed(cfg.Seed, 3)
+	voters := SALVoters(d, 0.1, rand.New(rand.NewSource(seed)))
 	res, err := attack.MonteCarlo(d, voters, sal.Hierarchies(d.Schema), attack.MonteCarloConfig{
 		PG:              pg.Config{K: 6, P: 0.3, Algorithm: pg.KD, Metrics: metrics},
 		Trials:          cfg.Trials / 4,
 		Lambda:          Lambda,
 		CorruptFraction: 1,
-		Rng:             rng,
-		Parallel:        par.N(cfg.Workers),
+		Seed:            seed,
+		Workers:         cfg.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -277,7 +277,7 @@ func CardinalitySweep(sizes []int, seed int64, k int, p float64) ([]CardinalityR
 			return nil, err
 		}
 		pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{
-			K: k, P: p, Algorithm: pg.KD, Rng: rng, Metrics: metrics,
+			K: k, P: p, Algorithm: pg.KD, Seed: rng.Int63(), Metrics: metrics,
 		})
 		if err != nil {
 			return nil, err

@@ -144,6 +144,7 @@ func Republication(trials int, seed int64, target float64) ([]RepubRow, error) {
 	lambda := 1 / float64(domain)
 	rng := rand.New(rand.NewSource(seed))
 	owners := []int{0, 1, 2, 3, 5, 6, 7, 8}
+	hiers := hierarchy.Hospital(d.Schema)
 
 	var out []RepubRow
 	for _, T := range []int{1, 2, 4, 8} {
@@ -155,11 +156,18 @@ func Republication(trials int, seed int64, target float64) ([]RepubRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		exts := make([]*attack.External, T)
+		for t := range exts {
+			exts[t] = ext
+		}
 		maxGrowth := 0.0
 		for trial := 0; trial < trials; trial++ {
-			s, err := repub.PublishSeries(d, hierarchy.Hospital(d.Schema), pg.Config{K: k, P: p, Metrics: metrics}, T, rng)
-			if err != nil {
-				return nil, err
+			releases := make([]*pg.Published, T)
+			for t := range releases {
+				releases[t], err = pg.Publish(d, hiers, pg.Config{K: k, P: p, Seed: rng.Int63(), Metrics: metrics})
+				if err != nil {
+					return nil, err
+				}
 			}
 			victim := owners[rng.Intn(len(owners))]
 			adv := attack.Adversary{Background: privacy.Uniform(domain), Corrupted: map[int]bool{}}
@@ -173,11 +181,11 @@ func Republication(trials int, seed int64, target float64) ([]RepubRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			_, prior, post, err := repub.MultiReleaseAttack(s, ext, victim, adv, q)
+			_, prior, posts, err := repub.MultiReleaseAttack(releases, exts, victim, adv, q)
 			if err != nil {
 				return nil, err
 			}
-			if g := post - prior; g > maxGrowth {
+			if g := posts[T-1] - prior; g > maxGrowth {
 				maxGrowth = g
 			}
 		}

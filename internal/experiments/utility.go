@@ -130,7 +130,7 @@ func utilityPoint(d *dataset.Table, classOf func(int32) int, cfg UtilityConfig, 
 	for rep := 0; rep < cfg.Reps; rep++ {
 		// PG: publish and mine with reconstruction weighting.
 		pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{
-			K: k, P: p, Algorithm: cfg.Algorithm, Rng: rng, Workers: cfg.Workers, Metrics: metrics,
+			K: k, P: p, Algorithm: cfg.Algorithm, Seed: rng.Int63(), Workers: cfg.Workers, Metrics: metrics,
 		})
 		if err != nil {
 			return pt, err

@@ -92,7 +92,7 @@ func TestPublishSameSeedSameBytes(t *testing.T) {
 	hiers := hospitalHiers(d.Schema)
 	var outs [][]byte
 	for i := 0; i < 2; i++ {
-		pub, err := Publish(d, hiers, Config{S: 0.5, P: 0.25, Seed: 31})
+		pub, err := Publish(d, hiers, Config{K: 2, P: 0.25, Seed: 31})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,6 @@ package pg
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"pgpub/internal/dataset"
 	"pgpub/internal/generalize"
@@ -75,30 +73,25 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 
 // Config parameterizes a PG publication.
 type Config struct {
-	// K is the QI-group size floor (Property G2). Exactly one of K or S
-	// must be set: when K is 0 it is derived from S as ceil(1/S).
+	// K is the QI-group size floor (Property G2), at least 1. A
+	// Cardinality target s in (0,1] (|D*| <= |D|·s) is met by
+	// K = ceil(1/s).
 	K int
-	// S is the Cardinality parameter in (0,1]: |D*| <= |D|·S.
-	S float64
 	// P is the retention probability of Phase 1 in [0,1]. Use
 	// privacy.MaxRetentionRho12 / MaxRetentionDelta to derive it from a
 	// target guarantee level.
 	P float64
 	// Algorithm selects the Phase-2 recoding algorithm (default KD).
 	Algorithm Algorithm
-	// Seed seeds the pipeline's randomness when Rng is nil.
+	// Seed is the root of every random stream of the pipeline. A caller
+	// publishing repeatedly from one *rand.Rand passes Seed: rng.Int63().
 	Seed int64
-	// Rng overrides the random source (takes precedence over Seed). Publish
-	// draws a single root seed from it and splits shard streams off that
-	// root, so a shared Rng advances by exactly one Int63 per call
-	// regardless of table size or worker count.
-	Rng *rand.Rand
 	// Workers bounds the pipeline's parallelism: Phase 1 and Phase 3 are
 	// sharded across this many goroutines, KD recursion fans out to match,
 	// and the TDS/FullDomain per-group recoding application is spread the
 	// same way. 0 (the default) means runtime.GOMAXPROCS(0); 1 runs fully
 	// sequential. The published table is byte-identical across Workers
-	// values for a fixed Seed/Rng — shard RNG streams are derived from the
+	// values for a fixed Seed — shard RNG streams are derived from the
 	// root seed with par.SplitSeed, never from the schedule.
 	Workers int
 	// Metrics optionally receives the pipeline's runtime instrumentation:
@@ -170,9 +163,8 @@ func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached 
 	if d.Len() == 0 {
 		return nil, nil, fmt.Errorf("pg: empty microdata")
 	}
-	k, err := resolveK(cfg)
-	if err != nil {
-		return nil, nil, err
+	if cfg.K < 1 {
+		return nil, nil, fmt.Errorf("pg: group size floor k = %d < 1", cfg.K)
 	}
 	if cfg.P < 0 || cfg.P > 1 {
 		return nil, nil, fmt.Errorf("pg: retention probability %v outside [0,1]", cfg.P)
@@ -186,12 +178,8 @@ func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached 
 	// roots are split off it, and each phase splits per-shard seeds off its
 	// root, so the streams depend only on (root, shard index) — running the
 	// shards on one goroutine or sixteen cannot change the output bytes.
-	root := cfg.Seed
-	if cfg.Rng != nil {
-		root = cfg.Rng.Int63()
-	}
-	phase1Root := par.SplitSeed(root, 0)
-	phase3Root := par.SplitSeed(root, 1)
+	phase1Root := par.SplitSeed(cfg.Seed, 0)
+	phase3Root := par.SplitSeed(cfg.Seed, 1)
 
 	// Phase 1: perturbation, sharded across the workers.
 	pb, err := perturb.NewPerturber(cfg.P, d.Schema.SensitiveDomain())
@@ -212,7 +200,7 @@ func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached 
 	grp := cached
 	if grp == nil {
 		sp2 := met.Span("pg.phase2")
-		grp, err = runPhase2(dp, hiers, cfg, k, workers)
+		grp, err = runPhase2(dp, hiers, cfg, workers)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -239,7 +227,7 @@ func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached 
 		cols.SourceRow[i] = int64(st.Row)
 	}
 	pub, err := FromColumns(Published{
-		Schema: d.Schema, Algorithm: cfg.Algorithm, Recoding: grp.recoding, P: cfg.P, K: k,
+		Schema: d.Schema, Algorithm: cfg.Algorithm, Recoding: grp.recoding, P: cfg.P, K: cfg.K,
 	}, cols)
 	if err != nil {
 		return nil, nil, err
@@ -252,12 +240,12 @@ func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached 
 
 // runPhase2 runs the configured Phase-2 algorithm over the (perturbed)
 // table and packages its grouping.
-func runPhase2(dp *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, k, workers int) (*phase2Grouping, error) {
+func runPhase2(dp *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, workers int) (*phase2Grouping, error) {
 	met := cfg.Metrics
 	switch cfg.Algorithm {
 	case TDS:
 		res, err := generalize.TDS(dp, hiers, generalize.TDSConfig{
-			K: k, Workers: workers, Metrics: met,
+			K: cfg.K, Workers: workers, Metrics: met,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("pg: phase 2: %w", err)
@@ -269,7 +257,7 @@ func runPhase2(dp *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, k, w
 		}, nil
 	case FullDomain:
 		res, err := generalize.SearchFullDomain(dp, hiers, generalize.FullDomainConfig{
-			K: k, Workers: workers,
+			K: cfg.K, Workers: workers,
 			Metrics: met,
 		})
 		if err != nil {
@@ -281,7 +269,7 @@ func runPhase2(dp *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, k, w
 			groupRows: res.Groups.Rows,
 		}, nil
 	case KD:
-		res, err := generalize.KDPartitionParallel(dp, k, par.SpawnDepth(workers))
+		res, err := generalize.KDPartitionParallel(dp, cfg.K, par.SpawnDepth(workers))
 		if err != nil {
 			return nil, fmt.Errorf("pg: phase 2: %w", err)
 		}
@@ -300,20 +288,6 @@ func applyRecoding(r *generalize.Recoding, keys [][]int32, workers int) []genera
 		boxes[i] = r.BoxOf(keys[i])
 	})
 	return boxes
-}
-
-// resolveK applies the paper's rule k = ceil(1/s).
-func resolveK(cfg Config) (int, error) {
-	if cfg.K > 0 {
-		if cfg.S != 0 {
-			return 0, fmt.Errorf("pg: set either K or S, not both")
-		}
-		return cfg.K, nil
-	}
-	if cfg.S <= 0 || cfg.S > 1 {
-		return 0, fmt.Errorf("pg: cardinality parameter s = %v outside (0,1]", cfg.S)
-	}
-	return int(math.Ceil(1 / cfg.S)), nil
 }
 
 // Len returns |D*|.

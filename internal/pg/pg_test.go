@@ -23,7 +23,7 @@ func TestPublishTableII(t *testing.T) {
 	// hospital microdata.
 	d := dataset.Hospital()
 	hiers := hospitalHiers(d.Schema)
-	pub, err := Publish(d, hiers, Config{S: 0.5, P: 0.25, Seed: 1})
+	pub, err := Publish(d, hiers, Config{K: 2, P: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
@@ -72,13 +72,7 @@ func TestPublishErrors(t *testing.T) {
 		t.Fatal("empty microdata: want error")
 	}
 	if _, err := Publish(d, hiers, Config{P: 0.3}); err == nil {
-		t.Fatal("neither K nor S: want error")
-	}
-	if _, err := Publish(d, hiers, Config{K: 2, S: 0.5, P: 0.3}); err == nil {
-		t.Fatal("both K and S: want error")
-	}
-	if _, err := Publish(d, hiers, Config{S: 1.5, P: 0.3}); err == nil {
-		t.Fatal("s > 1: want error")
+		t.Fatal("K = 0: want error")
 	}
 	if _, err := Publish(d, hiers, Config{K: 2, P: -0.1}); err == nil {
 		t.Fatal("negative p: want error")
@@ -269,7 +263,7 @@ func TestPublishInvariants(t *testing.T) {
 	f := func(seed int64, kRaw, pRaw uint8) bool {
 		k := int(kRaw%4) + 1
 		p := float64(pRaw%101) / 100
-		pub, err := Publish(d, hiers, Config{K: k, P: p, Rng: rand.New(rand.NewSource(seed))})
+		pub, err := Publish(d, hiers, Config{K: k, P: p, Seed: rand.New(rand.NewSource(seed)).Int63()})
 		if err != nil {
 			return false
 		}

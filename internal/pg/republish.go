@@ -1,8 +1,6 @@
 package pg
 
 import (
-	"fmt"
-
 	"pgpub/internal/dataset"
 	"pgpub/internal/hierarchy"
 	"pgpub/internal/par"
@@ -73,17 +71,7 @@ func (c *Chain) Table() *dataset.Table { return c.table }
 // anything less would break the byte-identity contract, since the Phase-2
 // algorithms are global (one moved median or frequency count can reshape
 // groups arbitrarily far from the edited rows).
-//
-// cfg.Rng must be nil — a shared random source would make the schedule
-// stateful and the release bytes dependent on publish order.
 func Republish(c *Chain, delta Delta, cfg Config) (*Published, error) {
-	if cfg.Rng != nil {
-		return nil, fmt.Errorf("pg: Republish requires a Seed, not a shared Rng (the per-release schedule must be stateless)")
-	}
-	k, err := resolveK(cfg)
-	if err != nil {
-		return nil, err
-	}
 	met := cfg.Metrics
 	sp := met.Span("repub.publish")
 	defer sp.End()
@@ -100,7 +88,7 @@ func Republish(c *Chain, delta Delta, cfg Config) (*Published, error) {
 	met.Counter("repub.delta.deletes").Add(int64(len(delta.Deletes)))
 
 	cached := c.cache
-	if !delta.Empty() || cached == nil || c.cacheK != k || c.cacheAlg != cfg.Algorithm {
+	if !delta.Empty() || cached == nil || c.cacheK != cfg.K || c.cacheAlg != cfg.Algorithm {
 		cached = nil
 	}
 
@@ -120,7 +108,7 @@ func Republish(c *Chain, delta Delta, cfg Config) (*Published, error) {
 	c.release++
 	// A TDS grouping is not cached: TDS scores its cuts on the perturbed
 	// sensitive values, so the next release's Phase 1 can change it.
-	c.cache, c.cacheK, c.cacheAlg = grp, k, cfg.Algorithm
+	c.cache, c.cacheK, c.cacheAlg = grp, cfg.K, cfg.Algorithm
 	if cfg.Algorithm == TDS {
 		c.cache = nil
 	}

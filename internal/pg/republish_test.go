@@ -3,7 +3,6 @@ package pg
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -237,19 +236,6 @@ func TestPhase2GroupingIgnoresPhase1Seed(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRepublishRejectsRng pins the statelessness requirement.
-func TestRepublishRejectsRng(t *testing.T) {
-	base, err := sal.Generate(500, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewChain(base, sal.Hierarchies(base.Schema))
-	_, err = Republish(c, Delta{}, Config{K: 6, P: 0.3, Rng: rand.New(rand.NewSource(1))})
-	if err == nil || !strings.Contains(err.Error(), "stateless") {
-		t.Fatalf("Republish with an Rng: err = %v, want stateless-schedule refusal", err)
 	}
 }
 

@@ -39,21 +39,16 @@ func ShardSeed(root int64, s int) int64 {
 }
 
 // PublishSharded partitions d into shards round-robin slices (ShardOf) and
-// publishes each independently with a seed split off cfg.Seed (or one draw
-// of cfg.Rng). Owner IDs are preserved through the partition, so shard
-// publications still name the same individuals. Output bytes are identical
-// for every cfg.Workers value, shard by shard.
+// publishes each independently with a seed split off cfg.Seed. Owner IDs
+// are preserved through the partition, so shard publications still name
+// the same individuals. Output bytes are identical for every cfg.Workers
+// value, shard by shard.
 func PublishSharded(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, shards int) ([]*Published, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("pg: shard count %d < 1", shards)
 	}
 	if d.Len() < shards {
 		return nil, fmt.Errorf("pg: %d shards over %d rows leaves empty shards", shards, d.Len())
-	}
-	root := cfg.Seed
-	if cfg.Rng != nil {
-		root = cfg.Rng.Int63()
-		cfg.Rng = nil
 	}
 	pubs := make([]*Published, shards)
 	for s := 0; s < shards; s++ {
@@ -62,7 +57,7 @@ func PublishSharded(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, 
 			rows = append(rows, i)
 		}
 		scfg := cfg
-		scfg.Seed = ShardSeed(root, s)
+		scfg.Seed = ShardSeed(cfg.Seed, s)
 		pub, err := Publish(d.Subset(rows), hiers, scfg)
 		if err != nil {
 			return nil, fmt.Errorf("pg: shard %d: %w", s, err)

@@ -33,41 +33,11 @@ package repub
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"pgpub/internal/attack"
-	"pgpub/internal/dataset"
-	"pgpub/internal/hierarchy"
 	"pgpub/internal/pg"
 	"pgpub/internal/privacy"
 )
-
-// Series is a sequence of independent PG releases of the same microdata.
-type Series struct {
-	Releases []*pg.Published
-}
-
-// PublishSeries produces T independent releases with the given base
-// configuration (each uses fresh randomness from rng).
-func PublishSeries(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg pg.Config, T int, rng *rand.Rand) (*Series, error) {
-	if T < 1 {
-		return nil, fmt.Errorf("repub: need at least 1 release, got %d", T)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("repub: rng is required")
-	}
-	s := &Series{}
-	for t := 0; t < T; t++ {
-		c := cfg
-		c.Rng = rng
-		pub, err := pg.Publish(d, hiers, c)
-		if err != nil {
-			return nil, fmt.Errorf("repub: release %d: %w", t+1, err)
-		}
-		s.Releases = append(s.Releases, pub)
-	}
-	return s, nil
-}
 
 // Observation is one release's evidence about the victim: the observed
 // sensitive value of the crucial tuple, the ownership probability h computed
@@ -85,66 +55,85 @@ func ComposePosterior(prior privacy.PDF, obs []Observation) (privacy.PDF, error)
 	if err := prior.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(prior)
 	post := prior.Clone()
 	for t, o := range obs {
-		if o.Y < 0 || int(o.Y) >= n {
-			return nil, fmt.Errorf("repub: observation %d: y = %d outside domain of %d", t, o.Y, n)
-		}
-		if o.H < 0 || o.H > 1 || o.P < 0 || o.P > 1 {
-			return nil, fmt.Errorf("repub: observation %d: h = %v, p = %v outside [0,1]", t, o.H, o.P)
-		}
-		u := (1 - o.P) / float64(n)
-		den := o.P*prior[o.Y] + u
-		mass := 0.0
-		for x := range post {
-			var like float64
-			if den == 0 {
-				like = 1 // impossible observation under the prior: uninformative
-			} else {
-				trans := u
-				if int32(x) == o.Y {
-					trans += o.P
-				}
-				like = o.H*trans/den + (1 - o.H)
-			}
-			post[x] *= like
-			mass += post[x]
-		}
-		if mass == 0 {
-			return nil, fmt.Errorf("repub: observation %d annihilated the posterior", t)
-		}
-		for x := range post {
-			post[x] /= mass
+		if err := compose(post, prior, t, o); err != nil {
+			return nil, err
 		}
 	}
 	return post, nil
 }
 
-// MultiReleaseAttack runs the per-release linking attack against every
-// release of a series and composes the results: it returns the per-release
-// observations, the prior and the composed posterior confidence about Q.
-func MultiReleaseAttack(s *Series, ext *attack.External, victim int, adv attack.Adversary, q privacy.Predicate) (obs []Observation, prior, posterior float64, err error) {
-	if len(s.Releases) == 0 {
-		return nil, 0, 0, fmt.Errorf("repub: empty series")
+// compose folds observation t into post in place: it multiplies in the
+// release's likelihood and renormalizes.
+func compose(post, prior privacy.PDF, t int, o Observation) error {
+	n := len(prior)
+	if o.Y < 0 || int(o.Y) >= n {
+		return fmt.Errorf("repub: observation %d: y = %d outside domain of %d", t, o.Y, n)
 	}
-	for _, pub := range s.Releases {
-		res, err := attack.LinkAttack(pub, ext, victim, adv, q)
-		if err != nil {
-			return nil, 0, 0, err
+	if o.H < 0 || o.H > 1 || o.P < 0 || o.P > 1 {
+		return fmt.Errorf("repub: observation %d: h = %v, p = %v outside [0,1]", t, o.H, o.P)
+	}
+	u := (1 - o.P) / float64(n)
+	den := o.P*prior[o.Y] + u
+	mass := 0.0
+	for x := range post {
+		var like float64
+		if den == 0 {
+			like = 1 // impossible observation under the prior: uninformative
+		} else {
+			trans := u
+			if int32(x) == o.Y {
+				trans += o.P
+			}
+			like = o.H*trans/den + (1 - o.H)
 		}
-		obs = append(obs, Observation{Y: res.Y, H: res.H, P: pub.P})
+		post[x] *= like
+		mass += post[x]
+	}
+	if mass == 0 {
+		return fmt.Errorf("repub: observation %d annihilated the posterior", t)
+	}
+	for x := range post {
+		post[x] /= mass
+	}
+	return nil
+}
+
+// MultiReleaseAttack runs the per-release linking attack against every
+// release — release t linked through exts[t], the external database of its
+// microdata — and composes the results. It returns the per-release
+// observations, the prior, and the composed posterior confidence about Q
+// after each prefix: posteriors[t] composes releases 0..t.
+func MultiReleaseAttack(releases []*pg.Published, exts []*attack.External, victim int, adv attack.Adversary, q privacy.Predicate) (obs []Observation, prior float64, posteriors []float64, err error) {
+	if len(releases) == 0 {
+		return nil, 0, nil, fmt.Errorf("repub: no releases")
+	}
+	if len(exts) != len(releases) {
+		return nil, 0, nil, fmt.Errorf("repub: %d externals for %d releases", len(exts), len(releases))
+	}
+	if err := adv.Background.Validate(); err != nil {
+		return nil, 0, nil, err
+	}
+	post := adv.Background.Clone()
+	for t, pub := range releases {
+		res, err := attack.LinkAttack(pub, exts[t], victim, adv, q)
+		if err != nil {
+			return nil, 0, nil, fmt.Errorf("release %d: %w", t, err)
+		}
+		o := Observation{Y: res.Y, H: res.H, P: pub.P}
+		obs = append(obs, o)
 		prior = res.Prior
+		if err := compose(post, adv.Background, t, o); err != nil {
+			return nil, 0, nil, err
+		}
+		conf, err := post.Confidence(q)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		posteriors = append(posteriors, conf)
 	}
-	post, err := ComposePosterior(adv.Background, obs)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	posterior, err = post.Confidence(q)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return obs, prior, posterior, nil
+	return obs, prior, posteriors, nil
 }
 
 // OddsRatioBound returns R = 1 + h⊤·p/u, the worst-case per-release

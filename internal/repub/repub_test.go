@@ -20,37 +20,21 @@ func hospitalHiers(s *dataset.Schema) []*hierarchy.Hierarchy {
 	}
 }
 
-func TestPublishSeries(t *testing.T) {
-	d := dataset.Hospital()
-	rng := rand.New(rand.NewSource(1))
-	s, err := PublishSeries(d, hospitalHiers(d.Schema), pg.Config{K: 2, P: 0.3}, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Releases) != 4 {
-		t.Fatalf("releases = %d", len(s.Releases))
-	}
-	for i, pub := range s.Releases {
-		if err := pub.Validate(); err != nil {
-			t.Fatalf("release %d: %v", i, err)
+// publishT draws T independent releases of d, one rng.Int63 seed each, and
+// the external database each is linked through.
+func publishT(t *testing.T, d *dataset.Table, ext *attack.External, cfg pg.Config, T int, rng *rand.Rand) ([]*pg.Published, []*attack.External) {
+	t.Helper()
+	releases := make([]*pg.Published, T)
+	exts := make([]*attack.External, T)
+	for r := range releases {
+		cfg.Seed = rng.Int63()
+		pub, err := pg.Publish(d, hospitalHiers(d.Schema), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		releases[r], exts[r] = pub, ext
 	}
-	// Releases must differ (fresh randomness): compare observed values.
-	same := true
-	for i := 0; i < s.Releases[0].Len() && i < s.Releases[1].Len(); i++ {
-		if s.Releases[0].Columns().Value[i] != s.Releases[1].Columns().Value[i] {
-			same = false
-		}
-	}
-	if same && s.Releases[0].Len() > 0 {
-		t.Fatal("two releases observed identical perturbations (suspicious)")
-	}
-	if _, err := PublishSeries(d, hospitalHiers(d.Schema), pg.Config{K: 2, P: 0.3}, 0, rng); err == nil {
-		t.Fatal("T=0: want error")
-	}
-	if _, err := PublishSeries(d, hospitalHiers(d.Schema), pg.Config{K: 2, P: 0.3}, 1, nil); err == nil {
-		t.Fatal("nil rng: want error")
-	}
+	return releases, exts
 }
 
 func TestComposePosteriorSingleMatchesEquation9(t *testing.T) {
@@ -225,10 +209,7 @@ func TestMultiReleaseAttackWithinBound(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 60; trial++ {
-		s, err := PublishSeries(d, hospitalHiers(d.Schema), pg.Config{K: k, P: p}, T, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		releases, exts := publishT(t, d, ext, pg.Config{K: k, P: p}, T, rng)
 		victim := []int{0, 1, 2, 3, 5, 6, 7, 8}[rng.Intn(8)]
 		adv := attack.Adversary{Background: privacy.Uniform(domain), Corrupted: map[int]bool{}}
 		for id := 0; id < ext.Len(); id++ {
@@ -241,17 +222,32 @@ func TestMultiReleaseAttackWithinBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, prior, post, err := MultiReleaseAttack(s, ext, victim, adv, q)
+		obs, prior, posts, err := MultiReleaseAttack(releases, exts, victim, adv, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if growth := post - prior; growth > bound+1e-9 {
+		if growth := posts[T-1] - prior; growth > bound+1e-9 {
 			t.Fatalf("trial %d: composed growth %v exceeds bound %v", trial, growth, bound)
 		}
+		// posts[r] is the composition of the first r+1 observations.
+		for r := range posts {
+			post, err := ComposePosterior(adv.Background, obs[:r+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, err := post.Confidence(q); err != nil || c != posts[r] {
+				t.Fatalf("trial %d: prefix %d posterior %v, ComposePosterior gives %v (%v)", trial, r, posts[r], c, err)
+			}
+		}
 	}
-	// Empty series errors.
-	if _, _, _, err := MultiReleaseAttack(&Series{}, ext, 0, attack.Adversary{Background: privacy.Uniform(domain)}, privacy.Predicate(make([]bool, domain))); err == nil {
-		t.Fatal("empty series: want error")
+	adv := attack.Adversary{Background: privacy.Uniform(domain)}
+	q := privacy.Predicate(make([]bool, domain))
+	if _, _, _, err := MultiReleaseAttack(nil, nil, 0, adv, q); err == nil {
+		t.Fatal("no releases: want error")
+	}
+	releases, _ := publishT(t, d, ext, pg.Config{K: k, P: p}, 2, rng)
+	if _, _, _, err := MultiReleaseAttack(releases, []*attack.External{ext}, 0, adv, q); err == nil {
+		t.Fatal("one external for two releases: want error")
 	}
 }
 
@@ -269,10 +265,7 @@ func TestRepublicationAccumulatesLeakage(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	maxSingle, maxMulti := 0.0, 0.0
 	for trial := 0; trial < 80; trial++ {
-		s, err := PublishSeries(d, hospitalHiers(d.Schema), pg.Config{K: k, P: p}, 5, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		releases, exts := publishT(t, d, ext, pg.Config{K: k, P: p}, 5, rng)
 		victim := []int{0, 1, 2, 3, 5, 6, 7, 8}[rng.Intn(8)]
 		adv := attack.Adversary{Background: privacy.Uniform(domain), Corrupted: map[int]bool{}}
 		for id := 0; id < ext.Len(); id++ {
@@ -285,23 +278,15 @@ func TestRepublicationAccumulatesLeakage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs, prior, post, err := MultiReleaseAttack(s, ext, victim, adv, q)
+		_, prior, posts, err := MultiReleaseAttack(releases, exts, victim, adv, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g := post - prior; g > maxMulti {
+		if g := posts[4] - prior; g > maxMulti {
 			maxMulti = g
 		}
 		// Single-release growth from the first observation alone.
-		single, err := ComposePosterior(adv.Background, obs[:1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := single.Confidence(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g := sc - prior; g > maxSingle {
+		if g := posts[0] - prior; g > maxSingle {
 			maxSingle = g
 		}
 	}

@@ -41,9 +41,9 @@
 // worker count: work is cut into shards of fixed size, and each shard's
 // random stream is derived from the publication's root seed and the shard
 // index with a splitmix64 mix (internal/par.SplitSeed), so scheduling never
-// influences which stream a shard consumes. The root seed is Config.Seed,
-// or — when Config.Rng is set — a single Int63 draw from it, so a shared
-// Rng advances by exactly one value per Publish call regardless of Workers.
+// influences which stream a shard consumes. The root seed is Config.Seed;
+// a caller publishing repeatedly from one *rand.Rand passes
+// Seed: rng.Int63(), one draw per publication.
 package pgpub
 
 import (
@@ -77,7 +77,7 @@ type (
 
 // Publication types.
 type (
-	// Config parameterizes Publish (K or S, retention probability P, ...).
+	// Config parameterizes Publish (K, retention probability P, Seed, ...).
 	Config = pg.Config
 	// Published is the anonymized table D*, its rows stored as RowColumns.
 	Published = pg.Published
@@ -314,17 +314,14 @@ var NewMetricsRegistry = obs.NewRegistry
 
 // Re-publication types (Section IX future work; see internal/repub).
 type (
-	// Series is a sequence of independent PG releases of the microdata.
-	Series = repub.Series
 	// Observation is one release's evidence about a victim.
 	Observation = repub.Observation
 )
 
 // Re-publication analysis.
 var (
-	// PublishSeries produces T independent releases.
-	PublishSeries = repub.PublishSeries
-	// MultiReleaseAttack composes per-release linking attacks.
+	// MultiReleaseAttack composes per-release linking attacks, returning
+	// the posterior after each prefix of the releases.
 	MultiReleaseAttack = repub.MultiReleaseAttack
 	// ComposedGrowthBound bounds the growth achievable from T releases.
 	ComposedGrowthBound = repub.ComposedGrowthBound

@@ -15,7 +15,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("hospital Len = %d", d.Len())
 	}
 	hiers := HospitalHierarchies(d.Schema)
-	pub, err := Publish(d, hiers, Config{S: 0.5, P: 0.25, Seed: 1})
+	pub, err := Publish(d, hiers, Config{K: 2, P: 0.25, Seed: 1})
 	if err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
