@@ -122,6 +122,7 @@ func BenchmarkBreachValidation(b *testing.B) {
 		mustInterval(b, d.Schema.QI[2].Size(), 5, 20),
 	}
 	rng := rand.New(rand.NewSource(3))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := attack.MonteCarlo(d, dataset.HospitalVoterQI(), hiers, attack.MonteCarloConfig{
@@ -130,7 +131,6 @@ func BenchmarkBreachValidation(b *testing.B) {
 			Lambda:          0.1,
 			CorruptFraction: 1,
 			Seed:            rng.Int63(),
-			Workers:         1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -199,33 +199,18 @@ func BenchmarkPhase2TDS(b *testing.B) {
 	}
 }
 
-// BenchmarkPublish measures the full three-phase pipeline on 20k tuples.
+// BenchmarkPublish measures the full three-phase pipeline on 20k tuples at
+// GOMAXPROCS 1, the sequential run.
 func BenchmarkPublish(b *testing.B) {
-	d := benchData(b, 20000)
-	hiers := sal.Hierarchies(d.Schema)
-	rng := rand.New(rand.NewSource(5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: rng.Int63()}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPublishN(b, 20000, 1)
 }
 
-// BenchmarkPublishParallel is BenchmarkPublish with the pipeline's worker
-// pool at GOMAXPROCS. Same seed ⇒ byte-identical output to the sequential
-// run (see TestPublishDeterministicAcrossWorkers); compare the two
-// benchmarks for the parallel speedup at 20k rows.
+// BenchmarkPublishParallel is BenchmarkPublish at the machine's GOMAXPROCS.
+// Same seed ⇒ byte-identical output to the sequential run (see
+// TestPublishDeterministicAcrossWorkers); compare the two benchmarks for
+// the parallel speedup at 20k rows.
 func BenchmarkPublishParallel(b *testing.B) {
-	d := benchData(b, 20000)
-	hiers := sal.Hierarchies(d.Schema)
-	rng := rand.New(rand.NewSource(5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: rng.Int63(), Workers: runtime.GOMAXPROCS(0)}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPublishN(b, 20000, runtime.GOMAXPROCS(0))
 }
 
 // BenchmarkPublishParallelMetricsOn is BenchmarkPublishParallel with a live
@@ -243,7 +228,7 @@ func BenchmarkPublishParallelMetricsOn(b *testing.B) {
 	reg := obs.NewRegistry()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: rng.Int63(), Workers: runtime.GOMAXPROCS(0), Metrics: reg}); err != nil {
+		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: rng.Int63(), Metrics: reg}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -251,7 +236,7 @@ func BenchmarkPublishParallelMetricsOn(b *testing.B) {
 
 // BenchmarkPublish100k and BenchmarkPublishParallel100k run the acceptance
 // comparison of EXPERIMENTS.md §Parallel pipeline: the full pipeline at
-// census-bench scale (100k SAL rows), sequential vs. GOMAXPROCS workers.
+// census-bench scale (100k SAL rows), GOMAXPROCS 1 vs. the machine's.
 func BenchmarkPublish100k(b *testing.B) {
 	benchPublishN(b, 100000, 1)
 }
@@ -260,14 +245,16 @@ func BenchmarkPublishParallel100k(b *testing.B) {
 	benchPublishN(b, 100000, runtime.GOMAXPROCS(0))
 }
 
-func benchPublishN(b *testing.B, n, workers int) {
+// benchPublishN runs the pipeline on n SAL rows at GOMAXPROCS procs.
+func benchPublishN(b *testing.B, n, procs int) {
 	b.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	d := benchData(b, n)
 	hiers := sal.Hierarchies(d.Schema)
 	rng := rand.New(rand.NewSource(5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: rng.Int63(), Workers: workers}); err != nil {
+		if _, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: rng.Int63()}); err != nil {
 			b.Fatal(err)
 		}
 	}

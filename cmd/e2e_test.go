@@ -6,9 +6,8 @@
 // offline pgquery answers, signals hot-swap and drain the server, DP keys
 // are refused and exhausted over the wire, and the attack fleet finds no
 // bound violation against a live server. Everything an in-process test
-// already pins (drain under load, repub determinism across workers,
-// metadata shape)
-// stays with that test.
+// already pins (drain under load, repub determinism across GOMAXPROCS,
+// metadata shape) stays with that test.
 package cmd_test
 
 import (
@@ -66,6 +65,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	t.Run("snapshot", func(t *testing.T) { t.Parallel(); testSnapshot(t, e, snap) })
 	t.Run("csv", func(t *testing.T) { t.Parallel(); testCSV(t, e) })
 	t.Run("cardinality", func(t *testing.T) { t.Parallel(); testCardinality(t, e) })
+	t.Run("procs", func(t *testing.T) { t.Parallel(); testProcs(t, e) })
 	t.Run("fleet", func(t *testing.T) { t.Parallel(); testFleet(t, e, snap) })
 	t.Run("dp", func(t *testing.T) { t.Parallel(); testDP(t, e, snap) })
 	t.Run("shards", func(t *testing.T) { t.Parallel(); testShards(t, e) })
@@ -152,21 +152,40 @@ func testCardinality(t *testing.T, e *env) {
 	}
 }
 
+// testProcs: pgpublish writes the same CSV and snapshot bytes under
+// GOMAXPROCS=1 and GOMAXPROCS=8, for every Phase-2 algorithm.
+func testProcs(t *testing.T, e *env) {
+	dir := t.TempDir()
+	for _, alg := range []string{"kd", "tds", "full-domain"} {
+		var files [2][]byte
+		for i, procs := range []string{"1", "8"} {
+			csv := filepath.Join(dir, alg+"-"+procs+".csv")
+			snap := filepath.Join(dir, alg+"-"+procs+".pgsnap")
+			e.runEnv(t, []string{"GOMAXPROCS=" + procs}, "pgpublish", "-dataset", "sal", "-n", "5000",
+				"-k", "6", "-p", "0.3", "-seed", "42", "-algorithm", alg, "-out", csv, "-snapshot", snap)
+			files[i] = append(readFile(t, csv), readFile(t, snap)...)
+		}
+		if !bytes.Equal(files[0], files[1]) {
+			t.Fatalf("pgpublish -algorithm %s: CSV or snapshot bytes differ between GOMAXPROCS=1 and GOMAXPROCS=8", alg)
+		}
+	}
+}
+
 // testFleet: the attack fleet finds no Theorem 1-3 violation against a
 // server answering from the mapped snapshot, and its report is the same
-// bytes at 2 and 7 client workers.
+// bytes under GOMAXPROCS=2 and GOMAXPROCS=7.
 func testFleet(t *testing.T, e *env, snap string) {
 	srv := e.serve(t, "-snapshot", snap, "-mmap")
 	dir := t.TempDir()
 	var reports [][]byte
-	for _, workers := range []string{"2", "7"} {
-		out := filepath.Join(dir, "fleet-"+workers+".json")
-		e.run(t, "pgattack", "-exp", "fleet", "-url", srv.api, "-n", "5000", "-seed", "5",
-			"-victims", "12", "-workers", workers, "-json", out)
+	for _, procs := range []string{"2", "7"} {
+		out := filepath.Join(dir, "fleet-"+procs+".json")
+		e.runEnv(t, []string{"GOMAXPROCS=" + procs}, "pgattack", "-exp", "fleet", "-url", srv.api,
+			"-n", "5000", "-seed", "5", "-victims", "12", "-json", out)
 		reports = append(reports, readFile(t, out))
 	}
 	if !bytes.Equal(reports[0], reports[1]) {
-		t.Fatalf("fleet report differs between 2 and 7 workers:\n%s\n---\n%s", reports[0], reports[1])
+		t.Fatalf("fleet report differs between GOMAXPROCS=2 and 7:\n%s\n---\n%s", reports[0], reports[1])
 	}
 	checkNoViolations(t, reports[0])
 	srv.stop(t)
@@ -327,7 +346,7 @@ func testChain(t *testing.T, e *env) {
 func testRepub(t *testing.T, e *env) {
 	out := filepath.Join(t.TempDir(), "repub.json")
 	e.run(t, "pgattack", "-exp", "repub", "-n", "3000", "-seed", "5", "-releases", "3",
-		"-victims", "8", "-workers", "2", "-json", out)
+		"-victims", "8", "-json", out)
 	checkNoViolations(t, readFile(t, out))
 }
 
@@ -338,9 +357,19 @@ type env struct{ bin string }
 // returns its stdout.
 func (e *env) run(t *testing.T, name string, args ...string) string {
 	t.Helper()
+	return e.runEnv(t, nil, name, args...)
+}
+
+// runEnv is run with extra environment variables (NAME=value) on top of
+// the test's own.
+func (e *env) runEnv(t *testing.T, environ []string, name string, args ...string) string {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, filepath.Join(e.bin, name), args...)
+	if environ != nil {
+		cmd.Env = append(os.Environ(), environ...)
+	}
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {

@@ -67,7 +67,6 @@ func main() {
 	shards := flag.Int("shards", 0, "fleet: attack a sharded release through its coordinator, one reconstruction per shard (0 = unsharded; with -url, adopted from the coordinator's metadata)")
 	victims := flag.Int("victims", 0, "fleet: number of attacked owners (0 = 48)")
 	fractions := flag.String("fractions", "", "fleet: comma-separated corruption fractions (default 0,0.25,0.5,0.75,1)")
-	workers := flag.Int("workers", 0, "fleet: client-side parallelism (0 = GOMAXPROCS)")
 	releases := flag.Int("releases", 0, "repub: chain length T, the release count the adversary retains (0 = 4)")
 	churn := flag.Int("churn", 0, "repub: rows deleted and inserted per release (0 = n/50)")
 	jsonOut := flag.String("json", "", "fleet: write the report JSON to this file ('-' for stdout)")
@@ -114,14 +113,13 @@ func main() {
 		if *exp == "fleet" {
 			err = runFleet(attackfleet.Config{
 				BaseURL: *url, N: *n, Seed: *seed, K: ek, P: ep, Algorithm: *algorithm,
-				Shards: *shards, Victims: *victims, Fractions: fr, Workers: *workers,
-				Metrics: reg,
+				Shards: *shards, Victims: *victims, Fractions: fr, Metrics: reg,
 			}, *jsonOut, *benchout)
 		} else {
 			err = runRepub(attackfleet.MultiReleaseConfig{
 				N: *n, Seed: *seed, K: ek, P: ep, Algorithm: *algorithm,
 				Releases: *releases, Churn: *churn, Victims: *victims, Fractions: fr,
-				Workers: *workers, Metrics: reg,
+				Metrics: reg,
 			}, *jsonOut, *benchout)
 		}
 		if err != nil {

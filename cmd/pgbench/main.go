@@ -26,7 +26,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	reps := flag.Int("reps", 1, "repetitions per utility point (averaged)")
 	trials := flag.Int("trials", 200, "Monte-Carlo trials per breach scenario")
-	workers := flag.Int("workers", 0, "worker goroutines for sweeps and Monte Carlo (0 = GOMAXPROCS); output is identical for any value")
 	benchout := flag.String("benchout", "", "merge the dp block as JSON into this file (-exp dp), e.g. BENCH_pg.json; the other blocks are kept")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -106,7 +105,7 @@ func main() {
 
 	utility := func(m int, fig func(experiments.UtilityConfig) ([]experiments.UtilityPoint, error), x, title string) func() error {
 		return func() error {
-			pts, err := fig(experiments.UtilityConfig{N: *n, Seed: *seed, M: m, Reps: *reps, Workers: *workers})
+			pts, err := fig(experiments.UtilityConfig{N: *n, Seed: *seed, M: m, Reps: *reps})
 			if err != nil {
 				return err
 			}
@@ -126,7 +125,7 @@ func main() {
 
 	run("breach", func() error {
 		scenarios, err := experiments.BreachValidation(experiments.BreachConfig{
-			N: 2000, Trials: *trials, Seed: *seed, Workers: *workers,
+			N: 2000, Trials: *trials, Seed: *seed,
 		})
 		if err != nil {
 			return err

@@ -18,7 +18,7 @@
 //
 // With -shards S the microdata is partitioned round-robin into S
 // deterministic shards, each published independently (per-shard seeds split
-// from -seed, so shard bytes are stable for any worker count), saved to
+// from -seed, so shard bytes are stable at any GOMAXPROCS), saved to
 // release-00.pgsnap ... release-0{S-1}.pgsnap, and described by a
 // checksummed manifest (-manifest) that pgserve -coordinator and pgquery
 // -manifest consume. Those are the whole release: a sharded publish writes
@@ -73,7 +73,6 @@ func main() {
 	deltas := flag.String("delta", "", "comma-separated delta files replayed in order over the base microdata; the last defines the new release (requires -base and -snapshot)")
 	shards := flag.Int("shards", 0, "partition into this many deterministic shards, one snapshot each (requires -snapshot as the base name and -manifest)")
 	manifestPath := flag.String("manifest", "", "write the shard manifest (.pgman) here (with -shards)")
-	workers := flag.Int("workers", 0, "pipeline worker goroutines (0 = GOMAXPROCS); output is identical for any value")
 	metrics := flag.Bool("metrics", false, "instrument the pipeline and print the counter/phase report to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :6060)")
 	flag.Parse()
@@ -172,10 +171,7 @@ func main() {
 		fail(err)
 	}
 
-	cfg := pg.Config{
-		K: kk, P: retention, Algorithm: algorithm, Seed: *seed, Workers: *workers,
-		Metrics: reg,
-	}
+	cfg := pg.Config{K: kk, P: retention, Algorithm: algorithm, Seed: *seed, Metrics: reg}
 	var (
 		pub   *pg.Published
 		pubs  []*pg.Published

@@ -8,15 +8,15 @@
 // Usage:
 //
 //	pgquery -in anonymized.csv -meta anonymized.json -where "Age=30..50,Gender=M..M" -income 25..49
-//	pgquery -in anonymized.csv -p 0.2996 -workload 50 -truth sal.csv -workers 4
+//	pgquery -in anonymized.csv -p 0.2996 -workload 50 -truth sal.csv
 //	pgquery -snapshot release.pgsnap -where "Age=30..50" -income 25..49
 //	pgquery -manifest release.pgman -where "Age=30..50" -income 25..49
 //	pgquery -chain r0.pgsnap,r1.pgsnap,r2.pgsnap
 //
 // Every answer comes from the serving index — the one a snapshot stores,
 // or one built once from a CSV — so a single query prints what a server
-// over the same release answers. Workload mode answers the whole batch
-// and reports queries/sec.
+// over the same release answers. Workload mode answers the whole batch on
+// GOMAXPROCS goroutines and reports queries/sec.
 //
 // With -chain pgquery audits a release chain instead of answering a
 // query: every snapshot is fully verified, the parent-CRC links and
@@ -66,7 +66,6 @@ func main() {
 	workload := flag.Int("workload", 0, "instead of one query, run N random queries")
 	truth := flag.String("truth", "", "microdata CSV for error reporting (workload mode)")
 	seed := flag.Int64("seed", 42, "workload seed")
-	workers := flag.Int("workers", 0, "worker goroutines for workload mode (0 = GOMAXPROCS)")
 	chain := flag.String("chain", "", "comma-separated release snapshots in order (r0,r1,...); audit the release chain instead of answering a query")
 	dpBudgets := flag.String("dp-budgets", "", "ε-budget file (pgserve -dp-budgets): add the exact Laplace noise a DP server would to the answer (docs/DP.md)")
 	dpKey := flag.String("dp-key", "", "API key whose noise stream to reproduce (with -dp-budgets)")
@@ -174,7 +173,7 @@ func main() {
 	}
 
 	if *workload > 0 {
-		runWorkload(b, *workload, *seed, *truth, *workers, fail)
+		runWorkload(b, *workload, *seed, *truth, fail)
 		return
 	}
 	q, err := parseQuery(b.Schema(), *where, *income)
@@ -263,12 +262,12 @@ func parseQuery(schema *dataset.Schema, where, income string) (query.CountQuery,
 type backend interface {
 	Schema() *dataset.Schema
 	Count(q query.CountQuery) (float64, error)
-	AnswerWorkload(qs []query.CountQuery, workers int) ([]float64, error)
+	AnswerWorkload(qs []query.CountQuery) ([]float64, error)
 }
 
 // runWorkload evaluates N random queries through an already-built answering
 // backend, optionally against ground truth, in a single batched pass.
-func runWorkload(b backend, n int, seed int64, truthPath string, workers int, fail func(error)) {
+func runWorkload(b backend, n int, seed int64, truthPath string, fail func(error)) {
 	schema := b.Schema()
 	rng := rand.New(rand.NewSource(seed))
 	qs, err := query.Workload(schema, query.WorkloadConfig{
@@ -290,7 +289,7 @@ func runWorkload(b backend, n int, seed int64, truthPath string, workers int, fa
 		}
 	}
 	start := time.Now()
-	ests, err := b.AnswerWorkload(qs, workers)
+	ests, err := b.AnswerWorkload(qs)
 	if err != nil {
 		fail(err)
 	}

@@ -68,7 +68,6 @@ type options struct {
 	addr                      string
 	maxInFlight, cacheEntries int
 	timeout                   time.Duration
-	workers                   int
 	dpBudgets                 string
 	dpSeed                    int64
 	drain                     time.Duration
@@ -99,7 +98,6 @@ var flagModes = map[string]int{
 	"max-inflight":  serverModes,
 	"timeout":       serverModes,
 	"cache":         serverModes,
-	"workers":       serverModes,
 }
 
 // parseFlags defines pgserve's flags on fs, parses args, and rejects every
@@ -121,7 +119,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.maxInFlight, "max-inflight", 0, "concurrent request admission limit (0 = 8*GOMAXPROCS); excess load is shed with 429 (without -coordinator)")
 	fs.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-request answer deadline (without -coordinator)")
 	fs.IntVar(&o.cacheEntries, "cache", 4096, "result cache capacity in entries (negative disables; without -coordinator)")
-	fs.IntVar(&o.workers, "workers", 0, "batch fan-out goroutines (0 = GOMAXPROCS); batch answers are identical for any value (without -coordinator)")
 	fs.StringVar(&o.dpBudgets, "dp-budgets", "", "per-API-key ε-budget file (one `key ε_total ε_per_query` per line): serve Laplace-noised answers in differential-privacy mode (docs/DP.md)")
 	fs.Int64Var(&o.dpSeed, "dp-seed", 0, "DP noise root seed (0 draws one from crypto/rand; pin only for tests and offline audits)")
 	fs.DurationVar(&o.drain, "drain", 30*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
@@ -287,7 +284,6 @@ func main() {
 		MaxInFlight:    o.maxInFlight,
 		RequestTimeout: o.timeout,
 		CacheEntries:   o.cacheEntries,
-		Workers:        o.workers,
 		Metrics:        reg,
 		CRC:            first.CRC,
 		Chain:          first.Chain,

@@ -19,7 +19,7 @@ func TestParseFlagsRejectsFlagsTheModeIgnores(t *testing.T) {
 		{"-snapshot r.pgsnap -addr 127.0.0.1:8931", ""},
 		{"-snapshot r.pgsnap -mmap -addr 127.0.0.1:8932", ""},
 		{"-snapshot r.pgsnap -dp-budgets b.txt -dp-seed 7 -debug-addr :6060", ""},
-		{"-in anon.csv -p 0.3 -meta m.json -cache 10 -workers 2 -timeout 1s -max-inflight 4", ""},
+		{"-in anon.csv -p 0.3 -meta m.json -cache 10 -timeout 1s -max-inflight 4", ""},
 		{coord + " -addr 127.0.0.1:8939", ""},
 		{coord + " -shard-timeout 2s -hedge -1ms -dp-budgets b.txt -drain 5s -metrics", ""},
 
@@ -27,7 +27,6 @@ func TestParseFlagsRejectsFlagsTheModeIgnores(t *testing.T) {
 		{coord + " -max-inflight 8", "max-inflight"},
 		{coord + " -timeout 1s", "timeout"},
 		{coord + " -cache 0", "cache"},
-		{coord + " -workers 2", "workers"},
 		{coord + " -mmap", "mmap"},
 		{coord + " -p 0.3", "p"},
 		{coord + " -meta m.json", "meta"},

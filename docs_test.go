@@ -90,7 +90,6 @@ func TestDocCatalogCoversMetrics(t *testing.T) {
 		"fleet.victims", "fleet.violations", "fleet.probe.fallbacks",
 		"fleet.cut.nodes",
 		"repub.publish", "repub.delta.inserts", "repub.delta.deletes",
-		"repub.phase2.reused", "repub.phase2.recomputed",
 		"repub.releases", "repub.rows",
 		"serve.reload.attempts", "serve.reload.swapped",
 		"serve.reload.rejected", "serve.reload.errors",

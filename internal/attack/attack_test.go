@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pgpub/internal/dataset"
@@ -410,13 +411,13 @@ func TestMonteCarloErrors(t *testing.T) {
 
 func TestMonteCarloParallel(t *testing.T) {
 	d := dataset.Hospital()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	res, err := MonteCarlo(d, dataset.HospitalVoterQI(), hospitalHiers(d.Schema), MonteCarloConfig{
 		PG:              pg.Config{K: 2, P: 0.3},
 		Trials:          120,
 		Lambda:          0.1,
 		CorruptFraction: 0.8,
 		Seed:            77,
-		Workers:         4,
 	})
 	if err != nil {
 		t.Fatalf("parallel MonteCarlo: %v", err)
@@ -427,17 +428,18 @@ func TestMonteCarloParallel(t *testing.T) {
 	if res.MaxH > res.MaxHBound+1e-9 {
 		t.Fatalf("MaxH %v above bound %v", res.MaxH, res.MaxHBound)
 	}
-	// More workers than trials clamps cleanly.
+	// More goroutines than trials clamps cleanly.
+	runtime.GOMAXPROCS(16)
 	if _, err := MonteCarlo(d, dataset.HospitalVoterQI(), hospitalHiers(d.Schema), MonteCarloConfig{
-		PG: pg.Config{K: 2, P: 0.3}, Trials: 3, Lambda: 0.1, Seed: 78, Workers: 16,
+		PG: pg.Config{K: 2, P: 0.3}, Trials: 3, Lambda: 0.1, Seed: 78,
 	}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestMonteCarloWorkerInvariant pins that the worker count only decides who
-// runs a trial: every trial draws from its own seed split and the fold runs
-// in trial order, so the result is the same at any Workers value.
+// TestMonteCarloWorkerInvariant pins that GOMAXPROCS only decides who runs
+// a trial: every trial draws from its own seed split and the fold runs in
+// trial order, so the result is the same at any value.
 func TestMonteCarloWorkerInvariant(t *testing.T) {
 	hosp := dataset.Hospital()
 	salD, err := sal.Generate(400, 3)
@@ -462,19 +464,19 @@ func TestMonteCarloWorkerInvariant(t *testing.T) {
 			PG: pg.Config{K: 6, P: 0.3}, Trials: 12, Lambda: 0.1, CorruptFraction: 1, Seed: 22,
 		}},
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range cases {
 		var want *MonteCarloResult
-		for _, workers := range []int{1, 3, 8} {
-			cfg := c.cfg
-			cfg.Workers = workers
-			got, err := MonteCarlo(c.d, c.voters, c.hiers, cfg)
+		for _, procs := range []int{1, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, err := MonteCarlo(c.d, c.voters, c.hiers, c.cfg)
 			if err != nil {
-				t.Fatalf("%s, %d workers: %v", c.name, workers, err)
+				t.Fatalf("%s, GOMAXPROCS=%d: %v", c.name, procs, err)
 			}
 			if want == nil {
 				want = got
 			} else if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: %d workers give %+v, 1 worker gives %+v", c.name, workers, got, want)
+				t.Fatalf("%s: GOMAXPROCS=%d gives %+v, GOMAXPROCS=1 gives %+v", c.name, procs, got, want)
 			}
 		}
 	}

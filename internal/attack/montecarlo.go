@@ -28,10 +28,9 @@ type MonteCarloConfig struct {
 	// trial; 1 reproduces the worst case |𝒞| = |ℰ|−1.
 	CorruptFraction float64
 	// Seed drives all randomness: trial i draws from par.SplitSeed(Seed, i).
+	// The trials run on GOMAXPROCS goroutines; the result is identical at
+	// every value.
 	Seed int64
-	// Workers bounds the goroutines running trials (0 = GOMAXPROCS). The
-	// result is identical for every value.
-	Workers int
 }
 
 // MonteCarloResult aggregates the trials.
@@ -90,7 +89,7 @@ func MonteCarlo(d *dataset.Table, voterQI [][]int32, hiers []*hierarchy.Hierarch
 	// Each trial owns its random stream and its result slot, so the
 	// schedule cannot change what a trial draws or the order of the fold.
 	results := make([]*Result, cfg.Trials)
-	err = par.ForEachErr(cfg.Workers, cfg.Trials, func(trial int) error {
+	err = par.ForEachErr(0, cfg.Trials, func(trial int) error {
 		rng := rand.New(rand.NewSource(par.SplitSeed(cfg.Seed, trial)))
 		pcfg := cfg.PG
 		pcfg.Seed = rng.Int63()

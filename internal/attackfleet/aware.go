@@ -102,9 +102,7 @@ func replayPhase2(ext *attack.External, hiers []*hierarchy.Hierarchy, algorithm 
 		}
 		return newGroupModel(ext.Len(), res.Cells, remap(res.Rows)), nil
 	case "full-domain":
-		res, err := generalize.SearchFullDomain(t, hiers, generalize.FullDomainConfig{
-			K: k, Workers: workers,
-		})
+		res, err := generalize.SearchFullDomain(t, hiers, generalize.FullDomainConfig{K: k})
 		if err != nil {
 			return nil, fmt.Errorf("attackfleet: replaying full-domain: %w", err)
 		}

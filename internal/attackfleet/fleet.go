@@ -77,17 +77,18 @@ type Config struct {
 	// Fractions lists the corruption fractions of the breach curve
 	// (default 0, 0.25, 0.5, 0.75, 1).
 	Fractions []float64
-	// Workers is the fleet's client-side parallelism. The report is
-	// byte-identical for every value.
-	Workers int
-	// Lambda bounds the adversary prior's skew (default 0.1); Rho1 is the
-	// prior-confidence threshold conditioning the Theorem-2 check (default
-	// Lambda, mirroring the Monte-Carlo harness).
-	Lambda float64
-	Rho1   float64
 	// Metrics optionally receives the fleet.* instrumentation.
 	Metrics *obs.Registry
 }
+
+// lambda bounds the adversary prior's skew, for the fleet and the
+// multi-release adversary alike; rho1 is the prior-confidence threshold
+// conditioning the Theorem-2 check, equal to lambda as in the Monte-Carlo
+// harness. Reports carry both.
+const (
+	lambda = 0.1
+	rho1   = lambda
+)
 
 // CurvePoint is one corruption fraction of a breach curve, aggregated over
 // the victim sample.
@@ -118,7 +119,7 @@ type ModeReport struct {
 }
 
 // Report is the `fleet` block emitted into BENCH_pg.json. It is
-// byte-identical across runs and worker counts for a fixed Config.
+// byte-identical across runs and GOMAXPROCS values for a fixed Config.
 type Report struct {
 	N          int          `json:"n"`
 	Rows       int          `json:"rows"`
@@ -200,7 +201,9 @@ type runner struct {
 // Run executes the fleet and aggregates the breach curves. A bound violation
 // is reported (Report.Violations > 0), not returned as an error — the caller
 // decides how loudly to fail; errors mean the attack itself could not run
-// (unreachable server, inconsistent answers, metadata conflicts).
+// (unreachable server, inconsistent answers, metadata conflicts). The
+// victims are attacked on GOMAXPROCS goroutines; the report is identical at
+// every value.
 func Run(cfg Config) (*Report, error) {
 	if cfg.N <= 0 {
 		cfg.N = 20000
@@ -216,16 +219,10 @@ func Run(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("attackfleet: corruption fraction %v outside [0,1]", f)
 		}
 	}
-	cfg.Workers = par.N(cfg.Workers)
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("attackfleet: shard count %d must be non-negative", cfg.Shards)
 	}
-	if cfg.Lambda <= 0 {
-		cfg.Lambda = 0.1
-	}
-	if cfg.Rho1 <= 0 {
-		cfg.Rho1 = cfg.Lambda
-	}
+	workers := par.N(0)
 	selfServe := cfg.BaseURL == ""
 	if selfServe {
 		if cfg.K <= 0 {
@@ -269,13 +266,11 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pub, err := pg.Publish(d, hiers, pg.Config{
-			K: cfg.K, P: cfg.P, Algorithm: alg, Seed: cfg.Seed, Workers: cfg.Workers,
-		})
+		pub, err := pg.Publish(d, hiers, pg.Config{K: cfg.K, P: cfg.P, Algorithm: alg, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
-		hs, err := servePub(pub, cfg)
+		hs, err := servePub(pub, cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +278,7 @@ func Run(cfg Config) (*Report, error) {
 		base = "http://" + hs.Addr
 	}
 
-	cl := newClient(base, cfg.Workers, cfg.Metrics)
+	cl := newClient(base, workers, cfg.Metrics)
 	md, err := cl.metadata()
 	if err != nil {
 		return nil, err
@@ -326,13 +321,13 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{
 		N: cfg.N, Rows: md.Rows, Groups: md.Groups, K: cfg.K, P: cfg.P,
 		Algorithm: cfg.Algorithm, Seed: cfg.Seed, Shards: cfg.Shards,
-		Lambda: cfg.Lambda, Rho1: cfg.Rho1,
+		Lambda: lambda, Rho1: rho1,
 	}
-	rep.HBound = privacy.HTop(cfg.P, cfg.Lambda, cfg.K, domain)
-	if rep.Rho2Bound, err = privacy.MinRho2(cfg.P, cfg.Lambda, cfg.Rho1, cfg.K, domain); err != nil {
+	rep.HBound = privacy.HTop(cfg.P, lambda, cfg.K, domain)
+	if rep.Rho2Bound, err = privacy.MinRho2(cfg.P, lambda, rho1, cfg.K, domain); err != nil {
 		return nil, err
 	}
-	if rep.DeltaBound, err = privacy.MinDelta(cfg.P, cfg.Lambda, cfg.K, domain); err != nil {
+	if rep.DeltaBound, err = privacy.MinDelta(cfg.P, lambda, cfg.K, domain); err != nil {
 		return nil, err
 	}
 
@@ -384,7 +379,7 @@ func Run(cfg Config) (*Report, error) {
 			}
 			r.model = modelFromRecoding(ext, rec, r.owners)
 		} else {
-			if r.model, err = replayPhase2(ext, hiers, cfg.Algorithm, cfg.K, cfg.Workers, r.owners); err != nil {
+			if r.model, err = replayPhase2(ext, hiers, cfg.Algorithm, cfg.K, workers, r.owners); err != nil {
 				return nil, err
 			}
 		}
@@ -416,7 +411,7 @@ func Run(cfg Config) (*Report, error) {
 	// The fan-out: one independent adversary per victim, results written to
 	// a dedicated slot so aggregation order never depends on scheduling.
 	details := make([]victimDetail, cfg.Victims)
-	err = par.ForEachErr(cfg.Workers, cfg.Victims, func(i int) error {
+	err = par.ForEachErr(workers, cfg.Victims, func(i int) error {
 		r := runners[0]
 		if cfg.Shards > 0 {
 			r = runners[pg.ShardOf(victims[i], cfg.Shards)]
@@ -443,25 +438,16 @@ func Run(cfg Config) (*Report, error) {
 // servePub builds the serving stack for one in-process publication and
 // exposes it on a loopback port — one shard of a sharded self-serve, or the
 // whole release of an unsharded one.
-func servePub(pub *pg.Published, cfg Config) (*serve.HTTPServer, error) {
+func servePub(pub *pg.Published, reg *obs.Registry) (*serve.HTTPServer, error) {
 	ix, err := query.NewIndex(pub)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := pub.Metadata(cfg.Lambda, cfg.Rho1)
+	meta, err := pub.Metadata(lambda, rho1)
 	if err != nil {
 		return nil, err
 	}
-	inFlight := 2 * cfg.Workers
-	if inFlight < 8 {
-		inFlight = 8
-	}
-	srv, err := serve.New(serve.Config{
-		Index: ix, Meta: meta,
-		MaxInFlight: inFlight,
-		Workers:     cfg.Workers,
-		Metrics:     cfg.Metrics,
-	})
+	srv, err := serve.New(serve.Config{Index: ix, Meta: meta, Metrics: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -484,9 +470,7 @@ func selfServeSharded(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config
 	if err != nil {
 		return "", cleanup, err
 	}
-	pubs, err := pg.PublishSharded(d, hiers, pg.Config{
-		K: cfg.K, P: cfg.P, Algorithm: alg, Seed: cfg.Seed, Workers: cfg.Workers,
-	}, cfg.Shards)
+	pubs, err := pg.PublishSharded(d, hiers, pg.Config{K: cfg.K, P: cfg.P, Algorithm: alg, Seed: cfg.Seed}, cfg.Shards)
 	if err != nil {
 		return "", cleanup, err
 	}
@@ -495,7 +479,7 @@ func selfServeSharded(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config
 	}
 	urls := make([]string, len(pubs))
 	for s, pub := range pubs {
-		hs, err := servePub(pub, cfg)
+		hs, err := servePub(pub, cfg.Metrics)
 		if err != nil {
 			return "", cleanup, err
 		}
@@ -578,7 +562,7 @@ func (r *runner) attackVictim(victim, slot int, fleetRoot int64, cfg Config) (vi
 	det.fracs = make([]fracOutcome, len(cfg.Fractions))
 	for fi, frac := range cfg.Fractions {
 		rng := rand.New(rand.NewSource(par.SplitSeed(vRoot, fi)))
-		adv, q, err := planFor(candAware, frac, cfg.Lambda, r.domain, truth, y, rng)
+		adv, q, err := planFor(candAware, frac, lambda, r.domain, truth, y, rng)
 		if err != nil {
 			return det, err
 		}

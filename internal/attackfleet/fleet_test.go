@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pgpub/internal/attack"
@@ -50,32 +51,33 @@ func serveSnapshot(t *testing.T, n int, seed int64, k int, p float64, algorithm 
 	return "http://" + hs.Addr, func() { hs.Close() }
 }
 
-// runFleet runs a small self-served fleet and returns the report.
-func runFleet(t *testing.T, algorithm string, workers int) *Report {
+// runFleet runs a small self-served fleet at GOMAXPROCS procs and returns
+// the report.
+func runFleet(t *testing.T, algorithm string, procs int) *Report {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	rep, err := Run(Config{
 		N: 1500, Seed: 7, K: 5, P: 0.3, Algorithm: algorithm,
 		Victims: 8, Fractions: []float64{0, 0.5, 1},
-		Workers: workers,
 	})
 	if err != nil {
-		t.Fatalf("fleet %s/%d workers: %v", algorithm, workers, err)
+		t.Fatalf("fleet %s at GOMAXPROCS=%d: %v", algorithm, procs, err)
 	}
 	return rep
 }
 
 // TestFleetEquivalence is the end-to-end equivalence check: the fleet's
 // over-HTTP breach estimates must be byte-identical to the in-process
-// internal/attack estimates on the same snapshot, at 1, 4 and 16 workers,
-// and the report JSON must not depend on the worker count.
+// internal/attack estimates on the same snapshot, at GOMAXPROCS 1, 4 and
+// 16, and the report JSON must not depend on GOMAXPROCS.
 func TestFleetEquivalence(t *testing.T) {
 	for _, algorithm := range []string{"kd", "tds", "full-domain"} {
 		t.Run(algorithm, func(t *testing.T) {
 			var baseline []byte
-			for _, workers := range []int{1, 4, 16} {
-				rep := runFleet(t, algorithm, workers)
+			for _, procs := range []int{1, 4, 16} {
+				rep := runFleet(t, algorithm, procs)
 				if rep.Violations != 0 {
-					t.Fatalf("%d bound violations at %d workers", rep.Violations, workers)
+					t.Fatalf("%d bound violations at GOMAXPROCS=%d", rep.Violations, procs)
 				}
 				js, err := json.Marshal(rep)
 				if err != nil {
@@ -85,7 +87,7 @@ func TestFleetEquivalence(t *testing.T) {
 					baseline = js
 					checkAgainstInProcess(t, rep)
 				} else if !bytes.Equal(baseline, js) {
-					t.Fatalf("report at %d workers differs from 1 worker:\n%s\nvs\n%s", workers, js, baseline)
+					t.Fatalf("report at GOMAXPROCS=%d differs from GOMAXPROCS=1:\n%s\nvs\n%s", procs, js, baseline)
 				}
 			}
 		})
@@ -192,7 +194,7 @@ func TestFleetMetadataConflict(t *testing.T) {
 	// Adopted metadata must work and agree with the self-served run.
 	rep, err := Run(Config{
 		BaseURL: base, N: 1500, Seed: 7, Victims: 8,
-		Fractions: []float64{0, 0.5, 1}, Workers: 4,
+		Fractions: []float64{0, 0.5, 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 // repub.MultiReleaseAttack, and checks the composed breach growth of every
 // T-release prefix against repub.ComposedGrowthBound — the accounting the
 // release-chain blocks (snapshot.ChainMetadata) announce. The run is
-// byte-identical across worker counts: every random choice descends from
+// byte-identical at every GOMAXPROCS: every random choice descends from
 // per-victim seed splits, and results land in pre-allocated slots.
 
 // multirelSeedStream offsets the multi-release experiment's seed split away
@@ -55,11 +55,6 @@ type MultiReleaseConfig struct {
 	// Fractions lists the corruption fractions attacked at every prefix
 	// length (default 0, 0.5, 1).
 	Fractions []float64
-	// Lambda bounds the adversary prior's skew (default 0.1).
-	Lambda float64
-	// Workers is the fan-out parallelism; the report is byte-identical for
-	// every value.
-	Workers int
 	// Metrics optionally receives the fleet.* instrumentation.
 	Metrics *obs.Registry
 }
@@ -88,7 +83,7 @@ type ReleasePoint struct {
 
 // MultiReleaseReport is the `repub` block emitted into BENCH_pg.json: the
 // breach-vs-release-count curve. Everything in it is byte-identical across
-// runs and worker counts for a fixed config.
+// runs and GOMAXPROCS values for a fixed config.
 type MultiReleaseReport struct {
 	N         int     `json:"n"`
 	Releases  int     `json:"releases"`
@@ -169,10 +164,6 @@ func MultiRelease(cfg MultiReleaseConfig) (*MultiReleaseReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Lambda <= 0 {
-		cfg.Lambda = 0.1
-	}
-	cfg.Workers = par.N(cfg.Workers)
 
 	// The chain: release 0 is the base publish; each later release applies
 	// a churn delta drawn from its own seed stream, then republishes under
@@ -184,7 +175,7 @@ func MultiRelease(cfg MultiReleaseConfig) (*MultiReleaseReport, error) {
 	hiers := sal.Hierarchies(d.Schema)
 	root := par.SplitSeed(cfg.Seed, multirelSeedStream)
 	ch := pg.NewChain(d, hiers)
-	pcfg := pg.Config{K: cfg.K, P: cfg.P, Algorithm: alg, Seed: cfg.Seed, Workers: cfg.Workers, Metrics: cfg.Metrics}
+	pcfg := pg.Config{K: cfg.K, P: cfg.P, Algorithm: alg, Seed: cfg.Seed, Metrics: cfg.Metrics}
 	releases := make([]*pg.Published, cfg.Releases)
 	tables := make([]*dataset.Table, cfg.Releases)
 	for t := 0; t < cfg.Releases; t++ {
@@ -213,9 +204,9 @@ func MultiRelease(cfg MultiReleaseConfig) (*MultiReleaseReport, error) {
 	rep := &MultiReleaseReport{
 		N: cfg.N, Releases: cfg.Releases, Churn: cfg.Churn,
 		K: cfg.K, P: cfg.P, Algorithm: cfg.Algorithm, Seed: cfg.Seed,
-		Lambda: cfg.Lambda, Fractions: cfg.Fractions,
-		HBound:         privacy.HTop(cfg.P, cfg.Lambda, cfg.K, domain),
-		OddsRatioBound: repub.OddsRatioBound(cfg.P, cfg.Lambda, cfg.K, domain),
+		Lambda: lambda, Fractions: cfg.Fractions,
+		HBound:         privacy.HTop(cfg.P, lambda, cfg.K, domain),
+		OddsRatioBound: repub.OddsRatioBound(cfg.P, lambda, cfg.K, domain),
 	}
 	for _, pub := range releases {
 		rep.Rows = append(rep.Rows, pub.Len())
@@ -260,7 +251,7 @@ func MultiRelease(cfg MultiReleaseConfig) (*MultiReleaseReport, error) {
 	// results written to dedicated slots so aggregation order never depends
 	// on scheduling.
 	outcomes := make([][]multirelOutcome, cfg.Victims)
-	err = par.ForEachErr(cfg.Workers, cfg.Victims, func(i int) error {
+	err = par.ForEachErr(0, cfg.Victims, func(i int) error {
 		out, err := attackChainVictim(exts, releases, victims[i], i, root, cfg, domain)
 		if err != nil {
 			return fmt.Errorf("victim %d: %w", victims[i], err)
@@ -278,7 +269,7 @@ func MultiRelease(cfg MultiReleaseConfig) (*MultiReleaseReport, error) {
 	const tol = 1e-9
 	for T := 1; T <= cfg.Releases; T++ {
 		pt := ReleasePoint{Releases: T}
-		if pt.Bound, err = repub.ComposedGrowthBound(T, cfg.P, cfg.Lambda, cfg.K, domain); err != nil {
+		if pt.Bound, err = repub.ComposedGrowthBound(T, cfg.P, lambda, cfg.K, domain); err != nil {
 			return nil, err
 		}
 		var sum float64
@@ -398,7 +389,7 @@ func attackChainVictim(exts []*attack.External, releases []*pg.Published, victim
 		rng := rand.New(rand.NewSource(par.SplitSeed(vRoot, fi)))
 		// planFor with y = truth: the adversary targets a predicate
 		// containing the true value, the worst case for composed growth.
-		adv, q, err := planFor(union, frac, cfg.Lambda, domain, truth, truth, rng)
+		adv, q, err := planFor(union, frac, lambda, domain, truth, truth, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package attackfleet
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
@@ -52,18 +53,18 @@ func TestMultiReleaseBounds(t *testing.T) {
 }
 
 // TestMultiReleaseDeterministicAcrossWorkers pins the byte-identity
-// contract: the report is identical at any worker count.
+// contract: the report is identical at any GOMAXPROCS.
 func TestMultiReleaseDeterministicAcrossWorkers(t *testing.T) {
 	cfg := MultiReleaseConfig{
 		N: 1200, Seed: 5, Releases: 2, Churn: 25, Victims: 6,
 		Fractions: []float64{0.5},
 	}
-	cfg.Workers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a, err := MultiRelease(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 7
+	runtime.GOMAXPROCS(7)
 	b, err := MultiRelease(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +78,6 @@ func TestMultiReleaseDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(aj) != string(bj) {
-		t.Fatalf("reports differ across worker counts:\n1: %s\n7: %s", aj, bj)
+		t.Fatalf("reports differ across GOMAXPROCS values:\n1: %s\n7: %s", aj, bj)
 	}
 }

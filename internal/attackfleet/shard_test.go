@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -16,12 +17,14 @@ import (
 	"pgpub/internal/snapshot"
 )
 
-// runShardedFleet runs a small self-served sharded fleet.
-func runShardedFleet(t *testing.T, algorithm string, shards, workers int) *Report {
+// runShardedFleet runs a small self-served sharded fleet at GOMAXPROCS
+// procs.
+func runShardedFleet(t *testing.T, algorithm string, shards, procs int) *Report {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	rep, err := Run(Config{
 		N: 1200, Seed: 7, K: 5, P: 0.3, Algorithm: algorithm, Shards: shards,
-		Victims: 6, Fractions: []float64{0, 0.5, 1}, Workers: workers,
+		Victims: 6, Fractions: []float64{0, 0.5, 1},
 	})
 	if err != nil {
 		t.Fatalf("sharded fleet %s/S=%d: %v", algorithm, shards, err)
@@ -32,23 +35,23 @@ func runShardedFleet(t *testing.T, algorithm string, shards, workers int) *Repor
 // TestFleetSharded attacks a sharded release through its coordinator for
 // every Phase-2 algorithm: per-shard reconstruction must stay inside the
 // Theorem 1–3 bounds (zero violations), the blind probe must agree with the
-// aware replay, and the report must not depend on the worker count.
+// aware replay, and the report must not depend on GOMAXPROCS.
 func TestFleetSharded(t *testing.T) {
 	for _, algorithm := range []string{"kd", "tds", "full-domain"} {
 		t.Run(algorithm, func(t *testing.T) {
 			var baseline []byte
-			for _, workers := range []int{1, 5} {
-				rep := runShardedFleet(t, algorithm, 2, workers)
+			for _, procs := range []int{1, 5} {
+				rep := runShardedFleet(t, algorithm, 2, procs)
 				if rep.Violations != 0 {
-					t.Fatalf("%d bound violations at %d workers", rep.Violations, workers)
+					t.Fatalf("%d bound violations at GOMAXPROCS=%d", rep.Violations, procs)
 				}
 				if rep.Shards != 2 {
 					t.Fatalf("report says %d shards", rep.Shards)
 				}
 				for _, m := range rep.Modes {
 					if m.Mode == "probe" && m.AgreeWithAware != rep.Victims {
-						t.Fatalf("probe agrees on %d/%d victims at %d workers",
-							m.AgreeWithAware, rep.Victims, workers)
+						t.Fatalf("probe agrees on %d/%d victims at GOMAXPROCS=%d",
+							m.AgreeWithAware, rep.Victims, procs)
 					}
 				}
 				js, err := json.Marshal(rep)
@@ -58,7 +61,7 @@ func TestFleetSharded(t *testing.T) {
 				if baseline == nil {
 					baseline = js
 				} else if !bytes.Equal(baseline, js) {
-					t.Fatalf("report at %d workers differs from 1 worker:\n%s\nvs\n%s", workers, js, baseline)
+					t.Fatalf("report at GOMAXPROCS=%d differs from GOMAXPROCS=1:\n%s\nvs\n%s", procs, js, baseline)
 				}
 			}
 		})
@@ -134,7 +137,7 @@ func TestFleetAdoptsShardCount(t *testing.T) {
 	base := serveShardedRelease(t, 1200, 2, 7, 5, 0.3)
 	cfg := Config{
 		BaseURL: base, N: 1200, Seed: 7,
-		Victims: 6, Fractions: []float64{0, 0.5, 1}, Workers: 4,
+		Victims: 6, Fractions: []float64{0, 0.5, 1},
 	}
 	adopted, err := Run(cfg)
 	if err != nil {
@@ -168,7 +171,7 @@ func TestFleetShardConfigValidation(t *testing.T) {
 	defer shutdown()
 	_, err := Run(Config{
 		BaseURL: base, N: 1200, Seed: 7, Shards: 2,
-		Victims: 2, Fractions: []float64{0}, Workers: 2,
+		Victims: 2, Fractions: []float64{0},
 	})
 	if err == nil || !strings.Contains(err.Error(), "shard") {
 		t.Fatalf("sharded config against an unsharded release: %v", err)

@@ -43,9 +43,6 @@ type BreachConfig struct {
 	// Seed drives all randomness; scenario i runs under
 	// par.SplitSeed(Seed, i).
 	Seed int64
-	// Workers bounds the goroutines running each scenario's trials (0 =
-	// GOMAXPROCS). The result is identical for every value.
-	Workers int
 }
 
 // BreachScenario is one validated setting.
@@ -76,7 +73,6 @@ func BreachValidation(cfg BreachConfig) ([]BreachScenario, error) {
 			Lambda:          Lambda,
 			CorruptFraction: corrupt,
 			Seed:            par.SplitSeed(cfg.Seed, i),
-			Workers:         cfg.Workers,
 		})
 		if err != nil {
 			return nil, err
@@ -100,7 +96,6 @@ func BreachValidation(cfg BreachConfig) ([]BreachScenario, error) {
 		Lambda:          Lambda,
 		CorruptFraction: 1,
 		Seed:            seed,
-		Workers:         cfg.Workers,
 	})
 	if err != nil {
 		return nil, err

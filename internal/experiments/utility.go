@@ -25,14 +25,6 @@ type UtilityConfig struct {
 	// Reps averages each point over this many publication/train runs
 	// (default 1, the paper's single-run style).
 	Reps int
-	// Algorithm is the Phase-2 algorithm (the zero value is pg.KD, the
-	// harness default; see DESIGN.md §3).
-	Algorithm pg.Algorithm
-	// Workers bounds the sweep's parallelism: the x-positions of a figure
-	// are measured concurrently, each from its own seed split off Seed, so
-	// results do not depend on the worker count. 0 means GOMAXPROCS; 1 runs
-	// the sweep sequentially. Publish inherits the same knob per point.
-	Workers int
 }
 
 func (c *UtilityConfig) setDefaults() error {
@@ -80,9 +72,9 @@ func Figure3(cfg UtilityConfig) ([]UtilityPoint, error) {
 }
 
 // utilitySweep runs the PG/optimistic/pessimistic comparison over either a
-// k-sweep (fixed p) or a p-sweep (fixed k). The x-positions are measured in
-// parallel, each from a private RNG split off cfg.Seed, so the figure is
-// reproducible for a fixed seed at any worker count.
+// k-sweep (fixed p) or a p-sweep (fixed k). The x-positions are measured on
+// GOMAXPROCS goroutines, each from a private RNG split off cfg.Seed, so the
+// figure is reproducible for a fixed seed at any GOMAXPROCS.
 func utilitySweep(cfg UtilityConfig, ks []int, ps []float64, fixedP float64, fixedK int) ([]UtilityPoint, error) {
 	d, err := sal.Generate(cfg.N, cfg.Seed)
 	if err != nil {
@@ -97,7 +89,7 @@ func utilitySweep(cfg UtilityConfig, ks []int, ps []float64, fixedP float64, fix
 		points = len(ps)
 	}
 	out := make([]UtilityPoint, points)
-	err = par.ForEachErr(cfg.Workers, points, func(i int) error {
+	err = par.ForEachErr(0, points, func(i int) error {
 		rng := rand.New(rand.NewSource(par.SplitSeed(cfg.Seed+1, i)))
 		k, p := fixedK, fixedP
 		if ks != nil {
@@ -128,9 +120,10 @@ func utilityPoint(d *dataset.Table, classOf func(int32) int, cfg UtilityConfig, 
 	numClasses := cfg.M
 	var pt UtilityPoint
 	for rep := 0; rep < cfg.Reps; rep++ {
-		// PG: publish and mine with reconstruction weighting.
+		// PG: publish with kd, the harness's Phase-2 algorithm (DESIGN.md
+		// §3), and mine with reconstruction weighting.
 		pub, err := pg.Publish(d, sal.Hierarchies(d.Schema), pg.Config{
-			K: k, P: p, Algorithm: cfg.Algorithm, Seed: rng.Int63(), Workers: cfg.Workers, Metrics: metrics,
+			K: k, P: p, Algorithm: pg.KD, Seed: rng.Int63(), Metrics: metrics,
 		})
 		if err != nil {
 			return pt, err

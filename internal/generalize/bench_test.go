@@ -2,6 +2,7 @@ package generalize
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pgpub/internal/dataset"
@@ -163,8 +164,8 @@ func BenchmarkLatticeMinSize(b *testing.B) {
 // BenchmarkSearchFullDomainGreedy measures the full-domain search as PG's
 // Phase 2 runs it: k-anonymity with k=6 on 20k SAL rows, whose 8-attribute
 // lattice is far past maxExhaustive, so the greedy level-raising walk runs.
-// workers=1 scores every raise on one goroutine; workers=max spreads each
-// round's raises over GOMAXPROCS raisers, as Publish does by default.
+// procs=1 scores every raise on one goroutine; procs=max spreads each
+// round's raises over the machine's GOMAXPROCS raisers, as Publish does.
 func BenchmarkSearchFullDomainGreedy(b *testing.B) {
 	tbl, err := sal.Generate(20_000, 1)
 	if err != nil {
@@ -172,11 +173,12 @@ func BenchmarkSearchFullDomainGreedy(b *testing.B) {
 	}
 	hiers := sal.Hierarchies(tbl.Schema)
 	for _, w := range []struct {
-		name    string
-		workers int
-	}{{"workers=1", 1}, {"workers=max", 0}} {
+		name  string
+		procs int
+	}{{"procs=1", 1}, {"procs=max", runtime.GOMAXPROCS(0)}} {
 		b.Run(w.name, func(b *testing.B) {
-			cfg := FullDomainConfig{K: 6, Workers: w.workers}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w.procs))
+			cfg := FullDomainConfig{K: 6}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := SearchFullDomain(tbl, hiers, cfg)

@@ -25,10 +25,6 @@ const maxExhaustive = 4096
 type FullDomainConfig struct {
 	// K is the minimum QI-group size (Property G2); must be >= 1.
 	K int
-	// Workers bounds the goroutines of the single sharded table scan at the
-	// lattice bottom. 0 means GOMAXPROCS; the result is identical for every
-	// value.
-	Workers int
 
 	// Metrics optionally receives search diagnostics: lattice nodes scored
 	// (generalize.lattice.nodes_evaluated) and rows scanned by the one base
@@ -53,6 +49,8 @@ type FullDomainResult struct {
 // recoding); every level vector the search visits is scored by rolling that
 // base grouping's (key, size) pairs up through the hierarchies (see
 // LatticeEvaluator). Rows are materialized only for the returned vector.
+// The base scan is sharded, and each greedy round's raises scored, over
+// GOMAXPROCS goroutines; the result is identical at every value.
 func SearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg FullDomainConfig) (*FullDomainResult, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("generalize: full-domain search on an empty table")
@@ -72,7 +70,8 @@ func SearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg FullDo
 		}
 	}
 
-	eval, err := NewLatticeEvaluator(t, hiers, cfg.Workers)
+	workers := par.N(0)
+	eval, err := NewLatticeEvaluator(t, hiers, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +95,7 @@ func SearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg FullDo
 	if latticeSize <= maxExhaustive {
 		return s.exhaustive()
 	}
-	s.startRaisers(par.N(cfg.Workers))
+	s.startRaisers(workers)
 	defer s.stopRaisers()
 	return s.greedy()
 }

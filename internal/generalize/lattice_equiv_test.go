@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func refSearchFullDomain(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Ful
 			latticeSize *= h.Height() + 1
 		}
 	}
-	eval, err := NewLatticeEvaluator(t, hiers, cfg.Workers)
+	eval, err := NewLatticeEvaluator(t, hiers, 1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -182,6 +183,7 @@ func highBitEngineTable(n int, rng *rand.Rand) (*dataset.Table, []*hierarchy.Hie
 // check that the exhaustive search is loss-optimal among k-anonymous level
 // vectors.
 func TestSearchFullDomainMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, shape := range []struct {
@@ -191,7 +193,8 @@ func TestSearchFullDomainMatchesReference(t *testing.T) {
 			exhaustive := shape.exhaustive
 			tbl, hiers := shape.table(30+rng.Intn(300), rng)
 			for i := 0; i < 3; i++ {
-				cfg := FullDomainConfig{K: 1 + rng.Intn(12), Workers: 1 + rng.Intn(4)}
+				cfg := FullDomainConfig{K: 1 + rng.Intn(12)}
+				runtime.GOMAXPROCS(1 + rng.Intn(4))
 				want, wantEvaluated, wantErr := refSearchFullDomain(tbl, hiers, cfg)
 				met := obs.NewRegistry()
 				cfg.Metrics = met

@@ -22,11 +22,6 @@ type TDSConfig struct {
 	// K is the minimum QI-group size (Property G2); must be >= 1.
 	K int
 
-	// Workers bounds the goroutines that take the groups' split counts, one
-	// attribute each. 0 means GOMAXPROCS; the result is identical for every
-	// value.
-	Workers int
-
 	// Metrics optionally receives search diagnostics: rounds run, groups
 	// split, final group count, and rows scanned by the initial count
 	// (generalize.tds.* and generalize.groupby.rows_scanned). nil disables.
@@ -50,7 +45,9 @@ type TDSResult struct {
 // fully suppressed recoding, and each specialization round splits only the
 // groups whose key contains the refined cut node — O(affected rows) instead
 // of a full-table re-scan — while candidate scores are maintained from the
-// per-group child statistics the engine keeps between rounds.
+// per-group child statistics the engine keeps between rounds. The groups'
+// split counts are taken on up to GOMAXPROCS goroutines, one attribute
+// each; the result is identical at every value.
 func TDS(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg TDSConfig) (*TDSResult, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("generalize: TDS on an empty table")
@@ -73,7 +70,7 @@ func TDS(t *dataset.Table, hiers []*hierarchy.Hierarchy, cfg TDSConfig) (*TDSRes
 	if err != nil {
 		return nil, err
 	}
-	eng := newTDSEngine(t, hiers, class, numClasses, cfg.K, cfg.Workers)
+	eng := newTDSEngine(t, hiers, class, numClasses, cfg.K, par.N(0))
 
 	// A cut can be refined at most once per internal node.
 	maxRounds := 0

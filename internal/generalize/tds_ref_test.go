@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -238,10 +239,11 @@ func randomHierarchy(n int, rng *rand.Rand) *hierarchy.Hierarchy {
 
 // TestTDSMatchesReference pins TDS to the full-rescan reference: equal
 // groups, keys and round counts on random tables over random hierarchies,
-// with sensitive domains of one to four values, at one to three workers, on
+// with sensitive domains of one to four values, at GOMAXPROCS one to three, on
 // some tables large enough that the split counts are taken concurrently.
 func TestTDSMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for trial := 0; trial < 150; trial++ {
 		d := 1 + rng.Intn(4)
 		attrs := make([]*dataset.Attribute, d)
@@ -272,7 +274,8 @@ func TestTDSMatchesReference(t *testing.T) {
 			tbl.MustAppend(row)
 		}
 		k := 1 + rng.Intn(6)
-		cfg := TDSConfig{K: k, Workers: 1 + trial%3}
+		cfg := TDSConfig{K: k}
+		runtime.GOMAXPROCS(1 + trial%3)
 		class := make([]int, n)
 		for i := range class {
 			class[i] = int(tbl.Sensitive(i))

@@ -140,11 +140,20 @@ func (st *State) Publish(cur *dataset.Table, rng *rand.Rand) (*Release, error) {
 
 	// Newcomers: Anatomy-style bucketization into groups of m distinct
 	// values; their group's value set becomes their signature.
+	// Values are visited in ascending order, never in map order, so the
+	// shuffles draw from rng in a fixed sequence and one seed gives one
+	// release.
 	byValue := map[int32][]int{}
 	for _, i := range newcomers {
 		byValue[cur.Sensitive(i)] = append(byValue[cur.Sensitive(i)], i)
 	}
-	for _, rows := range byValue {
+	values := make([]int32, 0, len(byValue))
+	for v := range byValue {
+		values = append(values, v)
+	}
+	sort.Slice(values, func(a, b int) bool { return values[a] < values[b] })
+	for _, v := range values {
+		rows := byValue[v]
 		rng.Shuffle(len(rows), func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
 	}
 	newcomerStart := len(rel.Groups)
@@ -154,8 +163,8 @@ func (st *State) Publish(cur *dataset.Table, rng *rand.Rand) (*Release, error) {
 			rows []int
 		}
 		var nonEmpty []bucket
-		for v, rows := range byValue {
-			if len(rows) > 0 {
+		for _, v := range values {
+			if rows := byValue[v]; len(rows) > 0 {
 				nonEmpty = append(nonEmpty, bucket{v, rows})
 			}
 		}

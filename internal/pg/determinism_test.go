@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden fixtures")
 
 // TestPublishDeterministicAcrossWorkers is the determinism contract of the
 // parallel pipeline: for a fixed Seed, the published CSV bytes must be
-// identical whether the pipeline runs sequentially or on many workers, for
+// identical whether the pipeline runs on one thread or on many, for
 // every Phase-2 algorithm. Phase-1 perturbation feeds the TDS score and the
 // sampled representatives, so any schedule leakage into an RNG stream shows
 // up here immediately.
@@ -28,23 +29,25 @@ func TestPublishDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	hiers := sal.Hierarchies(d.Schema)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, alg := range []Algorithm{KD, TDS, FullDomain} {
 		var base []byte
-		for _, workers := range []int{1, 2, 8} {
-			pub, err := Publish(d, hiers, Config{K: 6, P: 0.3, Seed: 99, Algorithm: alg, Workers: workers})
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			pub, err := Publish(d, hiers, Config{K: 6, P: 0.3, Seed: 99, Algorithm: alg})
 			if err != nil {
-				t.Fatalf("%v workers=%d: %v", alg, workers, err)
+				t.Fatalf("%v GOMAXPROCS=%d: %v", alg, procs, err)
 			}
 			var buf bytes.Buffer
 			if err := pub.WriteCSV(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if workers == 1 {
+			if procs == 1 {
 				base = buf.Bytes()
 				continue
 			}
 			if !bytes.Equal(base, buf.Bytes()) {
-				t.Fatalf("%v: workers=%d output differs from sequential run", alg, workers)
+				t.Fatalf("%v: GOMAXPROCS=%d output differs from the GOMAXPROCS=1 run", alg, procs)
 			}
 		}
 	}
@@ -60,7 +63,7 @@ func TestPublishDeterministicAcrossWorkers(t *testing.T) {
 func TestPublishDeterministicGolden(t *testing.T) {
 	d := dataset.Hospital()
 	hiers := hospitalHiers(d.Schema)
-	pub, err := Publish(d, hiers, Config{K: 2, P: 0.25, Seed: 2008, Workers: 8})
+	pub, err := Publish(d, hiers, Config{K: 2, P: 0.25, Seed: 2008})
 	if err != nil {
 		t.Fatal(err)
 	}

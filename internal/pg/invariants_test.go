@@ -3,6 +3,7 @@ package pg
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pgpub/internal/dataset"
@@ -58,11 +59,12 @@ func randomScenario(t *testing.T, rng *rand.Rand, minRows int) (*dataset.Table, 
 // the publication must validate (including the G3 disjointness check), every
 // group must meet the K floor, the G values must partition |D|, and |D*|
 // must respect the Cardinality bound |D*| <= |D|·s with s = 1/k. Each case
-// runs with Workers 1 and 8 and the two runs must agree row for row, so the
+// runs at GOMAXPROCS 1 and 8 and the two runs must agree row for row, so the
 // parallel pipeline is exercised against the sequential one on every shape
 // the generator produces.
 func TestPublishInvariantsRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20080402))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cases := 60
 	if testing.Short() {
 		cases = 15
@@ -80,28 +82,28 @@ func TestPublishInvariantsRandomized(t *testing.T) {
 		name := fmt.Sprintf("case %d (%v k=%d p=%.2f n=%d d=%d)", c, alg, k, cfg.P, d.Len(), d.Schema.D())
 
 		var pubs [2]*Published
-		for i, workers := range []int{1, 8} {
-			cfg.Workers = workers
+		for i, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
 			pub, err := Publish(d, hiers, cfg)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s GOMAXPROCS=%d: %v", name, procs, err)
 			}
 			if err := pub.Validate(); err != nil {
-				t.Fatalf("%s workers=%d: Validate: %v", name, workers, err)
+				t.Fatalf("%s GOMAXPROCS=%d: Validate: %v", name, procs, err)
 			}
 			sum := 0
 			for _, g := range pub.Columns().G {
 				if g < int64(k) {
-					t.Fatalf("%s workers=%d: G = %d below floor %d", name, workers, g, k)
+					t.Fatalf("%s GOMAXPROCS=%d: G = %d below floor %d", name, procs, g, k)
 				}
 				sum += int(g)
 			}
 			if sum != d.Len() {
-				t.Fatalf("%s workers=%d: G values sum to %d, want |D| = %d", name, workers, sum, d.Len())
+				t.Fatalf("%s GOMAXPROCS=%d: G values sum to %d, want |D| = %d", name, procs, sum, d.Len())
 			}
 			// Cardinality: |D*| <= |D|·s with s = 1/k.
 			if pub.Len()*k > d.Len() {
-				t.Fatalf("%s workers=%d: |D*| = %d exceeds |D|/k = %d/%d", name, workers, pub.Len(), d.Len(), k)
+				t.Fatalf("%s GOMAXPROCS=%d: |D*| = %d exceeds |D|/k = %d/%d", name, procs, pub.Len(), d.Len(), k)
 			}
 			pubs[i] = pub
 		}

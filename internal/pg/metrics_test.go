@@ -2,6 +2,7 @@ package pg
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pgpub/internal/obs"
@@ -10,7 +11,7 @@ import (
 
 // publishWithRegistry runs one instrumented publication and returns the
 // counter snapshot.
-func publishWithRegistry(t *testing.T, alg Algorithm, workers int) map[string]int64 {
+func publishWithRegistry(t *testing.T, alg Algorithm) map[string]int64 {
 	t.Helper()
 	d, err := sal.Generate(3000, 7)
 	if err != nil {
@@ -18,7 +19,7 @@ func publishWithRegistry(t *testing.T, alg Algorithm, workers int) map[string]in
 	}
 	reg := obs.NewRegistry()
 	pub, err := Publish(d, sal.Hierarchies(d.Schema), Config{
-		K: 6, P: 0.3, Algorithm: alg, Seed: 11, Workers: workers, Metrics: reg,
+		K: 6, P: 0.3, Algorithm: alg, Seed: 11, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,18 +42,20 @@ func publishWithRegistry(t *testing.T, alg Algorithm, workers int) map[string]in
 }
 
 // Pipeline counters are part of the determinism contract: every counter value
-// is invariant under the worker count, exactly like the published bytes.
+// is invariant under GOMAXPROCS, exactly like the published bytes.
 func TestPublishMetricsWorkerInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, alg := range []Algorithm{KD, TDS, FullDomain} {
 		var ref map[string]int64
-		for _, workers := range []int{1, 4, 8} {
-			got := publishWithRegistry(t, alg, workers)
+		for _, procs := range []int{1, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := publishWithRegistry(t, alg)
 			if ref == nil {
 				ref = got
 				continue
 			}
 			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("%v: counters differ at workers=%d:\ngot  %v\nwant %v", alg, workers, got, ref)
+				t.Fatalf("%v: counters differ at GOMAXPROCS=%d:\ngot  %v\nwant %v", alg, procs, got, ref)
 			}
 		}
 	}

@@ -71,7 +71,11 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	}
 }
 
-// Config parameterizes a PG publication.
+// Config parameterizes a PG publication. It has no parallelism setting:
+// Publish sizes its sharded phases from runtime.GOMAXPROCS, and the
+// published table is byte-identical at every value for a fixed Seed — shard
+// RNG streams are derived from the root seed with par.SplitSeed, never from
+// the schedule.
 type Config struct {
 	// K is the QI-group size floor (Property G2), at least 1. A
 	// Cardinality target s in (0,1] (|D*| <= |D|·s) is met by
@@ -86,14 +90,6 @@ type Config struct {
 	// Seed is the root of every random stream of the pipeline. A caller
 	// publishing repeatedly from one *rand.Rand passes Seed: rng.Int63().
 	Seed int64
-	// Workers bounds the pipeline's parallelism: Phase 1 and Phase 3 are
-	// sharded across this many goroutines, KD recursion fans out to match,
-	// and the TDS/FullDomain per-group recoding application is spread the
-	// same way. 0 (the default) means runtime.GOMAXPROCS(0); 1 runs fully
-	// sequential. The published table is byte-identical across Workers
-	// values for a fixed Seed — shard RNG streams are derived from the
-	// root seed with par.SplitSeed, never from the schedule.
-	Workers int
 	// Metrics optionally receives the pipeline's runtime instrumentation:
 	// per-phase wall-clock histograms (pg.phase1/2/3, pg.publish), row and
 	// group counters, and the Phase-2 algorithms' internal diagnostics (see
@@ -135,41 +131,21 @@ type Published struct {
 	cols *RowColumns
 }
 
-// Publish runs Phases 1–3 on the microdata and returns D*.
+// Publish runs Phases 1–3 on the microdata and returns D*. Phase 1 and
+// Phase 3 are sharded across GOMAXPROCS goroutines, KD recursion fans out
+// to match, and the TDS/FullDomain per-group recoding application is spread
+// the same way.
 func Publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config) (*Published, error) {
-	pub, _, err := publish(d, hiers, cfg, nil)
-	return pub, err
-}
-
-// phase2Grouping is Phase 2's output: the recoding (nil for KD), one
-// generalized box per QI-group, and each group's member rows. For KD and
-// FullDomain it is a pure function of the QI columns, k and the algorithm —
-// Phase 1 never touches the QI attributes — which is what lets Republish
-// reuse a cached grouping across pure re-perturbation releases and still
-// emit bytes identical to a from-scratch publish. A TDS grouping is not: TDS
-// scores its cuts on the perturbed sensitive values, so it changes with the
-// Phase-1 seed.
-type phase2Grouping struct {
-	recoding  *generalize.Recoding
-	boxes     []generalize.Box
-	groupRows [][]int
-}
-
-// publish is the pipeline behind Publish and Republish. When cached is
-// non-nil, Phase 2 is skipped and the cached grouping adopted; the caller
-// guarantees it was computed by KD or FullDomain over a table with identical
-// QI columns under identical (k, algorithm) parameters.
-func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached *phase2Grouping) (*Published, *phase2Grouping, error) {
 	if d.Len() == 0 {
-		return nil, nil, fmt.Errorf("pg: empty microdata")
+		return nil, fmt.Errorf("pg: empty microdata")
 	}
 	if cfg.K < 1 {
-		return nil, nil, fmt.Errorf("pg: group size floor k = %d < 1", cfg.K)
+		return nil, fmt.Errorf("pg: group size floor k = %d < 1", cfg.K)
 	}
 	if cfg.P < 0 || cfg.P > 1 {
-		return nil, nil, fmt.Errorf("pg: retention probability %v outside [0,1]", cfg.P)
+		return nil, fmt.Errorf("pg: retention probability %v outside [0,1]", cfg.P)
 	}
-	workers := par.N(cfg.Workers)
+	workers := par.N(0)
 	met := cfg.Metrics
 	spTotal := met.Span("pg.publish")
 	met.Counter("pg.publish.calls").Inc()
@@ -184,35 +160,31 @@ func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached 
 	// Phase 1: perturbation, sharded across the workers.
 	pb, err := perturb.NewPerturber(cfg.P, d.Schema.SensitiveDomain())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pb.Retained = met.Counter("pg.phase1.retained")
 	pb.Redrawn = met.Counter("pg.phase1.redrawn")
 	sp1 := met.Span("pg.phase1")
 	dp, err := pb.TableSharded(d, phase1Root, workers)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sp1.End()
 
-	// Phase 2: generalization (global recoding, Properties G1–G3), unless a
-	// still-valid grouping was handed down.
-	grp := cached
-	if grp == nil {
-		sp2 := met.Span("pg.phase2")
-		grp, err = runPhase2(dp, hiers, cfg, workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		sp2.End()
-		met.Counter("pg.phase2.groups").Add(int64(len(grp.groupRows)))
+	// Phase 2: generalization (global recoding, Properties G1–G3).
+	sp2 := met.Span("pg.phase2")
+	grp, err := runPhase2(dp, hiers, cfg, workers)
+	if err != nil {
+		return nil, err
 	}
+	sp2.End()
+	met.Counter("pg.phase2.groups").Add(int64(len(grp.groupRows)))
 
 	// Phase 3: stratified sampling (S1–S4), sharded across the workers.
 	sp3 := met.Span("pg.phase3")
 	strata, err := sampling.StratifiedSeeded(grp.groupRows, phase3Root, workers)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pg: phase 3: %w", err)
+		return nil, fmt.Errorf("pg: phase 3: %w", err)
 	}
 	n, dim := len(strata), d.Schema.D()
 	cols := newRowColumns(n, dim)
@@ -230,12 +202,25 @@ func publish(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, cached 
 		Schema: d.Schema, Algorithm: cfg.Algorithm, Recoding: grp.recoding, P: cfg.P, K: cfg.K,
 	}, cols)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sp3.End()
 	met.Counter("pg.rows.published").Add(int64(n))
 	spTotal.End()
-	return pub, grp, nil
+	return pub, nil
+}
+
+// phase2Grouping is Phase 2's output: the recoding (nil for KD), one
+// generalized box per QI-group, and each group's member rows. For KD and
+// FullDomain it is a pure function of the QI columns, k and the algorithm —
+// Phase 1 never touches the QI attributes — so an adversary who knows the
+// algorithm can replay it on the public QI values (docs/ATTACKS.md). A TDS
+// grouping is not: TDS scores its cuts on the perturbed sensitive values, so
+// it changes with the Phase-1 seed.
+type phase2Grouping struct {
+	recoding  *generalize.Recoding
+	boxes     []generalize.Box
+	groupRows [][]int
 }
 
 // runPhase2 runs the configured Phase-2 algorithm over the (perturbed)
@@ -244,9 +229,7 @@ func runPhase2(dp *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, work
 	met := cfg.Metrics
 	switch cfg.Algorithm {
 	case TDS:
-		res, err := generalize.TDS(dp, hiers, generalize.TDSConfig{
-			K: cfg.K, Workers: workers, Metrics: met,
-		})
+		res, err := generalize.TDS(dp, hiers, generalize.TDSConfig{K: cfg.K, Metrics: met})
 		if err != nil {
 			return nil, fmt.Errorf("pg: phase 2: %w", err)
 		}
@@ -256,10 +239,7 @@ func runPhase2(dp *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, work
 			groupRows: res.Groups.Rows,
 		}, nil
 	case FullDomain:
-		res, err := generalize.SearchFullDomain(dp, hiers, generalize.FullDomainConfig{
-			K: cfg.K, Workers: workers,
-			Metrics: met,
-		})
+		res, err := generalize.SearchFullDomain(dp, hiers, generalize.FullDomainConfig{K: cfg.K, Metrics: met})
 		if err != nil {
 			return nil, fmt.Errorf("pg: phase 2: %w", err)
 		}

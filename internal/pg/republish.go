@@ -27,20 +27,12 @@ func ReleaseSeed(root int64, release int) int64 {
 }
 
 // Chain drives a re-publication series r0, r1, ... over evolving microdata:
-// it holds the current table, the hierarchies, the next release number, and
-// the cached Phase-2 grouping that pure re-perturbation releases reuse.
+// it holds the current table, the hierarchies and the next release number.
 // Chains are not safe for concurrent use.
 type Chain struct {
 	table   *dataset.Table
 	hiers   []*hierarchy.Hierarchy
 	release int
-
-	// cache is the KD or FullDomain Phase-2 grouping of the current table,
-	// valid while the QI content is untouched; cacheK and cacheAlg record the
-	// parameters it was computed under.
-	cache    *phase2Grouping
-	cacheK   int
-	cacheAlg Algorithm
 }
 
 // NewChain starts a re-publication chain at the base microdata. The first
@@ -56,21 +48,13 @@ func (c *Chain) Table() *dataset.Table { return c.table }
 
 // Republish applies the delta to the chain's microdata and publishes the
 // next release under the derived per-release seed schedule. The release's
-// bytes are a pure function of (base table, delta sequence, cfg) at any
-// worker count: cfg.Seed is the chain root, release r runs the pipeline
-// under ReleaseSeed(root, r), and a from-scratch Publish of the post-delta
-// table with Seed = ReleaseSeed(root, r) produces the identical result.
-//
-// The incremental win is Phase 2 under KD and FullDomain: their grouping
-// depends only on the QI columns, so an empty delta (a pure
-// re-perturbation release) reuses the cached grouping and pays only Phases
-// 1 and 3 — observable as repub.phase2.reused. TDS scores its cuts on the
-// perturbed sensitive values, which every release draws afresh, so a TDS
-// grouping is never reused. A delta that touches rows changes row indices
-// and QI content, so the grouping is recomputed (repub.phase2.recomputed);
-// anything less would break the byte-identity contract, since the Phase-2
-// algorithms are global (one moved median or frequency count can reshape
-// groups arbitrarily far from the edited rows).
+// bytes are a pure function of (base table, delta sequence, cfg):
+// cfg.Seed is the chain root, release r runs the pipeline under
+// ReleaseSeed(root, r), and a from-scratch Publish of the post-delta table
+// with Seed = ReleaseSeed(root, r) produces the identical result. Every
+// release runs all three phases; the Phase-2 algorithms are global (one
+// moved median or frequency count can reshape groups arbitrarily far from
+// the edited rows), so no part of a release is carried over from the last.
 func Republish(c *Chain, delta Delta, cfg Config) (*Published, error) {
 	met := cfg.Metrics
 	sp := met.Span("repub.publish")
@@ -87,31 +71,15 @@ func Republish(c *Chain, delta Delta, cfg Config) (*Published, error) {
 	met.Counter("repub.delta.inserts").Add(int64(inserts))
 	met.Counter("repub.delta.deletes").Add(int64(len(delta.Deletes)))
 
-	cached := c.cache
-	if !delta.Empty() || cached == nil || c.cacheK != cfg.K || c.cacheAlg != cfg.Algorithm {
-		cached = nil
-	}
-
 	rcfg := cfg
 	rcfg.Seed = ReleaseSeed(cfg.Seed, c.release)
-	pub, grp, err := publish(next, c.hiers, rcfg, cached)
+	pub, err := Publish(next, c.hiers, rcfg)
 	if err != nil {
 		return nil, err
-	}
-	if cached != nil {
-		met.Counter("repub.phase2.reused").Inc()
-	} else {
-		met.Counter("repub.phase2.recomputed").Inc()
 	}
 
 	c.table = next
 	c.release++
-	// A TDS grouping is not cached: TDS scores its cuts on the perturbed
-	// sensitive values, so the next release's Phase 1 can change it.
-	c.cache, c.cacheK, c.cacheAlg = grp, cfg.K, cfg.Algorithm
-	if cfg.Algorithm == TDS {
-		c.cache = nil
-	}
 	met.Counter("repub.releases").Inc()
 	met.Counter("repub.rows").Add(int64(pub.Len()))
 	return pub, nil

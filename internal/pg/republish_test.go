@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"pgpub/internal/dataset"
-	"pgpub/internal/obs"
+	"pgpub/internal/par"
+	"pgpub/internal/perturb"
 	"pgpub/internal/sal"
 )
 
@@ -47,12 +49,11 @@ func testDelta(t *testing.T, prev *dataset.Table, deletes, inserts int, seed int
 	return dl
 }
 
-// TestRepublishMatchesFromScratch is the acceptance contract of the
-// incremental path: for every Phase-2 algorithm and several worker counts,
-// each release of a chain (base, delta, empty delta, delta) is byte-
-// identical to a from-scratch Publish of the post-delta table under the
-// effective seed ReleaseSeed(root, r). The empty-delta release exercises
-// the cached-grouping fast path against the recomputing publish.
+// TestRepublishMatchesFromScratch is the acceptance contract of the chain:
+// for every Phase-2 algorithm and several GOMAXPROCS values, each release of
+// a chain (base, delta, empty delta, delta) is byte-identical to a
+// from-scratch Publish of the post-delta table under the effective seed
+// ReleaseSeed(root, r).
 func TestRepublishMatchesFromScratch(t *testing.T) {
 	base, err := sal.Generate(3000, 17)
 	if err != nil {
@@ -60,11 +61,13 @@ func TestRepublishMatchesFromScratch(t *testing.T) {
 	}
 	hiers := sal.Hierarchies(base.Schema)
 	const root = 907
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, alg := range []Algorithm{KD, TDS, FullDomain} {
-		var golden [][]byte // per release, from workers=1
-		for _, workers := range []int{1, 3, 8} {
+		var golden [][]byte // per release, from GOMAXPROCS=1
+		for _, procs := range []int{1, 3, 8} {
+			runtime.GOMAXPROCS(procs)
 			c := NewChain(base, hiers)
-			cfg := Config{K: 6, P: 0.3, Seed: root, Algorithm: alg, Workers: workers}
+			cfg := Config{K: 6, P: 0.3, Seed: root, Algorithm: alg}
 			deltas := []Delta{
 				{},
 				testDelta(t, c.Table(), 40, 25, 18),
@@ -81,98 +84,39 @@ func TestRepublishMatchesFromScratch(t *testing.T) {
 				}
 				pub, err := Republish(c, dl, cfg)
 				if err != nil {
-					t.Fatalf("%v workers=%d release %d: %v", alg, workers, r, err)
+					t.Fatalf("%v GOMAXPROCS=%d release %d: %v", alg, procs, r, err)
 				}
 				got := pubBytes(t, pub)
 
 				// From-scratch equivalence under the effective seed.
 				scratch, err := Publish(c.Table(), hiers, Config{
-					K: 6, P: 0.3, Seed: ReleaseSeed(root, r), Algorithm: alg, Workers: workers,
+					K: 6, P: 0.3, Seed: ReleaseSeed(root, r), Algorithm: alg,
 				})
 				if err != nil {
-					t.Fatalf("%v workers=%d release %d: from-scratch: %v", alg, workers, r, err)
+					t.Fatalf("%v GOMAXPROCS=%d release %d: from-scratch: %v", alg, procs, r, err)
 				}
 				if want := pubBytes(t, scratch); !bytes.Equal(got, want) {
-					t.Fatalf("%v workers=%d release %d: Republish differs from from-scratch Publish of the post-delta table",
-						alg, workers, r)
+					t.Fatalf("%v GOMAXPROCS=%d release %d: Republish differs from from-scratch Publish of the post-delta table",
+						alg, procs, r)
 				}
 
-				// Worker-count invariance.
-				if workers == 1 {
+				// GOMAXPROCS invariance.
+				if procs == 1 {
 					golden = append(golden, got)
 				} else if !bytes.Equal(got, golden[r]) {
-					t.Fatalf("%v workers=%d release %d: bytes differ from sequential chain", alg, workers, r)
+					t.Fatalf("%v GOMAXPROCS=%d release %d: bytes differ from the GOMAXPROCS=1 chain", alg, procs, r)
 				}
 			}
 		}
 	}
 }
 
-// TestRepublishReusesPhase2 pins the incremental win: an empty delta must
-// reuse the cached grouping (repub.phase2.reused), a row-touching delta
-// must recompute (repub.phase2.recomputed), and release 0 of a chain must
-// equal a plain Publish under the root seed.
-func TestRepublishReusesPhase2(t *testing.T) {
-	base, err := sal.Generate(2000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hiers := sal.Hierarchies(base.Schema)
-	reg := obs.NewRegistry()
-	c := NewChain(base, hiers)
-	cfg := Config{K: 6, P: 0.3, Seed: 41, Metrics: reg}
-
-	r0, err := Republish(c, Delta{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Publish(base, hiers, Config{K: 6, P: 0.3, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pubBytes(t, r0), pubBytes(t, plain)) {
-		t.Fatal("release 0 differs from a plain Publish under the root seed")
-	}
-
-	if _, err := Republish(c, Delta{}, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("repub.phase2.reused").Value(); got != 1 {
-		t.Fatalf("repub.phase2.reused = %d after an empty delta, want 1", got)
-	}
-	if _, err := Republish(c, testDelta(t, c.Table(), 10, 10, 6), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("repub.phase2.recomputed").Value(); got != 2 {
-		t.Fatalf("repub.phase2.recomputed = %d, want 2 (release 0 and the row-touching delta)", got)
-	}
-	if got := reg.Counter("repub.releases").Value(); got != 3 {
-		t.Fatalf("repub.releases = %d, want 3", got)
-	}
-
-	// TDS scores its cuts on the perturbed sensitive values, so an empty
-	// delta under TDS must recompute the grouping, never reuse it.
-	treg := obs.NewRegistry()
-	tc := NewChain(base, hiers)
-	tcfg := Config{K: 6, P: 0.3, Seed: 41, Algorithm: TDS, Metrics: treg}
-	for r := 0; r < 2; r++ {
-		if _, err := Republish(tc, Delta{}, tcfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := treg.Counter("repub.phase2.reused").Value(); got != 0 {
-		t.Fatalf("TDS repub.phase2.reused = %d after an empty delta, want 0", got)
-	}
-	if got := treg.Counter("repub.phase2.recomputed").Value(); got != 2 {
-		t.Fatalf("TDS repub.phase2.recomputed = %d, want 2 (release 0 and the empty delta)", got)
-	}
-}
-
 // TestRepublishEmptyDeltasMatchFromScratch pins the byte-identity contract
-// on the cached-grouping path for every Phase-2 algorithm over many chain
-// roots: each release of a chain of empty deltas equals a from-scratch
-// Publish under ReleaseSeed(root, r). A TDS grouping depends on the
-// Phase-1 draw, so a chain that reused it would fail here under most roots.
+// for pure re-perturbation releases, for every Phase-2 algorithm over many
+// chain roots: each release of a chain of empty deltas equals a
+// from-scratch Publish under ReleaseSeed(root, r). A TDS grouping depends on
+// the Phase-1 draw, so a chain that carried a grouping over from the last
+// release would fail here under most roots.
 func TestRepublishEmptyDeltasMatchFromScratch(t *testing.T) {
 	base, err := sal.Generate(1000, 3)
 	if err != nil {
@@ -182,14 +126,14 @@ func TestRepublishEmptyDeltasMatchFromScratch(t *testing.T) {
 	for _, alg := range []Algorithm{KD, TDS, FullDomain} {
 		for root := int64(900); root < 920; root++ {
 			c := NewChain(base, hiers)
-			cfg := Config{K: 6, P: 0.3, Seed: root, Algorithm: alg, Workers: 1}
+			cfg := Config{K: 6, P: 0.3, Seed: root, Algorithm: alg}
 			for r := 0; r < 4; r++ {
 				pub, err := Republish(c, Delta{}, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				scratch, err := Publish(base, hiers, Config{
-					K: 6, P: 0.3, Seed: ReleaseSeed(root, r), Algorithm: alg, Workers: 1,
+					K: 6, P: 0.3, Seed: ReleaseSeed(root, r), Algorithm: alg,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -202,19 +146,28 @@ func TestRepublishEmptyDeltasMatchFromScratch(t *testing.T) {
 	}
 }
 
-// TestPhase2GroupingIgnoresPhase1Seed pins what the cached-grouping path
-// rests on: the KD and FullDomain groupings read only the QI columns, so
-// they are the same under every Phase-1 seed.
+// TestPhase2GroupingIgnoresPhase1Seed pins what the transparency argument
+// of docs/ATTACKS.md rests on: the KD and FullDomain groupings read only the
+// QI columns, so Phase 2 over tables perturbed under different Phase-1
+// seeds groups them identically.
 func TestPhase2GroupingIgnoresPhase1Seed(t *testing.T) {
 	base, err := sal.Generate(1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hiers := sal.Hierarchies(base.Schema)
+	pb, err := perturb.NewPerturber(0.3, base.Schema.SensitiveDomain())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, alg := range []Algorithm{KD, FullDomain} {
 		var want *phase2Grouping
 		for seed := int64(0); seed < 6; seed++ {
-			_, grp, err := publish(base, hiers, Config{K: 6, P: 0.3, Seed: seed, Algorithm: alg, Workers: 1}, nil)
+			dp, err := pb.TableSharded(base, par.SplitSeed(seed, 0), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grp, err := runPhase2(dp, hiers, Config{K: 6, P: 0.3, Seed: seed, Algorithm: alg}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

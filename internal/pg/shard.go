@@ -41,7 +41,7 @@ func ShardSeed(root int64, s int) int64 {
 // PublishSharded partitions d into shards round-robin slices (ShardOf) and
 // publishes each independently with a seed split off cfg.Seed. Owner IDs
 // are preserved through the partition, so shard publications still name
-// the same individuals. Output bytes are identical for every cfg.Workers
+// the same individuals. Output bytes are identical at every GOMAXPROCS
 // value, shard by shard.
 func PublishSharded(d *dataset.Table, hiers []*hierarchy.Hierarchy, cfg Config, shards int) ([]*Published, error) {
 	if shards < 1 {

@@ -149,7 +149,7 @@ func BenchmarkAnswerWorkload(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.AnswerWorkload(qs, 0); err != nil {
+		if _, err := ix.AnswerWorkload(qs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,7 +55,7 @@ const maxIndexHeight = 64
 
 // Index is a precomputed query-serving structure over one publication. It is
 // immutable after construction and safe for concurrent use — AnswerWorkload
-// fans queries across workers over a shared Index.
+// fans queries across goroutines over a shared Index.
 type Index struct {
 	schema *dataset.Schema
 	p      float64
@@ -98,7 +98,7 @@ type Index struct {
 	// met holds the serving-path instruments, wired by Observe.
 	// Every query increments exactly one of the three answer-path counters,
 	// so their sum equals the queries gathered and the split is invariant
-	// under AnswerWorkload's worker count. All fields are nil — disabled —
+	// under AnswerWorkload's goroutine count. All fields are nil — disabled —
 	// for an index built with NewIndex.
 	met struct {
 		grid     *obs.Counter   // answered O(1) from an interval-grid SAT

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pgpub/internal/obs"
@@ -12,7 +13,7 @@ import (
 // Every Count resolves through exactly one of the three answer paths, so the
 // path counters partition the workload, and each call lands one latency
 // observation. The split itself is a property of the query set and the
-// index — not of the worker count AnswerWorkload fans out with.
+// index — not of the GOMAXPROCS AnswerWorkload fans out over.
 func TestIndexMetricsPartitionQueries(t *testing.T) {
 	d, err := sal.Generate(2000, 31)
 	if err != nil {
@@ -41,13 +42,15 @@ func TestIndexMetricsPartitionQueries(t *testing.T) {
 	qs = append(qs, wide...)
 
 	var ref map[string]int64
-	for _, workers := range []int{1, 4} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		reg := obs.NewRegistry()
 		ix, err := NewIndexObserved(pub, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ix.AnswerWorkload(qs, workers); err != nil {
+		if _, err := ix.AnswerWorkload(qs); err != nil {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
@@ -55,14 +58,14 @@ func TestIndexMetricsPartitionQueries(t *testing.T) {
 		re := snap.Counters["query.answered.exact_reanswer"]
 		kd := snap.Counters["query.answered.kd"]
 		if grid+re+kd != int64(len(qs)) {
-			t.Fatalf("workers=%d: answer paths %d+%d+%d != %d queries", workers, grid, re, kd, len(qs))
+			t.Fatalf("GOMAXPROCS=%d: answer paths %d+%d+%d != %d queries", procs, grid, re, kd, len(qs))
 		}
 		if grid == 0 || kd == 0 {
-			t.Fatalf("workers=%d: expected both grid (%d) and kd (%d) paths exercised", workers, grid, kd)
+			t.Fatalf("GOMAXPROCS=%d: expected both grid (%d) and kd (%d) paths exercised", procs, grid, kd)
 		}
 		h := snap.Histograms["query.count.latency"]
 		if h.Count != int64(len(qs)) {
-			t.Fatalf("workers=%d: latency observations %d != %d queries", workers, h.Count, len(qs))
+			t.Fatalf("GOMAXPROCS=%d: latency observations %d != %d queries", procs, h.Count, len(qs))
 		}
 		if snap.Gauges["query.index.entries"] != int64(ix.Groups()) {
 			t.Fatalf("query.index.entries = %d, want %d", snap.Gauges["query.index.entries"], ix.Groups())
@@ -74,7 +77,7 @@ func TestIndexMetricsPartitionQueries(t *testing.T) {
 		if ref == nil {
 			ref = paths
 		} else if paths["grid"] != ref["grid"] || paths["reanswer"] != ref["reanswer"] || paths["kd"] != ref["kd"] {
-			t.Fatalf("answer-path split varies with workers: %v vs %v", paths, ref)
+			t.Fatalf("answer-path split varies with GOMAXPROCS: %v vs %v", paths, ref)
 		}
 	}
 }

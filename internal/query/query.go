@@ -16,8 +16,8 @@
 // aggregates, an interval grid and a kd-tree from one publication and
 // answers the same queries orders of magnitude faster; NewIndexObserved and
 // Observe additionally record build/answer metrics (internal/obs). Workload
-// generates random query sets and AnswerWorkload fans them across workers
-// deterministically.
+// generates random query sets and AnswerWorkload fans them across
+// GOMAXPROCS goroutines deterministically.
 package query
 
 import (

@@ -127,14 +127,14 @@ func (ix *Index) AvgParts(q CountQuery, value SensitiveValue) (sum, weight float
 }
 
 // AnswerWorkload answers a COUNT workload, fanning the queries across at
-// most workers goroutines (par semantics: 0 means GOMAXPROCS). Every query
-// is answered wholly by one worker against the shared immutable index, and
-// answers land at their query's position, so the output is byte-identical
-// for every worker count. On error the first failing query by position is
-// reported and no answers are returned.
-func (ix *Index) AnswerWorkload(qs []CountQuery, workers int) ([]float64, error) {
+// most GOMAXPROCS goroutines. Every query is answered wholly by one
+// goroutine against the shared immutable index, and answers land at their
+// query's position, so the output is byte-identical at every GOMAXPROCS.
+// On error the first failing query by position is reported and no answers
+// are returned.
+func (ix *Index) AnswerWorkload(qs []CountQuery) ([]float64, error) {
 	out := make([]float64, len(qs))
-	err := par.ForEachErr(workers, len(qs), func(i int) error {
+	err := par.ForEachErr(0, len(qs), func(i int) error {
 		v, err := ix.Count(qs[i])
 		if err != nil {
 			return fmt.Errorf("query %d: %w", i, err)

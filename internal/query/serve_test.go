@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // The repo's parallelism invariant applied to serving: AnswerWorkload output
-// is byte-identical for any worker count.
+// is byte-identical at any GOMAXPROCS.
 func TestAnswerWorkloadDeterminism(t *testing.T) {
 	d, err := sal.Generate(5000, 41)
 	if err != nil {
@@ -32,17 +33,19 @@ func TestAnswerWorkloadDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1, err := ix.AnswerWorkload(qs, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w1, err := ix.AnswerWorkload(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w8, err := ix.AnswerWorkload(qs, 8)
+	runtime.GOMAXPROCS(8)
+	w8, err := ix.AnswerWorkload(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range w1 {
 		if math.Float64bits(w1[i]) != math.Float64bits(w8[i]) {
-			t.Fatalf("query %d: Workers=1 gives %v, Workers=8 gives %v", i, w1[i], w8[i])
+			t.Fatalf("query %d: GOMAXPROCS=1 gives %v, GOMAXPROCS=8 gives %v", i, w1[i], w8[i])
 		}
 	}
 	// And every batched answer is bit-identical to the single-query path.
@@ -78,13 +81,15 @@ func TestAnswerWorkloadError(t *testing.T) {
 	}
 	qs[3].QI[0] = Range{Lo: 7, Hi: 2}
 	qs[6].QI[0] = Range{Lo: 9, Hi: 1}
-	for _, workers := range []int{1, 4} {
-		ans, err := ix.AnswerWorkload(qs, workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		ans, err := ix.AnswerWorkload(qs)
 		if err == nil || ans != nil {
-			t.Fatalf("workers=%d: want error and nil answers, got %v, %v", workers, ans, err)
+			t.Fatalf("GOMAXPROCS=%d: want error and nil answers, got %v, %v", procs, ans, err)
 		}
 		if !strings.Contains(err.Error(), "query 3") {
-			t.Fatalf("workers=%d: error should name query 3, got %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: error should name query 3, got %v", procs, err)
 		}
 	}
 }
@@ -103,7 +108,7 @@ func TestAnswerWorkloadEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ix.AnswerWorkload(nil, 4)
+	ans, err := ix.AnswerWorkload(nil)
 	if err != nil || len(ans) != 0 {
 		t.Fatalf("empty workload: %v, %v", ans, err)
 	}

@@ -79,7 +79,7 @@ func TestKDWalkMatchesReference(t *testing.T) {
 					t.Fatalf("%s %s query %d: %v", rel.name, name, i, err)
 				}
 			}
-			batch, err := ix.AnswerWorkload(qs, 0)
+			batch, err := ix.AnswerWorkload(qs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -467,7 +467,7 @@ func (g *remoteGroup) AvgParts(ctx context.Context, q query.CountQuery, values [
 // AnswerWorkload fans the workload out as one batch frame per shard and adds
 // the answers elementwise in shard order. Each shard applies its own batch
 // fan-out.
-func (g *remoteGroup) AnswerWorkload(ctx context.Context, qs []query.CountQuery, _ int) ([]float64, error) {
+func (g *remoteGroup) AnswerWorkload(ctx context.Context, qs []query.CountQuery) ([]float64, error) {
 	replies, err := g.fanOut(ctx, appendShardBatch(requestFrame(frameBatch), g.schema, qs))
 	if err != nil {
 		return nil, err

@@ -193,7 +193,7 @@ func TestCoordinatorMatchesGroup(t *testing.T) {
 	}
 
 	// Batch: elementwise identical to the composed workload.
-	want, err := g.AnswerWorkload(qs, 0)
+	want, err := g.AnswerWorkload(qs)
 	if err != nil {
 		t.Fatal(err)
 	}

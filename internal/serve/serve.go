@@ -72,7 +72,7 @@ type Answerer interface {
 	// maps each sensitive code to its value; nil values each code as
 	// itself.
 	AvgParts(ctx context.Context, q query.CountQuery, values []float64) (sum, weight float64, err error)
-	AnswerWorkload(ctx context.Context, qs []query.CountQuery, workers int) ([]float64, error)
+	AnswerWorkload(ctx context.Context, qs []query.CountQuery) ([]float64, error)
 }
 
 // local adapts the context-free *query.Index to Answerer. Its answers are
@@ -84,8 +84,8 @@ func (l local) Naive(_ context.Context, q query.CountQuery) (float64, error) { r
 func (l local) AvgParts(_ context.Context, q query.CountQuery, values []float64) (float64, float64, error) {
 	return l.ix.AvgParts(q, valueFn(values))
 }
-func (l local) AnswerWorkload(_ context.Context, qs []query.CountQuery, workers int) ([]float64, error) {
-	return l.ix.AnswerWorkload(qs, workers)
+func (l local) AnswerWorkload(_ context.Context, qs []query.CountQuery) ([]float64, error) {
+	return l.ix.AnswerWorkload(qs)
 }
 
 // Config parameterizes a Server.
@@ -104,9 +104,6 @@ type Config struct {
 	// CacheEntries bounds the result cache (total, split across shards).
 	// 0 means the default 4096; negative disables caching.
 	CacheEntries int
-	// Workers is the /v1/batch fan-out (par semantics: 0 = GOMAXPROCS).
-	// Batch answers are byte-identical for every value.
-	Workers int
 	// Metrics optionally receives the serve.* instrumentation, and the
 	// query.* instruments of every index a reload installs from Source (the
 	// caller observes Index itself; see query.Observe). nil disables.
@@ -173,7 +170,6 @@ type release struct {
 type Server struct {
 	rel          atomic.Pointer[release]
 	timeout      time.Duration
-	workers      int
 	sem          chan struct{}
 	cacheEntries int
 	// load builds the release to swap to from the serving one, or refuses
@@ -250,7 +246,6 @@ func localRelease(d *ReleaseData) *release {
 func newServer(cfg Config) (*Server, error) {
 	s := &Server{
 		timeout: cfg.RequestTimeout,
-		workers: cfg.Workers,
 	}
 	var err error
 	if s.dp, err = newServerDP(cfg.DP, cfg.Metrics); err != nil {
@@ -806,7 +801,7 @@ func (rq *request) answerBatch() {
 
 	t0 := time.Now()
 	ests, err := withDeadline(rq.r.Context(), s.timeout, func(ctx context.Context) ([]float64, error) {
-		return rel.answer.AnswerWorkload(ctx, qs, s.workers)
+		return rel.answer.AnswerWorkload(ctx, qs)
 	})
 	s.met.latBatch.Observe(time.Since(t0).Nanoseconds())
 	if ests == nil {

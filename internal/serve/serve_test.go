@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -161,8 +162,8 @@ func TestServedAnswersMatchIndex(t *testing.T) {
 }
 
 // TestBatchMatchesWorkloadAcrossWorkers pins the wire-level determinism
-// contract: the batch response bytes are identical for every worker count
-// and equal the in-process AnswerWorkload.
+// contract: the batch response bytes are identical at every GOMAXPROCS and
+// equal the in-process AnswerWorkload.
 func TestBatchMatchesWorkloadAcrossWorkers(t *testing.T) {
 	ix, _ := hospitalIndex(t)
 	schema := ix.Schema()
@@ -183,20 +184,22 @@ func TestBatchMatchesWorkloadAcrossWorkers(t *testing.T) {
 		q.Sensitive[0], q.Sensitive[1] = true, true
 		qs = append(qs, q)
 	}
-	want, err := ix.AnswerWorkload(qs, 0)
+	want, err := ix.AnswerWorkload(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var bodies []string
-	for _, workers := range []int{1, 2, 7} {
-		s := newTestServer(t, Config{Index: ix, Workers: workers})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		s := newTestServer(t, Config{Index: ix})
 		buf, _ := json.Marshal(BatchRequest{Queries: reqs})
 		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(buf))
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
-			t.Fatalf("workers=%d: status %d: %s", workers, w.Code, w.Body.String())
+			t.Fatalf("GOMAXPROCS=%d: status %d: %s", procs, w.Code, w.Body.String())
 		}
 		bodies = append(bodies, w.Body.String())
 
@@ -206,13 +209,13 @@ func TestBatchMatchesWorkloadAcrossWorkers(t *testing.T) {
 		}
 		for i := range want {
 			if resp.Estimates[i] != want[i] {
-				t.Fatalf("workers=%d query %d: %v, want %v", workers, i, resp.Estimates[i], want[i])
+				t.Fatalf("GOMAXPROCS=%d query %d: %v, want %v", procs, i, resp.Estimates[i], want[i])
 			}
 		}
 	}
 	for _, b := range bodies[1:] {
 		if b != bodies[0] {
-			t.Fatalf("batch bytes differ across worker counts:\n%s\n%s", bodies[0], b)
+			t.Fatalf("batch bytes differ across GOMAXPROCS values:\n%s\n%s", bodies[0], b)
 		}
 	}
 }
@@ -242,7 +245,7 @@ func (f *fakeAnswerer) AvgParts(ctx context.Context, q query.CountQuery, _ []flo
 	v, err := f.Count(ctx, q)
 	return v, 1, err
 }
-func (f *fakeAnswerer) AnswerWorkload(ctx context.Context, qs []query.CountQuery, _ int) ([]float64, error) {
+func (f *fakeAnswerer) AnswerWorkload(ctx context.Context, qs []query.CountQuery) ([]float64, error) {
 	out := make([]float64, len(qs))
 	for i, q := range qs {
 		v, _ := f.Count(ctx, q)

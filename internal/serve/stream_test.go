@@ -199,7 +199,7 @@ func TestCoordinatorLargeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := f.group.AnswerWorkload(qs, 0)
+	want, err := f.group.AnswerWorkload(qs)
 	if err != nil {
 		t.Fatal(err)
 	}

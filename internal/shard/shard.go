@@ -145,12 +145,13 @@ func (g *Group) AvgParts(q query.CountQuery, value query.SensitiveValue) (sum, w
 }
 
 // AnswerWorkload answers a COUNT workload against the composed release,
-// fanning queries across at most workers goroutines. Each query is composed
-// wholly by one worker in shard order, and answers land at their query's
-// position, so the output is byte-identical for every worker count.
-func (g *Group) AnswerWorkload(qs []query.CountQuery, workers int) ([]float64, error) {
+// fanning queries across at most GOMAXPROCS goroutines. Each query is
+// composed wholly by one goroutine in shard order, and answers land at
+// their query's position, so the output is byte-identical at every
+// GOMAXPROCS.
+func (g *Group) AnswerWorkload(qs []query.CountQuery) ([]float64, error) {
 	out := make([]float64, len(qs))
-	err := par.ForEachErr(workers, len(qs), func(i int) error {
+	err := par.ForEachErr(0, len(qs), func(i int) error {
 		v, err := g.Count(qs[i])
 		if err != nil {
 			return fmt.Errorf("query %d: %w", i, err)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pgpub/internal/obs"
@@ -15,14 +16,14 @@ import (
 )
 
 // publishSharded publishes n SAL rows into s shards under a fixed seed.
-func publishSharded(t *testing.T, n, s, workers int, algorithm pg.Algorithm) []*pg.Published {
+func publishSharded(t *testing.T, n, s int, algorithm pg.Algorithm) []*pg.Published {
 	t.Helper()
 	d, err := sal.Generate(n, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pubs, err := pg.PublishSharded(d, sal.Hierarchies(d.Schema), pg.Config{
-		K: 6, P: 0.3, Algorithm: algorithm, Seed: 11, Workers: workers,
+		K: 6, P: 0.3, Algorithm: algorithm, Seed: 11,
 	}, s)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestGroupMatchesMergedIndex(t *testing.T) {
 	for _, algorithm := range []pg.Algorithm{pg.KD, pg.TDS, pg.FullDomain} {
 		t.Run(algorithm.String(), func(t *testing.T) {
 			for _, s := range []int{1, 2, 4, 8} {
-				pubs := publishSharded(t, 3000, s, 0, algorithm)
+				pubs := publishSharded(t, 3000, s, algorithm)
 				g, err := NewGroup(pubs)
 				if err != nil {
 					t.Fatal(err)
@@ -164,10 +165,10 @@ func TestGroupMatchesMergedIndex(t *testing.T) {
 }
 
 // TestAnswerWorkloadDeterministic pins the composed workload path: answers
-// must be byte-identical for every worker count and equal the one-by-one
+// must be byte-identical at every GOMAXPROCS and equal the one-by-one
 // composition.
 func TestAnswerWorkloadDeterministic(t *testing.T) {
-	pubs := publishSharded(t, 2000, 4, 0, pg.KD)
+	pubs := publishSharded(t, 2000, 4, pg.KD)
 	g, err := NewGroup(pubs)
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +181,10 @@ func TestAnswerWorkloadDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var base []float64
-	for _, workers := range []int{1, 3, 8} {
-		out, err := g.AnswerWorkload(qs, workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		out, err := g.AnswerWorkload(qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +203,7 @@ func TestAnswerWorkloadDeterministic(t *testing.T) {
 		}
 		for i := range out {
 			if math.Float64bits(base[i]) != math.Float64bits(out[i]) {
-				t.Fatalf("query %d differs at %d workers: %v vs %v", i, workers, out[i], base[i])
+				t.Fatalf("query %d differs at GOMAXPROCS=%d: %v vs %v", i, procs, out[i], base[i])
 			}
 		}
 	}
@@ -208,12 +211,14 @@ func TestAnswerWorkloadDeterministic(t *testing.T) {
 
 // TestShardBytesStableAcrossWorkers pins the seed-splitting discipline: the
 // bytes of every shard snapshot (and hence the manifest CRCs) must not
-// depend on the publisher's worker count.
+// depend on the publisher's GOMAXPROCS.
 func TestShardBytesStableAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
 	var crcs [][]uint32
-	for _, workers := range []int{1, 8} {
-		pubs := publishSharded(t, 2000, 4, workers, pg.KD)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		pubs := publishSharded(t, 2000, 4, pg.KD)
 		base := filepath.Join(dir, "rel")
 		man, err := WriteRelease(filepath.Join(dir, "rel.pgman"), base, pubs, nil, 11, 2000)
 		if err != nil {
@@ -227,7 +232,7 @@ func TestShardBytesStableAcrossWorkers(t *testing.T) {
 	}
 	for s := range crcs[0] {
 		if crcs[0][s] != crcs[1][s] {
-			t.Fatalf("shard %d bytes differ across worker counts: %08x vs %08x", s, crcs[0][s], crcs[1][s])
+			t.Fatalf("shard %d bytes differ across GOMAXPROCS values: %08x vs %08x", s, crcs[0][s], crcs[1][s])
 		}
 	}
 }
@@ -237,7 +242,7 @@ func TestShardBytesStableAcrossWorkers(t *testing.T) {
 // bit-identically to the in-process one.
 func TestWriteReleaseOpenRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	pubs := publishSharded(t, 2000, 4, 0, pg.TDS)
+	pubs := publishSharded(t, 2000, 4, pg.TDS)
 	inproc, err := NewGroup(pubs)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +287,7 @@ func TestWriteReleaseOpenRoundtrip(t *testing.T) {
 // observed, and every shard's answers land in the shared counters.
 func TestOpenObservedGaugesTotalGroup(t *testing.T) {
 	dir := t.TempDir()
-	pubs := publishSharded(t, 2000, 4, 0, pg.KD)
+	pubs := publishSharded(t, 2000, 4, pg.KD)
 	manPath := filepath.Join(dir, "rel.pgman")
 	if _, err := WriteRelease(manPath, filepath.Join(dir, "rel.pgsnap"), pubs, nil, 11, 2000); err != nil {
 		t.Fatal(err)
@@ -316,7 +321,7 @@ func TestOpenObservedGaugesTotalGroup(t *testing.T) {
 // manifest: both opens must fail loudly rather than serve corrupt data.
 func TestOpenRejectsTampering(t *testing.T) {
 	dir := t.TempDir()
-	pubs := publishSharded(t, 1500, 2, 0, pg.KD)
+	pubs := publishSharded(t, 1500, 2, pg.KD)
 	manPath := filepath.Join(dir, "rel.pgman")
 	if _, err := WriteRelease(manPath, filepath.Join(dir, "rel.pgsnap"), pubs, nil, 11, 1500); err != nil {
 		t.Fatal(err)

@@ -126,11 +126,11 @@ func TestMappedVerifyCatchesEveryByte(t *testing.T) {
 }
 
 // TestWriteWorkerInvariant closes the determinism chain at the artifact
-// level: publishing the same microdata sequentially and on eight workers,
-// with one or two OS threads (GOMAXPROCS also sizes the kd spawn depth and
-// the parallel grid-table build), must yield byte-identical v2 snapshot
-// files — columns, directory, padding and all — so a snapshot's checksum
-// identifies the release regardless of the machine that produced it.
+// level: publishing the same microdata at GOMAXPROCS 1, 2 and 8 (it sizes
+// every sharded phase, the kd spawn depth and the parallel grid-table
+// build) must yield byte-identical v2 snapshot files — columns, directory,
+// padding and all — so a snapshot's checksum identifies the release
+// regardless of the machine that produced it.
 func TestWriteWorkerInvariant(t *testing.T) {
 	d, err := sal.Generate(9000, 61)
 	if err != nil {
@@ -141,26 +141,22 @@ func TestWriteWorkerInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, alg := range []pg.Algorithm{pg.KD, pg.TDS, pg.FullDomain} {
 		var base []byte
-		for _, procs := range []int{1, 2} {
+		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
-			for _, workers := range []int{1, 8} {
-				pub, err := pg.Publish(d, hiers, pg.Config{
-					K: 6, P: 0.3, Seed: 23, Algorithm: alg, Workers: workers,
-				})
-				if err != nil {
-					t.Fatalf("%v workers=%d: %v", alg, workers, err)
-				}
-				var buf bytes.Buffer
-				if err := Write(&buf, pub, g, nil); err != nil {
-					t.Fatalf("%v workers=%d: Write: %v", alg, workers, err)
-				}
-				if base == nil {
-					base = buf.Bytes()
-					continue
-				}
-				if !bytes.Equal(base, buf.Bytes()) {
-					t.Fatalf("%v: snapshot bytes at GOMAXPROCS=%d workers=%d differ from GOMAXPROCS=1 workers=1", alg, procs, workers)
-				}
+			pub, err := pg.Publish(d, hiers, pg.Config{K: 6, P: 0.3, Seed: 23, Algorithm: alg})
+			if err != nil {
+				t.Fatalf("%v GOMAXPROCS=%d: %v", alg, procs, err)
+			}
+			var buf bytes.Buffer
+			if err := Write(&buf, pub, g, nil); err != nil {
+				t.Fatalf("%v GOMAXPROCS=%d: Write: %v", alg, procs, err)
+			}
+			if base == nil {
+				base = buf.Bytes()
+				continue
+			}
+			if !bytes.Equal(base, buf.Bytes()) {
+				t.Fatalf("%v: snapshot bytes at GOMAXPROCS=%d differ from GOMAXPROCS=1", alg, procs)
 			}
 		}
 	}

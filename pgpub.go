@@ -36,12 +36,13 @@
 //
 // # Parallelism and determinism
 //
-// Publish runs all three phases on a worker pool sized by Config.Workers
-// (0 means runtime.GOMAXPROCS(0)). The output is byte-identical for every
-// worker count: work is cut into shards of fixed size, and each shard's
-// random stream is derived from the publication's root seed and the shard
-// index with a splitmix64 mix (internal/par.SplitSeed), so scheduling never
-// influences which stream a shard consumes. The root seed is Config.Seed;
+// Publish runs all three phases on a worker pool sized by
+// runtime.GOMAXPROCS; parallelism is not a Config setting. The output is
+// byte-identical at every GOMAXPROCS: work is cut into shards of fixed
+// size, and each shard's random stream is derived from the publication's
+// root seed and the shard index with a splitmix64 mix
+// (internal/par.SplitSeed), so scheduling never influences which stream a
+// shard consumes. The root seed is Config.Seed;
 // a caller publishing repeatedly from one *rand.Rand passes
 // Seed: rng.Int63(), one draw per publication.
 package pgpub
